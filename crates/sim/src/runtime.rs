@@ -568,7 +568,13 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
         if framed {
             if let shard::ShardSlot::Framed(transport) = &mut core.shards {
                 transport
-                    .deliver(&outbox, &mut data, &mut cursors, &mut core.buffers)
+                    .deliver(
+                        &outbox,
+                        &mut data,
+                        &mut cursors,
+                        &offsets,
+                        &mut core.buffers,
+                    )
                     .unwrap_or_else(|e| panic!("sharded delivery failed: {e}"));
             }
             outbox.clear();
