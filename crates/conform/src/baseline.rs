@@ -5,7 +5,7 @@
 //! subtract it, and the exit code reflects only *new* findings. Keys are
 //! [`crate::diag::baseline_key`] lines (rule, path, message — no line
 //! numbers, so unrelated edits don't churn the file). Error-severity
-//! findings (`P1`, `R16`, `R17`) are never baselined: a broken escape
+//! findings (`P1`, `R16`, `R21`) are never baselined: a broken escape
 //! hatch or corrupted-state bug must always fail the gate.
 
 use crate::diag::{self, Finding};

@@ -156,7 +156,7 @@ fn decode(bytes: &[u8]) -> Result<Cache, SnapshotError> {
             what: "not a conform cache",
         });
     }
-    r.expect_u32("cache format", CACHE_FORMAT)?;
+    r.expect("cache format", &CACHE_FORMAT)?;
     let fingerprint = r.read_u64()?;
     let n_files = r.read_usize()?;
     let mut files = Vec::with_capacity(n_files);

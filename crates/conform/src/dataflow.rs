@@ -1,20 +1,15 @@
-//! Intraprocedural dataflow layer: rules R16–R19.
+//! Intraprocedural dataflow layer: rules R16, R18 and R19.
 //!
 //! The lexical layer sees lines, the structural layer sees call edges;
 //! neither sees *paths*. This module builds small, purpose-specific
 //! def-use and obligation chains directly on the token trees of
-//! [`crate::syntax`] and checks the four invariants that PR 5 (snapshot /
-//! resume) and PR 6 (pooled allocation-free rounds) introduced but nothing
-//! machine-enforced:
+//! [`crate::syntax`] and checks three invariants of pooled rounds,
+//! observers and node-parallel helpers that nothing else enforces:
 //!
 //! * **R16 pool pairing** — every `RoundBuffers::take_*` /
 //!   `take_arena_parts` call acquires an obligation that must be discharged
 //!   by the matching `retire_*` / `retire` before any early `return` / `?`
 //!   exit, or escape into a return value, struct literal, or field store.
-//! * **R17 snapshot parity** — for each `impl Execution`, the ordered
-//!   sequence of `SnapshotWriter` calls in `save` must mirror the ordered
-//!   sequence of `read_*` / `expect_*` calls in `restore` (same widths,
-//!   same order, same identity expressions for `expect_*` fields).
 //! * **R18 observer purity** — methods of `RoundObserver` impls must not
 //!   reach `RoundLedger` charging or `Round` mutation through the call
 //!   graph: observers are diagnostics-only.
@@ -22,7 +17,7 @@
 //!   helpers may only index captured state through their shard-provided
 //!   slice arguments.
 //!
-//! All four analyses are deliberately *linear* approximations: trees are
+//! All three analyses are deliberately *linear* approximations: trees are
 //! walked in textual order, branches are not path-split (a discharge in one
 //! `match` arm counts for all arms), and helper inlining stops at depth
 //! one. Every approximation errs toward false negatives; DESIGN.md §12
@@ -31,21 +26,12 @@
 use crate::callgraph::{CallGraph, FnNode};
 use crate::diag::Finding;
 use crate::rules::in_sim_core;
-use crate::scanner::SourceFile;
-use crate::syntax::{
-    group_of, ident_of, line_of, punct_of, FileSyntax, FnSpan, Group, Tok, Token, Tree,
-};
+use crate::syntax::{group_of, ident_of, line_of, punct_of, FileSyntax, Group, Tok, Token, Tree};
 use std::collections::BTreeSet;
 
 /// Runs the dataflow rules over the parsed workspace.
-pub fn check(
-    sources: &[SourceFile],
-    syntaxes: &[FileSyntax],
-    graph: &CallGraph,
-    findings: &mut Vec<Finding>,
-) {
+pub fn check(syntaxes: &[FileSyntax], graph: &CallGraph, findings: &mut Vec<Finding>) {
     check_r16(syntaxes, findings);
-    check_r17(sources, syntaxes, findings);
     check_r18(syntaxes, graph, findings);
     check_r19(syntaxes, findings);
 }
@@ -58,10 +44,8 @@ pub fn check(
 /// [`crate::syntax::calls_in`], which skips `take_outbox::<M>(…)` calls).
 pub(crate) struct CallAt<'a> {
     pub(crate) name: &'a str,
-    /// True for `.name(…)` method calls; `recv` is then the identifier
-    /// directly before the dot, if there is one.
+    /// True for `.name(…)` method calls.
     pub(crate) method: bool,
-    pub(crate) recv: Option<&'a str>,
     pub(crate) args: &'a Group,
     pub(crate) line: usize,
     /// Index just past the argument group.
@@ -91,15 +75,9 @@ pub(crate) fn call_at<'a>(trees: &'a [Tree], i: usize) -> Option<CallAt<'a>> {
         _ => return None,
     };
     let method = i > 0 && punct_of(&trees[i - 1]) == Some('.');
-    let recv = if method && i >= 2 {
-        ident_of(&trees[i - 2])
-    } else {
-        None
-    };
     Some(CallAt {
         name,
         method,
-        recv,
         args,
         line: line_of(&trees[i]),
         after: j + 1,
@@ -126,41 +104,6 @@ fn skip_angles(trees: &[Tree], mut i: usize) -> usize {
         i += 1;
     }
     i
-}
-
-/// Renders trees as a normalized single-line expression (tokens joined by
-/// one space, string/char literals as `""`). Used to compare `save`-side
-/// write arguments against `restore`-side `expect_*` expressions.
-pub(crate) fn render(trees: &[Tree]) -> String {
-    let mut out = String::new();
-    render_into(trees, &mut out);
-    out.trim().to_string()
-}
-
-fn render_into(trees: &[Tree], out: &mut String) {
-    for t in trees {
-        if !out.is_empty() && !out.ends_with(' ') {
-            out.push(' ');
-        }
-        match t {
-            Tree::Leaf(Token { tok, .. }) => match tok {
-                Tok::Ident(s) => out.push_str(s),
-                Tok::Punct(c) => out.push(*c),
-                Tok::Num(s) => out.push_str(s),
-                Tok::Lit => out.push_str("\"\""),
-            },
-            Tree::Group(g) => {
-                out.push(g.delim);
-                render_into(&g.children, out);
-                out.push(' ');
-                out.push(match g.delim {
-                    '(' => ')',
-                    '[' => ']',
-                    _ => '}',
-                });
-            }
-        }
-    }
 }
 
 /// True if `name` occurs as an identifier anywhere under `trees`.
@@ -213,10 +156,9 @@ pub(crate) fn pattern_idents(trees: &[Tree], out: &mut Vec<String>) {
     }
 }
 
-/// A `impl Trait for Type { … }` block located by token scan (the syntax
-/// layer records the self type on each `FnSpan` but drops the trait name).
+/// The line span of an `impl Trait for Type { … }` block, located by token
+/// scan (the syntax layer drops the trait name of an impl).
 pub(crate) struct TraitImpl {
-    pub(crate) self_type: String,
     pub(crate) open_line: usize,
     pub(crate) close_line: usize,
 }
@@ -237,19 +179,14 @@ fn scan_trait_impls(trees: &[Tree], trait_name: &str, out: &mut Vec<TraitImpl>) 
             }
             let mut saw_trait = false;
             let mut after_for = false;
-            let mut in_where = false;
-            let mut ty: Option<String> = None;
             while j < trees.len() {
                 if let Some(g) = group_of(&trees[j]) {
                     if g.delim == '{' {
                         if saw_trait && after_for {
-                            if let Some(t) = ty.take() {
-                                out.push(TraitImpl {
-                                    self_type: t,
-                                    open_line: g.open_line,
-                                    close_line: g.close_line,
-                                });
-                            }
+                            out.push(TraitImpl {
+                                open_line: g.open_line,
+                                close_line: g.close_line,
+                            });
                         }
                         break;
                     }
@@ -263,12 +200,6 @@ fn scan_trait_impls(trees: &[Tree], trait_name: &str, out: &mut Vec<TraitImpl>) 
                 match ident_of(&trees[j]) {
                     Some(id) if id == trait_name && !after_for => saw_trait = true,
                     Some("for") => after_for = true,
-                    // A `where` clause ends the self-type position: bound
-                    // idents after it must not overwrite the type name.
-                    Some("where") => in_where = true,
-                    Some(id) if after_for && !in_where && !crate::syntax::is_keyword(id) => {
-                        ty = Some(id.to_string());
-                    }
                     _ => {}
                 }
                 if punct_of(&trees[j]) == Some(';') {
@@ -284,49 +215,6 @@ fn scan_trait_impls(trees: &[Tree], trait_name: &str, out: &mut Vec<TraitImpl>) 
             i += 1;
         }
     }
-}
-
-/// Parameter names of `f`'s signature, in order, excluding `self` — found
-/// by walking back from the body group to the `fn` keyword and reading the
-/// first paren group after the name.
-pub(crate) fn fn_param_names(fs: &FileSyntax, f: &FnSpan) -> Vec<String> {
-    let mut trees: &[Tree] = &fs.roots;
-    for &idx in &f.path[..f.path.len().saturating_sub(1)] {
-        match trees.get(idx) {
-            Some(Tree::Group(g)) => trees = &g.children,
-            _ => return Vec::new(),
-        }
-    }
-    let Some(&body_idx) = f.path.last() else {
-        return Vec::new();
-    };
-    let Some(fn_kw) = trees[..body_idx.min(trees.len())]
-        .iter()
-        .rposition(|t| ident_of(t) == Some("fn"))
-    else {
-        return Vec::new();
-    };
-    let mut j = fn_kw + 1;
-    while j < body_idx {
-        if let Some(g) = group_of(&trees[j]) {
-            if g.delim == '(' {
-                let mut out = Vec::new();
-                for seg in split_commas(&g.children) {
-                    if contains_ident(seg, "self") {
-                        continue;
-                    }
-                    pattern_idents(seg, &mut out);
-                }
-                return out;
-            }
-        }
-        if punct_of(&trees[j]) == Some('<') {
-            j = skip_angles(trees, j);
-            continue;
-        }
-        j += 1;
-    }
-    Vec::new()
 }
 
 // ---------------------------------------------------------------------------
@@ -525,569 +413,6 @@ fn let_pattern_before(trees: &[Tree], i: usize) -> Option<&[Tree]> {
         }
     }
     None
-}
-
-// ---------------------------------------------------------------------------
-// R17 — save/restore snapshot parity
-// ---------------------------------------------------------------------------
-
-/// One element of a save/restore operation sequence.
-#[derive(Clone)]
-pub(crate) enum OpNode {
-    /// A writer/reader call: `kind` is the name with its `write_` /
-    /// `read_` / `expect_` prefix stripped, so the two sides compare
-    /// generically. `expr` carries the written / expected value expression
-    /// where one exists; `field` the `expect_*` field name recovered from
-    /// the raw source line.
-    Op {
-        raw: String,
-        kind: String,
-        expect: bool,
-        expr: Option<String>,
-        field: Option<String>,
-        line: usize,
-    },
-    /// A helper that consumes the writer/reader wholesale (`e.save(w)`):
-    /// matches any `Opaque` on the other side.
-    Opaque { line: usize },
-    /// Ops inside a `for`/`while`/`loop` body.
-    Loop { body: Vec<OpNode>, line: usize },
-    /// Ops split across `match` / `if` arms.
-    Branch { arms: Vec<Vec<OpNode>>, line: usize },
-}
-
-impl OpNode {
-    fn line(&self) -> usize {
-        match self {
-            OpNode::Op { line, .. }
-            | OpNode::Opaque { line }
-            | OpNode::Loop { line, .. }
-            | OpNode::Branch { line, .. } => *line,
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            OpNode::Op { raw, field, .. } => match field {
-                Some(name) => format!("`{raw}` (field \"{name}\")"),
-                None => format!("`{raw}`"),
-            },
-            OpNode::Opaque { .. } => "a writer/reader hand-off".to_string(),
-            OpNode::Loop { .. } => "a loop of snapshot ops".to_string(),
-            OpNode::Branch { .. } => "a conditional snapshot block".to_string(),
-        }
-    }
-}
-
-fn check_r17(sources: &[SourceFile], syntaxes: &[FileSyntax], findings: &mut Vec<Finding>) {
-    for (fi, fs) in syntaxes.iter().enumerate() {
-        let impls = trait_impls(fs, "Execution");
-        if impls.is_empty() {
-            continue;
-        }
-        let src = &sources[fi];
-        for im in &impls {
-            let find_fn = |name: &str| {
-                fs.fns.iter().find(|f| {
-                    f.name == name
-                        && !f.is_test
-                        && f.self_type.as_deref() == Some(im.self_type.as_str())
-                        && f.start_line >= im.open_line
-                        && f.end_line <= im.close_line
-                })
-            };
-            let (Some(save), Some(restore)) = (find_fn("save"), find_fn("restore")) else {
-                continue;
-            };
-            let save_seq = normalize(extract_ops(
-                fs.body_of(save),
-                &fn_param_names(fs, save),
-                fs,
-                src,
-                1,
-            ));
-            let restore_seq = normalize(extract_ops(
-                fs.body_of(restore),
-                &fn_param_names(fs, restore),
-                fs,
-                src,
-                1,
-            ));
-            if let Some((line, msg)) = diff_seqs(&save_seq, &restore_seq, restore.start_line) {
-                findings.push(Finding::new(
-                    &fs.effective,
-                    line,
-                    "R17",
-                    format!(
-                        "`impl Execution for {}`: save/restore snapshot sequences disagree — \
-                         {msg}; a resumed run would read the wrong bytes (or fail with \
-                         `SnapshotError::Mismatch` at best)",
-                        im.self_type
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Extracts the ordered writer/reader op sequence from a fn body.
-/// `handles` are the bindings that carry the `SnapshotWriter` /
-/// `SnapshotReader` (the non-self params); `depth` bounds same-file helper
-/// inlining.
-pub(crate) fn extract_ops(
-    trees: &[Tree],
-    handles: &[String],
-    fs: &FileSyntax,
-    src: &SourceFile,
-    depth: usize,
-) -> Vec<OpNode> {
-    let mut out = Vec::new();
-    extract_into(trees, handles, fs, src, depth, &mut out);
-    out
-}
-
-fn extract_into(
-    trees: &[Tree],
-    handles: &[String],
-    fs: &FileSyntax,
-    src: &SourceFile,
-    depth: usize,
-    out: &mut Vec<OpNode>,
-) {
-    let mut pending_loop = false;
-    let mut pending_branch = false; // `if` or `match` header seen
-    let mut i = 0;
-    while i < trees.len() {
-        match &trees[i] {
-            Tree::Leaf(t) => {
-                if let Tok::Ident(s) = &t.tok {
-                    match s.as_str() {
-                        "for" | "while" | "loop" => pending_loop = true,
-                        "if" | "match" => pending_branch = true,
-                        _ => {}
-                    }
-                }
-                if t.tok == Tok::Punct(';') {
-                    pending_loop = false;
-                    pending_branch = false;
-                }
-            }
-            Tree::Group(g) => {
-                if i > 0 && punct_of(&trees[i - 1]) == Some('!') {
-                    i += 1;
-                    continue; // macro body
-                }
-                if g.delim == '{' && pending_loop {
-                    pending_loop = false;
-                    pending_branch = false;
-                    let body = extract_ops(&g.children, handles, fs, src, depth);
-                    out.push(OpNode::Loop {
-                        body,
-                        line: g.open_line,
-                    });
-                    i += 1;
-                    continue;
-                }
-                if g.delim == '{' && pending_branch {
-                    pending_branch = false;
-                    let mut arms = Vec::new();
-                    if group_is_match_body(&g.children) {
-                        arms = split_match_arms(&g.children, handles, fs, src, depth);
-                    } else {
-                        // `if` arm; chase `else` / `else if` blocks.
-                        arms.push(extract_ops(&g.children, handles, fs, src, depth));
-                        let mut j = i + 1;
-                        loop {
-                            if ident_of(trees.get(j).unwrap_or(&trees[i])) != Some("else") {
-                                break;
-                            }
-                            // `else {` or `else if cond {` — find the block.
-                            let mut k = j + 1;
-                            while k < trees.len() {
-                                if let Some(bg) = group_of(&trees[k]) {
-                                    if bg.delim == '{' {
-                                        break;
-                                    }
-                                }
-                                k += 1;
-                            }
-                            let Some(bg) = trees.get(k).and_then(group_of) else {
-                                break;
-                            };
-                            arms.push(extract_ops(&bg.children, handles, fs, src, depth));
-                            j = k + 1;
-                        }
-                        if arms.len() == 1 {
-                            arms.push(Vec::new()); // implicit empty else
-                        }
-                        out.push(OpNode::Branch {
-                            arms,
-                            line: g.open_line,
-                        });
-                        i = j;
-                        continue;
-                    }
-                    out.push(OpNode::Branch {
-                        arms,
-                        line: g.open_line,
-                    });
-                    i += 1;
-                    continue;
-                }
-                // Any other group: plain recursion, in order. Only a brace
-                // group consumes pending loop/branch headers (`for x in
-                // foo(y) { … }` keeps its pending flag across `(y)`).
-                if g.delim == '{' {
-                    pending_loop = false;
-                    pending_branch = false;
-                }
-                extract_into(&g.children, handles, fs, src, depth, out);
-                i += 1;
-                continue;
-            }
-        }
-        if let Some(call) = call_at(trees, i) {
-            let on_handle = call.recv.is_some_and(|r| handles.iter().any(|h| h == r));
-            let prefix = ["write_", "read_", "expect_"]
-                .iter()
-                .find(|p| call.name.starts_with(**p))
-                .copied();
-            if on_handle {
-                if let Some(prefix) = prefix {
-                    let expect = prefix == "expect_";
-                    let args = split_commas(&call.args.children);
-                    let expr = if expect {
-                        args.get(1).copied().map(render)
-                    } else if prefix == "write_" && !call.args.children.is_empty() {
-                        Some(render(&call.args.children))
-                    } else {
-                        None
-                    };
-                    let field = if expect {
-                        quoted_on_line(src, call.line)
-                    } else {
-                        None
-                    };
-                    out.push(OpNode::Op {
-                        raw: call.name.to_string(),
-                        kind: call.name[prefix.len()..].to_string(),
-                        expect,
-                        expr,
-                        field,
-                        line: call.line,
-                    });
-                } else {
-                    // Unknown method on the writer/reader itself.
-                    out.push(OpNode::Opaque { line: call.line });
-                }
-                i = call.after;
-                continue;
-            }
-            let handle_in_args = handles
-                .iter()
-                .any(|h| contains_ident(&call.args.children, h));
-            if handle_in_args && !args_contain_ops(&call.args.children, handles) {
-                // The handle is passed on without direct ops: inline a
-                // same-file helper one level, otherwise mark opaque.
-                if !call.method && depth > 0 {
-                    if let Some(helper) =
-                        fs.fns.iter().find(|f2| f2.name == call.name && !f2.is_test)
-                    {
-                        let helper_handles = fn_param_names(fs, helper);
-                        extract_into(fs.body_of(helper), &helper_handles, fs, src, depth - 1, out);
-                        i = call.after;
-                        continue;
-                    }
-                }
-                out.push(OpNode::Opaque { line: call.line });
-                i = call.after;
-                continue;
-            }
-            // Plain call: fall through so the argument group is recursed
-            // like any other (nested `r.read_u64()?` inside `seek(…)`).
-        }
-        i += 1;
-    }
-}
-
-/// True if a `{` group body is a `match` body (contains a top-level `=>`).
-fn group_is_match_body(children: &[Tree]) -> bool {
-    children
-        .windows(2)
-        .any(|w| punct_of(&w[0]) == Some('=') && punct_of(&w[1]) == Some('>'))
-}
-
-/// Splits a match body into per-arm op sequences. Patterns (everything
-/// before each `=>`) are skipped; arm bodies are either the brace group
-/// right after the arrow or the expression up to the next top-level comma.
-fn split_match_arms(
-    children: &[Tree],
-    handles: &[String],
-    fs: &FileSyntax,
-    src: &SourceFile,
-    depth: usize,
-) -> Vec<Vec<OpNode>> {
-    let mut arms = Vec::new();
-    let mut i = 0;
-    while i < children.len() {
-        // Find the next `=>`.
-        let Some(arrow) = (i..children.len().saturating_sub(1)).find(|&k| {
-            punct_of(&children[k]) == Some('=') && punct_of(&children[k + 1]) == Some('>')
-        }) else {
-            break;
-        };
-        let body_start = arrow + 2;
-        match children.get(body_start) {
-            Some(Tree::Group(g)) if g.delim == '{' => {
-                arms.push(extract_ops(&g.children, handles, fs, src, depth));
-                i = body_start + 1;
-            }
-            _ => {
-                let end = (body_start..children.len())
-                    .find(|&k| punct_of(&children[k]) == Some(','))
-                    .unwrap_or(children.len());
-                arms.push(extract_ops(
-                    &children[body_start..end],
-                    handles,
-                    fs,
-                    src,
-                    depth,
-                ));
-                i = end + 1;
-            }
-        }
-    }
-    arms
-}
-
-/// True if any `handle.write_* / read_* / expect_*` call occurs under
-/// `trees` — used to tell "passes the reader on" from "consumes a value
-/// read inline" (`self.cursor.seek(r.read_u64()?)`).
-fn args_contain_ops(trees: &[Tree], handles: &[String]) -> bool {
-    for (i, t) in trees.iter().enumerate() {
-        if let Some(g) = group_of(t) {
-            if args_contain_ops(&g.children, handles) {
-                return true;
-            }
-            continue;
-        }
-        if let Some(name) = ident_of(t) {
-            if (name.starts_with("write_")
-                || name.starts_with("read_")
-                || name.starts_with("expect_"))
-                && i >= 2
-                && punct_of(&trees[i - 1]) == Some('.')
-                && ident_of(&trees[i - 2]).is_some_and(|r| handles.iter().any(|h| h == r))
-            {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// The first `"…"`-quoted string on a raw source line (the scanner blanks
-/// string contents in the code channel, so `expect_*` field names are
-/// recovered from the raw text).
-fn quoted_on_line(src: &SourceFile, line: usize) -> Option<String> {
-    let raw = &src.lines.get(line.checked_sub(1)?)?.raw;
-    let start = raw.find('"')? + 1;
-    let end = start + raw[start..].find('"')?;
-    Some(raw[start..end].to_string())
-}
-
-/// Drops empty loops/branches and collapses branches whose arms agree.
-pub(crate) fn normalize(nodes: Vec<OpNode>) -> Vec<OpNode> {
-    let mut out = Vec::new();
-    for n in nodes {
-        match n {
-            OpNode::Op { .. } | OpNode::Opaque { .. } => out.push(n),
-            OpNode::Loop { body, line } => {
-                let body = normalize(body);
-                if !body.is_empty() {
-                    out.push(OpNode::Loop { body, line });
-                }
-            }
-            OpNode::Branch { arms, line } => {
-                let arms: Vec<Vec<OpNode>> = arms.into_iter().map(normalize).collect();
-                if arms.iter().all(Vec::is_empty) {
-                    continue;
-                }
-                if arms.len() > 1 && arms.windows(2).all(|w| seq_struct_eq(&w[0], &w[1])) {
-                    // All arms perform the same op sequence: collapse,
-                    // dropping expressions that differ across arms (the
-                    // dispatcher writes `0` in one arm, `1` in the other).
-                    out.extend(merge_arms(&arms));
-                } else {
-                    out.push(OpNode::Branch { arms, line });
-                }
-            }
-        }
-    }
-    out
-}
-
-fn seq_struct_eq(a: &[OpNode], b: &[OpNode]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| node_struct_eq(x, y))
-}
-
-fn node_struct_eq(a: &OpNode, b: &OpNode) -> bool {
-    match (a, b) {
-        (OpNode::Op { kind: ka, .. }, OpNode::Op { kind: kb, .. }) => ka == kb,
-        (OpNode::Opaque { .. }, OpNode::Opaque { .. }) => true,
-        (OpNode::Loop { body: ba, .. }, OpNode::Loop { body: bb, .. }) => seq_struct_eq(ba, bb),
-        (OpNode::Branch { arms: aa, .. }, OpNode::Branch { arms: ab, .. }) => {
-            aa.len() == ab.len() && aa.iter().zip(ab).all(|(x, y)| seq_struct_eq(x, y))
-        }
-        _ => false,
-    }
-}
-
-/// Merges structurally equal arms into one sequence, keeping only the
-/// expressions/fields every arm agrees on.
-fn merge_arms(arms: &[Vec<OpNode>]) -> Vec<OpNode> {
-    let mut out = arms[0].clone();
-    for other in &arms[1..] {
-        for (slot, o) in out.iter_mut().zip(other) {
-            merge_node(slot, o);
-        }
-    }
-    out
-}
-
-fn merge_node(slot: &mut OpNode, other: &OpNode) {
-    match (slot, other) {
-        (
-            OpNode::Op { expr, field, .. },
-            OpNode::Op {
-                expr: oe,
-                field: of,
-                ..
-            },
-        ) => {
-            if expr.as_deref() != oe.as_deref() {
-                *expr = None;
-            }
-            if field.as_deref() != of.as_deref() {
-                *field = None;
-            }
-        }
-        (OpNode::Loop { body, .. }, OpNode::Loop { body: ob, .. }) => {
-            for (s, o) in body.iter_mut().zip(ob) {
-                merge_node(s, o);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// First divergence between the save and restore sequences, if any.
-fn diff_seqs(save: &[OpNode], restore: &[OpNode], restore_line: usize) -> Option<(usize, String)> {
-    let n = save.len().max(restore.len());
-    for k in 0..n {
-        match (save.get(k), restore.get(k)) {
-            (Some(s), None) => {
-                return Some((
-                    restore_line,
-                    format!(
-                        "save writes {} (line {}) that restore never reads",
-                        s.describe(),
-                        s.line()
-                    ),
-                ));
-            }
-            (None, Some(r)) => {
-                return Some((
-                    r.line(),
-                    format!(
-                        "restore reads {} past the end of save's writes",
-                        r.describe()
-                    ),
-                ));
-            }
-            (Some(s), Some(r)) => {
-                if let Some(found) = diff_nodes(s, r) {
-                    return Some(found);
-                }
-            }
-            (None, None) => {}
-        }
-    }
-    None
-}
-
-fn diff_nodes(s: &OpNode, r: &OpNode) -> Option<(usize, String)> {
-    match (s, r) {
-        (
-            OpNode::Op {
-                kind: ks, expr: es, ..
-            },
-            OpNode::Op {
-                kind: kr,
-                expect,
-                expr: er,
-                ..
-            },
-        ) => {
-            if ks != kr {
-                return Some((
-                    r.line(),
-                    format!(
-                        "save writes {} (line {}) where restore reads {}",
-                        s.describe(),
-                        s.line(),
-                        r.describe()
-                    ),
-                ));
-            }
-            if *expect {
-                if let (Some(es), Some(er)) = (es, er) {
-                    if es != er {
-                        return Some((
-                            r.line(),
-                            format!(
-                                "identity field drift: save writes `{es}` (line {}) but \
-                                 restore expects `{er}`",
-                                s.line()
-                            ),
-                        ));
-                    }
-                }
-            }
-            None
-        }
-        (OpNode::Loop { body: bs, .. }, OpNode::Loop { body: br, .. }) => {
-            diff_seqs(bs, br, r.line())
-        }
-        (OpNode::Branch { arms: ars, .. }, OpNode::Branch { arms: arr, .. }) => {
-            if ars.len() != arr.len() {
-                return Some((
-                    r.line(),
-                    format!(
-                        "conditional snapshot blocks have {} save arm(s) but {} restore arm(s)",
-                        ars.len(),
-                        arr.len()
-                    ),
-                ));
-            }
-            for (a, b) in ars.iter().zip(arr) {
-                if let Some(found) = diff_seqs(a, b, r.line()) {
-                    return Some(found);
-                }
-            }
-            None
-        }
-        (OpNode::Opaque { .. }, OpNode::Opaque { .. }) => None,
-        _ => Some((
-            r.line(),
-            format!(
-                "save performs {} (line {}) where restore performs {}",
-                s.describe(),
-                s.line(),
-                r.describe()
-            ),
-        )),
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -44,15 +44,14 @@ impl Finding {
     }
 
     /// Severity class: pragma violations (`P1`) are errors — a broken
-    /// escape hatch may be silencing anything — as are pool leaks (`R16`),
-    /// snapshot-parity breaks (`R17`), determinism taint (`R21`), and
-    /// snapshot-format drift (`R22`), which corrupt state or reproducibility
+    /// escape hatch may be silencing anything — as are pool leaks (`R16`)
+    /// and determinism taint (`R21`), which corrupt state or reproducibility
     /// rather than merely drifting from the model. Every other rule finding
     /// is a warning (the CI gate still fails on warnings; the split feeds
     /// the exit code and SARIF levels).
     pub fn severity(&self) -> &'static str {
         match self.rule {
-            "P1" | "R16" | "R17" | "R21" | "R22" => "error",
+            "P1" | "R16" | "R21" => "error",
             _ => "warning",
         }
     }

@@ -15,7 +15,7 @@
 //! ([`scanner`]), a token-tree layer ([`syntax`]) and approximate call
 //! graph ([`callgraph`]) on top of it, a rule set ([`rules`], lexical
 //! R1–R9 plus structural/interprocedural R10–R15/R20), dataflow rules
-//! R16–R19 ([`dataflow`]), determinism-taint rules R21–R24 ([`taint`]),
+//! R16/R18/R19 ([`dataflow`]), determinism-taint rules R21/R23/R24 ([`taint`]),
 //! and a justified-pragma escape hatch ([`pragma`], with stale-pragma
 //! detection `P2`). Diagnostics are stable `file:line rule-id message`
 //! lines ([`diag`]), with `--json` and `--sarif` output via
@@ -26,7 +26,7 @@
 //!
 //! Run it with `cargo run -p cc-mis-conform -- --workspace` (or
 //! `scripts/conform.sh`); the process exits nonzero on any finding
-//! (exit 3 if any finding is severity `error`: P1/R16/R17/R21/R22).
+//! (exit 3 if any finding is severity `error`: P1/R16/R21).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -202,20 +202,12 @@ pub fn analyze(inputs: &[Input], mut timings: Option<&mut Timings>) -> Analysis 
         tm.structural_ms = t.elapsed().as_millis();
     }
     let t = clock();
-    dataflow::check(&sources, &syntaxes, &graph, &mut rule_findings);
+    dataflow::check(&syntaxes, &graph, &mut rule_findings);
     if let Some(tm) = timings.as_deref_mut() {
         tm.dataflow_ms = t.elapsed().as_millis();
     }
     let t = clock();
-    let manifest = inputs
-        .iter()
-        .find(|i| i.path.ends_with("snapshot_manifest.txt"));
-    taint::check(
-        &sources,
-        &syntaxes,
-        manifest.map(|m| (m.path.as_str(), m.text.as_str())),
-        &mut rule_findings,
-    );
+    taint::check(&sources, &syntaxes, &mut rule_findings);
     rule_findings.retain(|f| {
         let Some(fi) = sources.iter().position(|s| s.effective == f.path) else {
             return true;
@@ -256,20 +248,6 @@ pub fn analyze(inputs: &[Input], mut timings: Option<&mut Timings>) -> Analysis 
         effectives: sources.iter().map(|s| s.effective.clone()).collect(),
         edges,
     }
-}
-
-/// Renders the snapshot manifest (`--update-snapshot-manifest`) for the
-/// given inputs: the pinned `Execution::save` write sequences R22 checks
-/// against. See [`taint`].
-pub fn snapshot_manifest(inputs: &[Input]) -> String {
-    let mut sources: Vec<scanner::SourceFile> = Vec::new();
-    let mut syntaxes: Vec<syntax::FileSyntax> = Vec::new();
-    for input in inputs.iter().filter(|i| i.path.ends_with(".rs")) {
-        let ix = index_str(&input.path, &input.text);
-        sources.push(ix.source);
-        syntaxes.push(ix.syntax);
-    }
-    taint::render_manifest(&sources, &syntaxes)
 }
 
 /// Walks the workspace at `root` and checks every tracked `.rs` source and
@@ -351,7 +329,7 @@ fn collect_paths(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<(
                 continue;
             }
             collect_paths(root, &path, out)?;
-        } else if name == "Cargo.toml" || name == "snapshot_manifest.txt" || name.ends_with(".rs") {
+        } else if name == "Cargo.toml" || name.ends_with(".rs") {
             let rel = path
                 .strip_prefix(root)
                 .unwrap_or(&path)

@@ -9,7 +9,6 @@
 //! cc-mis-conform --fix                  # apply mechanical fixes in place
 //! cc-mis-conform --fix --diff           # dry run: print the would-be diff
 //! cc-mis-conform --no-cache             # skip the persistent result cache
-//! cc-mis-conform --update-snapshot-manifest  # re-pin save() sequences (R22)
 //! cc-mis-conform --list-rules           # print the rule set
 //! cc-mis-conform --explain R10          # contract, rationale, fix recipe
 //! cc-mis-conform --root DIR [PATH...]   # lint specific files/dirs under DIR
@@ -17,8 +16,7 @@
 //!
 //! Exits 0 on a conform-clean tree, 1 on rule findings, 3 on any
 //! error-severity finding (`P1` broken escape hatch, `R16` pool leak,
-//! `R17` snapshot-parity break, `R21` determinism taint, `R22`
-//! snapshot-format drift), 2 on usage or I/O errors. Diagnostics are
+//! `R21` determinism taint), 2 on usage or I/O errors. Diagnostics are
 //! stable `file:line rule-id message` lines. With `--baseline PATH`, the
 //! first run writes a normalized snapshot of current findings and later
 //! runs subtract it — error-severity findings always surface.
@@ -33,13 +31,12 @@ use std::process::ExitCode;
 
 use cc_mis_conform::{
     baseline, check_with, check_workspace_cached, check_workspace_with, diag, find_workspace_root,
-    fixes, rules, scanner, snapshot_manifest, workspace_inputs, Finding, Input, Timings,
+    fixes, rules, scanner, workspace_inputs, Finding, Input, Timings,
 };
 
 const USAGE: &str = "usage: cc-mis-conform [--workspace] [--json] [--sarif PATH] \
                      [--baseline PATH] [--timings] [--fix [--diff]] [--no-cache] \
-                     [--update-snapshot-manifest] [--list-rules] \
-                     [--explain RULE] [--root DIR] [PATH...]";
+                     [--list-rules] [--explain RULE] [--root DIR] [PATH...]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -52,7 +49,6 @@ fn main() -> ExitCode {
     let mut fix = false;
     let mut diff = false;
     let mut no_cache = false;
-    let mut update_manifest = false;
     let mut root: Option<PathBuf> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut it = args.iter();
@@ -64,7 +60,6 @@ fn main() -> ExitCode {
             "--fix" => fix = true,
             "--diff" => diff = true,
             "--no-cache" => no_cache = true,
-            "--update-snapshot-manifest" => update_manifest = true,
             "--list-rules" => list_rules = true,
             "--explain" => match it.next() {
                 Some(rule) => explain = Some(rule.clone()),
@@ -116,31 +111,6 @@ fn main() -> ExitCode {
 
     if diff && !fix {
         return usage_error("--diff only makes sense together with --fix");
-    }
-
-    if update_manifest {
-        let start = root.clone().unwrap_or_else(|| PathBuf::from("."));
-        let Some(ws) = find_workspace_root(&start) else {
-            eprintln!(
-                "error: no workspace root (Cargo.toml with [workspace]) at or above {}",
-                start.display()
-            );
-            return ExitCode::from(2);
-        };
-        let out = ws.join("crates/conform/snapshot_manifest.txt");
-        let result = workspace_inputs(&ws)
-            .map(|inputs| snapshot_manifest(&inputs))
-            .and_then(|text| std::fs::write(&out, text));
-        return match result {
-            Ok(()) => {
-                eprintln!("conform: snapshot manifest written to {}", out.display());
-                ExitCode::SUCCESS
-            }
-            Err(err) => {
-                eprintln!("error: {err}");
-                ExitCode::from(2)
-            }
-        };
     }
 
     let mut phase_times = Timings::default();
@@ -232,7 +202,7 @@ fn main() -> ExitCode {
         }
     }
     // Severity-aware exit: error findings (P1 broken escape hatch, R16
-    // pool leak, R17 snapshot-parity break) outrank ordinary findings so
+    // pool leak, R21 determinism taint) outrank ordinary findings so
     // CI can distinguish "state corruption" from "style drift".
     if findings.iter().any(|f| f.severity() == "error") {
         ExitCode::from(3)

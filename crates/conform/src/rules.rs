@@ -235,22 +235,6 @@ pub const RULES: &[RuleInfo] = &[
               leak is deliberate (e.g. teardown)",
     },
     RuleInfo {
-        id: "R17",
-        summary: "snapshot parity: each `impl Execution` writes and reads the same \
-                  field sequence (names, widths, order) in `save` and `restore`",
-        contract: "for every `impl Execution for T`, the ordered sequence of \
-                   `SnapshotWriter` calls in `save` structurally matches the ordered \
-                   `read_*` / `expect_*` calls in `restore` — same widths in the same \
-                   order, loops and conditionals mirrored, and `expect_*` identity \
-                   expressions equal to what `save` wrote",
-        rationale: "checkpoint-format drift is the worst failure mode of PR 5: a \
-                    same-width reorder restores without any `SnapshotError` and \
-                    silently diverges from the straight run, voiding the \
-                    resume-equivalence guarantee",
-        fix: "make `restore` read exactly what `save` writes, in order; grow the \
-              format only by appending fields to both sides",
-    },
-    RuleInfo {
         id: "R18",
         summary: "observers are diagnostics-only: `RoundObserver` impls never reach \
                   ledger charging or round mutation",
@@ -310,21 +294,6 @@ pub const RULES: &[RuleInfo] = &[
                     resume-equivalence silently depend on the machine",
         fix: "derive the value from simulation state (node ids, round numbers, the \
               seed) instead; thread counts and shard indices may steer scheduling only",
-    },
-    RuleInfo {
-        id: "R22",
-        summary: "snapshot-format pinning: each `impl Execution` save() write sequence is \
-                  fingerprinted against crates/conform/snapshot_manifest.txt",
-        contract: "the ordered SnapshotWriter call sequence of every non-test \
-                   `Execution::save` matches the committed manifest entry for that impl; \
-                   changing a sequence requires bumping the snapshot VERSION or \
-                   regenerating the manifest (conform --update-snapshot-manifest)",
-        rationale: "checkpoint fault tolerance depends on old snapshots restoring \
-                    byte-exactly; a silent field reorder under an unchanged VERSION \
-                    restores garbage without a SnapshotError, and R17 cannot see it \
-                    because save and restore drift together",
-        fix: "bump `snapshot::VERSION` for a deliberate format change, then run \
-              `conform --update-snapshot-manifest` to re-pin the sequences",
     },
     RuleInfo {
         id: "R23",

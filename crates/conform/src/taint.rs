@@ -17,15 +17,6 @@
 //!   `SnapshotWriter` `.write_*` arguments. The lattice is the trivial
 //!   clean < tainted, with no kills — a value once derived from scheduling
 //!   identity stays suspect for the rest of the function.
-//! * **R22** pins the snapshot wire format: the ordered `write_*` sequence
-//!   of every non-test `Execution::save` (extracted with the same machinery
-//!   R17 uses for save/restore parity) is compared against the committed
-//!   manifest `crates/conform/snapshot_manifest.txt`. R17 cannot catch a
-//!   save+restore pair that drifts *together*; R22 can, because the
-//!   manifest is a third copy under version control. A mismatch is
-//!   tolerated only while the recorded snapshot VERSION differs from the
-//!   current one (a sanctioned format bump); regenerate with
-//!   `--update-snapshot-manifest`.
 //! * **R23** confines `std::env` reads in crates/core and crates/sim to
 //!   the central config module, so R21's env-source list stays auditable.
 //! * **R24** confines raw `std::process` and socket APIs in crates/core
@@ -33,12 +24,9 @@
 //!   boundary speaks the checksummed frame codec and sits behind the
 //!   checkpoint-recovery machinery the fault matrix exercises.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use crate::dataflow::{
-    call_at, contains_ident, extract_ops, fn_param_names, normalize, split_commas, trait_impls,
-    OpNode,
-};
+use crate::dataflow::{call_at, contains_ident, split_commas};
 use crate::diag::Finding;
 use crate::rules::in_sim_core;
 use crate::scanner::SourceFile;
@@ -48,28 +36,14 @@ use crate::syntax::{group_of, ident_of, punct_of, FileSyntax, Tree};
 /// whose env sources R21 treats as its own.
 const CONFIG_MODULE: &str = "crates/sim/src/config.rs";
 
-/// The file a `snapshot_manifest.txt` input pins (R22 runs only when the
-/// manifest is among the inputs).
-const SNAPSHOT_MODULE: &str = "crates/sim/src/snapshot.rs";
-
 /// The one core/sim module sanctioned to spawn worker processes and open
 /// sockets (R24): the sharded transport, whose FrameLink backends own the
 /// frame codec and the checkpoint-recovery protocol.
 const SHARD_MODULE: &str = "crates/sim/src/shard.rs";
 
-/// Runs the taint phase. `manifest` is the `(path, text)` of the committed
-/// snapshot manifest when one is among the inputs; without it R22 is
-/// skipped (explicit-path lint runs of single files stay meaningful).
-pub fn check(
-    sources: &[SourceFile],
-    syntaxes: &[FileSyntax],
-    manifest: Option<(&str, &str)>,
-    findings: &mut Vec<Finding>,
-) {
+/// Runs the taint phase.
+pub fn check(sources: &[SourceFile], syntaxes: &[FileSyntax], findings: &mut Vec<Finding>) {
     check_r21(syntaxes, findings);
-    if let Some((mpath, mtext)) = manifest {
-        check_r22(sources, syntaxes, mpath, mtext, findings);
-    }
     check_r23(sources, findings);
     check_r24(sources, findings);
 }
@@ -317,177 +291,6 @@ fn scan_sinks(
 }
 
 // ---------------------------------------------------------------------------
-// R22 — snapshot-format pinning against the committed manifest
-// ---------------------------------------------------------------------------
-
-/// The canonical save-sequence fingerprints of every non-test
-/// `impl Execution` in the parsed inputs, sorted by (path, type).
-fn save_fingerprints(
-    sources: &[SourceFile],
-    syntaxes: &[FileSyntax],
-) -> Vec<(String, String, String, usize)> {
-    let mut out = Vec::new();
-    for (fi, fs) in syntaxes.iter().enumerate() {
-        let impls = trait_impls(fs, "Execution");
-        if impls.is_empty() {
-            continue;
-        }
-        let src = &sources[fi];
-        for im in &impls {
-            let save = fs.fns.iter().find(|f| {
-                f.name == "save"
-                    && !f.is_test
-                    && f.self_type.as_deref() == Some(im.self_type.as_str())
-                    && f.start_line >= im.open_line
-                    && f.end_line <= im.close_line
-            });
-            let Some(save) = save else { continue };
-            let seq = normalize(extract_ops(
-                fs.body_of(save),
-                &fn_param_names(fs, save),
-                fs,
-                src,
-                1,
-            ));
-            out.push((
-                fs.effective.clone(),
-                im.self_type.clone(),
-                render_seq(&seq),
-                save.start_line,
-            ));
-        }
-    }
-    out.sort();
-    out
-}
-
-/// Renders an op sequence as the canonical manifest string. Order-sensitive
-/// and expression-sensitive: a same-width reorder of two `write_u64` fields
-/// still changes the string.
-fn render_seq(nodes: &[OpNode]) -> String {
-    let parts: Vec<String> = nodes.iter().map(render_node).collect();
-    parts.join(" ")
-}
-
-fn render_node(n: &OpNode) -> String {
-    match n {
-        OpNode::Op { raw, expr, .. } => match expr {
-            Some(e) => format!("{raw}({e})"),
-            None => format!("{raw}()"),
-        },
-        OpNode::Opaque { .. } => "<opaque>".to_string(),
-        OpNode::Loop { body, .. } => format!("loop{{{}}}", render_seq(body)),
-        OpNode::Branch { arms, .. } => {
-            let rendered: Vec<String> = arms.iter().map(|a| render_seq(a)).collect();
-            format!("branch{{{}}}", rendered.join(" | "))
-        }
-    }
-}
-
-/// The current `snapshot::VERSION`, read off the snapshot module when it is
-/// among the inputs.
-fn current_version(sources: &[SourceFile]) -> Option<u32> {
-    let snap = sources.iter().find(|s| s.effective == SNAPSHOT_MODULE)?;
-    for line in &snap.lines {
-        let Some(at) = line.code.find("const VERSION") else {
-            continue;
-        };
-        let after_eq = line.code[at..].split('=').nth(1)?;
-        let digits: String = after_eq
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        return digits.parse().ok();
-    }
-    None
-}
-
-/// Parses the committed manifest: a `version N` line plus
-/// `path<TAB>type<TAB>sequence` entries (`#` lines are comments).
-fn parse_manifest(text: &str) -> (Option<u32>, BTreeMap<(String, String), String>) {
-    let mut version = None;
-    let mut entries = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(v) = line.strip_prefix("version ") {
-            version = v.trim().parse().ok();
-            continue;
-        }
-        let mut parts = line.splitn(3, '\t');
-        if let (Some(p), Some(t), Some(s)) = (parts.next(), parts.next(), parts.next()) {
-            entries.insert((p.to_string(), t.to_string()), s.to_string());
-        }
-    }
-    (version, entries)
-}
-
-/// Renders the manifest for the current inputs (`--update-snapshot-manifest`).
-pub fn render_manifest(sources: &[SourceFile], syntaxes: &[FileSyntax]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "# cc-mis-conform snapshot manifest — ordered `Execution::save` write sequences.\n\
-         # One entry per impl: <file>\\t<type>\\t<sequence>. R22 fails the lint when a\n\
-         # sequence changes under an unchanged snapshot VERSION. Regenerate after a\n\
-         # deliberate format change with:\n\
-         #   cargo run -p cc-mis-conform -- --update-snapshot-manifest\n",
-    );
-    out.push_str(&format!(
-        "version {}\n",
-        current_version(sources).unwrap_or(0)
-    ));
-    for (path, ty, seq, _) in save_fingerprints(sources, syntaxes) {
-        out.push_str(&format!("{path}\t{ty}\t{seq}\n"));
-    }
-    out
-}
-
-fn check_r22(
-    sources: &[SourceFile],
-    syntaxes: &[FileSyntax],
-    manifest_path: &str,
-    manifest_text: &str,
-    findings: &mut Vec<Finding>,
-) {
-    let (recorded_version, entries) = parse_manifest(manifest_text);
-    let cur = current_version(sources);
-    // A differing VERSION is the sanctioned way to change the format; the
-    // next manifest regeneration re-pins under the new version.
-    let version_bumped = matches!((recorded_version, cur), (Some(a), Some(b)) if a != b);
-    for (path, ty, seq, line) in save_fingerprints(sources, syntaxes) {
-        match entries.get(&(path.clone(), ty.clone())) {
-            None => findings.push(Finding::new(
-                &path,
-                line,
-                "R22",
-                format!(
-                    "`impl Execution for {ty}` has no entry in {manifest_path}: every \
-                     save() write sequence must be pinned — run \
-                     `conform --update-snapshot-manifest` and commit the result"
-                ),
-            )),
-            Some(recorded) if *recorded != seq && !version_bumped => {
-                findings.push(Finding::new(
-                    &path,
-                    line,
-                    "R22",
-                    format!(
-                        "`{ty}::save` write sequence changed without a snapshot VERSION \
-                         bump (manifest has `{recorded}`, code has `{seq}`): old \
-                         checkpoints would restore garbage without a SnapshotError — \
-                         bump snapshot::VERSION or regenerate the manifest"
-                    ),
-                ));
-            }
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // R23 — env reads live only in the config module
 // ---------------------------------------------------------------------------
 
@@ -594,7 +397,7 @@ mod tests {
              }\n",
         );
         let mut findings = Vec::new();
-        check(&src, &fs, None, &mut findings);
+        check(&src, &fs, &mut findings);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, "R21");
         assert_eq!(findings[0].line, 5);
@@ -611,7 +414,7 @@ mod tests {
              }\n",
         );
         let mut findings = Vec::new();
-        check(&src, &fs, None, &mut findings);
+        check(&src, &fs, &mut findings);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -628,7 +431,7 @@ mod tests {
              }\n",
         );
         let mut findings = Vec::new();
-        check(&src, &fs, None, &mut findings);
+        check(&src, &fs, &mut findings);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, "R21");
     }
@@ -640,42 +443,10 @@ mod tests {
             "pub fn knob() -> bool {\n    std::env::var(\"CC_MIS_X\").is_ok()\n}\n",
         );
         let mut findings = Vec::new();
-        check(&src, &fs, None, &mut findings);
+        check(&src, &fs, &mut findings);
         // The env read itself is an R21 *source*, not a sink — only R23 fires.
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, "R23");
         assert_eq!(findings[0].line, 2);
-    }
-
-    #[test]
-    fn manifest_round_trips_and_pins_reorders() {
-        let code = "struct Demo;\n\
-                    impl Execution for Demo {\n\
-                    \x20   fn save(&self, w: &mut SnapshotWriter) {\n\
-                    \x20       w.write_u64(self.steps);\n\
-                    \x20       w.write_bool(self.done);\n\
-                    \x20   }\n\
-                    \x20   fn restore(&mut self, r: &mut SnapshotReader) {\n\
-                    \x20       self.steps = r.read_u64();\n\
-                    \x20       self.done = r.read_bool();\n\
-                    \x20   }\n\
-                    }\n";
-        let (src, fs) = indexed("crates/core/src/demo_snap.rs", code);
-        let manifest = render_manifest(&src, &fs);
-        assert!(manifest.contains("crates/core/src/demo_snap.rs\tDemo\t"));
-        // Matching manifest: clean.
-        let mut findings = Vec::new();
-        check_r22(&src, &fs, "m.txt", &manifest, &mut findings);
-        assert!(findings.is_empty(), "{findings:?}");
-        // Reordered code vs. recorded manifest, no version bump: fires.
-        let reordered = code.replace(
-            "w.write_u64(self.steps);\n\x20       w.write_bool(self.done);",
-            "w.write_bool(self.done);\n\x20       w.write_u64(self.steps);",
-        );
-        let (src2, fs2) = indexed("crates/core/src/demo_snap.rs", &reordered);
-        let mut findings = Vec::new();
-        check_r22(&src2, &fs2, "m.txt", &manifest, &mut findings);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].rule, "R22");
     }
 }

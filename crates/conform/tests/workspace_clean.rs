@@ -276,27 +276,6 @@ fn cli_warm_workspace_run_hits_the_cache() {
 }
 
 #[test]
-fn cli_update_snapshot_manifest_is_current_and_deterministic() {
-    // Regenerating the committed manifest must be a no-op: the pinned
-    // save() sequences match the code, byte for byte.
-    let manifest = workspace_root().join("crates/conform/snapshot_manifest.txt");
-    let before = std::fs::read_to_string(&manifest).expect("manifest is committed");
-    let out = Command::new(env!("CARGO_BIN_EXE_cc-mis-conform"))
-        .args(["--update-snapshot-manifest", "--root"])
-        .arg(workspace_root())
-        .output()
-        .expect("linter binary runs");
-    assert!(out.status.success(), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("snapshot manifest written"),
-        "stderr:\n{stderr}"
-    );
-    let after = std::fs::read_to_string(&manifest).expect("manifest still readable");
-    assert_eq!(before, after, "committed snapshot manifest is out of date");
-}
-
-#[test]
 fn cli_baseline_gates_on_new_findings_only() {
     let dir = std::env::temp_dir().join(format!("conform-baseline-cli-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -23,7 +23,8 @@ use cc_mis_sim::beeping::BeepingEngine;
 use cc_mis_sim::driver::{drive_observed, Execution, Status};
 use cc_mis_sim::par_nodes::par_map_nodes;
 use cc_mis_sim::rng::{SharedRandomness, Stream, StreamCursor};
-use cc_mis_sim::snapshot::{graph_fingerprint, SnapshotError, SnapshotReader, SnapshotWriter};
+use cc_mis_sim::snapshot::graph_fingerprint;
+use cc_mis_sim::snapshot_fields;
 use cc_mis_sim::{RoundLedger, SharedObserver};
 
 use crate::common::{check_node_vec_len, double_capped, halve, p_of, MisOutcome, INITIAL_PEXP};
@@ -290,46 +291,34 @@ impl Execution for BeepingExecution<'_> {
         Status::Running
     }
 
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.write_u64(self.graph_fp);
-        w.write_u64(self.seed);
-        w.write_u64(self.params.max_iterations);
-        w.write_bool(self.params.record_trace);
-        w.write_ledger(self.engine.ledger());
-        w.write_u64(self.cursor.position());
-        w.write_vec_u32(&self.pexp);
-        w.write_vec_opt_u64(&self.joined_at);
-        w.write_vec_opt_u64(&self.removed_at);
-        w.write_usize(self.undecided);
-        w.write_vec_u64(&self.trace.golden1);
-        w.write_vec_u64(&self.trace.golden2);
-        w.write_vec_u64(&self.trace.wrong_moves);
-        w.write_vec_u64(&self.trace.undecided_iterations);
-        w.write_vec_opt_f64(&self.pending_shrink);
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.expect_u64("graph fingerprint", self.graph_fp)?;
-        r.expect_u64("seed", self.seed)?;
-        r.expect_u64("max_iterations", self.params.max_iterations)?;
-        r.expect_bool("record_trace", self.params.record_trace)?;
-        *self.engine.ledger_mut() = r.read_ledger()?;
-        self.cursor.seek(r.read_u64()?);
-        self.pexp = r.read_vec_u32()?;
-        self.joined_at = r.read_vec_opt_u64()?;
-        self.removed_at = r.read_vec_opt_u64()?;
-        self.undecided = r.read_usize()?;
-        self.trace.golden1 = r.read_vec_u64()?;
-        self.trace.golden2 = r.read_vec_u64()?;
-        self.trace.wrong_moves = r.read_vec_u64()?;
-        self.trace.undecided_iterations = r.read_vec_u64()?;
-        self.pending_shrink = r.read_vec_opt_f64()?;
-        let n = self.g.node_count();
-        check_node_vec_len("pexp vector length", self.pexp.len(), n)?;
-        check_node_vec_len("joined_at vector length", self.joined_at.len(), n)?;
-        check_node_vec_len("removed_at vector length", self.removed_at.len(), n)?;
-        check_node_vec_len("pending_shrink vector length", self.pending_shrink.len(), n)?;
-        Ok(())
+    snapshot_fields! {
+        self;
+        identity {
+            "graph fingerprint" => self.graph_fp,
+            "seed" => self.seed,
+            "max_iterations" => self.params.max_iterations,
+            "record_trace" => self.params.record_trace,
+        }
+        state {
+            self.engine,
+            self.cursor,
+            self.pexp,
+            self.joined_at,
+            self.removed_at,
+            self.undecided,
+            self.trace.golden1,
+            self.trace.golden2,
+            self.trace.wrong_moves,
+            self.trace.undecided_iterations,
+            self.pending_shrink,
+        }
+        then {
+            let n = self.g.node_count();
+            check_node_vec_len("pexp vector length", self.pexp.len(), n)?;
+            check_node_vec_len("joined_at vector length", self.joined_at.len(), n)?;
+            check_node_vec_len("removed_at vector length", self.removed_at.len(), n)?;
+            check_node_vec_len("pending_shrink vector length", self.pending_shrink.len(), n)?;
+        }
     }
 }
 

@@ -46,7 +46,8 @@ use cc_mis_sim::driver::{drive_observed, Execution, Status};
 use cc_mis_sim::par_nodes::par_map_nodes;
 use cc_mis_sim::rng::{SharedRandomness, Stream};
 use cc_mis_sim::shard::{Wire, WireCursor};
-use cc_mis_sim::snapshot::{graph_fingerprint, SnapshotError, SnapshotReader, SnapshotWriter};
+use cc_mis_sim::snapshot::graph_fingerprint;
+use cc_mis_sim::snapshot_fields;
 use cc_mis_sim::{RoundLedger, SharedObserver};
 
 use crate::cleanup::leader_cleanup;
@@ -67,7 +68,7 @@ pub struct CliqueMisParams {
 }
 
 /// Per-phase statistics of the simulation (experiment E6/E7 inputs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CliquePhaseStats {
     /// Global iteration at which the phase began.
     pub start_iteration: u64,
@@ -87,6 +88,20 @@ pub struct CliquePhaseStats {
     pub gather_rounds: u64,
     /// Total clique rounds of the phase.
     pub phase_rounds: u64,
+}
+
+snapshot_fields! {
+    impl Field for CliquePhaseStats {
+        start_iteration,
+        len,
+        alive_at_start,
+        super_heavy,
+        sampled,
+        max_s_degree,
+        max_ball_edges,
+        gather_rounds,
+        phase_rounds,
+    }
 }
 
 /// Result of [`run_clique_mis`].
@@ -534,89 +549,37 @@ impl Execution for CliqueMisExecution<'_> {
         })
     }
 
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.write_u64(self.graph_fp);
-        w.write_u64(self.seed);
-        w.write_usize(self.params.phase_len);
-        w.write_u32(self.params.super_heavy_log2);
-        w.write_u64(self.params.max_iterations);
-        w.write_bool(self.params.record_trace);
-        w.write_bool(self.cfg.skip_cleanup);
-        w.write_ledger(self.engine.ledger());
-        w.write_u64(self.t0);
-        w.write_vec_u32(&self.pexp);
-        w.write_vec_opt_u64(&self.joined_at);
-        w.write_vec_opt_u64(&self.removed_at);
-        w.write_usize(self.undecided);
-        write_clique_phases(w, &self.phases);
-        w.write_bool(self.cleanup_done);
-        let raws: Vec<u32> = self.mis.iter().map(|v| v.raw()).collect();
-        w.write_vec_u32(&raws);
-        w.write_usize(self.residual_nodes);
-        w.write_usize(self.residual_edges);
+    snapshot_fields! {
+        self;
+        identity {
+            "graph fingerprint" => self.graph_fp,
+            "seed" => self.seed,
+            "phase_len" => self.params.phase_len,
+            "super_heavy_log2" => self.params.super_heavy_log2,
+            "max_iterations" => self.params.max_iterations,
+            "record_trace" => self.params.record_trace,
+            "skip_cleanup" => self.cfg.skip_cleanup,
+        }
+        state {
+            self.engine,
+            self.t0,
+            self.pexp,
+            self.joined_at,
+            self.removed_at,
+            self.undecided,
+            self.phases,
+            self.cleanup_done,
+            self.mis,
+            self.residual_nodes,
+            self.residual_edges,
+        }
+        then {
+            let n = self.g.node_count();
+            check_node_vec_len("pexp vector length", self.pexp.len(), n)?;
+            check_node_vec_len("joined_at vector length", self.joined_at.len(), n)?;
+            check_node_vec_len("removed_at vector length", self.removed_at.len(), n)?;
+        }
     }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.expect_u64("graph fingerprint", self.graph_fp)?;
-        r.expect_u64("seed", self.seed)?;
-        r.expect_usize("phase_len", self.params.phase_len)?;
-        r.expect_u32("super_heavy_log2", self.params.super_heavy_log2)?;
-        r.expect_u64("max_iterations", self.params.max_iterations)?;
-        r.expect_bool("record_trace", self.params.record_trace)?;
-        r.expect_bool("skip_cleanup", self.cfg.skip_cleanup)?;
-        *self.engine.ledger_mut() = r.read_ledger()?;
-        self.t0 = r.read_u64()?;
-        self.pexp = r.read_vec_u32()?;
-        self.joined_at = r.read_vec_opt_u64()?;
-        self.removed_at = r.read_vec_opt_u64()?;
-        self.undecided = r.read_usize()?;
-        self.phases = read_clique_phases(r)?;
-        self.cleanup_done = r.read_bool()?;
-        self.mis = r.read_vec_u32()?.into_iter().map(NodeId::new).collect();
-        self.residual_nodes = r.read_usize()?;
-        self.residual_edges = r.read_usize()?;
-        let n = self.g.node_count();
-        check_node_vec_len("pexp vector length", self.pexp.len(), n)?;
-        check_node_vec_len("joined_at vector length", self.joined_at.len(), n)?;
-        check_node_vec_len("removed_at vector length", self.removed_at.len(), n)?;
-        Ok(())
-    }
-}
-
-/// Serializes the per-phase simulation statistics.
-fn write_clique_phases(w: &mut SnapshotWriter, phases: &[CliquePhaseStats]) {
-    w.write_usize(phases.len());
-    for p in phases {
-        w.write_u64(p.start_iteration);
-        w.write_usize(p.len);
-        w.write_usize(p.alive_at_start);
-        w.write_usize(p.super_heavy);
-        w.write_usize(p.sampled);
-        w.write_usize(p.max_s_degree);
-        w.write_usize(p.max_ball_edges);
-        w.write_u64(p.gather_rounds);
-        w.write_u64(p.phase_rounds);
-    }
-}
-
-/// Mirror of [`write_clique_phases`].
-fn read_clique_phases(r: &mut SnapshotReader<'_>) -> Result<Vec<CliquePhaseStats>, SnapshotError> {
-    let count = r.read_usize()?;
-    let mut phases = Vec::new();
-    for _ in 0..count {
-        phases.push(CliquePhaseStats {
-            start_iteration: r.read_u64()?,
-            len: r.read_usize()?,
-            alive_at_start: r.read_usize()?,
-            super_heavy: r.read_usize()?,
-            sampled: r.read_usize()?,
-            max_s_degree: r.read_usize()?,
-            max_ball_edges: r.read_usize()?,
-            gather_rounds: r.read_u64()?,
-            phase_rounds: r.read_u64()?,
-        });
-    }
-    Ok(phases)
 }
 
 /// Convenience wrapper returning a plain [`MisOutcome`].

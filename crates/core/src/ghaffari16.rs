@@ -36,7 +36,8 @@ use cc_mis_sim::congest::CongestEngine;
 use cc_mis_sim::driver::{drive_observed, Execution, Status};
 use cc_mis_sim::par_nodes::par_map_nodes;
 use cc_mis_sim::rng::{SharedRandomness, Stream, StreamCursor};
-use cc_mis_sim::snapshot::{graph_fingerprint, SnapshotError, SnapshotReader, SnapshotWriter};
+use cc_mis_sim::snapshot::graph_fingerprint;
+use cc_mis_sim::snapshot_fields;
 use cc_mis_sim::SharedObserver;
 
 use crate::cleanup;
@@ -369,35 +370,28 @@ impl Execution for Ghaffari16Execution<'_> {
         Status::Running
     }
 
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.write_u64(self.graph_fp);
-        w.write_u64(self.seed);
-        w.write_u64(self.params.max_iterations);
-        w.write_f64(self.params.clique_factor);
-        w.write_ledger(self.engine.ledger());
-        w.write_u64(self.cursor.position());
-        w.write_vec_u32(&self.pexp);
-        w.write_vec_bool(&self.alive);
-        w.write_vec_bool(&self.in_mis);
-        w.write_usize(self.undecided);
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.expect_u64("graph fingerprint", self.graph_fp)?;
-        r.expect_u64("seed", self.seed)?;
-        r.expect_u64("max_iterations", self.params.max_iterations)?;
-        r.expect_f64("clique_factor", self.params.clique_factor)?;
-        *self.engine.ledger_mut() = r.read_ledger()?;
-        self.cursor.seek(r.read_u64()?);
-        self.pexp = r.read_vec_u32()?;
-        self.alive = r.read_vec_bool()?;
-        self.in_mis = r.read_vec_bool()?;
-        self.undecided = r.read_usize()?;
-        let n = self.g.node_count();
-        check_node_vec_len("pexp vector length", self.pexp.len(), n)?;
-        check_node_vec_len("alive vector length", self.alive.len(), n)?;
-        check_node_vec_len("in_mis vector length", self.in_mis.len(), n)?;
-        Ok(())
+    snapshot_fields! {
+        self;
+        identity {
+            "graph fingerprint" => self.graph_fp,
+            "seed" => self.seed,
+            "max_iterations" => self.params.max_iterations,
+            "clique_factor" => self.params.clique_factor,
+        }
+        state {
+            self.engine,
+            self.cursor,
+            self.pexp,
+            self.alive,
+            self.in_mis,
+            self.undecided,
+        }
+        then {
+            let n = self.g.node_count();
+            check_node_vec_len("pexp vector length", self.pexp.len(), n)?;
+            check_node_vec_len("alive vector length", self.alive.len(), n)?;
+            check_node_vec_len("in_mis vector length", self.in_mis.len(), n)?;
+        }
     }
 }
 
@@ -527,28 +521,15 @@ impl Execution for Ghaffari16CliqueExecution<'_> {
         })
     }
 
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.write_u64(self.graph_fp);
-        w.write_u64(self.seed);
-        w.write_u64(self.params.max_iterations);
-        w.write_f64(self.params.clique_factor);
-        w.write_ledger(self.engine.ledger());
-        w.write_u64(self.next_t);
-        w.write_bool(self.cleanup_done);
-        let raw: Vec<u32> = self.mis.iter().map(|v| v.raw()).collect();
-        w.write_vec_u32(&raw);
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.expect_u64("graph fingerprint", self.graph_fp)?;
-        r.expect_u64("seed", self.seed)?;
-        r.expect_u64("max_iterations", self.params.max_iterations)?;
-        r.expect_f64("clique_factor", self.params.clique_factor)?;
-        *self.engine.ledger_mut() = r.read_ledger()?;
-        self.next_t = r.read_u64()?;
-        self.cleanup_done = r.read_bool()?;
-        self.mis = r.read_vec_u32()?.into_iter().map(NodeId::new).collect();
-        Ok(())
+    snapshot_fields! {
+        self;
+        identity {
+            "graph fingerprint" => self.graph_fp,
+            "seed" => self.seed,
+            "max_iterations" => self.params.max_iterations,
+            "clique_factor" => self.params.clique_factor,
+        }
+        state { self.engine, self.next_t, self.cleanup_done, self.mis }
     }
 }
 

@@ -16,7 +16,10 @@ use cc_mis_sim::bits::{node_id_bits, standard_bandwidth, COIN_BITS};
 use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::driver::{drive_observed, Execution, Status};
 use cc_mis_sim::rng::SharedRandomness;
-use cc_mis_sim::snapshot::{graph_fingerprint, SnapshotError, SnapshotReader, SnapshotWriter};
+use cc_mis_sim::snapshot::{
+    graph_fingerprint, Field, SnapshotError, SnapshotReader, SnapshotWriter,
+};
+use cc_mis_sim::snapshot_fields;
 use cc_mis_sim::SharedObserver;
 
 use crate::cleanup::leader_cleanup;
@@ -112,28 +115,35 @@ enum LowDegStage {
     Finished,
 }
 
-impl LowDegStage {
-    fn to_u32(self) -> u32 {
-        match self {
+/// The stage index as a `u32`; an unknown index is a typed error.
+impl Field for LowDegStage {
+    fn put(&self, w: &mut SnapshotWriter) {
+        let raw: u32 = match self {
             LowDegStage::Gather => 0,
             LowDegStage::Replay => 1,
             LowDegStage::Cleanup => 2,
             LowDegStage::Finished => 3,
-        }
+        };
+        raw.put(w);
     }
 
-    fn from_u32(raw: u32) -> Result<Self, SnapshotError> {
-        match raw {
-            0 => Ok(LowDegStage::Gather),
-            1 => Ok(LowDegStage::Replay),
-            2 => Ok(LowDegStage::Cleanup),
-            3 => Ok(LowDegStage::Finished),
-            other => Err(SnapshotError::Mismatch {
-                field: "lowdeg stage",
-                expected: "0..=3".to_string(),
-                found: other.to_string(),
-            }),
-        }
+    fn take(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let mut raw = 0u32;
+        raw.take(r)?;
+        *self = match raw {
+            0 => LowDegStage::Gather,
+            1 => LowDegStage::Replay,
+            2 => LowDegStage::Cleanup,
+            3 => LowDegStage::Finished,
+            other => {
+                return Err(SnapshotError::Mismatch {
+                    field: "lowdeg stage",
+                    expected: "0..=3".to_string(),
+                    found: other.to_string(),
+                })
+            }
+        };
+        Ok(())
     }
 }
 
@@ -304,40 +314,32 @@ impl Execution for LowDegExecution<'_> {
         }
     }
 
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.write_u64(self.graph_fp);
-        w.write_u64(self.seed);
-        w.write_f64(self.params.iteration_factor);
-        w.write_ledger(self.engine.ledger());
-        w.write_u32(self.stage.to_u32());
-        w.write_vec_bool(&self.in_mis);
-        w.write_vec_bool(&self.alive);
-        let raws: Vec<u32> = self.mis.iter().map(|v| v.raw()).collect();
-        w.write_vec_u32(&raws);
-        w.write_usize(self.residual_nodes);
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.expect_u64("graph fingerprint", self.graph_fp)?;
-        r.expect_u64("seed", self.seed)?;
-        r.expect_f64("iteration_factor", self.params.iteration_factor)?;
-        let ledger = r.read_ledger()?;
-        self.stage = LowDegStage::from_u32(r.read_u32()?)?;
-        self.in_mis = r.read_vec_bool()?;
-        self.alive = r.read_vec_bool()?;
-        self.mis = r.read_vec_u32()?.into_iter().map(NodeId::new).collect();
-        self.residual_nodes = r.read_usize()?;
-        let n = self.g.node_count();
-        check_node_vec_len("in_mis vector length", self.in_mis.len(), n)?;
-        check_node_vec_len("alive vector length", self.alive.len(), n)?;
-        // The balls are deterministic in the graph; regenerate them on a
-        // scratch engine so its charges don't disturb the restored ledger.
-        if self.stage != LowDegStage::Gather {
-            let mut scratch = CliqueEngine::strict(n.max(2), standard_bandwidth(n.max(2)));
-            self.gather = Some(Self::run_gather(self.g, &mut scratch, self.radius));
+    snapshot_fields! {
+        self;
+        identity {
+            "graph fingerprint" => self.graph_fp,
+            "seed" => self.seed,
+            "iteration_factor" => self.params.iteration_factor,
         }
-        *self.engine.ledger_mut() = ledger;
-        Ok(())
+        state {
+            self.engine,
+            self.stage,
+            self.in_mis,
+            self.alive,
+            self.mis,
+            self.residual_nodes,
+        }
+        then {
+            let n = self.g.node_count();
+            check_node_vec_len("in_mis vector length", self.in_mis.len(), n)?;
+            check_node_vec_len("alive vector length", self.alive.len(), n)?;
+            // The balls are deterministic in the graph; regenerate them on a
+            // scratch engine so its charges don't disturb the restored ledger.
+            if self.stage != LowDegStage::Gather {
+                let mut scratch = CliqueEngine::strict(n.max(2), standard_bandwidth(n.max(2)));
+                self.gather = Some(Self::run_gather(self.g, &mut scratch, self.radius));
+            }
+        }
     }
 }
 
@@ -411,6 +413,14 @@ impl<'a> AutoExecution<'a> {
         AutoExecution { inner }
     }
 
+    /// The snapshot tag of the branch: 0 low-degree, 1 sparsified.
+    fn branch(&self) -> u32 {
+        match self.inner {
+            AutoInner::LowDegree(_) => 0,
+            AutoInner::Sparsified(_) => 1,
+        }
+    }
+
     /// The branch this execution runs.
     pub fn strategy(&self) -> Strategy {
         match &self.inner {
@@ -462,24 +472,15 @@ impl Execution for AutoExecution<'_> {
     }
 
     fn save(&self, w: &mut SnapshotWriter) {
+        self.branch().put(w);
         match &self.inner {
-            AutoInner::LowDegree(e) => {
-                w.write_u32(0);
-                e.save(w);
-            }
-            AutoInner::Sparsified(e) => {
-                w.write_u32(1);
-                e.save(w);
-            }
+            AutoInner::LowDegree(e) => e.save(w),
+            AutoInner::Sparsified(e) => e.save(w),
         }
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let expected = match &self.inner {
-            AutoInner::LowDegree(_) => 0,
-            AutoInner::Sparsified(_) => 1,
-        };
-        r.expect_u32("dispatcher branch", expected)?;
+        r.expect("dispatcher branch", &self.branch())?;
         match &mut self.inner {
             AutoInner::LowDegree(e) => e.restore(r),
             AutoInner::Sparsified(e) => e.restore(r),

@@ -15,7 +15,8 @@ use cc_mis_sim::bits::standard_bandwidth;
 use cc_mis_sim::congest::CongestEngine;
 use cc_mis_sim::driver::{drive_observed, Execution, Status};
 use cc_mis_sim::rng::{SharedRandomness, Stream, StreamCursor};
-use cc_mis_sim::snapshot::{graph_fingerprint, SnapshotError, SnapshotReader, SnapshotWriter};
+use cc_mis_sim::snapshot::graph_fingerprint;
+use cc_mis_sim::snapshot_fields;
 use cc_mis_sim::SharedObserver;
 
 use crate::common::{check_node_vec_len, mis_from_flags, MisOutcome};
@@ -205,32 +206,20 @@ impl Execution for LubyExecution<'_> {
         Status::Running
     }
 
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.write_u64(self.graph_fp);
-        w.write_u64(self.seed);
-        w.write_u64(self.params.max_iterations);
-        w.write_u64(self.params.priority_bits);
-        w.write_ledger(self.engine.ledger());
-        w.write_u64(self.cursor.position());
-        w.write_vec_bool(&self.alive);
-        w.write_vec_bool(&self.in_mis);
-        w.write_usize(self.undecided);
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.expect_u64("graph fingerprint", self.graph_fp)?;
-        r.expect_u64("seed", self.seed)?;
-        r.expect_u64("max_iterations", self.params.max_iterations)?;
-        r.expect_u64("priority_bits", self.params.priority_bits)?;
-        *self.engine.ledger_mut() = r.read_ledger()?;
-        self.cursor.seek(r.read_u64()?);
-        self.alive = r.read_vec_bool()?;
-        self.in_mis = r.read_vec_bool()?;
-        self.undecided = r.read_usize()?;
-        let n = self.g.node_count();
-        check_node_vec_len("alive vector length", self.alive.len(), n)?;
-        check_node_vec_len("in_mis vector length", self.in_mis.len(), n)?;
-        Ok(())
+    snapshot_fields! {
+        self;
+        identity {
+            "graph fingerprint" => self.graph_fp,
+            "seed" => self.seed,
+            "max_iterations" => self.params.max_iterations,
+            "priority_bits" => self.params.priority_bits,
+        }
+        state { self.engine, self.cursor, self.alive, self.in_mis, self.undecided }
+        then {
+            let n = self.g.node_count();
+            check_node_vec_len("alive vector length", self.alive.len(), n)?;
+            check_node_vec_len("in_mis vector length", self.in_mis.len(), n)?;
+        }
     }
 }
 

@@ -40,7 +40,8 @@ use cc_mis_sim::congest::CongestEngine;
 use cc_mis_sim::driver::{drive, drive_observed, Execution, Status};
 use cc_mis_sim::par_nodes::par_map_nodes;
 use cc_mis_sim::rng::{SharedRandomness, Stream};
-use cc_mis_sim::snapshot::{graph_fingerprint, SnapshotError, SnapshotReader, SnapshotWriter};
+use cc_mis_sim::snapshot::graph_fingerprint;
+use cc_mis_sim::snapshot_fields;
 use cc_mis_sim::{RoundLedger, SharedObserver};
 
 use crate::beeping_mis::{GOLDEN1_D_MAX, GOLDEN2_D_MIN, HEAVY_THRESHOLD};
@@ -94,7 +95,7 @@ impl SparsifiedParams {
 
 /// Per-phase record: who was super-heavy, who was sampled into `S`, and how
 /// locally sparse `G[S]` was (the Lemma 2.12 quantity).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PhaseInfo {
     /// Global iteration index at which the phase began.
     pub start_iteration: u64,
@@ -109,6 +110,17 @@ pub struct PhaseInfo {
     /// `max_{s ∈ S} |N(s) ∩ S|` among undecided nodes — Lemma 2.12 bounds
     /// this by `2^{1 + √(δ log n)/2}` w.h.p.
     pub max_s_degree: usize,
+}
+
+snapshot_fields! {
+    impl Field for PhaseInfo {
+        start_iteration,
+        len,
+        alive_at_start,
+        super_heavy,
+        sampled,
+        max_s_degree,
+    }
 }
 
 /// State trajectory of a sparsified run (also the reference the clique
@@ -413,80 +425,36 @@ impl Execution for SparsifiedExecution<'_> {
         Status::Running
     }
 
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.write_u64(self.graph_fp);
-        w.write_u64(self.seed);
-        w.write_usize(self.params.phase_len);
-        w.write_u32(self.params.super_heavy_log2);
-        w.write_u64(self.params.max_iterations);
-        w.write_bool(self.params.record_trace);
-        w.write_ledger(&self.ledger);
-        w.write_u64(self.t0);
-        w.write_vec_u32(&self.pexp);
-        w.write_vec_opt_u64(&self.joined_at);
-        w.write_vec_opt_u64(&self.removed_at);
-        w.write_usize(self.undecided);
-        write_phases(w, &self.phases);
-        w.write_vec_u64(&self.trace.golden1);
-        w.write_vec_u64(&self.trace.golden2);
-        w.write_vec_u64(&self.trace.undecided_iterations);
-        w.write_vec_u64(&self.trace.super_heavy_iterations);
+    snapshot_fields! {
+        self;
+        identity {
+            "graph fingerprint" => self.graph_fp,
+            "seed" => self.seed,
+            "phase_len" => self.params.phase_len,
+            "super_heavy_log2" => self.params.super_heavy_log2,
+            "max_iterations" => self.params.max_iterations,
+            "record_trace" => self.params.record_trace,
+        }
+        state {
+            self.ledger,
+            self.t0,
+            self.pexp,
+            self.joined_at,
+            self.removed_at,
+            self.undecided,
+            self.phases,
+            self.trace.golden1,
+            self.trace.golden2,
+            self.trace.undecided_iterations,
+            self.trace.super_heavy_iterations,
+        }
+        then {
+            let n = self.g.node_count();
+            check_node_vec_len("pexp vector length", self.pexp.len(), n)?;
+            check_node_vec_len("joined_at vector length", self.joined_at.len(), n)?;
+            check_node_vec_len("removed_at vector length", self.removed_at.len(), n)?;
+        }
     }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.expect_u64("graph fingerprint", self.graph_fp)?;
-        r.expect_u64("seed", self.seed)?;
-        r.expect_usize("phase_len", self.params.phase_len)?;
-        r.expect_u32("super_heavy_log2", self.params.super_heavy_log2)?;
-        r.expect_u64("max_iterations", self.params.max_iterations)?;
-        r.expect_bool("record_trace", self.params.record_trace)?;
-        self.ledger = r.read_ledger()?;
-        self.t0 = r.read_u64()?;
-        self.pexp = r.read_vec_u32()?;
-        self.joined_at = r.read_vec_opt_u64()?;
-        self.removed_at = r.read_vec_opt_u64()?;
-        self.undecided = r.read_usize()?;
-        self.phases = read_phases(r)?;
-        self.trace.golden1 = r.read_vec_u64()?;
-        self.trace.golden2 = r.read_vec_u64()?;
-        self.trace.undecided_iterations = r.read_vec_u64()?;
-        self.trace.super_heavy_iterations = r.read_vec_u64()?;
-        let n = self.g.node_count();
-        check_node_vec_len("pexp vector length", self.pexp.len(), n)?;
-        check_node_vec_len("joined_at vector length", self.joined_at.len(), n)?;
-        check_node_vec_len("removed_at vector length", self.removed_at.len(), n)?;
-        Ok(())
-    }
-}
-
-/// Serializes the per-phase statistics (count, then each record's fields).
-fn write_phases(w: &mut SnapshotWriter, phases: &[PhaseInfo]) {
-    w.write_usize(phases.len());
-    for p in phases {
-        w.write_u64(p.start_iteration);
-        w.write_usize(p.len);
-        w.write_usize(p.alive_at_start);
-        w.write_usize(p.super_heavy);
-        w.write_usize(p.sampled);
-        w.write_usize(p.max_s_degree);
-    }
-}
-
-/// Mirror of [`write_phases`].
-fn read_phases(r: &mut SnapshotReader<'_>) -> Result<Vec<PhaseInfo>, SnapshotError> {
-    let count = r.read_usize()?;
-    let mut phases = Vec::new();
-    for _ in 0..count {
-        phases.push(PhaseInfo {
-            start_iteration: r.read_u64()?,
-            len: r.read_usize()?,
-            alive_at_start: r.read_usize()?,
-            super_heavy: r.read_usize()?,
-            sampled: r.read_usize()?,
-            max_s_degree: r.read_usize()?,
-        });
-    }
-    Ok(phases)
 }
 
 /// Runs the sparsified algorithm and finishes the residual graph with a
@@ -750,43 +718,32 @@ impl Execution for SparsifiedMessagedExecution<'_> {
         Status::Running
     }
 
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.write_u64(self.graph_fp);
-        w.write_u64(self.seed);
-        w.write_usize(self.params.phase_len);
-        w.write_u32(self.params.super_heavy_log2);
-        w.write_u64(self.params.max_iterations);
-        w.write_bool(self.params.record_trace);
-        w.write_ledger(self.congest.ledger());
-        w.write_ledger(self.beeping.ledger());
-        w.write_u64(self.t0);
-        w.write_vec_u32(&self.pexp);
-        w.write_vec_opt_u64(&self.joined_at);
-        w.write_vec_opt_u64(&self.removed_at);
-        w.write_usize(self.undecided);
-        write_phases(w, &self.phases);
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.expect_u64("graph fingerprint", self.graph_fp)?;
-        r.expect_u64("seed", self.seed)?;
-        r.expect_usize("phase_len", self.params.phase_len)?;
-        r.expect_u32("super_heavy_log2", self.params.super_heavy_log2)?;
-        r.expect_u64("max_iterations", self.params.max_iterations)?;
-        r.expect_bool("record_trace", self.params.record_trace)?;
-        *self.congest.ledger_mut() = r.read_ledger()?;
-        *self.beeping.ledger_mut() = r.read_ledger()?;
-        self.t0 = r.read_u64()?;
-        self.pexp = r.read_vec_u32()?;
-        self.joined_at = r.read_vec_opt_u64()?;
-        self.removed_at = r.read_vec_opt_u64()?;
-        self.undecided = r.read_usize()?;
-        self.phases = read_phases(r)?;
-        let n = self.g.node_count();
-        check_node_vec_len("pexp vector length", self.pexp.len(), n)?;
-        check_node_vec_len("joined_at vector length", self.joined_at.len(), n)?;
-        check_node_vec_len("removed_at vector length", self.removed_at.len(), n)?;
-        Ok(())
+    snapshot_fields! {
+        self;
+        identity {
+            "graph fingerprint" => self.graph_fp,
+            "seed" => self.seed,
+            "phase_len" => self.params.phase_len,
+            "super_heavy_log2" => self.params.super_heavy_log2,
+            "max_iterations" => self.params.max_iterations,
+            "record_trace" => self.params.record_trace,
+        }
+        state {
+            self.congest,
+            self.beeping,
+            self.t0,
+            self.pexp,
+            self.joined_at,
+            self.removed_at,
+            self.undecided,
+            self.phases,
+        }
+        then {
+            let n = self.g.node_count();
+            check_node_vec_len("pexp vector length", self.pexp.len(), n)?;
+            check_node_vec_len("joined_at vector length", self.joined_at.len(), n)?;
+            check_node_vec_len("removed_at vector length", self.removed_at.len(), n)?;
+        }
     }
 }
 

@@ -21,7 +21,6 @@
 //!
 //! ```
 //! use cc_mis_sim::driver::{drive, resume, snapshot, Execution, Status};
-//! use cc_mis_sim::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 //!
 //! /// Counts down from `n`; outcome is the number of steps taken.
 //! struct Countdown {
@@ -43,14 +42,11 @@
 //!         self.taken += 1;
 //!         Status::Running
 //!     }
-//!     fn save(&self, w: &mut SnapshotWriter) {
-//!         w.write_u64(self.left);
-//!         w.write_u64(self.taken);
-//!     }
-//!     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-//!         self.left = r.read_u64()?;
-//!         self.taken = r.read_u64()?;
-//!         Ok(())
+//!     // One field list generates both `save` and `restore`.
+//!     cc_mis_sim::snapshot_fields! {
+//!         self;
+//!         identity {}
+//!         state { self.left, self.taken }
 //!     }
 //! }
 //!
@@ -270,14 +266,10 @@ mod tests {
             self.acc *= 2;
             Status::Running
         }
-        fn save(&self, w: &mut SnapshotWriter) {
-            w.write_u64(self.rounds_left);
-            w.write_u64(self.acc);
-        }
-        fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-            self.rounds_left = r.read_u64()?;
-            self.acc = r.read_u64()?;
-            Ok(())
+        crate::snapshot_fields! {
+            self;
+            identity {}
+            state { self.rounds_left, self.acc }
         }
     }
 

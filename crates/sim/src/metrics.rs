@@ -8,7 +8,7 @@ use std::error::Error;
 use std::fmt;
 
 /// A per-phase slice of the ledger, labeled by the algorithm.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseRecord {
     /// Human-readable phase label (e.g. `"phase 3: exponentiation"`).
     pub label: String,

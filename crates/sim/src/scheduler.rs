@@ -366,7 +366,6 @@ impl BatchScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{SnapshotError, SnapshotReader};
 
     /// Counts up to `target`, recording the interleaving order into a
     /// shared log so tests can observe the queue discipline.
@@ -391,16 +390,10 @@ mod tests {
             self.log.borrow_mut().push(self.id);
             Status::Running
         }
-        fn save(&self, w: &mut SnapshotWriter) {
-            w.write_u64(self.id);
-            w.write_u64(self.target);
-            w.write_u64(self.at);
-        }
-        fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-            r.expect_u64("id", self.id)?;
-            r.expect_u64("target", self.target)?;
-            self.at = r.read_u64()?;
-            Ok(())
+        crate::snapshot_fields! {
+            self;
+            identity { "id" => self.id, "target" => self.target }
+            state { self.at }
         }
     }
 

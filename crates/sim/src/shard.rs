@@ -589,16 +589,20 @@ impl WorkerState {
         (self.dst_hi - self.dst_lo) as usize
     }
 
+    crate::snapshot_fields! {
+        self;
+        identity {
+            "shard" => self.shard,
+            "n" => self.n,
+            "dst_lo" => self.dst_lo,
+            "dst_hi" => self.dst_hi,
+        }
+        state { self.applied, self.delivered, self.bytes, self.fingerprint }
+    }
+
     fn save_bytes(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new(WORKER_ALGORITHM);
-        w.write_u32(self.shard);
-        w.write_u32(self.n);
-        w.write_u32(self.dst_lo);
-        w.write_u32(self.dst_hi);
-        w.write_u64(self.applied);
-        w.write_u64(self.delivered);
-        w.write_u64(self.bytes);
-        w.write_u64(self.fingerprint);
+        self.save(&mut w);
         w.finish()
     }
 
@@ -609,14 +613,7 @@ impl WorkerState {
                 "checkpoint is not a shard-worker snapshot",
             ));
         }
-        r.expect_u32("shard", self.shard)?;
-        r.expect_u32("n", self.n)?;
-        r.expect_u32("dst_lo", self.dst_lo)?;
-        r.expect_u32("dst_hi", self.dst_hi)?;
-        self.applied = r.read_u64()?;
-        self.delivered = r.read_u64()?;
-        self.bytes = r.read_u64()?;
-        self.fingerprint = r.read_u64()?;
+        self.restore(&mut r)?;
         r.finish()?;
         Ok(())
     }

@@ -20,19 +20,28 @@
 //! payload   ...      execution-defined field sequence (see Execution::save)
 //! ```
 //!
-//! The payload is *not* self-describing: reader and writer must agree on
-//! the field sequence, which is what the version number pins. Executions
-//! conventionally write their identity fields first (graph fingerprint,
-//! seed, parameters) via the `expect_*` reader methods, then the ledger,
-//! then per-node state.
+//! The payload is *not* self-describing: it is the execution's field
+//! list, in order. Each execution writes that list once, with
+//! [`snapshot_fields!`](crate::snapshot_fields), which generates both
+//! `save` and `restore` from it, so the two cannot disagree. Identity
+//! fields (graph fingerprint, seed, parameters) come first and are
+//! checked on restore; the ledger and per-node state follow. Every value
+//! type encodes through the [`Field`] trait. The committed golden
+//! checkpoints in `tests/fixtures/snapshots/` pin the bytes themselves:
+//! any change to a field list fails `tests/snapshot_format.rs`, and a
+//! deliberate one must bump [`VERSION`] and re-record those files.
 
 use std::error::Error;
 use std::fmt;
 
 use cc_mis_graph::rng::mix3;
-use cc_mis_graph::Graph;
+use cc_mis_graph::{Graph, NodeId};
 
+use crate::beeping::BeepingEngine;
+use crate::clique::CliqueEngine;
+use crate::congest::CongestEngine;
 use crate::metrics::{PhaseRecord, RoundLedger};
+use crate::rng::StreamCursor;
 
 /// File magic for clique-mis snapshots.
 pub const MAGIC: [u8; 4] = *b"CCMS";
@@ -177,27 +186,32 @@ impl SnapshotWriter {
     }
 
     /// Writes a `u32`.
+    #[inline]
     pub fn write_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u64`.
+    #[inline]
     pub fn write_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `usize` (encoded as `u64`).
+    #[inline]
     pub fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
     }
 
     /// Writes a `bool` as one byte.
+    #[inline]
     pub fn write_bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
     }
 
     /// Writes an `f64` via its exact IEEE-754 bit pattern (bit-exact
     /// round-trip; snapshots never re-derive floats).
+    #[inline]
     pub fn write_f64(&mut self, v: f64) {
         self.write_u64(v.to_bits());
     }
@@ -206,78 +220,6 @@ impl SnapshotWriter {
     pub fn write_str(&mut self, v: &str) {
         self.write_u64(v.len() as u64);
         self.buf.extend_from_slice(v.as_bytes());
-    }
-
-    /// Writes an `Option<u64>` as a presence byte plus the value.
-    pub fn write_opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.write_bool(false),
-            Some(x) => {
-                self.write_bool(true);
-                self.write_u64(x);
-            }
-        }
-    }
-
-    /// Writes a `Vec<u32>` with a length prefix.
-    pub fn write_vec_u32(&mut self, v: &[u32]) {
-        self.write_u64(v.len() as u64);
-        for &x in v {
-            self.write_u32(x);
-        }
-    }
-
-    /// Writes a `Vec<u64>` with a length prefix.
-    pub fn write_vec_u64(&mut self, v: &[u64]) {
-        self.write_u64(v.len() as u64);
-        for &x in v {
-            self.write_u64(x);
-        }
-    }
-
-    /// Writes a `Vec<bool>` with a length prefix, one byte per element.
-    pub fn write_vec_bool(&mut self, v: &[bool]) {
-        self.write_u64(v.len() as u64);
-        for &x in v {
-            self.write_bool(x);
-        }
-    }
-
-    /// Writes a `Vec<Option<u64>>` with a length prefix.
-    pub fn write_vec_opt_u64(&mut self, v: &[Option<u64>]) {
-        self.write_u64(v.len() as u64);
-        for &x in v {
-            self.write_opt_u64(x);
-        }
-    }
-
-    /// Writes a `Vec<Option<f64>>` with a length prefix (bit-exact floats).
-    pub fn write_vec_opt_f64(&mut self, v: &[Option<f64>]) {
-        self.write_u64(v.len() as u64);
-        for &x in v {
-            match x {
-                None => self.write_bool(false),
-                Some(f) => {
-                    self.write_bool(true);
-                    self.write_f64(f);
-                }
-            }
-        }
-    }
-
-    /// Writes a complete [`RoundLedger`] including its phase breakdown.
-    pub fn write_ledger(&mut self, l: &RoundLedger) {
-        self.write_u64(l.rounds);
-        self.write_u64(l.messages);
-        self.write_u64(l.bits);
-        self.write_u64(l.violations);
-        self.write_u64(l.phases.len() as u64);
-        for p in &l.phases {
-            self.write_str(&p.label);
-            self.write_u64(p.rounds);
-            self.write_u64(p.messages);
-            self.write_u64(p.bits);
-        }
     }
 }
 
@@ -298,7 +240,7 @@ impl<'a> SnapshotReader<'a> {
             pos: 0,
             algorithm: String::new(),
         };
-        let magic = r.take(4)?;
+        let magic = r.bytes(4)?;
         if magic != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
@@ -330,7 +272,8 @@ impl<'a> SnapshotReader<'a> {
         Ok(())
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    #[inline]
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         if self.remaining() < n {
             return Err(SnapshotError::Truncated { offset: self.pos });
         }
@@ -358,22 +301,25 @@ impl<'a> SnapshotReader<'a> {
     }
 
     /// Reads a `u32`.
+    #[inline]
     pub fn read_u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.take(4)?;
+        let b = self.bytes(4)?;
         let mut a = [0u8; 4];
         a.copy_from_slice(b);
         Ok(u32::from_le_bytes(a))
     }
 
     /// Reads a `u64`.
+    #[inline]
     pub fn read_u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.take(8)?;
+        let b = self.bytes(8)?;
         let mut a = [0u8; 8];
         a.copy_from_slice(b);
         Ok(u64::from_le_bytes(a))
     }
 
     /// Reads a `usize` (encoded as `u64`).
+    #[inline]
     pub fn read_usize(&mut self) -> Result<usize, SnapshotError> {
         let offset = self.pos;
         let raw = self.read_u64()?;
@@ -384,9 +330,10 @@ impl<'a> SnapshotReader<'a> {
     }
 
     /// Reads a `bool` byte.
+    #[inline]
     pub fn read_bool(&mut self) -> Result<bool, SnapshotError> {
         let offset = self.pos;
-        match self.take(1)?[0] {
+        match self.bytes(1)?[0] {
             0 => Ok(false),
             1 => Ok(true),
             _ => Err(SnapshotError::Corrupt {
@@ -397,6 +344,7 @@ impl<'a> SnapshotReader<'a> {
     }
 
     /// Reads an `f64` from its exact bit pattern.
+    #[inline]
     pub fn read_f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.read_u64()?))
     }
@@ -405,171 +353,28 @@ impl<'a> SnapshotReader<'a> {
     pub fn read_str(&mut self) -> Result<String, SnapshotError> {
         let len = self.read_len()?;
         let offset = self.pos;
-        let bytes = self.take(len)?;
+        let bytes = self.bytes(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::Corrupt {
             offset,
             what: "string is not valid UTF-8",
         })
     }
 
-    /// Reads an `Option<u64>`.
-    pub fn read_opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
-        if self.read_bool()? {
-            Ok(Some(self.read_u64()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Reads a `Vec<u32>`.
-    pub fn read_vec_u32(&mut self) -> Result<Vec<u32>, SnapshotError> {
-        let len = self.read_len()?;
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(self.read_u32()?);
-        }
-        Ok(v)
-    }
-
-    /// Reads a `Vec<u64>`.
-    pub fn read_vec_u64(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let len = self.read_len()?;
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(self.read_u64()?);
-        }
-        Ok(v)
-    }
-
-    /// Reads a `Vec<bool>`.
-    pub fn read_vec_bool(&mut self) -> Result<Vec<bool>, SnapshotError> {
-        let len = self.read_len()?;
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(self.read_bool()?);
-        }
-        Ok(v)
-    }
-
-    /// Reads a `Vec<Option<u64>>`.
-    pub fn read_vec_opt_u64(&mut self) -> Result<Vec<Option<u64>>, SnapshotError> {
-        let len = self.read_len()?;
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(self.read_opt_u64()?);
-        }
-        Ok(v)
-    }
-
-    /// Reads a `Vec<Option<f64>>`.
-    pub fn read_vec_opt_f64(&mut self) -> Result<Vec<Option<f64>>, SnapshotError> {
-        let len = self.read_len()?;
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            if self.read_bool()? {
-                v.push(Some(self.read_f64()?));
-            } else {
-                v.push(None);
-            }
-        }
-        Ok(v)
-    }
-
-    /// Reads a complete [`RoundLedger`].
-    pub fn read_ledger(&mut self) -> Result<RoundLedger, SnapshotError> {
-        let rounds = self.read_u64()?;
-        let messages = self.read_u64()?;
-        let bits = self.read_u64()?;
-        let violations = self.read_u64()?;
-        let phase_count = self.read_len()?;
-        let mut phases = Vec::with_capacity(phase_count);
-        for _ in 0..phase_count {
-            let label = self.read_str()?;
-            let rounds = self.read_u64()?;
-            let messages = self.read_u64()?;
-            let bits = self.read_u64()?;
-            phases.push(PhaseRecord {
-                label,
-                rounds,
-                messages,
-                bits,
-            });
-        }
-        Ok(RoundLedger {
-            rounds,
-            messages,
-            bits,
-            violations,
-            phases,
-        })
-    }
-
-    /// Reads a `u64` and rejects the snapshot if it differs from the value
-    /// this run derives locally (seed, fingerprint, integer parameter).
-    pub fn expect_u64(&mut self, field: &'static str, expected: u64) -> Result<(), SnapshotError> {
-        let found = self.read_u64()?;
-        if found != expected {
-            return Err(SnapshotError::Mismatch {
-                field,
-                expected: expected.to_string(),
-                found: found.to_string(),
-            });
-        }
-        Ok(())
-    }
-
-    /// [`SnapshotReader::expect_u64`] for `u32` fields.
-    pub fn expect_u32(&mut self, field: &'static str, expected: u32) -> Result<(), SnapshotError> {
-        let found = self.read_u32()?;
-        if found != expected {
-            return Err(SnapshotError::Mismatch {
-                field,
-                expected: expected.to_string(),
-                found: found.to_string(),
-            });
-        }
-        Ok(())
-    }
-
-    /// [`SnapshotReader::expect_u64`] for `usize` fields.
-    pub fn expect_usize(
+    /// Reads an identity field and rejects the snapshot unless its
+    /// encoding is byte-identical to `expected`'s: a graph fingerprint,
+    /// seed or parameter that differs from the value this run derives
+    /// locally. Floats therefore compare by exact bit pattern.
+    pub fn expect<T: Field + Default + fmt::Display>(
         &mut self,
         field: &'static str,
-        expected: usize,
+        expected: &T,
     ) -> Result<(), SnapshotError> {
-        let found = self.read_usize()?;
-        if found != expected {
-            return Err(SnapshotError::Mismatch {
-                field,
-                expected: expected.to_string(),
-                found: found.to_string(),
-            });
-        }
-        Ok(())
-    }
-
-    /// [`SnapshotReader::expect_u64`] for `bool` fields.
-    pub fn expect_bool(
-        &mut self,
-        field: &'static str,
-        expected: bool,
-    ) -> Result<(), SnapshotError> {
-        let found = self.read_bool()?;
-        if found != expected {
-            return Err(SnapshotError::Mismatch {
-                field,
-                expected: expected.to_string(),
-                found: found.to_string(),
-            });
-        }
-        Ok(())
-    }
-
-    /// [`SnapshotReader::expect_u64`] for `f64` parameters, compared by
-    /// exact bit pattern.
-    pub fn expect_f64(&mut self, field: &'static str, expected: f64) -> Result<(), SnapshotError> {
-        let found = self.read_f64()?;
-        if found.to_bits() != expected.to_bits() {
+        let start = self.pos;
+        let mut found = T::default();
+        found.take(self)?;
+        let mut want = SnapshotWriter { buf: Vec::new() };
+        expected.put(&mut want);
+        if self.buf[start..self.pos] != want.buf[..] {
             return Err(SnapshotError::Mismatch {
                 field,
                 expected: expected.to_string(),
@@ -580,51 +385,294 @@ impl<'a> SnapshotReader<'a> {
     }
 }
 
+/// A value with a fixed snapshot encoding: `put` appends it, `take`
+/// overwrites it with the next decoded value. Executions list their
+/// fields once in [`snapshot_fields!`], which generates both `save` and
+/// `restore` from that one list out of these two methods.
+pub trait Field {
+    /// Appends this value's encoding.
+    fn put(&self, w: &mut SnapshotWriter);
+
+    /// Replaces this value with the next one decoded from `r`.
+    fn take(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError>;
+}
+
+macro_rules! primitive_fields {
+    ($($t:ty => $write:ident, $read:ident;)*) => {$(
+        impl Field for $t {
+            #[inline]
+            fn put(&self, w: &mut SnapshotWriter) {
+                w.$write(*self);
+            }
+
+            #[inline]
+            fn take(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+                *self = r.$read()?;
+                Ok(())
+            }
+        }
+    )*};
+}
+
+primitive_fields! {
+    u32 => write_u32, read_u32;
+    u64 => write_u64, read_u64;
+    usize => write_usize, read_usize;
+    bool => write_bool, read_bool;
+    f64 => write_f64, read_f64;
+}
+
+impl Field for String {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.write_str(self);
+    }
+
+    fn take(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        *self = r.read_str()?;
+        Ok(())
+    }
+}
+
+/// A presence byte, then the value when present.
+impl<T: Field + Default> Field for Option<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.write_bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+
+    fn take(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        *self = if r.read_bool()? {
+            let mut v = T::default();
+            v.take(r)?;
+            Some(v)
+        } else {
+            None
+        };
+        Ok(())
+    }
+}
+
+/// A `u64` element count, then the elements. The count is checked against
+/// the remaining bytes before any element is read, so a corrupt count is a
+/// [`SnapshotError::Corrupt`], never a huge allocation or a long loop.
+impl<T: Field + Default> Field for Vec<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.write_usize(self.len());
+        for v in self {
+            v.put(w);
+        }
+    }
+
+    fn take(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let len = r.read_len()?;
+        self.clear();
+        self.reserve(len);
+        for _ in 0..len {
+            let mut v = T::default();
+            v.take(r)?;
+            self.push(v);
+        }
+        Ok(())
+    }
+}
+
+/// The raw index as a `u32`.
+impl Field for NodeId {
+    #[inline]
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.write_u32(self.raw());
+    }
+
+    #[inline]
+    fn take(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        *self = NodeId::new(r.read_u32()?);
+        Ok(())
+    }
+}
+
+/// The stream position; the stream identity is rebuilt by construction.
+impl Field for StreamCursor {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.write_u64(self.position());
+    }
+
+    fn take(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.seek(r.read_u64()?);
+        Ok(())
+    }
+}
+
+/// An engine's cross-step state is its ledger; everything else is
+/// rebuilt by construction.
+macro_rules! engine_fields {
+    ($($engine:ty),*) => {$(
+        impl Field for $engine {
+            fn put(&self, w: &mut SnapshotWriter) {
+                self.ledger().put(w);
+            }
+
+            fn take(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+                self.ledger_mut().take(r)
+            }
+        }
+    )*};
+}
+
+engine_fields!(BeepingEngine<'_>, CliqueEngine, CongestEngine<'_>);
+
+/// Writes one field list as both halves of a snapshot codec, so the writer
+/// and the reader cannot disagree on order, width or presence.
+///
+/// Two forms:
+///
+/// * `snapshot_fields! { impl Field for T { a, b, c } }` implements
+///   [`Field`] for a plain record by encoding the named fields in order.
+/// * Inside an `impl` block, `snapshot_fields! { self; identity { .. }
+///   state { .. } then { .. } }` generates
+///   `fn save(&self, w: &mut SnapshotWriter)` and
+///   `fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError>`
+///   with the [`crate::driver::Execution`] signatures. `identity` entries
+///   (`"name" => self.place`) are written by `save` and checked by
+///   `restore` through [`SnapshotReader::expect`], so a snapshot of a
+///   different graph, seed or parameter set fails with a
+///   [`SnapshotError::Mismatch`] naming the field. `state` places are
+///   written, then read back in the same order. The optional `then` block
+///   runs at the end of `restore`, after every field is read: length
+///   checks against the graph, or regenerating derived state. The leading
+///   `self` token is the receiver the generated methods bind.
+///
+/// # Example
+///
+/// ```
+/// use cc_mis_sim::driver::{resume, snapshot, Execution, Status};
+/// use cc_mis_sim::snapshot::SnapshotError;
+///
+/// struct Walk {
+///     seed: u64,
+///     at: u64,
+///     trail: Vec<Option<u32>>,
+/// }
+///
+/// impl Execution for Walk {
+///     type Outcome = u64;
+///     fn algorithm_id(&self) -> &'static str {
+///         "walk"
+///     }
+///     fn attach_observer(&mut self, _observer: cc_mis_sim::SharedObserver) {}
+///     fn step(&mut self) -> Status<u64> {
+///         self.at += self.seed;
+///         self.trail.push(None);
+///         Status::Done(self.at)
+///     }
+///     cc_mis_sim::snapshot_fields! {
+///         self;
+///         identity { "seed" => self.seed }
+///         state { self.at, self.trail }
+///     }
+/// }
+///
+/// let mut run = Walk { seed: 3, at: 0, trail: Vec::new() };
+/// let _ = run.step();
+/// let bytes = snapshot(&run);
+/// let mut other_seed = Walk { seed: 4, at: 0, trail: Vec::new() };
+/// let err = resume(&mut other_seed, &bytes).expect_err("seed differs");
+/// assert!(matches!(err, SnapshotError::Mismatch { field: "seed", .. }));
+/// ```
+#[macro_export]
+macro_rules! snapshot_fields {
+    (impl Field for $t:ty { $($f:ident),* $(,)? }) => {
+        impl $crate::snapshot::Field for $t {
+            fn put(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                $($crate::snapshot::Field::put(&self.$f, w);)*
+            }
+
+            fn take(
+                &mut self,
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> ::std::result::Result<(), $crate::snapshot::SnapshotError> {
+                $($crate::snapshot::Field::take(&mut self.$f, r)?;)*
+                Ok(())
+            }
+        }
+    };
+    (
+        $this:ident;
+        identity { $($name:literal => $id:expr),* $(,)? }
+        state { $($place:expr),* $(,)? }
+        $(then $then:block)?
+    ) => {
+        fn save(&$this, w: &mut $crate::snapshot::SnapshotWriter) {
+            $($crate::snapshot::Field::put(&$id, w);)*
+            $($crate::snapshot::Field::put(&$place, w);)*
+        }
+
+        fn restore(
+            &mut $this,
+            r: &mut $crate::snapshot::SnapshotReader<'_>,
+        ) -> ::std::result::Result<(), $crate::snapshot::SnapshotError> {
+            $(r.expect($name, &$id)?;)*
+            $($crate::snapshot::Field::take(&mut $place, r)?;)*
+            $($then)?
+            Ok(())
+        }
+    };
+}
+
+snapshot_fields! {
+    impl Field for RoundLedger { rounds, messages, bits, violations, phases }
+}
+
+snapshot_fields! {
+    impl Field for PhaseRecord { label, rounds, messages, bits }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cc_mis_graph::generators;
 
+    /// Encodes `value` after a `"demo"` header.
+    fn encode<T: Field>(value: &T) -> Vec<u8> {
+        let mut w = SnapshotWriter::new("demo");
+        value.put(&mut w);
+        w.finish()
+    }
+
+    /// Decodes one `T` from `bytes` into `into`, requiring every byte used.
+    fn decode<T: Field>(bytes: &[u8], into: &mut T) -> Result<(), SnapshotError> {
+        let mut r = SnapshotReader::new(bytes)?;
+        into.take(&mut r)?;
+        r.finish()
+    }
+
+    fn round_trip<T: Field + Default + PartialEq + fmt::Debug>(value: T) {
+        let mut back = T::default();
+        decode(&encode(&value), &mut back).expect("field decodes");
+        assert_eq!(back, value);
+    }
+
     #[test]
     fn round_trips_every_field_kind() {
-        let mut w = SnapshotWriter::new("demo");
-        w.write_u32(7);
-        w.write_u64(u64::MAX);
-        w.write_usize(42);
-        w.write_bool(true);
-        w.write_f64(0.125);
-        w.write_str("phase t0=3");
-        w.write_opt_u64(Some(9));
-        w.write_opt_u64(None);
-        w.write_vec_u32(&[1, 2, 3]);
-        w.write_vec_u64(&[]);
-        w.write_vec_bool(&[true, false]);
-        w.write_vec_opt_u64(&[None, Some(5)]);
-        w.write_vec_opt_f64(&[Some(0.5), None]);
-        let bytes = w.finish();
-
-        let mut r = SnapshotReader::new(&bytes).expect("header decodes");
+        round_trip(7u32);
+        round_trip(u64::MAX);
+        round_trip(42usize);
+        round_trip(true);
+        round_trip(0.125f64);
+        round_trip(String::from("phase t0=3"));
+        round_trip(Some(9u64));
+        round_trip(None::<u64>);
+        round_trip(vec![1u32, 2, 3]);
+        round_trip(Vec::<u64>::new());
+        round_trip(vec![true, false]);
+        round_trip(vec![None, Some(5u64)]);
+        round_trip(vec![Some(0.5f64), None]);
+        round_trip(vec![NodeId::new(4), NodeId::new(0)]);
+        let bytes = encode(&0.125f64);
+        let r = SnapshotReader::new(&bytes).expect("header decodes");
         assert_eq!(r.algorithm(), "demo");
-        assert_eq!(r.read_u32().expect("u32 decodes"), 7);
-        assert_eq!(r.read_u64().expect("u64 decodes"), u64::MAX);
-        assert_eq!(r.read_usize().expect("usize decodes"), 42);
-        assert!(r.read_bool().expect("bool decodes"));
-        assert_eq!(r.read_f64().expect("f64 decodes"), 0.125);
-        assert_eq!(r.read_str().expect("str decodes"), "phase t0=3");
-        assert_eq!(r.read_opt_u64().expect("opt decodes"), Some(9));
-        assert_eq!(r.read_opt_u64().expect("opt decodes"), None);
-        assert_eq!(r.read_vec_u32().expect("vec decodes"), vec![1, 2, 3]);
-        assert!(r.read_vec_u64().expect("vec decodes").is_empty());
-        assert_eq!(r.read_vec_bool().expect("vec decodes"), vec![true, false]);
-        assert_eq!(
-            r.read_vec_opt_u64().expect("vec decodes"),
-            vec![None, Some(5)]
-        );
-        assert_eq!(
-            r.read_vec_opt_f64().expect("vec decodes"),
-            vec![Some(0.5), None]
-        );
-        r.finish().expect("all bytes consumed");
+        assert_eq!(r.remaining(), 8);
     }
 
     #[test]
@@ -636,12 +684,7 @@ mod tests {
         l.begin_phase("b");
         l.charge_rounds(3);
         l.charge_violation();
-        let mut w = SnapshotWriter::new("demo");
-        w.write_ledger(&l);
-        let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes).expect("header decodes");
-        assert_eq!(r.read_ledger().expect("ledger decodes"), l);
-        r.finish().expect("all bytes consumed");
+        round_trip(l);
     }
 
     #[test]
@@ -661,42 +704,53 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
-        let mut w = SnapshotWriter::new("demo");
-        w.write_u64(5);
-        let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes[..bytes.len() - 1]).expect("header decodes");
-        assert!(matches!(r.read_u64(), Err(SnapshotError::Truncated { .. })));
+        let bytes = encode(&vec![5u64, 6]);
+        let mut v = Vec::<u64>::new();
+        assert!(matches!(
+            decode(&bytes[..bytes.len() - 1], &mut v),
+            Err(SnapshotError::Truncated { .. })
+        ));
     }
 
     #[test]
     fn oversized_length_is_corrupt_not_alloc() {
-        let mut w = SnapshotWriter::new("demo");
-        w.write_u64(u64::MAX); // absurd vec length
-        let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes).expect("header decodes");
+        // An absurd element count is rejected before any element is read.
+        let bytes = encode(&u64::MAX);
+        let mut v = Vec::<bool>::new();
         assert!(matches!(
-            r.read_vec_u64(),
+            decode(&bytes, &mut v),
+            Err(SnapshotError::Corrupt { .. })
+        ));
+        assert!(v.is_empty());
+    }
+
+    #[test]
+    fn bool_bytes_other_than_zero_and_one_are_corrupt() {
+        let mut bytes = encode(&true);
+        *bytes.last_mut().expect("bool byte present") = 2;
+        assert!(matches!(
+            decode(&bytes, &mut false),
             Err(SnapshotError::Corrupt { .. })
         ));
     }
 
     #[test]
     fn expect_reports_field_and_values() {
-        let mut w = SnapshotWriter::new("demo");
-        w.write_u64(3);
-        let bytes = w.finish();
+        let bytes = encode(&3u64);
         let mut r = SnapshotReader::new(&bytes).expect("header decodes");
-        let err = r.expect_u64("seed", 7).expect_err("mismatch detected");
+        let err = r.expect("seed", &7u64).expect_err("mismatch detected");
         let msg = err.to_string();
         assert!(msg.contains("seed"), "{msg}");
         assert!(msg.contains('3') && msg.contains('7'), "{msg}");
+        // Floats compare by bit pattern: -0.0 is not 0.0.
+        let bytes = encode(&-0.0f64);
+        let mut r = SnapshotReader::new(&bytes).expect("header decodes");
+        assert!(r.expect("clique_factor", &0.0f64).is_err());
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut w = SnapshotWriter::new("demo");
-        w.write_u64(1);
-        let bytes = w.finish();
+        let bytes = encode(&1u64);
         let r = SnapshotReader::new(&bytes).expect("header decodes");
         assert_eq!(
             r.finish().err(),

@@ -2,9 +2,8 @@
 # Runs the in-tree conformance linter over the whole workspace.
 #
 # Exits 0 on a clean tree, 1 on findings (printed as file:line rule-id msg),
-# 3 on any error-severity finding (P1 broken pragma, R16 pool leak, R17
-# snapshot-parity break, R21 determinism taint, R22 snapshot-format drift),
-# 2 on usage/IO errors.
+# 3 on any error-severity finding (P1 broken pragma, R16 pool leak, R21
+# determinism taint), 2 on usage/IO errors.
 #
 #   scripts/conform.sh --fixtures-only       # just the linter's own test suite
 #
@@ -17,8 +16,7 @@
 #   scripts/conform.sh --timings             # per-phase wall clock + cache stats
 #   scripts/conform.sh --fix                 # apply mechanical fixes in place
 #   scripts/conform.sh --fix --diff          # dry run: print the would-be diff
-#   scripts/conform.sh --update-snapshot-manifest  # re-pin save() sequences (R22)
-#   scripts/conform.sh --explain R17         # contract, rationale, fix recipe
+#   scripts/conform.sh --explain R16         # contract, rationale, fix recipe
 #   scripts/conform.sh --baseline base.txt   # gate on *new* findings only:
 #       first run snapshots current findings to base.txt (rule\tpath\tmessage,
 #       no line numbers, so edits elsewhere don't churn it); later runs exit

@@ -12,8 +12,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # Conformance lint, archiving the SARIF log for CI annotation tooling.
 # Exit 3 means an error-severity finding (P1 broken pragma, R16 pool leak,
-# R17 snapshot-parity break, R21 determinism taint, R22 snapshot-format
-# drift) — state corruption, called out explicitly. --timings is captured
+# R21 determinism taint) — state corruption, called out explicitly. --timings is captured
 # so the gate reports the persistent cache's hit rate.
 mkdir -p target
 conform_status=0
