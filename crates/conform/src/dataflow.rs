@@ -1,15 +1,11 @@
-//! Intraprocedural dataflow layer: rules R16, R18 and R19.
+//! Intraprocedural dataflow layer: rules R18 and R19.
 //!
 //! The lexical layer sees lines, the structural layer sees call edges;
-//! neither sees *paths*. This module builds small, purpose-specific
-//! def-use and obligation chains directly on the token trees of
-//! [`crate::syntax`] and checks three invariants of pooled rounds,
+//! neither sees what a closure captures or what an observer reaches. This
+//! module builds small, purpose-specific def-use chains directly on the
+//! token trees of [`crate::syntax`] and checks two invariants of
 //! observers and node-parallel helpers that nothing else enforces:
 //!
-//! * **R16 pool pairing** — every `RoundBuffers::take_*` /
-//!   `take_arena_parts` call acquires an obligation that must be discharged
-//!   by the matching `retire_*` / `retire` before any early `return` / `?`
-//!   exit, or escape into a return value, struct literal, or field store.
 //! * **R18 observer purity** — methods of `RoundObserver` impls must not
 //!   reach `RoundLedger` charging or `Round` mutation through the call
 //!   graph: observers are diagnostics-only.
@@ -17,21 +13,18 @@
 //!   helpers may only index captured state through their shard-provided
 //!   slice arguments.
 //!
-//! All three analyses are deliberately *linear* approximations: trees are
-//! walked in textual order, branches are not path-split (a discharge in one
-//! `match` arm counts for all arms), and helper inlining stops at depth
-//! one. Every approximation errs toward false negatives; DESIGN.md §12
-//! documents the known shapes.
+//! Both analyses are deliberately *linear* approximations: trees are
+//! walked in textual order, branches are not path-split, and helper
+//! inlining stops at depth one. Every approximation errs toward false
+//! negatives; DESIGN.md §12 documents the known shapes.
 
 use crate::callgraph::{CallGraph, FnNode};
 use crate::diag::Finding;
-use crate::rules::in_sim_core;
-use crate::syntax::{group_of, ident_of, line_of, punct_of, FileSyntax, Group, Tok, Token, Tree};
+use crate::syntax::{group_of, ident_of, line_of, punct_of, FileSyntax, Group, Tree};
 use std::collections::BTreeSet;
 
 /// Runs the dataflow rules over the parsed workspace.
 pub fn check(syntaxes: &[FileSyntax], graph: &CallGraph, findings: &mut Vec<Finding>) {
-    check_r16(syntaxes, findings);
     check_r18(syntaxes, graph, findings);
     check_r19(syntaxes, findings);
 }
@@ -215,204 +208,6 @@ fn scan_trait_impls(trees: &[Tree], trait_name: &str, out: &mut Vec<TraitImpl>) 
             i += 1;
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// R16 — pool take/retire obligation pairing
-// ---------------------------------------------------------------------------
-
-const TAKE_PAIRS: [(&str, &str); 5] = [
-    ("take_dense", "retire_dense"),
-    ("take_sparse", "retire_sparse"),
-    ("take_outbox", "retire_outbox"),
-    ("take_arena_parts", "retire"),
-    ("take_frame", "retire_frame"),
-];
-
-/// An open pooled-buffer obligation: a binding that holds a taken buffer
-/// and has not yet been retired or moved out of the function.
-struct Obligation {
-    binding: String,
-    take: &'static str,
-    retire: &'static str,
-    line: usize,
-}
-
-fn check_r16(syntaxes: &[FileSyntax], findings: &mut Vec<Finding>) {
-    for fs in syntaxes {
-        if !in_sim_core(&fs.effective) {
-            continue;
-        }
-        for f in &fs.fns {
-            if f.is_test {
-                continue;
-            }
-            let mut open: Vec<Obligation> = Vec::new();
-            r16_walk(fs.body_of(f), &mut open, &fs.effective, &f.name, findings);
-            for ob in open {
-                findings.push(Finding::new(
-                    &fs.effective,
-                    ob.line,
-                    "R16",
-                    format!(
-                        "`{}` takes a pooled buffer via `{}` (binding `{}`) that is never \
-                         retired with `{}` or moved out: the buffer leaks from the pool \
-                         and the next round re-allocates",
-                        f.name, ob.take, ob.binding, ob.retire
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Linear in-order walk emitting take / retire / escape / exit events.
-fn r16_walk(
-    trees: &[Tree],
-    open: &mut Vec<Obligation>,
-    path: &str,
-    fn_name: &str,
-    findings: &mut Vec<Finding>,
-) {
-    let mut i = 0;
-    while i < trees.len() {
-        // Macro bodies are opaque, as everywhere else in the linter.
-        if let Some(g) = group_of(&trees[i]) {
-            if i > 0 && punct_of(&trees[i - 1]) == Some('!') {
-                i += 1;
-                continue;
-            }
-            // Struct literal `Type { … }` moving a binding discharges it.
-            if i > 0 {
-                if let Some(prev) = ident_of(&trees[i - 1]) {
-                    if g.delim == '{'
-                        && prev.chars().next().is_some_and(char::is_uppercase)
-                        && !open.is_empty()
-                    {
-                        open.retain(|ob| !contains_ident(&g.children, &ob.binding));
-                    }
-                }
-            }
-            r16_walk(&g.children, open, path, fn_name, findings);
-            i += 1;
-            continue;
-        }
-        if let Some(call) = call_at(trees, i) {
-            if let Some(&(take, retire)) = TAKE_PAIRS.iter().find(|(t, _)| *t == call.name) {
-                let mut bindings = Vec::new();
-                if let Some(pat) = let_pattern_before(trees, i) {
-                    pattern_idents(pat, &mut bindings);
-                }
-                for b in bindings {
-                    open.push(Obligation {
-                        binding: b,
-                        take,
-                        retire,
-                        line: call.line,
-                    });
-                }
-                // An unbound take (argument / field-value / return position)
-                // escapes immediately: ownership moved at the call site.
-                i = call.after;
-                continue;
-            }
-            if call.name.starts_with("retire") {
-                open.retain(|ob| {
-                    !((call.name == ob.retire || call.name == "retire")
-                        && contains_ident(&call.args.children, &ob.binding))
-                });
-            }
-        }
-        if ident_of(&trees[i]) == Some("return") && !open.is_empty() {
-            // The returned expression moves its bindings out; anything else
-            // still open leaks past this exit.
-            let stmt_end = trees[i + 1..]
-                .iter()
-                .position(|t| punct_of(t) == Some(';'))
-                .map_or(trees.len(), |p| i + 1 + p);
-            let returned = &trees[i + 1..stmt_end];
-            open.retain(|ob| !contains_ident(returned, &ob.binding));
-            flag_exits(open, path, fn_name, line_of(&trees[i]), "return", findings);
-        }
-        if punct_of(&trees[i]) == Some('?') && !open.is_empty() && is_try_suffix(trees, i) {
-            flag_exits(open, path, fn_name, line_of(&trees[i]), "`?`", findings);
-        }
-        // Plain field store `… = binding ;` moves the binding out.
-        if punct_of(&trees[i]) == Some('=')
-            && punct_of(trees.get(i + 1).unwrap_or(&trees[i])) != Some('=')
-            && (i == 0 || !"=!<>+-*/%&|^".contains(punct_of(&trees[i - 1]).unwrap_or(' ')))
-        {
-            if let Some(rhs) = trees.get(i + 1).and_then(ident_of) {
-                let ends = trees.get(i + 2).is_none_or(|t| punct_of(t) == Some(';'));
-                if ends {
-                    open.retain(|ob| ob.binding != rhs);
-                }
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Drains all open obligations into findings at an early-exit site.
-fn flag_exits(
-    open: &mut Vec<Obligation>,
-    path: &str,
-    fn_name: &str,
-    line: usize,
-    exit: &str,
-    findings: &mut Vec<Finding>,
-) {
-    for ob in open.drain(..) {
-        findings.push(Finding::new(
-            path,
-            line,
-            "R16",
-            format!(
-                "`{}` exits via {exit} while `{}` (taken with `{}` at line {}) is still \
-                 unretired: every exit path must `{}` the buffer or move it out first",
-                fn_name, ob.binding, ob.take, ob.line, ob.retire
-            ),
-        ));
-    }
-}
-
-/// True if the `?` at `i` is the try operator (postfix on an expression),
-/// not a `?Sized` bound.
-fn is_try_suffix(trees: &[Tree], i: usize) -> bool {
-    if i == 0 {
-        return false;
-    }
-    match &trees[i - 1] {
-        Tree::Group(_) => true,
-        t => {
-            matches!(
-                t,
-                Tree::Leaf(Token {
-                    tok: Tok::Ident(_) | Tok::Num(_) | Tok::Lit,
-                    ..
-                })
-            ) && ident_of(t).is_none_or(|s| !crate::syntax::is_keyword(s))
-        }
-    }
-}
-
-/// If the call at `i` sits on the right-hand side of a `let` in the same
-/// statement, returns the pattern slice between `let` and `=`.
-fn let_pattern_before(trees: &[Tree], i: usize) -> Option<&[Tree]> {
-    let mut j = i;
-    let mut eq: Option<usize> = None;
-    while j > 0 {
-        j -= 1;
-        match punct_of(&trees[j]) {
-            Some(';') => return None,
-            Some('=') if eq.is_none() => eq = Some(j),
-            _ => {}
-        }
-        if ident_of(&trees[j]) == Some("let") {
-            return eq.map(|e| &trees[j + 1..e]);
-        }
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------

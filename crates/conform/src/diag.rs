@@ -1,6 +1,5 @@
 //! Findings and stable diagnostic rendering.
 
-use crate::fixes::Fix;
 use cc_mis_analysis::json::Json;
 
 /// One conformance finding.
@@ -14,10 +13,6 @@ pub struct Finding {
     pub rule: &'static str,
     /// Human-readable message.
     pub message: String,
-    /// Mechanical repair, when the rule can compute one (see
-    /// [`crate::fixes`]). Rendered into SARIF `fixes` and applied by
-    /// `--fix`.
-    pub fix: Option<Fix>,
 }
 
 impl Finding {
@@ -28,14 +23,7 @@ impl Finding {
             line,
             rule,
             message: message.into(),
-            fix: None,
         }
-    }
-
-    /// Attaches a mechanical fix.
-    pub fn with_fix(mut self, fix: Fix) -> Self {
-        self.fix = Some(fix);
-        self
     }
 
     /// The stable one-line diagnostic form: `file:line rule-id message`.
@@ -44,81 +32,23 @@ impl Finding {
     }
 
     /// Severity class: pragma violations (`P1`) are errors — a broken
-    /// escape hatch may be silencing anything — as are pool leaks (`R16`)
-    /// and determinism taint (`R21`), which corrupt state or reproducibility
-    /// rather than merely drifting from the model. Every other rule finding
-    /// is a warning (the CI gate still fails on warnings; the split feeds
-    /// the exit code and SARIF levels).
+    /// escape hatch may be silencing anything — as is determinism taint
+    /// (`R21`), which corrupts reproducibility rather than merely drifting
+    /// from the model. Every other rule finding is a warning (the CI gate
+    /// still fails on warnings; the split feeds the exit code and SARIF
+    /// levels).
     pub fn severity(&self) -> &'static str {
         match self.rule {
-            "P1" | "R16" | "R21" => "error",
+            "P1" | "R21" => "error",
             _ => "warning",
         }
     }
-}
-
-/// The normalized baseline key of a finding: rule, path, and message —
-/// deliberately no line number, so unrelated edits that shift lines do not
-/// churn a committed baseline. See [`crate::baseline`].
-pub fn baseline_key(f: &Finding) -> String {
-    format!("{}\t{}\t{}", f.rule, f.path, f.message)
 }
 
 /// Sorts findings into the stable output order (path, line, rule).
 pub fn sort(findings: &mut [Finding]) {
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-}
-
-/// Renders findings as a JSON document (via the workspace's dependency-free
-/// writer): `{"findings": [...], "count": N}`. The schema — field names,
-/// nesting, and ordering — is frozen by a snapshot test; extend it only by
-/// appending fields.
-pub fn to_json(findings: &[Finding]) -> String {
-    let items: Vec<Json> = findings
-        .iter()
-        .map(|f| {
-            let mut fields = vec![
-                ("path", Json::Str(f.path.clone())),
-                ("line", Json::UInt(f.line as u64)),
-                ("rule", Json::Str(f.rule.to_string())),
-                ("severity", Json::Str(f.severity().to_string())),
-                ("message", Json::Str(f.message.clone())),
-            ];
-            // Appended only when present, so the frozen schema (which has
-            // no fixable findings) is unchanged.
-            if let Some(fix) = &f.fix {
-                fields.push(("fix", fix_to_json(fix)));
-            }
-            Json::obj(fields)
-        })
-        .collect();
-    Json::obj(vec![
-        ("findings", Json::Arr(items)),
-        ("count", Json::UInt(findings.len() as u64)),
-    ])
-    .render_pretty()
-}
-
-/// Renders a [`crate::fixes::Fix`] as JSON: title plus span/replacement
-/// edits.
-fn fix_to_json(fix: &crate::fixes::Fix) -> Json {
-    let edits: Vec<Json> = fix
-        .edits
-        .iter()
-        .map(|e| {
-            Json::obj(vec![
-                ("line", Json::UInt(e.span.line as u64)),
-                ("startCol", Json::UInt(e.span.start_col as u64)),
-                ("endCol", Json::UInt(e.span.end_col as u64)),
-                ("replacement", Json::Str(e.replacement.clone())),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("title", Json::Str(fix.title.clone())),
-        ("edits", Json::Arr(edits)),
-    ])
 }
 
 /// Renders findings as a SARIF 2.1.0 log, the interchange format CI
@@ -151,7 +81,7 @@ pub fn to_sarif(findings: &[Finding]) -> String {
     let results: Vec<Json> = findings
         .iter()
         .map(|f| {
-            let mut fields = vec![
+            Json::obj(vec![
                 ("ruleId", Json::Str(f.rule.to_string())),
                 ("level", Json::Str(f.severity().to_string())),
                 (
@@ -174,11 +104,7 @@ pub fn to_sarif(findings: &[Finding]) -> String {
                         ]),
                     )])]),
                 ),
-            ];
-            if let Some(fix) = &f.fix {
-                fields.push(("fixes", sarif_fixes(&f.path, fix)));
-            }
-            Json::obj(fields)
+            ])
         })
         .collect();
     Json::obj(vec![
@@ -211,47 +137,6 @@ pub fn to_sarif(findings: &[Finding]) -> String {
     .render_pretty()
 }
 
-/// Renders the SARIF 2.1.0 `fixes` property for one finding: a single fix
-/// with one artifact change carrying every replacement.
-fn sarif_fixes(path: &str, fix: &crate::fixes::Fix) -> Json {
-    let replacements: Vec<Json> = fix
-        .edits
-        .iter()
-        .map(|e| {
-            Json::obj(vec![
-                (
-                    "deletedRegion",
-                    Json::obj(vec![
-                        ("startLine", Json::UInt(e.span.line as u64)),
-                        ("startColumn", Json::UInt(e.span.start_col as u64)),
-                        ("endColumn", Json::UInt(e.span.end_col as u64)),
-                    ]),
-                ),
-                (
-                    "insertedContent",
-                    Json::obj(vec![("text", Json::Str(e.replacement.clone()))]),
-                ),
-            ])
-        })
-        .collect();
-    Json::Arr(vec![Json::obj(vec![
-        (
-            "description",
-            Json::obj(vec![("text", Json::Str(fix.title.clone()))]),
-        ),
-        (
-            "artifactChanges",
-            Json::Arr(vec![Json::obj(vec![
-                (
-                    "artifactLocation",
-                    Json::obj(vec![("uri", Json::Str(path.to_string()))]),
-                ),
-                ("replacements", Json::Arr(replacements)),
-            ])]),
-        ),
-    ])])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,13 +167,5 @@ mod tests {
                 ("b.rs".to_string(), 1, "R1"),
             ]
         );
-    }
-
-    #[test]
-    fn json_document_has_findings_and_count() {
-        let v = vec![Finding::new("a.rs", 1, "R3", "no ambient time")];
-        let doc = to_json(&v);
-        assert!(doc.contains("\"count\": 1"));
-        assert!(doc.contains("\"rule\": \"R3\""));
     }
 }

@@ -14,29 +14,24 @@
 //! no rustc internals, no registry crates): a line/token scanner
 //! ([`scanner`]), a token-tree layer ([`syntax`]) and approximate call
 //! graph ([`callgraph`]) on top of it, a rule set ([`rules`], lexical
-//! R1–R9 plus structural/interprocedural R10–R15/R20), dataflow rules
-//! R16/R18/R19 ([`dataflow`]), determinism-taint rules R21/R23/R24 ([`taint`]),
+//! R1–R9 and R14, structural/interprocedural R10–R13 and R20), dataflow rules
+//! R18/R19 ([`dataflow`]), determinism-taint rules R21/R23/R24 ([`taint`]),
 //! and a justified-pragma escape hatch ([`pragma`], with stale-pragma
 //! detection `P2`). Diagnostics are stable `file:line rule-id message`
-//! lines ([`diag`]), with `--json` and `--sarif` output via
-//! `cc_mis_analysis::json`, and `--explain <rule>` prints each rule's
-//! contract, rationale, and fix recipe. Mechanical rules attach structured
-//! [`fixes`] applied by `--fix`; workspace runs reuse a persistent
-//! [`cache`] keyed by content hashes and the rule-set fingerprint.
+//! lines ([`diag`]), `--sarif PATH` also writes them as a SARIF 2.1.0 log
+//! via `cc_mis_analysis::json`, and `--explain <rule>` prints each rule's
+//! contract, rationale, and fix recipe.
 //!
 //! Run it with `cargo run -p cc-mis-conform -- --workspace` (or
 //! `scripts/conform.sh`); the process exits nonzero on any finding
-//! (exit 3 if any finding is severity `error`: P1/R16/R21).
+//! (exit 3 if any finding is severity `error`: P1/R21).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod dataflow;
 pub mod diag;
-pub mod fixes;
 pub mod pragma;
 pub mod rules;
 pub mod scanner;
@@ -78,86 +73,15 @@ pub fn index_str(path: &str, text: &str) -> FileIndex {
     FileIndex { source, syntax }
 }
 
-/// Per-phase wall-clock of one [`check_with`] run, filled when the CLI is
-/// invoked with `--timings`.
-#[derive(Debug, Default, Clone)]
-pub struct Timings {
-    /// Number of `.rs` files indexed.
-    pub files: usize,
-    /// Lex + the single parse into the shared [`FileIndex`]es.
-    pub index_ms: u128,
-    /// Pragma collection plus the per-line lexical rules (R1–R9, R14).
-    pub lexical_ms: u128,
-    /// Call-graph build plus the structural rules (R10–R15).
-    pub structural_ms: u128,
-    /// The dataflow rules (R16–R19).
-    pub dataflow_ms: u128,
-    /// The determinism-taint rules (R21–R24) plus stale-pragma detection.
-    pub taint_ms: u128,
-    /// `(hits, misses)` of the persistent workspace cache, when a cached
-    /// run was attempted (see [`cache`]).
-    pub cache: Option<(usize, usize)>,
-}
-
-impl Timings {
-    /// Stable multi-line rendering for stderr.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "timings: {} file(s)\n  index (lex + parse) {:>5} ms\n  lexical rules       {:>5} ms\n  structural rules    {:>5} ms\n  dataflow rules      {:>5} ms\n  taint rules         {:>5} ms",
-            self.files,
-            self.index_ms,
-            self.lexical_ms,
-            self.structural_ms,
-            self.dataflow_ms,
-            self.taint_ms
-        );
-        if let Some((hits, misses)) = self.cache {
-            out.push_str(&format!(
-                "\n  cache               {hits} hit(s), {misses} miss(es)"
-            ));
-        }
-        out
-    }
-}
-
-/// The linter's only clock: wall time for `--timings` diagnostics.
-fn clock() -> std::time::Instant {
-    // conform: allow(R3) -- linter --timings wall clock; diagnostics only, never simulation state
-    std::time::Instant::now()
-}
-
 /// Checks a set of inputs (`.rs` sources and `Cargo.toml` manifests) and
 /// returns the sorted findings. This is the engine behind the CLI; tests
 /// drive it directly with fixture inputs.
+///
+/// The pipeline: index every file once, then the lexical, structural,
+/// dataflow and taint phases, pragma filtering (recording hits for the
+/// `P2` stale-pragma pass), and the manifest checks.
 pub fn check(inputs: &[Input]) -> Vec<Finding> {
-    check_with(inputs, None)
-}
-
-/// [`check`] with optional per-phase timing collection.
-pub fn check_with(inputs: &[Input], timings: Option<&mut Timings>) -> Vec<Finding> {
-    analyze(inputs, timings).findings
-}
-
-/// Full analysis output. The extras beyond `findings` feed the persistent
-/// [`cache`]: the effective path of every `.rs` input (for finding
-/// attribution) and the file-level call-graph edges (for invalidation by
-/// dependency closure).
-pub struct Analysis {
-    /// The sorted findings.
-    pub findings: Vec<Finding>,
-    /// Effective path of each `.rs` input, in `.rs`-input order.
-    pub effectives: Vec<String>,
-    /// Deduplicated file-level call-graph edges, as indices into the
-    /// `.rs`-input order.
-    pub edges: Vec<(u32, u32)>,
-}
-
-/// The full rule pipeline: index once, then lexical, structural, dataflow,
-/// and taint phases, pragma filtering (recording hits for the `P2`
-/// stale-pragma pass), and manifest checks.
-pub fn analyze(inputs: &[Input], mut timings: Option<&mut Timings>) -> Analysis {
     let mut findings = Vec::new();
-    let t = clock();
     let mut sources: Vec<scanner::SourceFile> = Vec::new();
     let mut syntaxes: Vec<syntax::FileSyntax> = Vec::new();
     for input in inputs.iter().filter(|i| i.path.ends_with(".rs")) {
@@ -165,11 +89,6 @@ pub fn analyze(inputs: &[Input], mut timings: Option<&mut Timings>) -> Analysis 
         sources.push(ix.source);
         syntaxes.push(ix.syntax);
     }
-    if let Some(tm) = timings.as_deref_mut() {
-        tm.files = sources.len();
-        tm.index_ms = t.elapsed().as_millis();
-    }
-    let t = clock();
     // Pragmas for every file up front: the structural rules need them
     // before the per-file filter (a justified allow(R10) on a charge site
     // must stop the interprocedural propagation, not just hide one line).
@@ -185,10 +104,6 @@ pub fn analyze(inputs: &[Input], mut timings: Option<&mut Timings>) -> Analysis 
     for file in &sources {
         rules::check_file(file, &counters, &mut rule_findings);
     }
-    if let Some(tm) = timings.as_deref_mut() {
-        tm.lexical_ms = t.elapsed().as_millis();
-    }
-    let t = clock();
     let graph = callgraph::build(&syntaxes);
     rules::check_structural(
         &sources,
@@ -198,15 +113,7 @@ pub fn analyze(inputs: &[Input], mut timings: Option<&mut Timings>) -> Analysis 
         &mut hits,
         &mut rule_findings,
     );
-    if let Some(tm) = timings.as_deref_mut() {
-        tm.structural_ms = t.elapsed().as_millis();
-    }
-    let t = clock();
     dataflow::check(&syntaxes, &graph, &mut rule_findings);
-    if let Some(tm) = timings.as_deref_mut() {
-        tm.dataflow_ms = t.elapsed().as_millis();
-    }
-    let t = clock();
     taint::check(&sources, &syntaxes, &mut rule_findings);
     rule_findings.retain(|f| {
         let Some(fi) = sources.iter().position(|s| s.effective == f.path) else {
@@ -223,51 +130,19 @@ pub fn analyze(inputs: &[Input], mut timings: Option<&mut Timings>) -> Analysis 
     for (fi, file) in sources.iter().enumerate() {
         pragma::check_stale(&file.effective, &pragmas[fi], &hits[fi], &mut findings);
     }
-    if let Some(tm) = timings {
-        tm.taint_ms = t.elapsed().as_millis();
-    }
     findings.append(&mut rule_findings);
     for input in inputs.iter().filter(|i| i.path.ends_with(".toml")) {
         rules::check_manifest(&input.path, &input.text, &mut findings);
     }
     diag::sort(&mut findings);
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for (i, callees) in graph.callees.iter().enumerate() {
-        let from = graph.nodes[i].file as u32;
-        for &j in callees {
-            let to = graph.nodes[j].file as u32;
-            if from != to {
-                edges.push((from, to));
-            }
-        }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    Analysis {
-        findings,
-        effectives: sources.iter().map(|s| s.effective.clone()).collect(),
-        edges,
-    }
+    findings
 }
 
 /// Walks the workspace at `root` and checks every tracked `.rs` source and
-/// `Cargo.toml`. Skips `target/`, `.git/`, `results/`, and the linter's own
-/// `tests/fixtures/` trees (fixtures deliberately violate rules).
+/// `Cargo.toml`, in sorted path order. Skips `target/`, `.git/`,
+/// `results/`, and the linter's own `tests/fixtures/` trees (fixtures
+/// deliberately violate rules).
 pub fn check_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    check_workspace_with(root, None)
-}
-
-/// [`check_workspace`] with optional per-phase timing collection.
-pub fn check_workspace_with(
-    root: &Path,
-    timings: Option<&mut Timings>,
-) -> io::Result<Vec<Finding>> {
-    Ok(check_with(&workspace_inputs(root)?, timings))
-}
-
-/// Reads every lintable workspace file under `root` into [`Input`]s, in
-/// sorted path order (the order the cache's file table relies on).
-pub fn workspace_inputs(root: &Path) -> io::Result<Vec<Input>> {
     let mut paths = Vec::new();
     collect_paths(root, root, &mut paths)?;
     paths.sort();
@@ -276,45 +151,7 @@ pub fn workspace_inputs(root: &Path) -> io::Result<Vec<Input>> {
         let text = fs::read_to_string(root.join(&rel))?;
         inputs.push(Input { path: rel, text });
     }
-    Ok(inputs)
-}
-
-/// [`check_workspace_with`] through the persistent cache at
-/// `target/conform-cache.bin` under `root`: when nothing changed since the
-/// cached run (same rule set, same file table, same content hashes) the
-/// cached findings are returned without lexing or parsing anything; any
-/// change falls back to a full run and rewrites the cache. Hit/miss counts
-/// land in `timings.cache`.
-pub fn check_workspace_cached(
-    root: &Path,
-    mut timings: Option<&mut Timings>,
-) -> io::Result<Vec<Finding>> {
-    let inputs = workspace_inputs(root)?;
-    let cache_path = root.join("target").join("conform-cache.bin");
-    let hashes: Vec<(String, u64)> = inputs
-        .iter()
-        .map(|i| (i.path.clone(), cache::content_hash(&i.text)))
-        .collect();
-    let loaded = cache::load(&cache_path);
-    if let Some(c) = &loaded {
-        if c.full_hit(&hashes) {
-            if let Some(tm) = timings {
-                tm.files = inputs.iter().filter(|i| i.path.ends_with(".rs")).count();
-                tm.cache = Some((inputs.len(), 0));
-            }
-            return Ok(c.findings.clone());
-        }
-    }
-    let (hits, misses) = match &loaded {
-        Some(c) => c.damage(&hashes),
-        None => (0, inputs.len()),
-    };
-    let analysis = analyze(&inputs, timings.as_deref_mut());
-    if let Some(tm) = timings {
-        tm.cache = Some((hits, misses));
-    }
-    cache::store(&cache_path, &inputs, &hashes, &analysis);
-    Ok(analysis.findings)
+    Ok(check(&inputs))
 }
 
 fn collect_paths(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
@@ -423,28 +260,6 @@ mod tests {
             after - before,
             2,
             "expected exactly one parse per .rs input"
-        );
-    }
-
-    #[test]
-    fn timings_cover_every_phase() {
-        let mut t = Timings::default();
-        let findings = check_with(
-            &[rs(
-                "crates/core/src/x.rs",
-                "//! Docs.\npub fn f() -> u32 { 1 }\n",
-            )],
-            Some(&mut t),
-        );
-        assert!(findings.is_empty(), "{findings:?}");
-        assert_eq!(t.files, 1);
-        let rendered = t.render();
-        for phase in ["index", "lexical", "structural", "dataflow", "taint"] {
-            assert!(rendered.contains(phase), "{rendered}");
-        }
-        assert!(
-            !rendered.contains("cache"),
-            "no cache line without a cached run: {rendered}"
         );
     }
 

@@ -10,7 +10,6 @@ use std::collections::BTreeSet;
 
 use crate::callgraph::{CallGraph, FnNode};
 use crate::diag::Finding;
-use crate::fixes::{self, Edit, Fix};
 use crate::pragma::{self, Pragma};
 use crate::scanner::{Line, SourceFile};
 use crate::syntax::{
@@ -201,38 +200,6 @@ pub const RULES: &[RuleInfo] = &[
         fix: "move the round loop into an `Execution::step` implementation (driving it \
               via `drive`/`drive_observed`), or — for shared leader-election style \
               subroutines called from `step` — house it in the round substrate module",
-    },
-    RuleInfo {
-        id: "R15",
-        summary: "the round hot paths (`Round::send` / `Round::deliver`) are \
-                  allocation-free: no `Vec::new` / `with_capacity` / `vec!` / `to_vec` \
-                  outside the RoundBuffers pool",
-        contract: "in crates/sim/src/runtime.rs, the bodies of non-test `send` and \
-                   `deliver` functions on `Round` contain no allocation constructors \
-                   (`Vec::new`, `with_capacity`, `vec!`, `to_vec`)",
-        rationale: "a per-call or per-round allocation on the send/deliver path turns \
-                    the O(n^2)-messages clique round into an allocator benchmark; the \
-                    pooled RoundBuffers make steady-state rounds allocation-free, and \
-                    this rule keeps refactors from quietly reintroducing the cost",
-        fix: "route the buffer through crates/sim/src/pool.rs (take_*/retire_* on \
-              RoundBuffers) or hoist the allocation out of the hot path (e.g. into an \
-              observer-gated diagnostics helper)",
-    },
-    RuleInfo {
-        id: "R16",
-        summary: "pooled buffers are paired: every `RoundBuffers::take_*` / \
-                  `take_arena_parts` is retired (or moved out) on every exit path",
-        contract: "in crates/core and crates/sim non-test code, a binding holding the \
-                   result of `take_dense` / `take_sparse` / `take_outbox` / \
-                   `take_arena_parts` is passed to the matching `retire_*` (or `retire`), \
-                   returned, stored into a struct/field, before any early `return` or \
-                   `?` exit and before the function ends",
-        rationale: "a leaked pool buffer silently degrades PR 6's allocation-free \
-                    steady state back to per-round allocation — the runs stay correct, \
-                    so nothing but this rule would ever notice",
-        fix: "retire the buffer on the early-exit path (or restructure so ownership \
-              moves into the returned value), or carry a justified allow(R16) if the \
-              leak is deliberate (e.g. teardown)",
     },
     RuleInfo {
         id: "R18",
@@ -439,7 +406,7 @@ pub fn check_file(file: &SourceFile, counters: &[String], findings: &mut Vec<Fin
         if in_sim_core(path) {
             for pat in ["HashMap", "HashSet", "hash_map::", "hash_set::"] {
                 if code.contains(pat) {
-                    let finding = Finding::new(
+                    findings.push(Finding::new(
                         path,
                         lineno,
                         "R1",
@@ -448,11 +415,7 @@ pub fn check_file(file: &SourceFile, counters: &[String], findings: &mut Vec<Fin
                              deterministic-replay contract; use BTreeMap/BTreeSet or an \
                              index-based Vec"
                         ),
-                    );
-                    findings.push(match r1_fix(line, lineno) {
-                        Some(fix) => finding.with_fix(fix),
-                        None => finding,
-                    });
+                    ));
                     break;
                 }
             }
@@ -507,29 +470,21 @@ pub fn check_file(file: &SourceFile, counters: &[String], findings: &mut Vec<Fin
         // R5 — panics must state the violated invariant.
         if in_sim_core(path) {
             if code.contains(".unwrap()") {
-                let finding = Finding::new(
+                findings.push(Finding::new(
                     path,
                     lineno,
                     "R5",
                     "bare `unwrap()` in library code: use `expect(\"<invariant>\")` or a typed \
                      error so a panic names the broken invariant",
-                );
-                findings.push(match r5_unwrap_fix(line, lineno) {
-                    Some(fix) => finding.with_fix(fix),
-                    None => finding,
-                });
+                ));
             }
             if let Some(msg) = short_expect_message(line) {
-                let finding = Finding::new(
+                findings.push(Finding::new(
                     path,
                     lineno,
                     "R5",
                     format!("`expect(\"{msg}\")` message too short to state an invariant"),
-                );
-                findings.push(match r5_expect_fix(line, lineno, &msg) {
-                    Some(fix) => finding.with_fix(fix),
-                    None => finding,
-                });
+                ));
             }
         }
 
@@ -656,80 +611,6 @@ fn short_expect_message(line: &Line) -> Option<String> {
     (msg.chars().count() < 4).then(|| msg.to_string())
 }
 
-/// R1 autofix: swap every hash-collection token on the line for its ordered
-/// counterpart. All four patterns are rewritten at once (one finding per
-/// line, but the fix must leave the line clean), via the code channel so
-/// strings and comments are untouched.
-fn r1_fix(line: &Line, lineno: usize) -> Option<Fix> {
-    const SWAPS: &[(&str, &str)] = &[
-        ("HashMap", "BTreeMap"),
-        ("HashSet", "BTreeSet"),
-        ("hash_map::", "btree_map::"),
-        ("hash_set::", "btree_set::"),
-    ];
-    let chars: Vec<char> = line.code.chars().collect();
-    let mut edits = Vec::new();
-    for (pat, repl) in SWAPS {
-        for at in fixes::find_all(&chars, pat) {
-            let span = fixes::code_span(line, lineno, at, at + pat.chars().count())?;
-            edits.push(Edit {
-                span,
-                replacement: repl.to_string(),
-            });
-        }
-    }
-    (!edits.is_empty()).then(|| Fix {
-        title: "replace hash collections with BTree counterparts".to_string(),
-        edits,
-    })
-}
-
-/// R5 autofix for bare `.unwrap()`: rewrite every occurrence on the line to
-/// an invariant-naming `.expect` (the placeholder message passes the rule
-/// and tells the reader exactly what to refine).
-fn r5_unwrap_fix(line: &Line, lineno: usize) -> Option<Fix> {
-    let chars: Vec<char> = line.code.chars().collect();
-    let pat = ".unwrap()";
-    let edits: Vec<Edit> = fixes::find_all(&chars, pat)
-        .into_iter()
-        .filter_map(|at| {
-            Some(Edit {
-                span: fixes::code_span(line, lineno, at, at + pat.len())?,
-                replacement: ".expect(\"invariant violated\")".to_string(),
-            })
-        })
-        .collect();
-    (!edits.is_empty()).then(|| Fix {
-        title: "replace bare unwrap() with an invariant-naming expect".to_string(),
-        edits,
-    })
-}
-
-/// R5 autofix for a too-short `expect("…")` message: prefix it with
-/// `invariant: ` (spans computed on the raw channel, where string contents
-/// survive — the string literal is exactly what changes).
-fn r5_expect_fix(line: &Line, lineno: usize, msg: &str) -> Option<Fix> {
-    let raw_at = line.raw.find(".expect(\"")?;
-    let open = raw_at + ".expect(".len();
-    let close = open + 1 + msg.len();
-    if line.raw.as_bytes().get(close) != Some(&b'"') {
-        return None;
-    }
-    let start_col = line.raw[..open].chars().count() + 1;
-    let end_col = line.raw[..=close].chars().count() + 1;
-    Some(Fix {
-        title: "prefix the expect message with the invariant marker".to_string(),
-        edits: vec![Edit {
-            span: fixes::Span {
-                line: lineno,
-                start_col,
-                end_col,
-            },
-            replacement: format!("\"invariant: {msg}\""),
-        }],
-    })
-}
-
 const ENGINE_CTORS: &[&str] = &[
     "CliqueEngine::strict(",
     "CliqueEngine::audit(",
@@ -765,7 +646,7 @@ fn check_bandwidth_literals(file: &SourceFile, idx: usize, findings: &mut Vec<Fi
                 .trim_end_matches("u64")
                 .trim_end_matches('_');
             if !b.is_empty() && b.chars().all(|c| c.is_ascii_digit() || c == '_') {
-                let finding = Finding::new(
+                findings.push(Finding::new(
                     path,
                     idx + 1,
                     "R7",
@@ -775,45 +656,10 @@ fn check_bandwidth_literals(file: &SourceFile, idx: usize, findings: &mut Vec<Fi
                          so the Lemma 2.12/2.14 bounds stay auditable",
                         pat.trim_end_matches('(')
                     ),
-                );
-                let fix = r7_fix(&file.lines[idx], idx + 1, at, pat, &args);
-                findings.push(match fix {
-                    Some(fix) => finding.with_fix(fix),
-                    None => finding,
-                });
+                ));
             }
         }
     }
-}
-
-/// R7 autofix: replace the magic bandwidth literal with the named O(log n)
-/// constant derived from the constructor's own node-count argument.
-/// Attached only when the whole argument list sits on the call line, so the
-/// span is a plain single-line replacement.
-fn r7_fix(line: &Line, lineno: usize, at: usize, pat: &str, args: &[String]) -> Option<Fix> {
-    let tail = &line.code[at + pat.len()..];
-    let line_args = top_level_args(tail)?;
-    if line_args.len() < 2 || line_args.get(1) != args.get(1) {
-        return None;
-    }
-    let n_expr = line_args[0].trim();
-    if n_expr.is_empty() {
-        return None;
-    }
-    let lead = line_args[1]
-        .chars()
-        .take_while(|c| c.is_whitespace())
-        .count();
-    let start =
-        line.code[..at + pat.len()].chars().count() + line_args[0].chars().count() + 1 + lead;
-    let end = start + line_args[1].chars().count() - lead;
-    Some(Fix {
-        title: "derive the bandwidth from the named O(log n) constant".to_string(),
-        edits: vec![Edit {
-            span: fixes::code_span(line, lineno, start, end)?,
-            replacement: format!("cc_mis_sim::bits::standard_bandwidth({n_expr})"),
-        }],
-    })
 }
 
 /// Splits the text of an argument list (starting just after the opening
@@ -927,7 +773,7 @@ fn registry_finding(path: &str, line: usize, name: &str) -> Finding {
     )
 }
 
-/// Runs the structural rules R10–R13, R15, and R20 over the whole parsed
+/// Runs the structural rules R10–R13 and R20 over the whole parsed
 /// workspace.
 ///
 /// `syntaxes`, `pragmas`, and `hits` must be index-aligned with the `.rs`
@@ -948,7 +794,6 @@ pub fn check_structural(
     check_r11(syntaxes, findings);
     check_r12(syntaxes, graph, findings);
     check_r13(sources, syntaxes, findings);
-    check_r15(sources, syntaxes, findings);
     check_r20(sources, syntaxes, findings);
 }
 
@@ -1271,25 +1116,19 @@ fn check_r13(sources: &[SourceFile], syntaxes: &[FileSyntax], findings: &mut Vec
             continue;
         }
         let lines = &sources[fi].lines;
-        // Per offending line: the first offense description, and whether a
-        // float *literal* appears (which blocks the mechanical type fix).
-        let mut offenses: Vec<(usize, String, bool)> = Vec::new();
+        // Per offending line, the first offense description.
+        let mut offenses: Vec<(usize, String)> = Vec::new();
         visit_float_tokens(&fs.roots, &mut |line, what| {
-            let lit = what == "float literal";
-            match offenses.iter_mut().find(|(l, _, _)| *l == line) {
-                Some(slot) => slot.2 |= lit,
-                None => offenses.push((line, what.to_string(), lit)),
+            if !offenses.iter().any(|(l, _)| *l == line) {
+                offenses.push((line, what.to_string()));
             }
         });
-        offenses.sort_by_key(|&(l, _, _)| l);
-        for (lineno, what, has_literal) in offenses {
-            let Some(line) = lines.get(lineno - 1) else {
-                continue;
-            };
-            if line.in_test {
+        offenses.sort_by_key(|&(l, _)| l);
+        for (lineno, what) in offenses {
+            if lines.get(lineno - 1).is_none_or(|line| line.in_test) {
                 continue;
             }
-            let finding = Finding::new(
+            findings.push(Finding::new(
                 path,
                 lineno,
                 "R13",
@@ -1298,89 +1137,7 @@ fn check_r13(sources: &[SourceFile], syntaxes: &[FileSyntax], findings: &mut Vec
                      integer-exact (float accumulation is rounding-order dependent); \
                      keep counters u64 and compare via cross-multiplication"
                 ),
-            );
-            // Fix only when every offense on the line is a type token: a
-            // width swap (f64→u64, f32→u32) is mechanical, a literal is not.
-            let fix = (!has_literal).then(|| r13_fix(line, lineno)).flatten();
-            findings.push(match fix {
-                Some(fix) => finding.with_fix(fix),
-                None => finding,
-            });
-        }
-    }
-}
-
-/// R13 autofix: rewrite every standalone `f64`/`f32` type token on the line
-/// to the matching integer width.
-fn r13_fix(line: &Line, lineno: usize) -> Option<Fix> {
-    let chars: Vec<char> = line.code.chars().collect();
-    let ident = |c: char| c.is_alphanumeric() || c == '_';
-    let mut edits = Vec::new();
-    for (pat, repl) in [("f64", "u64"), ("f32", "u32")] {
-        for at in fixes::find_all(&chars, pat) {
-            let end = at + 3;
-            let standalone =
-                (at == 0 || !ident(chars[at - 1])) && (end == chars.len() || !ident(chars[end]));
-            if !standalone {
-                continue;
-            }
-            edits.push(Edit {
-                span: fixes::code_span(line, lineno, at, end)?,
-                replacement: repl.to_string(),
-            });
-        }
-    }
-    (!edits.is_empty()).then(|| Fix {
-        title: "replace float accounting types with integer widths".to_string(),
-        edits,
-    })
-}
-
-/// R15: the round hot paths are allocation-free — the bodies of
-/// `Round::send` and `Round::deliver` in runtime.rs contain no allocation
-/// constructors. Steady-state rounds must recycle pooled buffers; a stray
-/// `Vec::new`/`vec!` here costs an allocation per round (or per message)
-/// on the O(n²) clique path.
-fn check_r15(sources: &[SourceFile], syntaxes: &[FileSyntax], findings: &mut Vec<Finding>) {
-    const BANNED: [&str; 4] = ["Vec::new", "with_capacity", "vec!", "to_vec("];
-    for (fi, fs) in syntaxes.iter().enumerate() {
-        let path = fs.effective.as_str();
-        if !is_runtime(path) {
-            continue;
-        }
-        let lines = &sources[fi].lines;
-        for f in &fs.fns {
-            if f.is_test
-                || f.self_type.as_deref() != Some("Round")
-                || !(f.name == "send" || f.name == "deliver")
-            {
-                continue;
-            }
-            for lineno in f.start_line..=f.end_line {
-                let Some(line) = lines.get(lineno - 1) else {
-                    continue;
-                };
-                if line.in_test {
-                    continue;
-                }
-                for pat in BANNED {
-                    if line.code.contains(pat) {
-                        findings.push(Finding::new(
-                            path,
-                            lineno,
-                            "R15",
-                            format!(
-                                "`{pat}` inside `Round::{}`: the round hot path must stay \
-                                 allocation-free — take the buffer from the RoundBuffers \
-                                 pool (crates/sim/src/pool.rs) or hoist the allocation out \
-                                 of send/deliver",
-                                f.name
-                            ),
-                        ));
-                        break;
-                    }
-                }
-            }
+            ));
         }
     }
 }

@@ -22,11 +22,6 @@ pub struct Line {
     /// Code channel: comments stripped, string/char literal contents
     /// blanked (the delimiting quotes are kept).
     pub code: String,
-    /// For each char of `code`, the char offset of the corresponding char
-    /// in `raw`. This is the bridge the autofix engine uses: rules match on
-    /// the blanked code channel, then translate match positions into spans
-    /// over the original text through this map.
-    pub map: Vec<u32>,
     /// Comment channel: the text of any `//`, `///`, `//!`, or block
     /// comment on this line.
     pub comment: String,
@@ -76,14 +71,6 @@ pub(crate) fn lex_parts(effective_path: &str, text: &str) -> (String, Vec<Line>,
     (effective, lines, whole_file_test)
 }
 
-/// The effective path of an input without lexing it: the
-/// `conform-fixture:` override when present, the given path otherwise.
-/// The `--fix` applier uses this to map findings (keyed by effective path)
-/// back to the on-disk file they belong to.
-pub fn effective_path(path: &str, text: &str) -> String {
-    fixture_override(text).unwrap_or_else(|| path.to_string())
-}
-
 /// Looks for `conform-fixture: <path>` in the first five lines.
 fn fixture_override(text: &str) -> Option<String> {
     for line in text.lines().take(5) {
@@ -103,27 +90,18 @@ fn lex(text: &str) -> Vec<Line> {
     let mut lines = Vec::new();
     let mut raw = String::new();
     let mut code = String::new();
-    let mut map: Vec<u32> = Vec::new();
     let mut comment = String::new();
     let mut state = State::Code;
     let mut i = 0usize;
-    // Char length of `raw` for the current line, tracked incrementally so
-    // each `code` char can record its raw position in O(1).
-    let mut rawn = 0u32;
 
     macro_rules! flush_line {
         () => {
             lines.push(Line {
                 raw: std::mem::take(&mut raw),
                 code: std::mem::take(&mut code),
-                map: std::mem::take(&mut map),
                 comment: std::mem::take(&mut comment),
                 in_test: false,
             });
-            // The final flush's reset is dead by construction; keep the
-            // counter zeroed unconditionally so every call site is uniform.
-            rawn = 0;
-            let _ = rawn;
             if matches!(state, State::LineComment) {
                 state = State::Code;
             }
@@ -138,7 +116,6 @@ fn lex(text: &str) -> Vec<Line> {
             continue;
         }
         raw.push(c);
-        rawn += 1;
         match state {
             State::Code => {
                 let next = chars.get(i + 1).copied();
@@ -148,24 +125,20 @@ fn lex(text: &str) -> Vec<Line> {
                 } else if c == '/' && next == Some('*') {
                     state = State::BlockComment(1);
                     raw.push('*');
-                    rawn += 1;
                     i += 1;
                 } else if c == '"' {
                     code.push('"');
-                    map.push(rawn - 1);
                     state = State::Str;
                 } else if let Some(hashes) = raw_string_open(&chars, i) {
                     // `r"`, `r#"`, `br##"`, … — skip the prefix, enter the
                     // raw string. The prefix chars still land in `raw`.
                     code.push('"');
-                    map.push(rawn - 1);
                     let mut j = i + 1;
                     while chars.get(j) == Some(&'r')
                         || chars.get(j) == Some(&'#')
                         || chars.get(j) == Some(&'"')
                     {
                         raw.push(chars[j]);
-                        rawn += 1;
                         if chars[j] == '"' {
                             break;
                         }
@@ -178,24 +151,19 @@ fn lex(text: &str) -> Vec<Line> {
                     // a `'` within a couple of characters.
                     if let Some(close) = char_literal_close(&chars, i) {
                         code.push('\'');
-                        map.push(rawn - 1);
                         for &lit in chars.iter().take(close + 1).skip(i + 1) {
                             if lit == '\n' {
                                 break;
                             }
                             raw.push(lit);
-                            rawn += 1;
                         }
                         code.push('\'');
-                        map.push(rawn - 1);
                         i = close;
                     } else {
                         code.push('\'');
-                        map.push(rawn - 1);
                     }
                 } else {
                     code.push(c);
-                    map.push(rawn - 1);
                 }
             }
             State::LineComment => comment.push(c),
@@ -203,20 +171,17 @@ fn lex(text: &str) -> Vec<Line> {
                 let next = chars.get(i + 1).copied();
                 if c == '*' && next == Some('/') {
                     raw.push('/');
-                    rawn += 1;
                     i += 1;
                     if depth == 1 {
                         state = State::Code;
                         // Keep tokens on either side of a block comment
                         // separated in the code channel.
                         code.push(' ');
-                        map.push(rawn - 1);
                     } else {
                         state = State::BlockComment(depth - 1);
                     }
                 } else if c == '/' && next == Some('*') {
                     raw.push('*');
-                    rawn += 1;
                     i += 1;
                     state = State::BlockComment(depth + 1);
                 } else {
@@ -228,13 +193,11 @@ fn lex(text: &str) -> Vec<Line> {
                     if let Some(&n) = chars.get(i + 1) {
                         if n != '\n' {
                             raw.push(n);
-                            rawn += 1;
                             i += 1;
                         }
                     }
                 } else if c == '"' {
                     code.push('"');
-                    map.push(rawn - 1);
                     state = State::Code;
                 }
             }
@@ -243,10 +206,8 @@ fn lex(text: &str) -> Vec<Line> {
                     for k in 0..hashes {
                         raw.push(chars[i + 1 + k as usize]);
                     }
-                    rawn += hashes;
                     i += hashes as usize;
                     code.push('"');
-                    map.push(rawn - 1);
                     state = State::Code;
                 }
             }
@@ -361,28 +322,6 @@ mod tests {
             !f.lines[1].code.contains('x'),
             "char literal contents blanked"
         );
-    }
-
-    #[test]
-    fn code_to_raw_map_survives_comments_and_strings() {
-        let f = scan_str(
-            "crates/core/src/x.rs",
-            "let a /* gap */ = \"s\"; x.unwrap();\n",
-        );
-        let line = &f.lines[0];
-        assert_eq!(line.code.chars().count(), line.map.len());
-        // Every code char that is not synthetic whitespace/blanking maps to
-        // the identical char in `raw`.
-        let raw: Vec<char> = line.raw.chars().collect();
-        let at = line
-            .code
-            .find(".unwrap()")
-            .expect("pattern in code channel");
-        let start = line.code[..at].chars().count();
-        let mapped: String = (start..start + ".unwrap()".len())
-            .map(|k| raw[line.map[k] as usize])
-            .collect();
-        assert_eq!(mapped, ".unwrap()");
     }
 
     #[test]

@@ -22,8 +22,11 @@
 //!    [`crate::config::env_threads`] (`1` is the escape hatch that forces
 //!    sequential execution);
 //! 3. [`std::thread::available_parallelism`].
+//!
+//! Sources 2 and 3 are read once per process; the override is not cached.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// In-process thread-count override; `0` means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -39,14 +42,19 @@ pub fn set_thread_override(threads: Option<usize>) {
 
 /// The effective worker-thread count: the in-process override if set, else
 /// `CC_MIS_THREADS` (values `< 1` or unparsable fall back to 1), else the
-/// machine's available parallelism.
+/// machine's available parallelism. The fallback is resolved once per
+/// process (`available_parallelism` reads cgroup files, and every round
+/// asks); the override is still checked first on every call.
 pub fn thread_count() -> usize {
     let ov = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if ov >= 1 {
         return ov;
     }
-    crate::config::env_threads()
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+    static FROM_ENV: OnceLock<usize> = OnceLock::new();
+    *FROM_ENV.get_or_init(|| {
+        crate::config::env_threads()
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+    })
 }
 
 /// Maps `f` over `0..n` on a scoped worker pool, returning results in index

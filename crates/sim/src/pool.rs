@@ -1,9 +1,9 @@
 //! Round-buffer recycling: every allocation the round hot path needs.
 //!
 //! [`crate::runtime::Round::send`] and [`crate::runtime::Round::deliver`]
-//! are the simulator's hottest code; conformance rule R15 keeps them free
-//! of allocation constructors. All the storage they use is acquired here
-//! instead, from two pools:
+//! are the simulator's hottest code. All the storage they use is acquired
+//! here, from two pools, so a warmed round makes no heap allocation at all
+//! (measured by `crates/sim/tests/steady_state_alloc.rs`):
 //!
 //! * [`RoundBuffers`] — owned by [`crate::runtime::RoundCore`], recycles
 //!   the outbox arena, the per-destination count/offset/cursor tables, the
@@ -18,11 +18,14 @@
 //!
 //! Message types differ per round (`Round<T, M>` is generic), so recycled
 //! outboxes and arenas are stored type-erased as `Box<dyn Any + Send>` and
-//! reclaimed by downcast — all in safe Rust (`M: Send + 'static`).
+//! reclaimed by downcast — all in safe Rust (`M: Send + 'static`). The
+//! boxes themselves stay in the pool: taking a buffer moves the `Vec` out
+//! of its box, retiring moves one back in.
 
 use std::any::Any;
+use std::mem;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use cc_mis_graph::NodeId;
 
@@ -52,19 +55,55 @@ pub fn set_dense_pair_max_override(max_nodes: Option<usize>) {
 /// The effective dense-pair cutoff: the in-process override if set (values
 /// ≥ 1), else `CC_MIS_DENSE_PAIR_MAX` (unparsable values fall back to the
 /// default; `0` forces the sparse path for every graph), else
-/// [`DENSE_PAIR_MAX_DEFAULT`].
+/// [`DENSE_PAIR_MAX_DEFAULT`]. The environment is read once per process;
+/// every round calls this, and the override is still checked first.
 pub fn dense_pair_max() -> usize {
     let ov = DENSE_PAIR_MAX_OVERRIDE.load(Ordering::Relaxed);
     if ov >= 1 {
         return ov;
     }
-    crate::config::env_dense_pair_max().unwrap_or(DENSE_PAIR_MAX_DEFAULT)
+    static FROM_ENV: OnceLock<usize> = OnceLock::new();
+    *FROM_ENV.get_or_init(|| crate::config::env_dense_pair_max().unwrap_or(DENSE_PAIR_MAX_DEFAULT))
 }
 
-/// How many retired type-erased buffers each pool retains. Two is enough
+/// How many type-erased buffer slots each pool retains. Two is enough
 /// for every in-tree pattern (at most one live `Inboxes` per engine plus
 /// one in flight); the cap bounds memory when many message types alternate.
 const POOL_RETAIN: usize = 2;
+
+/// Type-erased buffer slots, each a boxed `Vec<T>` for some `T`. A slot
+/// whose `Vec` has no capacity is lent out (or was never filled).
+type ErasedSlots = Vec<Box<dyn Any + Send>>;
+
+/// Moves a recycled `Vec<T>` out of the first filled slot of that type,
+/// leaving the (empty) box in place; a fresh empty `Vec` if there is none.
+fn take_erased<T: Send + 'static>(slots: &mut ErasedSlots) -> Vec<T> {
+    slots
+        .iter_mut()
+        .filter_map(|slot| slot.downcast_mut::<Vec<T>>())
+        .find(|v| v.capacity() > 0)
+        .map(mem::take)
+        .unwrap_or_default()
+}
+
+/// Moves `v` (contents as the caller left them) back into an empty slot of
+/// its type, boxing a new slot only while fewer than [`POOL_RETAIN`]
+/// exist. Unallocated vectors are dropped: keeping them saves nothing.
+fn retire_erased<T: Send + 'static>(slots: &mut ErasedSlots, v: Vec<T>) {
+    if v.capacity() == 0 {
+        return;
+    }
+    let retained = slots.len();
+    let empty = slots
+        .iter_mut()
+        .filter_map(|slot| slot.downcast_mut::<Vec<T>>())
+        .find(|slot| slot.capacity() == 0);
+    match empty {
+        Some(slot) => *slot = v,
+        None if retained < POOL_RETAIN => slots.push(Box::new(v)),
+        None => {}
+    }
+}
 
 /// Map from packed `(src, dst)` keys to cumulative bits, used for per-round
 /// budget enforcement on transports without a dense pair domain (CONGEST).
@@ -208,7 +247,7 @@ pub(crate) struct RoundBuffers {
     /// Sparse per-pair load log, cleared (capacity kept) between rounds.
     sparse: PairBits,
     /// Retired outboxes (`Vec<(NodeId, NodeId, M)>`), type-erased.
-    outboxes: Vec<Box<dyn Any + Send>>,
+    outboxes: ErasedSlots,
     /// Retired frame byte buffers for the sharded transport (round
     /// payloads, encoded frames, receive scratch).
     frames: Vec<Vec<u8>>,
@@ -225,7 +264,7 @@ const FRAME_RETAIN: usize = 4;
 impl RoundBuffers {
     /// A dense load array of exactly `len` all-zero words.
     pub(crate) fn take_dense(&mut self, len: usize) -> Vec<u64> {
-        let mut dense = std::mem::take(&mut self.dense);
+        let mut dense = mem::take(&mut self.dense);
         if dense.len() != len {
             dense.clear();
             dense.resize(len, 0);
@@ -240,7 +279,7 @@ impl RoundBuffers {
 
     /// The pooled sparse pair log (already cleared).
     pub(crate) fn take_sparse(&mut self) -> PairBits {
-        std::mem::take(&mut self.sparse)
+        mem::take(&mut self.sparse)
     }
 
     /// Returns the sparse pair log, clearing it but keeping capacity.
@@ -251,28 +290,17 @@ impl RoundBuffers {
 
     /// A recycled (empty) outbox for message type `M`, if one was retired.
     pub(crate) fn take_outbox<M: Send + 'static>(&mut self) -> Vec<(NodeId, NodeId, M)> {
-        for i in 0..self.outboxes.len() {
-            if self.outboxes[i].is::<Vec<(NodeId, NodeId, M)>>() {
-                let boxed = self.outboxes.swap_remove(i);
-                return *boxed
-                    .downcast()
-                    .expect("downcast succeeds: type checked via Any::is above");
-            }
-        }
-        Vec::new()
+        take_erased(&mut self.outboxes)
     }
 
     /// Retires an outbox, keeping its allocation for the next round of the
-    /// same message type. Unallocated outboxes are dropped (boxing them
-    /// would cost more than it saves).
+    /// same message type.
     pub(crate) fn retire_outbox<M: Send + 'static>(
         &mut self,
         mut outbox: Vec<(NodeId, NodeId, M)>,
     ) {
         outbox.clear();
-        if outbox.capacity() > 0 && self.outboxes.len() < POOL_RETAIN {
-            self.outboxes.push(Box::new(outbox));
-        }
+        retire_erased(&mut self.outboxes, outbox);
     }
 
     /// A recycled (empty) frame byte buffer.
@@ -293,21 +321,13 @@ impl RoundBuffers {
 /// [`crate::runtime::Inboxes`] values its rounds have returned.
 #[derive(Default)]
 pub(crate) struct ArenaPool {
-    arenas: Vec<Box<dyn Any + Send>>,
+    arenas: ErasedSlots,
     offsets: Vec<Vec<u32>>,
 }
 
 impl ArenaPool {
     fn take_arena<M: Send + 'static>(&mut self) -> Vec<(NodeId, M)> {
-        for i in 0..self.arenas.len() {
-            if self.arenas[i].is::<Vec<(NodeId, M)>>() {
-                let boxed = self.arenas.swap_remove(i);
-                return *boxed
-                    .downcast()
-                    .expect("downcast succeeds: type checked via Any::is above");
-            }
-        }
-        Vec::new()
+        take_erased(&mut self.arenas)
     }
 
     fn take_offsets(&mut self) -> Vec<u32> {
@@ -319,9 +339,7 @@ impl ArenaPool {
     /// length already covers the next round is truncated and overwritten in
     /// place, skipping the filler pass entirely.
     pub(crate) fn retire<M: Send + 'static>(&mut self, arena: Vec<(NodeId, M)>, offsets: Vec<u32>) {
-        if arena.capacity() > 0 && self.arenas.len() < POOL_RETAIN {
-            self.arenas.push(Box::new(arena));
-        }
+        retire_erased(&mut self.arenas, arena);
         if offsets.capacity() > 0 && self.offsets.len() < POOL_RETAIN {
             self.offsets.push(offsets);
         }
@@ -415,6 +433,20 @@ mod tests {
         let o2: Vec<(NodeId, NodeId, u32)> = b.take_outbox();
         assert!(o2.is_empty());
         assert_eq!(o2.capacity(), cap);
+    }
+
+    #[test]
+    fn erased_slots_are_reused_in_place_and_capped() {
+        let mut slots = ErasedSlots::new();
+        retire_erased(&mut slots, vec![7u32]);
+        let v: Vec<u32> = take_erased(&mut slots);
+        assert_eq!(v, [7]);
+        assert_eq!(slots.len(), 1, "the box stays while its Vec is lent out");
+        retire_erased(&mut slots, v);
+        assert_eq!(slots.len(), 1, "retiring refills the lent-out slot");
+        retire_erased(&mut slots, vec![1u8]);
+        retire_erased(&mut slots, vec![1u16]);
+        assert_eq!(slots.len(), POOL_RETAIN);
     }
 
     #[test]

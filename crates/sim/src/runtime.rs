@@ -17,9 +17,9 @@
 //!   conformance rule R9), so the accounting semantics cannot drift
 //!   between engines.
 //! * [`Round`] — one open synchronous round, generic over the transport
-//!   and the message type. Its `send`/`deliver` hot paths are
-//!   allocation-free (conformance rule R15): per-pair budget loads live in
-//!   a dense `u64` array for the clique transport (word-level pair
+//!   and the message type. A warmed round makes no heap allocation
+//!   (measured by `tests/steady_state_alloc.rs`): per-pair budget loads
+//!   live in a dense `u64` array for the clique transport (word-level pair
 //!   accounting) or the sparse pooled `PairBits` log for CONGEST, ledger
 //!   charges are batched locally and flushed once per round, and delivery
 //!   is a stable src-major counting scatter into a pooled arena — no
@@ -484,7 +484,7 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
     /// Observer-only diagnostics: peak per-pair load (word-at-a-time scan
     /// over the dense array; loads are monotone so final values are peaks)
     /// and the inbox-size histogram. Allocation happens only here, only
-    /// when observing — `deliver` itself stays allocation-free (R15).
+    /// when observing — `deliver` itself stays allocation-free.
     fn observer_stats(&self, counts: &[u32]) -> (u64, Vec<(usize, usize)>) {
         if !self.core.observing() {
             return (0, Vec::new());

@@ -11,18 +11,11 @@ cargo test --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Conformance lint, archiving the SARIF log for CI annotation tooling.
-# Exit 3 means an error-severity finding (P1 broken pragma, R16 pool leak,
-# R21 determinism taint) — state corruption, called out explicitly. --timings is captured
-# so the gate reports the persistent cache's hit rate.
+# Exit 3 means an error-severity finding (P1 broken pragma, R21
+# determinism taint) — state corruption, called out explicitly.
 mkdir -p target
 conform_status=0
-cargo run -q -p cc-mis-conform -- --workspace --timings --sarif target/conform.sarif \
-  2> target/conform-timings.txt || conform_status=$?
-cat target/conform-timings.txt >&2
-cache_line=$(grep -o 'cache .*' target/conform-timings.txt || true)
-if [ -n "$cache_line" ]; then
-  echo "tier1: conform $cache_line"
-fi
+cargo run -q -p cc-mis-conform -- --workspace --sarif target/conform.sarif || conform_status=$?
 if [ "$conform_status" = "3" ]; then
   echo "tier1: FAILED — error-severity conform finding (see target/conform.sarif)" >&2
   exit 3
