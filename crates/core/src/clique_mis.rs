@@ -23,7 +23,8 @@
 //!    declared record size includes both endpoints' decorations
 //!    (probability exponent, super-heavy-beep OR, and the phase's coins).
 //! 4. **Local replay** — each `s ∈ S` simulates the phase on its ball
-//!    (Lemma 2.13): beeps, joins, removals, probability updates.
+//!    (Lemma 2.13): beeps, joins, removals, probability updates. Nodes
+//!    with equal balls share one simulation (`crate::replay`).
 //! 5. **Announcement round** — each `s ∈ S` sends its *realized* beep
 //!    vector and join time to its neighbors. Every other node (watchers —
 //!    undecided, neither super-heavy nor sampled — and super-heavy nodes)
@@ -43,7 +44,6 @@ use cc_mis_graph::{Graph, GraphBuilder, NodeId};
 use cc_mis_sim::bits::{node_id_bits, standard_bandwidth, COIN_BITS, PROBABILITY_EXPONENT_BITS};
 use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::driver::{drive_observed, Execution, Status};
-use cc_mis_sim::par_nodes::par_map_nodes;
 use cc_mis_sim::rng::{SharedRandomness, Stream};
 use cc_mis_sim::shard::{Wire, WireCursor};
 use cc_mis_sim::snapshot::graph_fingerprint;
@@ -53,6 +53,7 @@ use cc_mis_sim::{RoundLedger, SharedObserver};
 use crate::cleanup::leader_cleanup;
 use crate::common::{check_node_vec_len, double_capped, halve, p_of, MisOutcome, INITIAL_PEXP};
 use crate::exponentiation::gather_balls;
+use crate::replay::{for_each_distinct_ball, LocalBall};
 use crate::rounds;
 use crate::sparsified::{sample_set, SparsifiedParams};
 
@@ -369,34 +370,26 @@ impl<'a> CliqueMisExecution<'a> {
 
         // ===== 4. Local replay per S-node (Lemma 2.13) =====
         // Each replay is a pure function of the gathered ball and the
-        // addressable randomness, so the S-nodes replay in parallel;
-        // results come back in index order, keeping the phase bit-identical
-        // to sequential execution (see `cc_mis_sim::par_nodes`).
+        // addressable randomness, so S-nodes with equal balls share one
+        // replay (`crate::replay`), and each reads its own row.
         let pexp0 = &self.pexp;
         let mut announcements: Vec<Option<Announcement>> = vec![None; n];
         let mut replayed_pexp: Vec<Option<u32>> = vec![None; n];
         let mut replayed_removed: Vec<Option<Option<u8>>> = vec![None; n];
-        let replays = par_map_nodes(n, |s| {
-            if !in_s[s] {
-                return None;
+        let mut replay = PhaseReplay::default();
+        for_each_distinct_ball(&gather, |ball, members| {
+            replay.run(ball, pexp0, &sh_or, &rng, t0, len);
+            for &s in members {
+                let i = ball.local(s);
+                let s = s as usize;
+                announcements[s] = Some(Announcement {
+                    beeps: replay.beeps[i],
+                    joined_k: replay.joined[i],
+                });
+                replayed_pexp[s] = Some(replay.pexp[i]);
+                replayed_removed[s] = Some(replay.removed[i]);
             }
-            Some(replay_ball(
-                s,
-                &gather.balls[s],
-                pexp0,
-                &sh_or,
-                &rng,
-                t0,
-                len,
-            ))
         });
-        for (s, replay) in replays.into_iter().enumerate() {
-            if let Some((ann, final_pexp, removed_k)) = replay {
-                announcements[s] = Some(ann);
-                replayed_pexp[s] = Some(final_pexp);
-                replayed_removed[s] = Some(removed_k);
-            }
-        }
 
         // ===== 5. Announcement round =====
         let ann_bits =
@@ -607,91 +600,87 @@ fn earliest_neighbor_join(inbox: &[(NodeId, Announcement)]) -> Option<u8> {
     inbox.iter().filter_map(|&(_, ann)| ann.joined_k).min()
 }
 
-/// Lemma 2.13 local replay: simulates the phase on the gathered ball and
-/// returns the center's realized announcement, final probability exponent,
-/// and removal offset. Accurate for the center because the ball covers its
-/// `len`-hop neighborhood in `G*[S]`.
-fn replay_ball(
-    center: usize,
-    ball: &crate::exponentiation::Ball,
-    pexp0: &[u32],
-    sh_or: &[u64],
-    rng: &SharedRandomness,
-    t0: u64,
-    len: usize,
-) -> (Announcement, u32, Option<u8>) {
-    // Local index space over the ball's nodes (plus the center, which may
-    // have an empty ball).
-    let mut nodes: Vec<u32> = ball
-        .edges()
-        .flat_map(|(a, b)| [a, b])
-        .chain(std::iter::once(center as u32))
-        .collect();
-    nodes.sort_unstable();
-    nodes.dedup();
-    let local_of = |id: u32| nodes.binary_search(&id).expect("node is in the ball");
-    let m = nodes.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); m];
-    for (a, b) in ball.edges() {
-        let (la, lb) = (local_of(a), local_of(b));
-        adj[la].push(lb);
-        adj[lb].push(la);
-    }
+/// Buffers for the Lemma 2.13 local replay of one phase on one ball,
+/// reused from ball to ball. After [`PhaseReplay::run`], row `i` holds
+/// local node `i`'s realized beep vector, join and removal offsets, and
+/// final probability exponent.
+#[derive(Debug, Default)]
+struct PhaseReplay {
+    pexp: Vec<u32>,
+    beeps: Vec<u64>,
+    joined: Vec<Option<u8>>,
+    removed: Vec<Option<u8>>,
+    /// Who beeps in the current iteration.
+    beeping: Vec<bool>,
+    joins: Vec<usize>,
+}
 
-    let mut pe: Vec<u32> = nodes.iter().map(|&id| pexp0[id as usize]).collect();
-    let mut removed: Vec<Option<u8>> = vec![None; m];
-    let mut joined: Vec<Option<u8>> = vec![None; m];
-    let c = local_of(center as u32);
-    let mut center_beeps = 0u64;
-
-    for k in 0..len as u8 {
-        // Beeps of alive ball nodes (all are S-members: non-super-heavy,
-        // undecided at phase start).
-        let beeps: Vec<bool> = (0..m)
-            .map(|u| {
-                removed[u].is_none()
-                    && rng.coin(Stream::Beep, NodeId::new(nodes[u]), t0 + k as u64) <= p_of(pe[u])
-            })
-            .collect();
-        if beeps[c] {
-            center_beeps |= 1 << k;
-        }
-        let heard: Vec<bool> = (0..m)
-            .map(|u| (sh_or[nodes[u] as usize] >> k) & 1 == 1 || adj[u].iter().any(|&w| beeps[w]))
-            .collect();
-        let joins: Vec<usize> = (0..m)
-            .filter(|&u| removed[u].is_none() && beeps[u] && !heard[u])
-            .collect();
-        for u in 0..m {
-            if removed[u].is_none() {
-                pe[u] = if heard[u] {
-                    halve(pe[u])
+impl PhaseReplay {
+    /// Simulates the phase on `ball`: beeps, joins, removals, probability
+    /// updates. The rows are exact for every participant holding this
+    /// ball, because the ball covers its `2·len`-hop neighborhood in
+    /// `G*[S]` (information travels two hops per iteration).
+    fn run(
+        &mut self,
+        ball: &LocalBall,
+        pexp0: &[u32],
+        sh_or: &[u64],
+        rng: &SharedRandomness,
+        t0: u64,
+        len: usize,
+    ) {
+        let m = ball.len();
+        let PhaseReplay {
+            pexp,
+            beeps,
+            joined,
+            removed,
+            beeping,
+            joins,
+        } = self;
+        pexp.clear();
+        pexp.extend((0..m).map(|i| pexp0[ball.id(i).index()]));
+        beeps.clear();
+        beeps.resize(m, 0);
+        joined.clear();
+        joined.resize(m, None);
+        removed.clear();
+        removed.resize(m, None);
+        beeping.resize(m, false);
+        for k in 0..len as u8 {
+            // Beeps of alive ball nodes (all are S-members: non-super-heavy,
+            // undecided at phase start).
+            for i in 0..m {
+                beeping[i] = removed[i].is_none()
+                    && rng.coin(Stream::Beep, ball.id(i), t0 + k as u64) <= p_of(pexp[i]);
+                beeps[i] |= u64::from(beeping[i]) << k;
+            }
+            joins.clear();
+            for i in 0..m {
+                if removed[i].is_some() {
+                    continue;
+                }
+                let heard = (sh_or[ball.id(i).index()] >> k) & 1 == 1
+                    || ball.neighbors(i).iter().any(|&u| beeping[u as usize]);
+                if beeping[i] && !heard {
+                    joins.push(i);
+                }
+                pexp[i] = if heard {
+                    halve(pexp[i])
                 } else {
-                    double_capped(pe[u])
+                    double_capped(pexp[i])
                 };
             }
-        }
-        for &u in &joins {
-            joined[u] = Some(k);
-            if removed[u].is_none() {
-                removed[u] = Some(k);
-            }
-            for &w in &adj[u] {
-                if removed[w].is_none() {
-                    removed[w] = Some(k);
+            for &i in joins.iter() {
+                joined[i] = Some(k);
+                for u in std::iter::once(i).chain(ball.neighbors(i).iter().map(|&u| u as usize)) {
+                    if removed[u].is_none() {
+                        removed[u] = Some(k);
+                    }
                 }
             }
         }
     }
-
-    (
-        Announcement {
-            beeps: center_beeps,
-            joined_k: joined[c],
-        },
-        pe[c],
-        removed[c],
-    )
 }
 
 #[cfg(test)]

@@ -21,21 +21,22 @@
 //!
 //! ## Representation
 //!
-//! Balls are stored *flat*: each edge `(a, b)` with `a < b` is packed into
-//! a single `u64` key (`a` in the high half), and a ball is a sorted,
-//! deduplicated `Vec<u64>` of keys. Sorted-key order coincides with the
-//! lexicographic pair order. Internally a gather works in *dense edge-id*
-//! space — id `i` is the `i`-th participant edge in key order, so
-//! id-sorted output is key-sorted output — and payloads ship as shared
-//! `Arc<[u32]>` id slices. Unions of received balls run in `O(total input
-//! ids)` against an L1-resident membership bitmap (no hashing anywhere on
-//! the union path), with an early stop once a ball holds every participant
-//! edge; [`kway_union`] is the sorted-merge reference the bitmap union
-//! must agree with. The round/bit accounting is unchanged: payload bits
-//! (`ball edges × record_bits`) and packet targets are computed exactly as
-//! before.
-
-use std::sync::Arc;
+//! A gather works in two dense spaces: participants (slot `i` is the
+//! `i`-th participant by id) and participant edges (id `i` is the `i`-th
+//! edge in ascending packed-key order, see [`pack_edge`]), so id-sorted
+//! vectors are key-sorted and slot-sorted vectors are id-sorted. A ball is
+//! its sorted edge ids plus the sorted slots of the nodes those edges
+//! touch; the node list is the sender's target list, so no step sorts
+//! endpoints. A packet's payload is the sender's previous-step ball, read
+//! by reference from the sender's slot (the declared bits are charged as
+//! if it were copied). Unions run against a membership bitmap (no hashing
+//! anywhere), stop early once a ball holds every participant edge, and
+//! emit the new ball in order by scanning the bitmap when it is no longer
+//! than the ball, else by sorting only the newly learned ids. After the
+//! `O(n + m)` set-up, every step pays for participants, packets and ball
+//! sizes, never for `n`. The round/bit accounting is unchanged: payload
+//! bits (`ball edges × record_bits`) and packet targets are computed
+//! exactly as before.
 
 use cc_mis_graph::{Graph, NodeId};
 use cc_mis_sim::clique::CliqueEngine;
@@ -54,46 +55,18 @@ pub fn unpack_edge(key: u64) -> (u32, u32) {
     ((key >> 32) as u32, key as u32)
 }
 
-/// A gathered ball: the set of known edges, as sorted packed-edge keys.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Ball {
-    keys: Vec<u64>,
-}
-
-impl Ball {
-    /// Number of known edges.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the ball holds no edges.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Whether the edge `(a, b)` (as ordered by the gather graph, `a < b`)
-    /// is known.
-    pub fn contains(&self, a: u32, b: u32) -> bool {
-        self.keys.binary_search(&pack_edge(a, b)).is_ok()
-    }
-
-    /// The sorted packed-edge keys.
-    pub fn keys(&self) -> &[u64] {
-        &self.keys
-    }
-
-    /// Iterates the known edges in `(a, b)` lexicographic order.
-    pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.keys.iter().map(|&k| unpack_edge(k))
-    }
-}
-
-/// Result of a [`gather_balls`] invocation.
+/// Result of a [`gather_balls`] invocation: every participant's ball.
 #[derive(Debug, Clone)]
 pub struct GatherResult {
-    /// For each node: the set of known edges `(u, v)` with `u < v`
-    /// (non-participants have empty balls).
-    pub balls: Vec<Ball>,
+    /// Participant ids, ascending; a participant's index here is its slot.
+    members: Vec<u32>,
+    /// Per slot: the ball's edge ids, ascending.
+    balls: Vec<Vec<u32>>,
+    /// Per slot: the slots of the nodes the ball's edges touch, ascending
+    /// (empty for an empty ball).
+    spans: Vec<Vec<u32>>,
+    /// Packed key of each participant edge, ascending by id.
+    edge_keys: Vec<u64>,
     /// Doubling steps performed (`⌈log₂ radius⌉`).
     pub steps: u64,
     /// Clique rounds the routing consumed (also charged to the engine).
@@ -102,35 +75,165 @@ pub struct GatherResult {
     pub max_ball_edges: usize,
 }
 
-/// Union of sorted, deduplicated `u64` runs by divide-and-conquer k-way
-/// merge: `O(M log k)` for `M` total keys across `k` runs. The reference
-/// union for [`gather_balls`] (whose hot path uses an `O(M)` epoch-marked
-/// union over dense edge ids instead — see [`EdgeIndex`]).
-pub fn kway_union(runs: &[&[u64]]) -> Vec<u64> {
-    match runs.len() {
-        0 => Vec::new(),
-        1 => runs[0].to_vec(),
-        2 => merge_union(runs[0], runs[1]),
-        _ => {
-            let mid = runs.len() / 2;
-            merge_union(&kway_union(&runs[..mid]), &kway_union(&runs[mid..]))
+impl GatherResult {
+    /// The participants, ascending by id.
+    pub(crate) fn participants(&self) -> &[u32] {
+        &self.members
+    }
+
+    /// The ball of node `v`: the known edges `(a, b)` with `a < b`. Empty
+    /// for non-participants.
+    pub fn ball(&self, v: NodeId) -> Ball<'_> {
+        match self.members.binary_search(&v.raw()) {
+            Ok(slot) => self.ball_at(slot),
+            Err(_) => Ball {
+                ids: &[],
+                spans: &[],
+                gather: self,
+            },
+        }
+    }
+
+    /// The ball of the participant in `slot`.
+    pub(crate) fn ball_at(&self, slot: usize) -> Ball<'_> {
+        Ball {
+            ids: &self.balls[slot],
+            spans: &self.spans[slot],
+            gather: self,
         }
     }
 }
 
-/// Two-pointer union of two sorted deduplicated runs.
-pub fn merge_union(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        out.push(x.min(y));
-        i += (x <= y) as usize;
-        j += (y <= x) as usize;
+/// A gathered ball, borrowed from its [`GatherResult`].
+#[derive(Clone, Copy)]
+pub struct Ball<'a> {
+    ids: &'a [u32],
+    spans: &'a [u32],
+    gather: &'a GatherResult,
+}
+
+impl<'a> Ball<'a> {
+    /// Number of known edges.
+    pub fn len(&self) -> usize {
+        self.ids.len()
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+
+    /// Whether the ball holds no edges.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Whether the edge `(a, b)` (as ordered by the gather graph, `a < b`)
+    /// is known.
+    pub fn contains(&self, a: u32, b: u32) -> bool {
+        let keys = &self.gather.edge_keys;
+        self.ids
+            .binary_search_by_key(&pack_edge(a, b), |&id| keys[id as usize])
+            .is_ok()
+    }
+
+    /// Iterates the known edges in `(a, b)` lexicographic order.
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + 'a {
+        let keys = &self.gather.edge_keys;
+        self.ids.iter().map(|&id| unpack_edge(keys[id as usize]))
+    }
+
+    /// Iterates the nodes the known edges touch, ascending by id.
+    pub(crate) fn nodes(&self) -> impl ExactSizeIterator<Item = u32> + 'a {
+        let members = &self.gather.members;
+        self.spans.iter().map(|&slot| members[slot as usize])
+    }
+
+    /// The edge ids, ascending; equal id lists mean equal balls within one
+    /// gather.
+    pub(crate) fn ids(&self) -> &'a [u32] {
+        self.ids
+    }
+}
+
+impl std::fmt::Debug for Ball<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.edges()).finish()
+    }
+}
+
+/// A membership bitmap over `0..universe` that collects a sorted union:
+/// `start` marks a sorted base, `insert` adds members, `finish` emits the
+/// union in ascending order and leaves the bitmap clear.
+#[derive(Debug)]
+struct SortedUnion {
+    bits: Vec<u64>,
+    /// Members added since `start`, in insertion order.
+    fresh: Vec<u32>,
+}
+
+impl SortedUnion {
+    fn new(universe: usize) -> Self {
+        SortedUnion {
+            bits: vec![0; universe.div_ceil(64)],
+            fresh: Vec::new(),
+        }
+    }
+
+    fn start(&mut self, base: &[u32]) {
+        for &x in base {
+            self.bits[(x >> 6) as usize] |= 1 << (x & 63);
+        }
+    }
+
+    /// Adds `x`; returns whether it was new.
+    fn insert(&mut self, x: u32) -> bool {
+        let word = &mut self.bits[(x >> 6) as usize];
+        let bit = 1u64 << (x & 63);
+        let new = *word & bit == 0;
+        if new {
+            *word |= bit;
+            self.fresh.push(x);
+        }
+        new
+    }
+
+    /// `base ∪ inserted` in ascending order, or `None` when nothing new
+    /// was inserted. Scans the bitmap when it is no longer than the
+    /// union, else sorts only the new members and merges.
+    fn finish(&mut self, base: &[u32]) -> Option<Vec<u32>> {
+        if self.fresh.is_empty() {
+            for &x in base {
+                self.bits[(x >> 6) as usize] = 0;
+            }
+            return None;
+        }
+        let total = base.len() + self.fresh.len();
+        let mut out = Vec::with_capacity(total);
+        if self.bits.len() <= total {
+            for (wi, word) in self.bits.iter_mut().enumerate() {
+                let mut w = std::mem::take(word);
+                while w != 0 {
+                    out.push((wi as u32) << 6 | w.trailing_zeros());
+                    w &= w - 1;
+                }
+            }
+        } else {
+            self.fresh.sort_unstable();
+            let (mut i, mut j) = (0, 0);
+            while i < base.len() && j < self.fresh.len() {
+                if base[i] < self.fresh[j] {
+                    out.push(base[i]);
+                    i += 1;
+                } else {
+                    out.push(self.fresh[j]);
+                    j += 1;
+                }
+            }
+            out.extend_from_slice(&base[i..]);
+            out.extend_from_slice(&self.fresh[j..]);
+            for &x in &out {
+                self.bits[(x >> 6) as usize] = 0;
+            }
+        }
+        self.fresh.clear();
+        Some(out)
+    }
 }
 
 /// Gathers, for every `participant` node, all edges of `gather` within
@@ -151,15 +254,16 @@ pub fn merge_union(a: &[u64], b: &[u64]) -> Vec<u64> {
 /// ```
 /// use cc_mis_core::exponentiation::gather_balls;
 /// use cc_mis_sim::clique::CliqueEngine;
-/// use cc_mis_graph::generators;
+/// use cc_mis_graph::{generators, NodeId};
 ///
 /// let g = generators::path(6);
 /// let mut engine = CliqueEngine::strict(6, 64);
 /// let res = gather_balls(&mut engine, &g, &vec![true; 6], 2, 20);
 /// // Node 0 sees edges (0,1) and (1,2) — its 2-hop ball on a path.
-/// assert!(res.balls[0].contains(0, 1));
-/// assert!(res.balls[0].contains(1, 2));
-/// assert!(!res.balls[0].contains(2, 3));
+/// let ball = res.ball(NodeId::new(0));
+/// assert!(ball.contains(0, 1));
+/// assert!(ball.contains(1, 2));
+/// assert!(!ball.contains(2, 3));
 /// ```
 pub fn gather_balls(
     engine: &mut CliqueEngine,
@@ -176,136 +280,119 @@ pub fn gather_balls(
     );
     let n = gather.node_count();
 
-    // Dense edge-id space over the participant-filtered edge set: id `i` is
-    // the `i`-th edge in ascending packed-key order, so id-sorted vectors
-    // are key-sorted vectors. The whole gather — balls, payloads, unions —
-    // runs on `u32` ids; keys reappear only in the returned `Ball`s.
-    // `edges()` already iterates in ascending `(u, v)` order.
+    // Participant slots. `slot_of` is read only at participants, so the
+    // zeroed allocation needs no fill.
+    let mut members: Vec<u32> = Vec::new();
+    let mut slot_of: Vec<u32> = vec![0; n];
+    for (v, _) in participant.iter().enumerate().filter(|(_, &p)| p) {
+        slot_of[v] = members.len() as u32;
+        members.push(v as u32);
+    }
+    let k = members.len();
+
+    // Dense edge ids over the participant-filtered edge set, in ascending
+    // key order (`edges()` iterates in ascending `(u, v)` order).
     let mut edge_keys: Vec<u64> = Vec::new();
     let mut ends: Vec<(u32, u32)> = Vec::new();
-    let mut balls: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut balls: Vec<Vec<u32>> = vec![Vec::new(); k];
     for (u, v) in gather.edges() {
         if participant[u.index()] && participant[v.index()] {
             let id = edge_keys.len() as u32;
+            let (su, sv) = (slot_of[u.index()], slot_of[v.index()]);
             edge_keys.push(pack_edge(u.raw(), v.raw()));
-            ends.push((u.raw(), v.raw()));
+            ends.push((su, sv));
             // Radius-1 initialization: incident edges. Ids are appended in
             // ascending order, so every ball starts sorted.
-            balls[u.index()].push(id);
-            balls[v.index()].push(id);
+            balls[su as usize].push(id);
+            balls[sv as usize].push(id);
         }
     }
     debug_assert!(edge_keys.is_sorted());
     let m_part = edge_keys.len();
-    // Membership bitmap for the union below: one bit per participant edge,
-    // L1-resident for any gather this simulator can afford to run.
-    let mut seen: Vec<u64> = vec![0; m_part.div_ceil(64)];
-
     let steps = if radius <= 1 {
         0
     } else {
         (radius as f64).log2().ceil() as u64
     };
+    let mut edges_union = SortedUnion::new(m_part);
+    let mut nodes_union = SortedUnion::new(k);
+    // Spans start as the endpoints of the incident edges.
+    let mut spans: Vec<Vec<u32>> = balls
+        .iter()
+        .map(|ball| {
+            for &id in ball {
+                let (a, b) = ends[id as usize];
+                nodes_union.insert(a);
+                nodes_union.insert(b);
+            }
+            nodes_union.finish(&[]).unwrap_or_default()
+        })
+        .collect();
     let mut total_rounds = 0u64;
     let mut steps_run = 0u64;
-    let mut targets: Vec<u32> = Vec::new();
     for _ in 0..steps {
-        let mut packets: Vec<Packet<Arc<[u32]>>> = Vec::new();
-        for v in 0..n {
-            if !participant[v] || balls[v].is_empty() {
-                continue;
-            }
-            // One shared payload for every target of this node.
-            let payload: Arc<[u32]> = Arc::from(balls[v].as_slice());
-            let bits = payload.len() as u64 * record_bits;
-            targets.clear();
-            for &id in &balls[v] {
-                let (a, b) = ends[id as usize];
-                targets.push(a);
-                targets.push(b);
-            }
-            targets.sort_unstable();
-            targets.dedup();
-            for &t in &targets {
-                if t != v as u32 {
+        let mut packets: Vec<Packet<()>> = Vec::new();
+        for x in 0..k {
+            let bits = balls[x].len() as u64 * record_bits;
+            for &t in &spans[x] {
+                if t as usize != x {
                     packets.push(Packet {
-                        src: NodeId::new(v as u32),
-                        dst: NodeId::new(t),
+                        src: NodeId::new(members[x]),
+                        dst: NodeId::new(members[t as usize]),
                         bits,
-                        payload: Arc::clone(&payload),
+                        payload: (),
                     });
                 }
             }
         }
-        let (inboxes, outcome) = route(engine, packets).expect("gather packets are well-formed");
+        let (delivery, outcome) = route(engine, packets).expect("gather packets are well-formed");
         total_rounds += outcome.rounds;
         steps_run += 1;
-        let mut grew = false;
-        // The engine may be larger than the gather graph (it is padded to
-        // at least 2 nodes); ignore inboxes beyond the graph.
-        let full = gather.edge_count();
-        for (v, inbox) in inboxes.into_iter().enumerate().take(n) {
-            let before = balls[v].len();
-            // A ball holding every edge of the gather graph can learn
-            // nothing more — skip the union entirely (a large wall-clock
-            // saving in the saturating step; the routing rounds were
-            // already charged, so accounting is unchanged).
-            if before != full && !inbox.is_empty() {
-                for &id in &balls[v] {
-                    seen[(id >> 6) as usize] |= 1 << (id & 63);
+        // Unions read the previous step's balls; replacements land after.
+        let mut grown: Vec<(usize, Vec<u32>, Vec<u32>)> = Vec::new();
+        for inbox in delivery.nonempty() {
+            let x = slot_of[inbox[0].dst.index()] as usize;
+            edges_union.start(&balls[x]);
+            nodes_union.start(&spans[x]);
+            let mut count = balls[x].len();
+            for packet in inbox {
+                // Saturated at the participant edge set: nothing left to
+                // learn, skip the remaining payloads.
+                if count == m_part {
+                    break;
                 }
-                let mut count = before;
-                for packet in &inbox {
-                    // Saturated at the participant edge set: nothing left
-                    // to learn, skip the remaining payloads.
-                    if count == m_part {
-                        break;
+                for &id in &balls[slot_of[packet.src.index()] as usize] {
+                    if edges_union.insert(id) {
+                        count += 1;
+                        let (a, b) = ends[id as usize];
+                        nodes_union.insert(a);
+                        nodes_union.insert(b);
                     }
-                    for &id in packet.payload.iter() {
-                        let word = &mut seen[(id >> 6) as usize];
-                        let bit = 1u64 << (id & 63);
-                        if *word & bit == 0 {
-                            *word |= bit;
-                            count += 1;
-                        }
-                    }
-                }
-                if count != before {
-                    // A sequential scan of the bitmap emits the new ball
-                    // already id-sorted (hence key-sorted).
-                    let mut out = Vec::with_capacity(count);
-                    for (wi, &word) in seen.iter().enumerate() {
-                        let mut bits = word;
-                        while bits != 0 {
-                            out.push((wi as u32) << 6 | bits.trailing_zeros());
-                            bits &= bits - 1;
-                        }
-                    }
-                    balls[v] = out;
-                }
-                // The final ball covers every set bit (payload ids that were
-                // already known included), so this clears the whole bitmap.
-                for &id in &balls[v] {
-                    seen[(id >> 6) as usize] = 0;
                 }
             }
-            grew |= balls[v].len() != before;
+            let ball = edges_union.finish(&balls[x]);
+            let span = nodes_union.finish(&spans[x]);
+            if let Some(ball) = ball {
+                grown.push((x, ball, span.unwrap_or_else(|| spans[x].clone())));
+            }
         }
         // Saturation: once no ball grew, further doubling steps are no-ops
         // (each node already knows its entire component) — skip them.
-        if !grew {
+        if grown.is_empty() {
             break;
+        }
+        for (x, ball, span) in grown {
+            balls[x] = ball;
+            spans[x] = span;
         }
     }
 
     let max_ball_edges = balls.iter().map(Vec::len).max().unwrap_or(0);
     GatherResult {
-        balls: balls
-            .into_iter()
-            .map(|ids| Ball {
-                keys: ids.into_iter().map(|id| edge_keys[id as usize]).collect(),
-            })
-            .collect(),
+        members,
+        balls,
+        spans,
+        edge_keys,
         steps: steps_run,
         rounds: total_rounds,
         max_ball_edges,
@@ -323,8 +410,12 @@ mod tests {
         CliqueEngine::strict(n.max(2), standard_bandwidth(n.max(2)))
     }
 
-    fn as_set(ball: &Ball) -> BTreeSet<(u32, u32)> {
+    fn as_set(ball: Ball<'_>) -> BTreeSet<(u32, u32)> {
         ball.edges().collect()
+    }
+
+    fn ball_of(res: &GatherResult, v: usize) -> Ball<'_> {
+        res.ball(NodeId::new(v as u32))
     }
 
     /// Reference: edges within BFS distance `radius` of `s`.
@@ -377,16 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn kway_union_merges_sorted_runs() {
-        assert_eq!(kway_union(&[]), Vec::<u64>::new());
-        assert_eq!(kway_union(&[&[1, 3, 5]]), vec![1, 3, 5]);
-        assert_eq!(
-            kway_union(&[&[1, 3, 5][..], &[2, 3, 4][..], &[5, 9][..], &[][..]]),
-            vec![1, 2, 3, 4, 5, 9]
-        );
-    }
-
-    #[test]
     fn balls_contain_bfs_balls() {
         // The gathered ball must contain every edge within the radius
         // (it may contain more — doubling overshoots to the next power of
@@ -403,7 +484,7 @@ mod tests {
             for v in g.nodes() {
                 let expected = bfs_ball(&g, v, radius);
                 assert!(
-                    expected.is_subset(&as_set(&res.balls[v.index()])),
+                    expected.is_subset(&as_set(res.ball(v))),
                     "node {v} radius {radius} missing edges"
                 );
             }
@@ -427,31 +508,12 @@ mod tests {
             let reach = 1usize << res.steps;
             for v in g.nodes() {
                 assert_eq!(
-                    as_set(&res.balls[v.index()]),
+                    as_set(res.ball(v)),
                     bfs_ball(&g, v, reach),
                     "node {v} radius {radius} (effective {reach})"
                 );
             }
         }
-    }
-
-    #[test]
-    fn marked_union_agrees_with_kway_reference() {
-        // The gather's epoch-marked union and the k-way sorted merge are
-        // two implementations of the same set union; cross-check them on
-        // the raw key level with overlapping runs.
-        let runs: Vec<Vec<u64>> = vec![
-            (0..40).map(|i| pack_edge(i, i + 1)).collect(),
-            (20..70).map(|i| pack_edge(i, i + 1)).collect(),
-            vec![],
-            (0..100).step_by(3).map(|i| pack_edge(i, i + 1)).collect(),
-        ];
-        let slices: Vec<&[u64]> = runs.iter().map(Vec::as_slice).collect();
-        let merged = kway_union(&slices);
-        let mut expected: Vec<u64> = runs.concat();
-        expected.sort_unstable();
-        expected.dedup();
-        assert_eq!(merged, expected);
     }
 
     #[test]
@@ -462,7 +524,7 @@ mod tests {
         // radius 3 → 2 steps → effective radius 4.
         let res = gather_balls(&mut engine, &g, &vec![true; n], 3, 24);
         assert_eq!(res.steps, 2);
-        let ball0 = as_set(&res.balls[0]);
+        let ball0 = as_set(ball_of(&res, 0));
         let reach = bfs_ball(&g, NodeId::new(0), 4);
         assert!(ball0.is_subset(&reach), "ball exceeded doubled radius");
     }
@@ -502,8 +564,8 @@ mod tests {
         let filtered = cc_mis_graph::ops::filter_vertices(&g, |v| v.raw() != 0);
         let mut engine = engine_for(6);
         let res = gather_balls(&mut engine, &filtered, &mask, 2, 16);
-        assert!(res.balls[0].is_empty());
-        assert!(res.balls[1].edges().all(|(a, b)| a != 0 && b != 0));
+        assert!(ball_of(&res, 0).is_empty());
+        assert!(ball_of(&res, 1).edges().all(|(a, b)| a != 0 && b != 0));
     }
 
     #[test]
@@ -517,17 +579,20 @@ mod tests {
         mask[3] = false; // edges (2,3) and (3,4) have a non-participant end
         let mut engine = engine_for(6);
         let res = gather_balls(&mut engine, &g, &mask, 4, 16);
-        assert!(res.balls[3].is_empty(), "non-participant gathered edges");
+        assert!(
+            ball_of(&res, 3).is_empty(),
+            "non-participant gathered edges"
+        );
         for v in 0..6 {
             assert!(
-                res.balls[v].edges().all(|(a, b)| a != 3 && b != 3),
+                ball_of(&res, v).edges().all(|(a, b)| a != 3 && b != 3),
                 "node {v} learned an edge incident to the non-participant"
             );
         }
         // The participants on each side still learn their own side fully.
-        assert!(res.balls[0].contains(0, 1));
-        assert!(res.balls[0].contains(1, 2));
-        assert!(res.balls[5].contains(4, 5));
+        assert!(ball_of(&res, 0).contains(0, 1));
+        assert!(ball_of(&res, 0).contains(1, 2));
+        assert!(ball_of(&res, 5).contains(4, 5));
     }
 
     #[test]
@@ -541,7 +606,7 @@ mod tests {
         let res = gather_balls(&mut engine, &g, &[true; 4], 16, 16);
         assert_eq!(res.steps, 2, "expected early exit after the no-growth step");
         let full = g.edge_count();
-        assert!(res.balls.iter().all(|b| b.len() == full));
+        assert!((0..4).all(|v| ball_of(&res, v).len() == full));
         assert_eq!(res.max_ball_edges, full);
         // The no-growth step's routing rounds are still charged.
         assert_eq!(engine.ledger().rounds, res.rounds);
@@ -566,7 +631,7 @@ mod tests {
                 .filter(|(u, _)| comp[u.index()] == comp[v])
                 .map(|(u, w)| (u.raw(), w.raw()))
                 .collect();
-            assert_eq!(as_set(&res.balls[v]), expected, "node {v}");
+            assert_eq!(as_set(ball_of(&res, v)), expected, "node {v}");
         }
     }
 
@@ -580,7 +645,7 @@ mod tests {
         let res = gather_balls(&mut engine, &g, &[true; 9], 8, 16);
         let full: BTreeSet<(u32, u32)> = g.edges().map(|(u, v)| (u.raw(), v.raw())).collect();
         for v in 0..9 {
-            assert_eq!(as_set(&res.balls[v]), full, "node {v}");
+            assert_eq!(as_set(ball_of(&res, v)), full, "node {v}");
         }
     }
 
@@ -592,7 +657,7 @@ mod tests {
         assert_eq!(res.rounds, 0);
         assert_eq!(engine.ledger().rounds, 0);
         // Radius-1 knowledge is the incident edges.
-        assert_eq!(res.balls[0].len(), g.degree(NodeId::new(0)));
+        assert_eq!(ball_of(&res, 0).len(), g.degree(NodeId::new(0)));
     }
 
     #[test]
@@ -600,7 +665,7 @@ mod tests {
         let g = cc_mis_graph::Graph::empty(5);
         let mut engine = engine_for(5);
         let res = gather_balls(&mut engine, &g, &[true; 5], 4, 16);
-        assert!(res.balls.iter().all(Ball::is_empty));
+        assert!((0..5).all(|v| ball_of(&res, v).is_empty()));
         assert_eq!(res.rounds, 0);
         assert_eq!(res.max_ball_edges, 0);
     }

@@ -26,8 +26,8 @@
 //!
 //! [`evolve`] exposes the iteration semantics as a pure function of the
 //! shared randomness so the low-degree fast path (§2.5) can replay it
-//! locally on gathered neighborhoods; `run_ghaffari16` is tested to agree
-//! with it bit-for-bit.
+//! locally on gathered balls (`evolve_on` runs it on any `CoinGraph`);
+//! `run_ghaffari16` is tested to agree with it bit-for-bit.
 
 use cc_mis_graph::{Graph, NodeId};
 use cc_mis_sim::bits::{standard_bandwidth, PROBABILITY_EXPONENT_BITS};
@@ -109,8 +109,7 @@ impl Evolution {
 /// decided.
 ///
 /// `coin_ids[i]` is the global identity whose coins local node `i` uses —
-/// pass `g.nodes().collect()` for a global run, or the ball's id mapping
-/// when replaying a gathered neighborhood (§2.5). The mark coin of node `v`
+/// pass `g.nodes().collect()` for a global run. The mark coin of node `v`
 /// at iteration `t` is `rng.coin(Stream::Beep, coin_ids[v], t)`.
 ///
 /// # Panics
@@ -122,6 +121,48 @@ pub fn evolve(g: &Graph, coin_ids: &[NodeId], rng: SharedRandomness, iterations:
         g.node_count(),
         "coin id mapping must cover the graph"
     );
+    evolve_on(&Labelled { g, coin_ids }, rng, iterations)
+}
+
+/// What [`evolve_on`] reads of a graph: nodes `0..node_count()`, each
+/// with its neighbors in ascending order (which fixes the f64 summation
+/// order) and the global id whose coins it draws. A global graph and a
+/// gathered ball (`crate::replay::LocalBall`, §2.5) are both one, so the
+/// low-degree fast path replays exactly this dynamic.
+pub(crate) trait CoinGraph: Sync {
+    /// Number of nodes.
+    fn node_count(&self) -> usize;
+    /// Neighbors of node `i`, ascending.
+    fn neighbors(&self, i: usize) -> impl Iterator<Item = usize> + '_;
+    /// The global id whose coins node `i` draws.
+    fn coin_id(&self, i: usize) -> NodeId;
+}
+
+/// A graph whose node `i` draws the coins of `coin_ids[i]`.
+struct Labelled<'a> {
+    g: &'a Graph,
+    coin_ids: &'a [NodeId],
+}
+
+impl CoinGraph for Labelled<'_> {
+    fn node_count(&self) -> usize {
+        self.g.node_count()
+    }
+
+    fn neighbors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.g
+            .neighbors(NodeId::new(i as u32))
+            .iter()
+            .map(|u| u.index())
+    }
+
+    fn coin_id(&self, i: usize) -> NodeId {
+        self.coin_ids[i]
+    }
+}
+
+/// [`evolve`] on any [`CoinGraph`].
+pub(crate) fn evolve_on(g: &impl CoinGraph, rng: SharedRandomness, iterations: u64) -> Evolution {
     let n = g.node_count();
     let mut pexp = vec![INITIAL_PEXP; n];
     let mut joined_at: Vec<Option<u64>> = vec![None; n];
@@ -135,7 +176,7 @@ pub fn evolve(g: &Graph, coin_ids: &[NodeId], rng: SharedRandomness, iterations:
         let alive = |i: usize| removed_at[i].is_none();
         // Marks, from addressable coins.
         let marked: Vec<bool> = par_map_nodes(n, |i| {
-            alive(i) && rng.coin(Stream::Beep, coin_ids[i], t) <= p_of(pexp[i])
+            alive(i) && rng.coin(Stream::Beep, g.coin_id(i), t) <= p_of(pexp[i])
         });
         // d_t over alive neighbors, and the join rule — per node a pure
         // function of the iteration's snapshots (neighbor order fixes the
@@ -144,13 +185,12 @@ pub fn evolve(g: &Graph, coin_ids: &[NodeId], rng: SharedRandomness, iterations:
             if !alive(i) {
                 return None;
             }
-            let v = NodeId::new(i as u32);
             let mut d = 0.0f64;
             let mut neighbor_marked = false;
-            for &u in g.neighbors(v) {
-                if alive(u.index()) {
-                    d += p_of(pexp[u.index()]);
-                    neighbor_marked |= marked[u.index()];
+            for u in g.neighbors(i) {
+                if alive(u) {
+                    d += p_of(pexp[u]);
+                    neighbor_marked |= marked[u];
                 }
             }
             let next = if d >= 2.0 {
@@ -176,9 +216,9 @@ pub fn evolve(g: &Graph, coin_ids: &[NodeId], rng: SharedRandomness, iterations:
                 removed_at[i] = Some(t);
                 undecided -= 1;
             }
-            for &u in g.neighbors(NodeId::new(i as u32)) {
-                if removed_at[u.index()].is_none() {
-                    removed_at[u.index()] = Some(t);
+            for u in g.neighbors(i) {
+                if removed_at[u].is_none() {
+                    removed_at[u] = Some(t);
                     undecided -= 1;
                 }
             }

@@ -52,6 +52,7 @@ pub mod lca;
 pub mod lowdeg;
 pub mod luby;
 pub mod reductions;
+pub(crate) mod replay;
 pub(crate) mod rounds;
 pub mod ruling_set;
 pub mod sparsified;

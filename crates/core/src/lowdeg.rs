@@ -11,7 +11,7 @@
 //! [`run_theorem_1_1`] implements the paper's overall case split: the fast
 //! path when the degree bound holds, the §2.4 simulation otherwise.
 
-use cc_mis_graph::{Graph, GraphBuilder, NodeId};
+use cc_mis_graph::{Graph, NodeId};
 use cc_mis_sim::bits::{node_id_bits, standard_bandwidth, COIN_BITS};
 use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::driver::{drive_observed, Execution, Status};
@@ -26,7 +26,8 @@ use crate::cleanup::leader_cleanup;
 use crate::clique_mis::{CliqueMisExecution, CliqueMisParams};
 use crate::common::{check_node_vec_len, iterations_for_max_degree, MisOutcome};
 use crate::exponentiation::{gather_balls, GatherResult};
-use crate::ghaffari16::evolve;
+use crate::ghaffari16::evolve_on;
+use crate::replay::for_each_distinct_ball;
 
 /// Parameters for [`run_lowdeg`].
 #[derive(Debug, Clone, Copy)]
@@ -235,47 +236,24 @@ impl Execution for LowDegExecution<'_> {
             }
             LowDegStage::Replay => {
                 // Local replay: every node simulates the dynamic on its
-                // ball and reads off its own fate. Accurate for `radius`
-                // iterations because the ball covers the radius
-                // (Lemma 2.13-style induction, via `ghaffari16::evolve` on
-                // the ball subgraph with global coin ids).
+                // ball and reads off its own fate — once per distinct ball
+                // (`crate::replay`). Accurate for `radius` iterations
+                // because the ball covers `2·radius` hops (Lemma 2.13-style
+                // induction, with global coin ids).
                 self.engine.ledger_mut().begin_phase("replay");
                 let gather = self
                     .gather
                     .as_ref()
                     .expect("gather stage precedes the replay stage");
-                let radius = self.radius;
-                let rng = self.rng;
-                for v in 0..n {
-                    let ball = &gather.balls[v];
-                    let mut nodes: Vec<u32> = ball
-                        .edges()
-                        .flat_map(|(a, b)| [a, b])
-                        .chain(std::iter::once(v as u32))
-                        .collect();
-                    nodes.sort_unstable();
-                    nodes.dedup();
-                    let local_of = |id: u32| nodes.binary_search(&id).expect("ball node");
-                    let mut builder = GraphBuilder::new(nodes.len());
-                    for (a, b) in ball.edges() {
-                        builder
-                            .add_edge(
-                                NodeId::new(local_of(a) as u32),
-                                NodeId::new(local_of(b) as u32),
-                            )
-                            .expect("ball edge is valid");
+                for_each_distinct_ball(gather, |ball, members| {
+                    let evo = evolve_on(ball, self.rng, self.radius as u64);
+                    for &v in members {
+                        let i = ball.local(v);
+                        let v = v as usize;
+                        self.in_mis[v] = evo.joined_at[i].is_some();
+                        self.alive[v] = evo.removed_at[i].is_none();
                     }
-                    let ball_graph = builder.build();
-                    let coin_ids: Vec<NodeId> = nodes.iter().map(|&id| NodeId::new(id)).collect();
-                    let evo = evolve(&ball_graph, &coin_ids, rng, radius as u64);
-                    let me = local_of(v as u32);
-                    if evo.joined_at[me].is_some() {
-                        self.in_mis[v] = true;
-                        self.alive[v] = false;
-                    } else if evo.removed_at[me].is_some() {
-                        self.alive[v] = false;
-                    }
-                }
+                });
                 self.stage = LowDegStage::Cleanup;
                 Status::Running
             }
@@ -516,19 +494,38 @@ mod tests {
 
     #[test]
     fn local_replay_matches_global_evolution() {
-        // Every node's locally-replayed fate must equal the global run's —
-        // the Lemma 2.13 induction for the Ghaffari'16 dynamic.
-        let g = generators::random_regular(80, 4, 7);
-        let seed = 3;
+        // After the Replay stage, every node's locally replayed fate must
+        // equal the global run's, node for node — the Lemma 2.13 induction
+        // for the Ghaffari'16 dynamic. Saturated balls (one shared replay)
+        // and all-distinct balls (one replay per node) both count.
         let params = LowDegParams::default();
-        let radius = iterations_for_max_degree(g.max_degree(), params.iteration_factor);
-        let rng = SharedRandomness::new(seed);
-        let global = global_evolve(&g, &g.nodes().collect::<Vec<_>>(), rng, radius);
-        let res = run_lowdeg(&g, &params, seed);
-        // Joiners of the main part are exactly the global joiners (cleanup
-        // additions come from the residual, which is disjoint).
-        for v in global.mis() {
-            assert!(res.mis.contains(&v), "global joiner {v} missing");
+        for g in [
+            generators::random_regular(512, 4, 7),
+            generators::random_regular(80, 4, 7),
+            generators::cycle(200),
+            generators::grid(20, 20),
+        ] {
+            for seed in [3, 11] {
+                let mut exec = LowDegExecution::new(&g, &params, seed);
+                assert!(matches!(exec.step(), Status::Running)); // gather
+                assert!(matches!(exec.step(), Status::Running)); // replay
+                assert_eq!(exec.stage, LowDegStage::Cleanup);
+                let rng = SharedRandomness::new(seed);
+                let nodes: Vec<NodeId> = g.nodes().collect();
+                let global = global_evolve(&g, &nodes, rng, exec.radius as u64);
+                for v in 0..g.node_count() {
+                    assert_eq!(
+                        exec.in_mis[v],
+                        global.joined_at[v].is_some(),
+                        "{g:?} seed {seed}: v{v} joined differently"
+                    );
+                    assert_eq!(
+                        exec.alive[v],
+                        global.removed_at[v].is_none(),
+                        "{g:?} seed {seed}: v{v} removed differently"
+                    );
+                }
+            }
         }
     }
 

@@ -46,7 +46,7 @@ fn multithreaded_runs_are_bit_identical_to_sequential() {
     let g = generators::erdos_renyi_gnp(400, 0.035, 17);
 
     for seed in [1u64, 2, 3] {
-        // Theorem 1.1 simulation (gather + parallel local replay).
+        // Theorem 1.1 simulation (gather + grouped local replay).
         let params = CliqueMisParams::default();
         let seq = with_threads(1, || run_clique_mis(&g, &params, seed));
         let par = with_threads(4, || run_clique_mis(&g, &params, seed));
@@ -97,6 +97,29 @@ fn multithreaded_runs_are_bit_identical_to_sequential() {
         assert_eq!(seq.mis, par.mis, "sparsified MIS diverged (seed {seed})");
         assert_eq!(seq.ledger, par.ledger);
         assert_eq!(seq.iterations, par.iterations);
+    }
+
+    // Low-degree fast path (one local replay per distinct ball): one ball
+    // shared by all (a random regular graph gathered past its diameter),
+    // one ball per node (a long cycle), and empty balls (isolated nodes).
+    let mut with_isolated = cc_mis_graph::GraphBuilder::new(40);
+    for (u, v) in generators::cycle(30).edges() {
+        with_isolated.add_edge(u, v).expect("cycle edge is valid");
+    }
+    for g in [
+        generators::random_regular(512, 4, 7),
+        generators::cycle(200),
+        with_isolated.build(),
+    ] {
+        let seq = with_threads(1, || run_lowdeg(&g, &LowDegParams::default(), 5));
+        for threads in [2usize, 7] {
+            let par = with_threads(threads, || run_lowdeg(&g, &LowDegParams::default(), 5));
+            assert_eq!(seq.mis, par.mis, "{g:?}: lowdeg MIS at {threads} threads");
+            assert_eq!(
+                seq.ledger, par.ledger,
+                "{g:?}: lowdeg ledger at {threads} threads"
+            );
+        }
     }
 }
 

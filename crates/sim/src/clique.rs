@@ -12,6 +12,7 @@
 //! engine only contributes the all-to-all [`CliqueTransport`].
 
 use crate::metrics::RoundLedger;
+use crate::routing::RouteScratch;
 use crate::runtime::{CliqueTransport, Round, RoundCore, SharedObserver};
 
 pub use crate::runtime::Enforcement;
@@ -36,6 +37,8 @@ pub use crate::runtime::Enforcement;
 pub struct CliqueEngine {
     n: usize,
     core: RoundCore,
+    /// Buffers [`crate::routing::route`] reuses across invocations.
+    routing: RouteScratch,
 }
 
 /// One open round on a [`CliqueEngine`]. Dropping the round without calling
@@ -49,6 +52,7 @@ impl CliqueEngine {
         CliqueEngine {
             n,
             core: RoundCore::new(bandwidth, enforcement),
+            routing: RouteScratch::default(),
         }
     }
 
@@ -92,10 +96,10 @@ impl CliqueEngine {
         self.core.attach_observer(observer);
     }
 
-    /// The shared round core (for runtime-internal accounting such as the
-    /// Lenzen scheduler's bulk charges).
-    pub(crate) fn core_mut(&mut self) -> &mut RoundCore {
-        &mut self.core
+    /// The shared round core (for the Lenzen scheduler's bulk charges)
+    /// and the scheduler's reusable buffers.
+    pub(crate) fn routing_parts(&mut self) -> (&mut RoundCore, &mut RouteScratch) {
+        (&mut self.core, &mut self.routing)
     }
 
     /// Opens the next synchronous round for messages of type `M`.

@@ -27,13 +27,21 @@
 //! destination) of more than `n` packets, the batch is split so each batch
 //! obeys Lenzen's capacity precondition; the split count multiplies the
 //! round bill honestly.
+//!
+//! An invocation pays for its packets, not for `n`: the node-indexed
+//! counters live in the engine, are sized once, and are zeroed again
+//! through the packets that touched them; grouping sorts only the distinct
+//! keys that occur; and the result is one flat [`Delivery`] rather than an
+//! inbox per node.
 
 use std::collections::VecDeque;
+use std::ops;
 
 use cc_mis_graph::NodeId;
 
-use crate::bits::{idx_u32, idx_usize};
+use crate::bits::idx_u32;
 use crate::clique::CliqueEngine;
+use crate::runtime::RoundCore;
 
 /// One routed message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,9 +80,38 @@ impl std::fmt::Display for RoutingError {
 
 impl std::error::Error for RoutingError {}
 
-/// Per-destination inboxes: `inboxes[d]` holds the packets delivered to
-/// node `d`, sorted by source.
-pub type Inboxes<M> = Vec<Vec<Packet<M>>>;
+/// What a routing invocation delivered: every packet, grouped by
+/// destination in ascending order and sorted by source within a
+/// destination. Packets of one ordered pair keep their request order.
+/// Sized by the packets, never by `n`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Delivery<M> {
+    packets: Vec<Packet<M>>,
+}
+
+impl<M> Delivery<M> {
+    /// Every delivered packet, in `(dst, src)` order.
+    pub fn packets(&self) -> &[Packet<M>] {
+        &self.packets
+    }
+
+    /// The inboxes that received something, in destination order; each is
+    /// sorted by source.
+    pub fn nonempty(&self) -> impl Iterator<Item = &[Packet<M>]> + '_ {
+        self.packets.chunk_by(|a, b| a.dst == b.dst)
+    }
+}
+
+/// The inbox of node `d`, sorted by source (a binary search, `O(log P)`).
+impl<M> ops::Index<usize> for Delivery<M> {
+    type Output = [Packet<M>];
+
+    fn index(&self, d: usize) -> &[Packet<M>] {
+        let lo = self.packets.partition_point(|p| p.dst.index() < d);
+        let len = self.packets[lo..].partition_point(|p| p.dst.index() == d);
+        &self.packets[lo..lo + len]
+    }
+}
 
 /// Result of a routing invocation.
 #[derive(Debug, Clone)]
@@ -89,8 +126,8 @@ pub struct RoutingOutcome {
 }
 
 /// Routes `packets` through the clique, delivering each payload to its
-/// destination. Returns per-node inboxes (sorted by source) plus the
-/// schedule's cost.
+/// destination. Returns the [`Delivery`] (per-destination inboxes sorted
+/// by source) plus the schedule's cost.
 ///
 /// Self-addressed packets (`src == dst`) are delivered locally for free.
 ///
@@ -110,15 +147,15 @@ pub struct RoutingOutcome {
 ///     Packet { src: NodeId::new(0), dst: NodeId::new(3), bits: 20, payload: "a" },
 ///     Packet { src: NodeId::new(1), dst: NodeId::new(3), bits: 20, payload: "b" },
 /// ];
-/// let (inboxes, outcome) = route(&mut engine, packets)?;
-/// assert_eq!(inboxes[3].len(), 2);
+/// let (delivery, outcome) = route(&mut engine, packets)?;
+/// assert_eq!(delivery[3].len(), 2);
 /// assert!(outcome.rounds >= 1);
 /// # Ok::<(), cc_mis_sim::routing::RoutingError>(())
 /// ```
 pub fn route<M>(
     engine: &mut CliqueEngine,
     packets: Vec<Packet<M>>,
-) -> Result<(Inboxes<M>, RoutingOutcome), RoutingError> {
+) -> Result<(Delivery<M>, RoutingOutcome), RoutingError> {
     route_with(engine, packets, ScheduleChoice::Cheaper)
 }
 
@@ -140,10 +177,32 @@ pub(crate) fn route_with<M>(
     engine: &mut CliqueEngine,
     packets: Vec<Packet<M>>,
     choice: ScheduleChoice,
-) -> Result<(Inboxes<M>, RoutingOutcome), RoutingError> {
+) -> Result<(Delivery<M>, RoutingOutcome), RoutingError> {
     let n = engine.node_count();
     let bandwidth = engine.bandwidth().max(1);
-    for p in &packets {
+    check_endpoints(n, &packets)?;
+    let (core, scratch) = engine.routing_parts();
+    scratch.fit(n);
+    let batches = split_batches(n, &packets, scratch);
+    let mut total_rounds = 0u64;
+    let mut used_relay = false;
+    for batch in &batches {
+        let (rounds, relay) = schedule_batch(n, bandwidth, &packets, batch, core, choice, scratch);
+        total_rounds += rounds;
+        used_relay |= relay;
+    }
+    Ok((
+        deliver(packets),
+        RoutingOutcome {
+            rounds: total_rounds,
+            batches: batches.len() as u64,
+            used_relay,
+        },
+    ))
+}
+
+fn check_endpoints<M>(n: usize, packets: &[Packet<M>]) -> Result<(), RoutingError> {
+    for p in packets {
         for node in [p.src, p.dst] {
             if node.index() >= n {
                 return Err(RoutingError::EndpointOutOfRange {
@@ -153,67 +212,55 @@ pub(crate) fn route_with<M>(
             }
         }
     }
-
-    let mut inboxes: Vec<Vec<Packet<M>>> = (0..n).map(|_| Vec::new()).collect();
-    let batches = split_batches(n, packets, &mut inboxes);
-
-    let mut total_rounds = 0u64;
-    let mut used_relay = false;
-    let batch_count = batches.len() as u64;
-    let mut scratch = ScheduleScratch::new(n);
-    for batch in batches {
-        let (rounds, relay) = schedule_batch(n, bandwidth, &batch, engine, choice, &mut scratch);
-        total_rounds += rounds;
-        used_relay |= relay;
-        for p in batch {
-            inboxes[p.dst.index()].push(p);
-        }
-    }
-    for inbox in &mut inboxes {
-        inbox.sort_by_key(|p| p.src);
-    }
-    Ok((
-        inboxes,
-        RoutingOutcome {
-            rounds: total_rounds,
-            batches: batch_count.max(1),
-            used_relay,
-        },
-    ))
+    Ok(())
 }
 
-/// Splits packets into capacity-respecting batches (usually exactly one);
-/// self-addressed packets are delivered immediately into `inboxes`.
-fn split_batches<M>(
-    n: usize,
-    packets: Vec<Packet<M>>,
-    inboxes: &mut [Vec<Packet<M>>],
-) -> Vec<Vec<Packet<M>>> {
-    let mut batches: Vec<Vec<Packet<M>>> = Vec::new();
-    let mut src_counts: Vec<Vec<usize>> = Vec::new();
-    let mut dst_counts: Vec<Vec<usize>> = Vec::new();
-    for p in packets {
+/// Splits the packets that cross a link into capacity-respecting batches
+/// of packet indices (always at least one batch, usually exactly one):
+/// each packet joins the first batch in which its source has sent, and its
+/// destination received, fewer than `n` packets.
+fn split_batches<M>(n: usize, packets: &[Packet<M>], scratch: &mut RouteScratch) -> Vec<Vec<u32>> {
+    let mut batches: Vec<Vec<u32>> = vec![Vec::new()];
+    // Batch 0 counts in the engine's scratch. A later batch exists only
+    // once some node has sent or received `n` packets, so its own n-entry
+    // counters are paid for by packets.
+    let mut later: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
+    let fits = |sent: u32, received: u32| (sent as usize) < n && (received as usize) < n;
+    for (i, p) in packets.iter().enumerate() {
         if p.src == p.dst {
-            inboxes[p.dst.index()].push(p);
             continue;
         }
-        let slot = (0..batches.len())
-            .find(|&b| src_counts[b][p.src.index()] < n && dst_counts[b][p.dst.index()] < n);
-        if let Some(b) = slot {
-            src_counts[b][p.src.index()] += 1;
-            dst_counts[b][p.dst.index()] += 1;
-            batches[b].push(p);
+        let (s, d) = (p.src.index(), p.dst.index());
+        let b = if fits(scratch.count[s], scratch.received[d]) {
+            scratch.count[s] += 1;
+            scratch.received[d] += 1;
+            0
         } else {
-            let mut sc = vec![0usize; n];
-            let mut dc = vec![0usize; n];
-            sc[p.src.index()] += 1;
-            dc[p.dst.index()] += 1;
-            src_counts.push(sc);
-            dst_counts.push(dc);
-            batches.push(vec![p]);
-        }
+            let slot = later.iter().position(|(sc, dc)| fits(sc[s], dc[d]));
+            let b = slot.unwrap_or_else(|| {
+                later.push((vec![0; n], vec![0; n]));
+                batches.push(Vec::new());
+                later.len() - 1
+            });
+            later[b].0[s] += 1;
+            later[b].1[d] += 1;
+            b + 1
+        };
+        batches[b].push(idx_u32(i));
+    }
+    for &i in &batches[0] {
+        let p = &packets[i as usize];
+        scratch.count[p.src.index()] = 0;
+        scratch.received[p.dst.index()] = 0;
     }
     batches
+}
+
+/// Orders `packets` as a [`Delivery`]. The sort is stable, so packets of
+/// one ordered pair keep their request order.
+fn deliver<M>(mut packets: Vec<Packet<M>>) -> Delivery<M> {
+    packets.sort_by_key(|p| (p.dst, p.src));
+    Delivery { packets }
 }
 
 /// Routes `packets` by **executing** the direct schedule fragment by
@@ -222,8 +269,8 @@ fn split_batches<M>(
 /// [`crate::clique::CliqueRound`] send subject to strict bandwidth
 /// enforcement, so the returned round count is achievable by construction.
 ///
-/// Returns the per-node inboxes (sorted by source) and the executed round
-/// count, which for each batch equals the direct schedule's analytic bound
+/// Returns the [`Delivery`] and the executed round count, which for each
+/// batch equals the direct schedule's analytic bound
 /// `max_{(s,d)} Σ ⌈bits/B⌉` (tested to agree).
 ///
 /// Use [`route`] in algorithms (it is much faster and may pick the cheaper
@@ -235,50 +282,45 @@ fn split_batches<M>(
 pub fn route_executed<M>(
     engine: &mut CliqueEngine,
     packets: Vec<Packet<M>>,
-) -> Result<(Inboxes<M>, u64), RoutingError> {
+) -> Result<(Delivery<M>, u64), RoutingError> {
     let n = engine.node_count();
     let bandwidth = engine.bandwidth().max(1);
-    for p in &packets {
-        for node in [p.src, p.dst] {
-            if node.index() >= n {
-                return Err(RoutingError::EndpointOutOfRange {
-                    node: node.raw(),
-                    n,
-                });
-            }
-        }
-    }
-    let mut inboxes: Vec<Vec<Packet<M>>> = (0..n).map(|_| Vec::new()).collect();
-    let batches = split_batches(n, packets, &mut inboxes);
+    check_endpoints(n, &packets)?;
+    let batches = {
+        let (_, scratch) = engine.routing_parts();
+        scratch.fit(n);
+        split_batches(n, &packets, scratch)
+    };
     let mut total_rounds = 0u64;
     for batch in batches {
-        // Per-ordered-pair FIFO of (packet, bits still to transmit),
+        // Per-ordered-pair FIFO of (packet index, bits still to transmit),
         // grouped by packed (src, dst) key via a stable sort — the batch
         // order within a pair is the FIFO order, and the round loop visits
         // pairs in a fixed deterministic order (no hash map).
-        let mut keyed: Vec<(u64, Packet<M>)> = batch
-            .into_iter()
-            .map(|p| ((u64::from(p.src.raw()) << 32) | u64::from(p.dst.raw()), p))
-            .collect();
-        keyed.sort_by_key(|&(key, _)| key);
-        let mut queues: Vec<VecDeque<(Packet<M>, u64)>> = Vec::new();
+        let key = |i: u32| {
+            let p = &packets[i as usize];
+            (u64::from(p.src.raw()) << 32) | u64::from(p.dst.raw())
+        };
+        let mut keyed = batch;
+        keyed.sort_by_key(|&i| key(i));
+        let mut queues: Vec<VecDeque<(u32, u64)>> = Vec::new();
         let mut last_key = None;
-        for (key, p) in keyed {
-            if last_key != Some(key) {
+        for i in keyed {
+            if last_key != Some(key(i)) {
                 queues.push(VecDeque::new());
-                last_key = Some(key);
+                last_key = Some(key(i));
             }
-            let bits_left = p.bits.max(1);
+            let bits_left = packets[i as usize].bits.max(1);
             queues
                 .last_mut()
                 .expect("just pushed")
-                .push_back((p, bits_left));
+                .push_back((i, bits_left));
         }
         while !queues.is_empty() {
             let mut round = engine.begin_round::<bool>();
-            let mut completed: Vec<Packet<M>> = Vec::new();
             for q in queues.iter_mut() {
-                if let Some((p, bits_left)) = q.front_mut() {
+                if let Some((i, bits_left)) = q.front_mut() {
+                    let p = &packets[*i as usize];
                     let bits_now = (*bits_left).min(bandwidth);
                     *bits_left -= bits_now;
                     let done = *bits_left == 0;
@@ -286,174 +328,188 @@ pub fn route_executed<M>(
                         .send(p.src, p.dst, bits_now, done)
                         .expect("fragment fits the bandwidth");
                     if done {
-                        let (p, _) = q.pop_front().expect("front exists");
-                        completed.push(p);
+                        q.pop_front();
                     }
                 }
             }
             round.deliver();
             total_rounds += 1;
-            for p in completed {
-                inboxes[p.dst.index()].push(p);
-            }
             queues.retain(|q| !q.is_empty());
         }
     }
-    for inbox in &mut inboxes {
-        inbox.sort_by_key(|p| p.src);
-    }
-    Ok((inboxes, total_rounds))
+    Ok((deliver(packets), total_rounds))
 }
 
-/// Reusable index-based buffers for [`schedule_batch`]: congestion maxima
-/// are computed with node-indexed scratch counters (reset via a touched
-/// list) and stable counting sorts — no hash map ever appears in the
-/// per-fragment loops, and nothing is reallocated between batches.
-struct ScheduleScratch {
-    /// Node-indexed slot accumulator (second endpoint of the current
-    /// group's ordered pairs). Zero means "untouched" — valid because
-    /// every packet contributes at least one slot.
+/// Node-indexed buffers every routing invocation on one engine reuses.
+/// They are sized to `n` on first use, and every counter is back at zero
+/// when an invocation returns (reset through the keys that touched it), so
+/// no invocation pays for `n`. No hash map appears in the per-fragment
+/// loops.
+#[derive(Debug, Default)]
+pub(crate) struct RouteScratch {
+    /// Per-node counter: group sizes in `group_by`, packets sent in
+    /// `split_batches`, rotor ranks in `schedule_batch`.
+    count: Vec<u32>,
+    /// Per-node packets received in `split_batches`.
+    received: Vec<u32>,
+    /// Per-node slot accumulators for the current destination's ordered
+    /// pairs: `loads` by source, `relay_loads` by relay. Zero means
+    /// "untouched" — valid because every packet contributes at least one
+    /// slot.
     loads: Vec<u64>,
-    /// Indices of `loads` dirtied by the current group.
+    relay_loads: Vec<u64>,
+    /// Indices of `count`/`loads` and of `relay_loads` dirtied so far.
     touched: Vec<usize>,
-    /// Counting-sort group boundaries (`n + 1` entries).
-    group_start: Vec<u32>,
-    /// Packet indices grouped by first endpoint, batch order preserved.
+    relay_touched: Vec<usize>,
+    /// The distinct keys of the last `group_by`, ascending; group `g` is
+    /// `order[starts[g]..starts[g + 1]]`.
+    keys: Vec<u32>,
+    starts: Vec<u32>,
+    /// Indices grouped by key, input order preserved within a group.
     order: Vec<u32>,
-    /// Each packet's rotor relay, filled during hop 1.
+    /// Each batch packet's rotor relay.
     relay_of: Vec<u32>,
 }
 
-impl ScheduleScratch {
-    fn new(n: usize) -> Self {
-        ScheduleScratch {
-            loads: vec![0; n],
-            touched: Vec::new(),
-            group_start: vec![0; n + 1],
-            order: Vec::new(),
-            relay_of: Vec::new(),
+impl RouteScratch {
+    /// Sizes the node-indexed counters for an `n`-node engine.
+    fn fit(&mut self, n: usize) {
+        if self.loads.len() < n {
+            self.count.resize(n, 0);
+            self.received.resize(n, 0);
+            self.loads.resize(n, 0);
+            self.relay_loads.resize(n, 0);
         }
     }
 
-    /// Stable counting sort of `0..len` by `key(i)` into `self.order`, with
-    /// group `g` occupying `order[group_start[g]..group_start[g + 1]]`.
+    /// Stable counting sort of `0..len` by `key(i)` into `self.order`,
+    /// over the distinct keys only: `O(len + k log k)` for `k` distinct
+    /// keys, whatever the key range.
     fn group_by(&mut self, len: usize, key: impl Fn(usize) -> usize) {
-        self.group_start.fill(0);
+        self.keys.clear();
         for i in 0..len {
-            self.group_start[key(i) + 1] += 1;
+            let k = key(i);
+            if self.count[k] == 0 {
+                self.keys.push(idx_u32(k));
+            }
+            self.count[k] += 1;
         }
-        for g in 0..self.group_start.len() - 1 {
-            self.group_start[g + 1] += self.group_start[g];
+        self.keys.sort_unstable();
+        // `count[k]` becomes key k's next free slot in `order`.
+        self.starts.clear();
+        self.starts.push(0);
+        let mut acc = 0u32;
+        for &k in &self.keys {
+            let size = self.count[k as usize];
+            self.count[k as usize] = acc;
+            acc += size;
+            self.starts.push(acc);
         }
         self.order.clear();
         self.order.resize(len, 0);
-        let mut next: Vec<u32> = self.group_start.clone();
         for i in 0..len {
-            let k = key(i);
-            self.order[next[k] as usize] = idx_u32(i);
-            next[k] += 1;
+            let slot = &mut self.count[key(i)];
+            self.order[*slot as usize] = idx_u32(i);
+            *slot += 1;
+        }
+        for &k in &self.keys {
+            self.count[k as usize] = 0;
         }
     }
 }
 
 /// Computes the direct and rotor-relay schedules for one capacity-feasible
-/// batch, charges the ledger for the selected one, and returns
-/// `(rounds, used_relay)`. With [`ScheduleChoice::Cheaper`] the cheaper
-/// schedule wins (ties to direct) — the production behavior.
+/// batch (indices into `packets`), charges the ledger for the selected one,
+/// and returns `(rounds, used_relay)`. With [`ScheduleChoice::Cheaper`] the
+/// cheaper schedule wins (ties to direct) — the production behavior.
 fn schedule_batch<M>(
     n: usize,
     bandwidth: u64,
-    batch: &[Packet<M>],
-    engine: &mut CliqueEngine,
+    packets: &[Packet<M>],
+    batch: &[u32],
+    core: &mut RoundCore,
     choice: ScheduleChoice,
-    scratch: &mut ScheduleScratch,
+    scratch: &mut RouteScratch,
 ) -> (u64, bool) {
     if batch.is_empty() {
         return (0, false);
     }
     let slots = |bits: u64| bits.div_ceil(bandwidth).max(1);
 
-    // Group packets by source once; both schedules consume the grouping
-    // (and the rotor index below is the packet's batch-order rank within
-    // its source group, which the stable sort preserves).
-    scratch.group_by(batch.len(), |i| batch[i].src.index());
-
-    // Direct schedule: max over ordered pairs (src, dst) of summed
-    // fragment slots — dst-indexed accumulator, reset per source group.
-    let mut direct_rounds = 0u64;
+    // One pass in batch order: fragment totals, and each packet's rotor
+    // relay `(s + i) mod n`, where `i` is its rank among its source's
+    // packets. A batch holds at most `n` packets per source, so one
+    // source's relays are distinct: hop 1 carries one packet per link, and
+    // its rounds are the largest such packet's slots.
     let mut direct_msgs = 0u64;
     let mut direct_bits = 0u64;
-    for s in 0..n {
-        let group =
-            &scratch.order[scratch.group_start[s] as usize..scratch.group_start[s + 1] as usize];
-        for &idx in group {
-            let p = &batch[idx as usize];
-            let k = slots(p.bits);
-            let d = p.dst.index();
-            if scratch.loads[d] == 0 {
-                scratch.touched.push(d);
-            }
-            scratch.loads[d] += k;
-            direct_rounds = direct_rounds.max(scratch.loads[d]);
-            direct_msgs += k;
-            direct_bits += p.bits;
-        }
-        for d in scratch.touched.drain(..) {
-            scratch.loads[d] = 0;
-        }
-    }
-
-    // Rotor-relay schedule: hop 1 src -> (src + i) mod n, hop 2 relay -> dst,
-    // where `i` is the packet's rank within its source (batch order).
     let mut hop1_rounds = 0u64;
     let mut relay_msgs = 0u64;
     let mut relay_bits = 0u64;
     scratch.relay_of.clear();
-    scratch.relay_of.resize(batch.len(), 0);
-    for s in 0..n {
-        let group =
-            &scratch.order[scratch.group_start[s] as usize..scratch.group_start[s + 1] as usize];
-        for (i, &idx) in group.iter().enumerate() {
-            let p = &batch[idx as usize];
-            let relay = idx_usize((s as u64 + i as u64) % n as u64);
-            scratch.relay_of[idx as usize] = idx_u32(relay);
-            if relay != s {
-                let k = slots(p.bits);
-                if scratch.loads[relay] == 0 {
-                    scratch.touched.push(relay);
-                }
-                scratch.loads[relay] += k;
-                hop1_rounds = hop1_rounds.max(scratch.loads[relay]);
-                relay_msgs += k;
-                relay_bits += p.bits;
-            }
+    for &i in batch {
+        let p = &packets[i as usize];
+        let s = p.src.index();
+        if scratch.count[s] == 0 {
+            scratch.touched.push(s);
         }
-        for r in scratch.touched.drain(..) {
-            scratch.loads[r] = 0;
+        let rank = scratch.count[s] as usize;
+        scratch.count[s] += 1;
+        let relay = if s + rank >= n {
+            s + rank - n
+        } else {
+            s + rank
+        };
+        scratch.relay_of.push(idx_u32(relay));
+        let k = slots(p.bits);
+        direct_msgs += k;
+        direct_bits += p.bits;
+        if relay != s {
+            hop1_rounds = hop1_rounds.max(k);
+            relay_msgs += k;
+            relay_bits += p.bits;
+        }
+        if p.dst.index() != relay {
+            relay_msgs += k;
+            relay_bits += p.bits;
         }
     }
+    for s in scratch.touched.drain(..) {
+        scratch.count[s] = 0;
+    }
+
+    // Per destination, the pair loads of the direct hop (src → dst) and of
+    // relay hop 2 (relay → dst), in node-indexed accumulators reset per
+    // destination group.
     let relay_of = std::mem::take(&mut scratch.relay_of);
-    scratch.group_by(batch.len(), |i| relay_of[i] as usize);
+    scratch.group_by(batch.len(), |j| packets[batch[j] as usize].dst.index());
+    let mut direct_rounds = 0u64;
     let mut hop2_rounds = 0u64;
-    for r in 0..n {
-        let group =
-            &scratch.order[scratch.group_start[r] as usize..scratch.group_start[r + 1] as usize];
-        for &idx in group {
-            let p = &batch[idx as usize];
-            let d = p.dst.index();
-            if d != r {
-                let k = slots(p.bits);
-                if scratch.loads[d] == 0 {
-                    scratch.touched.push(d);
+    for g in 0..scratch.keys.len() {
+        let d = scratch.keys[g] as usize;
+        for &j in &scratch.order[scratch.starts[g] as usize..scratch.starts[g + 1] as usize] {
+            let p = &packets[batch[j as usize] as usize];
+            let k = slots(p.bits);
+            let s = p.src.index();
+            if scratch.loads[s] == 0 {
+                scratch.touched.push(s);
+            }
+            scratch.loads[s] += k;
+            direct_rounds = direct_rounds.max(scratch.loads[s]);
+            let r = relay_of[j as usize] as usize;
+            if r != d {
+                if scratch.relay_loads[r] == 0 {
+                    scratch.relay_touched.push(r);
                 }
-                scratch.loads[d] += k;
-                hop2_rounds = hop2_rounds.max(scratch.loads[d]);
-                relay_msgs += k;
-                relay_bits += p.bits;
+                scratch.relay_loads[r] += k;
+                hop2_rounds = hop2_rounds.max(scratch.relay_loads[r]);
             }
         }
-        for d in scratch.touched.drain(..) {
-            scratch.loads[d] = 0;
+        for s in scratch.touched.drain(..) {
+            scratch.loads[s] = 0;
+        }
+        for r in scratch.relay_touched.drain(..) {
+            scratch.relay_loads[r] = 0;
         }
     }
     scratch.relay_of = relay_of;
@@ -470,7 +526,7 @@ fn schedule_batch<M>(
         (direct_rounds, direct_msgs, direct_bits)
     };
     // One ledger message per fragment keeps message counts honest.
-    engine.core_mut().record_schedule(rounds, msgs, bits);
+    core.record_schedule(rounds, msgs, bits);
     (rounds, use_relay)
 }
 
@@ -492,7 +548,7 @@ mod tests {
         let mut e = CliqueEngine::strict(4, 32);
         let (inboxes, out) =
             route::<u32>(&mut e, vec![]).expect("routing succeeds: endpoints are in range");
-        assert!(inboxes.iter().all(|i| i.is_empty()));
+        assert!(inboxes.packets().is_empty());
         assert_eq!(out.rounds, 0);
         assert_eq!(e.ledger().rounds, 0);
     }
@@ -682,8 +738,8 @@ mod tests {
                     out.rounds,
                     "case {case}: ledger rounds must equal schedule rounds"
                 );
-                let payloads: Vec<Vec<u32>> = inboxes
-                    .iter()
+                let payloads: Vec<Vec<u32>> = (0..n)
+                    .map(|d| &inboxes[d])
                     .map(|inbox| {
                         let mut tags: Vec<u32> = inbox.iter().map(|p| p.payload).collect();
                         tags.sort_unstable();

@@ -84,7 +84,7 @@ fn routing_respects_lenzen_capacity_accounting() {
         .collect();
     let total = packets.len();
     let (inboxes, outcome) = route(&mut engine, packets).unwrap();
-    assert_eq!(inboxes.iter().map(Vec::len).sum::<usize>(), total);
+    assert_eq!(inboxes.packets().len(), total);
     assert_eq!(outcome.batches, 1);
     assert!(outcome.rounds <= 4, "got {} rounds", outcome.rounds);
     assert_eq!(engine.ledger().rounds, outcome.rounds);
