@@ -60,7 +60,6 @@ const SOURCE_CALLS: &[&str] = &[
     "thread_count",
     "available_parallelism",
     "env_threads",
-    "env_dense_pair_max",
     "env_shards",
     "env_shard_backend",
     "env_worker_bin",

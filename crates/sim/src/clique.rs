@@ -168,8 +168,8 @@ mod tests {
             .expect("send fits the per-pair budget");
         r.send(NodeId::new(2), NodeId::new(3), 8, 2)
             .expect("send fits the per-pair budget");
-        // Out of key order: the dense per-pair load word must still hold
-        // the earlier (0, 1) tally.
+        // Out of key order: the probe table built from the outbox must
+        // still hold the earlier (0, 1) tally.
         r.send(NodeId::new(0), NodeId::new(1), 8, 3)
             .expect("send fits the per-pair budget");
         let err = r.send(NodeId::new(0), NodeId::new(1), 1, 4).unwrap_err();

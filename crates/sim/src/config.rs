@@ -7,12 +7,12 @@
 //! place where two runs of "the same" configuration could diverge. By
 //! funneling all reads through this module, the reviewer (and the R21
 //! taint rule) can see at a glance exactly which knobs exist and verify
-//! each one is *scheduling-only* — thread counts and memory cutoffs that
-//! by construction never change simulation results.
+//! each one is *scheduling-only* — thread counts and delivery topology
+//! that by construction never change simulation results.
 //!
 //! The accessors return `Option` and leave defaulting to the caller: the
-//! knob owner (`par_nodes::thread_count`, `pool::dense_pair_max`) keeps
-//! its own override/default policy and documents it there.
+//! knob owner (`par_nodes::thread_count`, `shard::shard_count`) keeps its
+//! own override/default policy and documents it there.
 
 /// The worker-thread knob from `CC_MIS_THREADS`.
 ///
@@ -22,22 +22,6 @@
 pub fn env_threads() -> Option<usize> {
     match std::env::var("CC_MIS_THREADS") {
         Ok(s) => Some(s.trim().parse::<usize>().unwrap_or(1).max(1)),
-        Err(_) => None,
-    }
-}
-
-/// The dense-pair cutoff knob from `CC_MIS_DENSE_PAIR_MAX`.
-///
-/// `Some(k)` when the variable is set — unparsable values fall back to
-/// [`crate::pool::DENSE_PAIR_MAX_DEFAULT`]; `0` is meaningful (it forces
-/// the sparse accounting path for every graph). `None` when unset.
-pub fn env_dense_pair_max() -> Option<usize> {
-    match std::env::var("CC_MIS_DENSE_PAIR_MAX") {
-        Ok(s) => Some(
-            s.trim()
-                .parse::<usize>()
-                .unwrap_or(crate::pool::DENSE_PAIR_MAX_DEFAULT),
-        ),
         Err(_) => None,
     }
 }
@@ -89,7 +73,7 @@ pub fn socket_dir() -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     // The accessors are exercised (set and unset) through the owner knobs'
-    // own tests in `par_nodes`, `pool`, and `shard`; environment mutation
+    // own tests in `par_nodes` and `shard`; environment mutation
     // is kept there so the process-global state is touched from one suite
     // only.
 }

@@ -56,7 +56,7 @@ pub mod congest;
 pub mod driver;
 pub mod metrics;
 pub mod par_nodes;
-pub mod pool;
+mod pool;
 pub mod rng;
 pub mod routing;
 pub mod runtime;

@@ -6,11 +6,11 @@
 //! (measured by `crates/sim/tests/steady_state_alloc.rs`):
 //!
 //! * [`RoundBuffers`] — owned by [`crate::runtime::RoundCore`], recycles
-//!   the outbox arena, the per-destination count/offset/cursor tables, the
-//!   dense per-pair load array, and the sparse [`PairBits`] log across
-//!   rounds. After the first round of a steady-state loop, opening and
-//!   closing a round performs no heap allocation (the way
-//!   `drive_with_checkpoints` already recycles its encode buffer).
+//!   the outbox arena, the per-destination count/offset/cursor tables and
+//!   the [`PairBits`] per-pair budget tracker across rounds. After the
+//!   first round of a steady-state loop, opening and closing a round
+//!   performs no heap allocation (the way `drive_with_checkpoints` already
+//!   recycles its encode buffer).
 //! * [`ArenaPool`] — shared (behind `Arc<Mutex<..>>`) between the core and
 //!   the [`crate::runtime::Inboxes`] values `deliver` returns, so inbox
 //!   storage flows back to the engine when the algorithm drops a round's
@@ -24,47 +24,11 @@
 
 use std::any::Any;
 use std::mem;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use cc_mis_graph::NodeId;
 
-use crate::bits::idx_u32;
-
-/// Default largest node count for which the clique transport uses the dense
-/// per-pair `u64` load array (`n²` words; 2048 ⇒ 32 MiB). Beyond this the
-/// round falls back to the sparse [`PairBits`] path, which scales with the
-/// number of *distinct* pairs actually used.
-///
-/// The effective cutoff is [`dense_pair_max`]; both accounting paths charge
-/// identical per-pair totals (pinned by the boundary test below), so the
-/// cutoff is purely a space/time trade, never a semantics knob.
-pub const DENSE_PAIR_MAX_DEFAULT: usize = 2048;
-
-/// In-process cutoff override; `0` means "not set".
-static DENSE_PAIR_MAX_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the dense-pair cutoff for subsequent rounds in this process,
-/// taking precedence over `CC_MIS_DENSE_PAIR_MAX`. `None` clears the
-/// override. Because the dense and sparse paths account identically, this
-/// changes memory use only, never results.
-pub fn set_dense_pair_max_override(max_nodes: Option<usize>) {
-    DENSE_PAIR_MAX_OVERRIDE.store(max_nodes.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The effective dense-pair cutoff: the in-process override if set (values
-/// ≥ 1), else `CC_MIS_DENSE_PAIR_MAX` (unparsable values fall back to the
-/// default; `0` forces the sparse path for every graph), else
-/// [`DENSE_PAIR_MAX_DEFAULT`]. The environment is read once per process;
-/// every round calls this, and the override is still checked first.
-pub fn dense_pair_max() -> usize {
-    let ov = DENSE_PAIR_MAX_OVERRIDE.load(Ordering::Relaxed);
-    if ov >= 1 {
-        return ov;
-    }
-    static FROM_ENV: OnceLock<usize> = OnceLock::new();
-    *FROM_ENV.get_or_init(|| crate::config::env_dense_pair_max().unwrap_or(DENSE_PAIR_MAX_DEFAULT))
-}
+use crate::bits::{idx_u32, pair_key};
 
 /// How many type-erased buffer slots each pool retains. Two is enough
 /// for every in-tree pattern (at most one live `Inboxes` per engine plus
@@ -105,29 +69,50 @@ fn retire_erased<T: Send + 'static>(slots: &mut ErasedSlots, v: Vec<T>) {
     }
 }
 
-/// Map from packed `(src, dst)` keys to cumulative bits, used for per-round
-/// budget enforcement on transports without a dense pair domain (CONGEST).
+/// Per-round, per-ordered-pair cumulative bits: the budget tracker behind
+/// [`crate::runtime::Round::send`], the same for every transport.
 ///
-/// Every round loop in the codebase enqueues messages with non-decreasing
-/// packed keys (sources ascend, each source's destinations ascend), so in the
-/// common case pair membership is a single compare against the last `log`
-/// entry and no hash table exists at all — sends touch only the tail of a
-/// sequentially written vector instead of probing a multi-megabyte table.
-/// The Fibonacci-hashed linear-probe index is built lazily the first time a
-/// round sends out of key order and maps keys to `log` positions thereafter.
+/// A round only ever uses the pairs it sends on, `O(m)` of them, never the
+/// `n²` a pair-indexed array would zero. Every round loop in the codebase
+/// enqueues messages with non-decreasing packed keys (sources ascend, each
+/// source's destinations ascend), and while that holds the tracker keeps
+/// one `u64` run total per distinct pair and the current pair's key: a
+/// send is one or two compares against `last`. The other keys need no
+/// storage, because they are already in the round's outbox.
 ///
-/// [`PairBits::clear`] retains all three vectors' capacity, so a pooled
+/// The first out-of-order send switches to table mode: the earlier keys are
+/// recovered from the outbox (each run of equal consecutive `(src, dst)`
+/// entries is one `totals` entry) and a Fibonacci-hashed linear-probe table
+/// maps keys to `totals` positions from then on.
+///
+/// That recovery rests on one invariant, kept by the caller: a send is
+/// [`PairBits::commit`]ted if and only if it is pushed to the outbox. The
+/// budget check reads [`PairBits::used`] first, which records nothing, so a
+/// strict-mode rejection leaves both untouched.
+///
+/// [`PairBits::clear`] retains every vector's capacity, so a pooled
 /// instance re-enters the monotone fast path each round without
 /// reallocating.
 #[derive(Debug, Default)]
 pub(crate) struct PairBits {
-    /// One `(packed key, cumulative bits)` entry per distinct pair seen this
-    /// round, in arrival order.
-    log: Vec<(u64, u64)>,
-    /// Lazily built probe table over packed keys; `u64::MAX` marks an empty
-    /// slot (unreachable as a real key because `src == dst` is rejected).
+    /// Cumulative bits of each distinct pair committed this round, in first
+    /// commit order.
+    totals: Vec<u64>,
+    /// Monotone mode: key of the pair committed last, or 0 before the
+    /// first commit (`pair_key(0, 0)` is self-addressed, so never a real
+    /// key). Table mode: `PAIR_EMPTY`, above every real key, so both
+    /// in-order compares fail and every send takes the table path.
+    last: u64,
+    /// Largest committed total. Totals only grow within a round, so this is
+    /// the round's peak per-pair load.
+    peak: u64,
+    /// Table mode only: the key of each `totals` entry.
+    log_keys: Vec<u64>,
+    /// Table mode only: probe table over packed keys; `u64::MAX` marks an
+    /// empty slot (unreachable as a real key because `src == dst` is
+    /// rejected). Empty while the round is in monotone mode.
     keys: Vec<u64>,
-    /// `log` position for each occupied `keys` slot.
+    /// `totals` position for each occupied `keys` slot.
     idxs: Vec<u32>,
 }
 
@@ -141,57 +126,97 @@ impl PairBits {
         (h >> (64 - keys.len().trailing_zeros())) as usize
     }
 
-    /// The pair's cumulative-bits cell, inserted as 0 if absent — the
-    /// caller checks the budget before committing the new total, so a
-    /// rejected send consumes none of the pair's budget.
+    /// Bits already committed on the pair `key` this round (0 if none).
+    /// Records nothing; `outbox` is the round's outbox, read only when this
+    /// is the round's first out-of-order key.
     #[inline]
-    pub(crate) fn entry_or_zero(&mut self, key: u64) -> &mut u64 {
-        if self.keys.is_empty() {
-            match self.log.last() {
-                Some(&(last, _)) if key < last => self.build_table(),
-                Some(&(last, _)) if key == last => {
-                    return &mut self
-                        .log
-                        .last_mut()
-                        .expect("log tail exists: key matched it")
-                        .1;
-                }
-                _ => {
-                    self.log.push((key, 0));
-                    return &mut self.log.last_mut().expect("log tail exists: just pushed").1;
-                }
-            }
+    pub(crate) fn used<M>(&mut self, key: u64, outbox: &[(NodeId, NodeId, M)]) -> u64 {
+        if key > self.last {
+            return 0;
         }
-        self.lookup(key)
+        if key == self.last {
+            return self.totals[self.totals.len() - 1];
+        }
+        self.used_slow(key, outbox)
     }
 
-    /// Table-mode path: probe for `key`, appending a fresh zero entry on miss.
-    fn lookup(&mut self, key: u64) -> &mut u64 {
-        if self.log.len() * 4 >= self.keys.len() * 3 {
+    /// `used` off the in-order path: table mode, or the round's first
+    /// out-of-order key, which builds the table.
+    #[cold]
+    fn used_slow<M>(&mut self, key: u64, outbox: &[(NodeId, NodeId, M)]) -> u64 {
+        if self.keys.is_empty() {
+            self.build_table(outbox);
+        }
+        let i = self.probe(key);
+        if self.keys[i] == key {
+            self.totals[self.idxs[i] as usize]
+        } else {
+            0
+        }
+    }
+
+    /// Records `total` as the pair's cumulative bits. Must follow
+    /// [`PairBits::used`] for the same key, and goes with exactly one push
+    /// to the outbox.
+    #[inline]
+    pub(crate) fn commit(&mut self, key: u64, total: u64) {
+        self.peak = self.peak.max(total);
+        if key > self.last {
+            self.totals.push(total);
+            self.last = key;
+        } else if key == self.last {
+            let at = self.totals.len() - 1;
+            self.totals[at] = total;
+        } else {
+            self.commit_table(key, total);
+        }
+    }
+
+    #[cold]
+    fn commit_table(&mut self, key: u64, total: u64) {
+        if self.totals.len() * 4 >= self.keys.len() * 3 {
             self.rebuild(self.keys.len() * 2);
         }
-        let mask = self.keys.len() - 1;
-        let mut i = Self::slot(&self.keys, key);
-        loop {
-            let k = self.keys[i];
-            if k == key {
-                let at = self.idxs[i] as usize;
-                return &mut self.log[at].1;
-            }
-            if k == PAIR_EMPTY {
-                self.keys[i] = key;
-                self.idxs[i] = idx_u32(self.log.len());
-                self.log.push((key, 0));
-                return &mut self.log.last_mut().expect("log tail exists: just pushed").1;
-            }
-            i = (i + 1) & mask;
+        let i = self.probe(key);
+        if self.keys[i] == key {
+            self.totals[self.idxs[i] as usize] = total;
+        } else {
+            self.keys[i] = key;
+            self.idxs[i] = idx_u32(self.totals.len());
+            self.log_keys.push(key);
+            self.totals.push(total);
         }
     }
 
-    /// Leaves the monotone fast path: index every pair logged so far.
+    /// Table-mode probe: the slot holding `key`, or the empty slot where it
+    /// would go.
+    fn probe(&self, key: u64) -> usize {
+        let mask = self.keys.len() - 1;
+        let mut i = Self::slot(&self.keys, key);
+        while self.keys[i] != key && self.keys[i] != PAIR_EMPTY {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Leaves the monotone fast path: recovers the key of every `totals`
+    /// entry from the outbox, then indexes them all.
     #[cold]
-    fn build_table(&mut self) {
-        self.rebuild(((self.log.len() + 1) * 2).next_power_of_two().max(64));
+    fn build_table<M>(&mut self, outbox: &[(NodeId, NodeId, M)]) {
+        self.log_keys.clear();
+        for &(src, dst, _) in outbox {
+            let key = pair_key(src.raw(), dst.raw());
+            if self.log_keys.last() != Some(&key) {
+                self.log_keys.push(key);
+            }
+        }
+        debug_assert_eq!(
+            self.log_keys.len(),
+            self.totals.len(),
+            "one outbox run per committed pair"
+        );
+        self.rebuild(((self.totals.len() + 1) * 2).next_power_of_two().max(64));
+        self.last = PAIR_EMPTY;
     }
 
     #[cold]
@@ -202,27 +227,25 @@ impl PairBits {
         self.keys.resize(cap, PAIR_EMPTY);
         self.idxs.clear();
         self.idxs.resize(cap, 0);
-        let mask = cap - 1;
-        for (at, &(k, _)) in self.log.iter().enumerate() {
-            let mut i = Self::slot(&self.keys, k);
-            while self.keys[i] != PAIR_EMPTY {
-                i = (i + 1) & mask;
-            }
-            self.keys[i] = k;
+        for (at, &key) in self.log_keys.iter().enumerate() {
+            let i = self.probe(key);
+            self.keys[i] = key;
             self.idxs[i] = idx_u32(at);
         }
     }
 
-    /// Largest cumulative per-pair load committed this round (observer
-    /// diagnostics; loads are monotone, so the final value is the peak).
+    /// Largest cumulative per-pair load committed this round.
     pub(crate) fn peak(&self) -> u64 {
-        self.log.iter().map(|&(_, used)| used).max().unwrap_or(0)
+        self.peak
     }
 
     /// Forgets this round's pairs but keeps all capacity, returning to the
     /// monotone (table-free) fast path.
     pub(crate) fn clear(&mut self) {
-        self.log.clear();
+        self.totals.clear();
+        self.last = 0;
+        self.peak = 0;
+        self.log_keys.clear();
         self.keys.clear();
         self.idxs.clear();
     }
@@ -241,11 +264,8 @@ pub(crate) struct RoundBuffers {
     pub(crate) dst_cuts: Vec<usize>,
     /// Arena-position shard boundaries (parallel delivery).
     pub(crate) arena_cuts: Vec<usize>,
-    /// Dense per-pair load array. Invariant: all-zero between rounds (the
-    /// round scrubs the entries it touched before retiring it).
-    dense: Vec<u64>,
-    /// Sparse per-pair load log, cleared (capacity kept) between rounds.
-    sparse: PairBits,
+    /// Per-pair budget tracker, cleared (capacity kept) between rounds.
+    pair_bits: PairBits,
     /// Retired outboxes (`Vec<(NodeId, NodeId, M)>`), type-erased.
     outboxes: ErasedSlots,
     /// Retired frame byte buffers for the sharded transport (round
@@ -262,30 +282,16 @@ pub(crate) struct RoundBuffers {
 const FRAME_RETAIN: usize = 4;
 
 impl RoundBuffers {
-    /// A dense load array of exactly `len` all-zero words.
-    pub(crate) fn take_dense(&mut self, len: usize) -> Vec<u64> {
-        let mut dense = mem::take(&mut self.dense);
-        if dense.len() != len {
-            dense.clear();
-            dense.resize(len, 0);
-        }
-        dense
+    /// The pooled per-pair budget tracker (already cleared).
+    pub(crate) fn take_pair_bits(&mut self) -> PairBits {
+        mem::take(&mut self.pair_bits)
     }
 
-    /// Returns a dense array whose touched entries the caller has zeroed.
-    pub(crate) fn retire_dense(&mut self, dense: Vec<u64>) {
-        self.dense = dense;
-    }
-
-    /// The pooled sparse pair log (already cleared).
-    pub(crate) fn take_sparse(&mut self) -> PairBits {
-        mem::take(&mut self.sparse)
-    }
-
-    /// Returns the sparse pair log, clearing it but keeping capacity.
-    pub(crate) fn retire_sparse(&mut self, mut sparse: PairBits) {
-        sparse.clear();
-        self.sparse = sparse;
+    /// Returns the per-pair budget tracker, clearing it but keeping
+    /// capacity.
+    pub(crate) fn retire_pair_bits(&mut self, mut pair_bits: PairBits) {
+        pair_bits.clear();
+        self.pair_bits = pair_bits;
     }
 
     /// A recycled (empty) outbox for message type `M`, if one was retired.
@@ -382,41 +388,50 @@ pub(crate) fn ensure_arena_len<M: Clone>(
 mod tests {
     use super::*;
 
+    /// Commits `(src, dst, bits)` sends the way `Round::send` does: read,
+    /// commit, push to the outbox.
+    fn send_all(
+        pb: &mut PairBits,
+        outbox: &mut Vec<(NodeId, NodeId, ())>,
+        sends: &[(u32, u32, u64)],
+    ) {
+        for &(src, dst, bits) in sends {
+            let key = pair_key(src, dst);
+            let total = pb.used(key, outbox) + bits;
+            pb.commit(key, total);
+            outbox.push((NodeId::new(src), NodeId::new(dst), ()));
+        }
+    }
+
     #[test]
     fn pair_bits_monotone_then_table() {
         let mut pb = PairBits::default();
-        *pb.entry_or_zero(5) += 8;
-        *pb.entry_or_zero(9) += 4;
-        // Out of order: forces the probe table, which must keep both tallies.
-        *pb.entry_or_zero(5) += 1;
-        assert_eq!(*pb.entry_or_zero(5), 9);
-        assert_eq!(*pb.entry_or_zero(9), 4);
-        assert_eq!(pb.peak(), 9);
+        let mut outbox = Vec::new();
+        send_all(&mut pb, &mut outbox, &[(0, 5, 8), (0, 5, 1), (0, 9, 4)]);
+        assert!(pb.keys.is_empty(), "monotone sends build no table");
+        assert_eq!(pb.totals, [9, 4]);
+        // Out of order: recovers keys from the outbox runs, keeps both tallies.
+        send_all(&mut pb, &mut outbox, &[(0, 5, 1)]);
+        assert!(!pb.keys.is_empty());
+        assert_eq!(pb.used(pair_key(0, 5), &outbox), 10);
+        assert_eq!(pb.used(pair_key(0, 9), &outbox), 4);
+        assert_eq!(pb.used(pair_key(1, 0), &outbox), 0);
+        assert_eq!(pb.peak(), 10);
     }
 
     #[test]
     fn pair_bits_clear_keeps_capacity_and_resets_tallies() {
         let mut pb = PairBits::default();
-        for k in (0..100u64).rev() {
-            *pb.entry_or_zero(k) += 1;
-        }
-        let log_cap = pb.log.capacity();
+        let mut outbox = Vec::new();
+        let sends: Vec<(u32, u32, u64)> = (0..100u32).rev().map(|v| (v, v + 1, 1)).collect();
+        send_all(&mut pb, &mut outbox, &sends);
+        let (totals_cap, keys_cap) = (pb.totals.capacity(), pb.keys.capacity());
         pb.clear();
         assert_eq!(pb.peak(), 0);
-        assert!(pb.log.capacity() >= log_cap.min(100));
-        assert_eq!(*pb.entry_or_zero(7), 0);
-    }
-
-    #[test]
-    fn dense_pool_round_trips_zeroed() {
-        let mut b = RoundBuffers::default();
-        let mut d = b.take_dense(16);
-        assert!(d.iter().all(|&w| w == 0));
-        d[3] = 99;
-        d[3] = 0; // caller scrubs before retiring
-        b.retire_dense(d);
-        let d2 = b.take_dense(16);
-        assert!(d2.iter().all(|&w| w == 0));
+        assert!(pb.keys.is_empty(), "clear returns to the monotone path");
+        assert_eq!(pb.totals.capacity(), totals_cap);
+        assert_eq!(pb.keys.capacity(), keys_cap);
+        assert_eq!(pb.used(pair_key(7, 8), &[] as &[(NodeId, NodeId, ())]), 0);
     }
 
     #[test]

@@ -19,18 +19,18 @@
 //! * [`Round`] — one open synchronous round, generic over the transport
 //!   and the message type. A warmed round makes no heap allocation
 //!   (measured by `tests/steady_state_alloc.rs`): per-pair budget loads
-//!   live in a dense `u64` array for the clique transport (word-level pair
-//!   accounting) or the sparse pooled `PairBits` log for CONGEST, ledger
-//!   charges are batched locally and flushed once per round, and delivery
-//!   is a stable src-major counting scatter into a pooled arena — no
-//!   per-inbox sort, no per-inbox allocation.
+//!   live in the pooled `PairBits` tracker, which holds one word per pair
+//!   the round actually uses (never `n²`), ledger charges are batched
+//!   locally and flushed once per round, and delivery is a stable
+//!   src-major counting scatter into a pooled arena — no per-inbox sort,
+//!   no per-inbox allocation.
 //! * [`Inboxes`] — the flat delivered-messages arena `deliver` returns,
 //!   indexable per node as a slice; its storage flows back to the engine's
 //!   pool on drop.
 //! * [`RoundObserver`] / [`RoundEvent`] — a structured per-round trace
-//!   hook, no-op by default. Observer-only quantities (max per-pair load,
-//!   inbox-size histogram) are computed **only when an observer is
-//!   attached**, so an unobserved run does no extra work.
+//!   hook, no-op by default. The inbox-size histogram is computed **only
+//!   when an observer is attached**; the max per-pair load is a running
+//!   maximum the budget tracker keeps anyway, read in O(1).
 //!
 //! The concrete engines ([`crate::clique::CliqueEngine`],
 //! [`crate::congest::CongestEngine`], [`crate::beeping::BeepingEngine`])
@@ -89,15 +89,6 @@ pub trait Transport {
 
     /// Checks whether `src -> dst` may carry a message in this model.
     fn check_link(&self, src: NodeId, dst: NodeId) -> Result<(), BandwidthError>;
-
-    /// `Some(n)` when every admissible pair fits the dense `n * n` load
-    /// array (word-level pair accounting); `None` keeps the sparse
-    /// `PairBits` path. Dense transports with huge `n` are still clamped
-    /// to sparse by [`pool::dense_pair_max`] (default
-    /// [`pool::DENSE_PAIR_MAX_DEFAULT`], env `CC_MIS_DENSE_PAIR_MAX`).
-    fn dense_pair_domain(&self) -> Option<usize> {
-        None
-    }
 }
 
 /// Transport of the congested clique: every ordered pair of distinct,
@@ -121,10 +112,6 @@ impl Transport for CliqueTransport {
             });
         }
         Ok(())
-    }
-
-    fn dense_pair_domain(&self) -> Option<usize> {
-        Some(self.n)
     }
 }
 
@@ -346,23 +333,6 @@ impl RoundCore {
     }
 }
 
-/// Per-round per-ordered-pair cumulative bit loads: a flat `u64` word per
-/// pair when the transport's pair domain is dense (clique), the pooled
-/// sparse log otherwise (CONGEST, whose pair set is the edge set).
-#[derive(Debug)]
-enum PairLoads {
-    /// `loads[src.index() * n + dst.index()]` — one word per ordered pair.
-    Dense { loads: Vec<u64>, n: usize },
-    /// Monotone log with lazy probe-table fallback (see [`PairBits`]).
-    Sparse(PairBits),
-}
-
-impl Default for PairLoads {
-    fn default() -> Self {
-        PairLoads::Sparse(PairBits::default())
-    }
-}
-
 /// Minimum outbox size for the sharded (parallel) delivery path: below
 /// this the scoped-pool spawn overhead exceeds the scatter itself.
 const PAR_DELIVER_MIN_MESSAGES: usize = 1 << 13;
@@ -375,7 +345,9 @@ pub struct Round<'a, T, M: Send + 'static> {
     core: &'a mut RoundCore,
     transport: T,
     outbox: Vec<(NodeId, NodeId, M)>,
-    loads: PairLoads,
+    /// Per-pair cumulative bits this round. Invariant: a send is committed
+    /// here if and only if it is pushed to `outbox`.
+    loads: PairBits,
     /// Per-destination message counts, maintained incrementally by `send`
     /// (the table is node-count sized and cache-resident, so counting at
     /// send time is cheaper than re-reading the whole outbox at close).
@@ -401,13 +373,7 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
     pub(crate) fn begin(core: &'a mut RoundCore, transport: T) -> Self {
         let start_messages = core.ledger.messages;
         let start_bits = core.ledger.bits;
-        let loads = match transport.dense_pair_domain() {
-            Some(n) if n <= pool::dense_pair_max() => PairLoads::Dense {
-                loads: core.buffers.take_dense(n * n),
-                n,
-            },
-            _ => PairLoads::Sparse(core.buffers.take_sparse()),
-        };
+        let loads = core.buffers.take_pair_bits();
         let outbox = core.buffers.take_outbox::<M>();
         let mut counts = mem::take(&mut core.buffers.counts);
         pool::reset_zeroed(&mut counts, transport.node_count());
@@ -446,11 +412,8 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
         msg: M,
     ) -> Result<(), BandwidthError> {
         self.transport.check_link(src, dst)?;
-        let used = match &mut self.loads {
-            PairLoads::Dense { loads, n } => &mut loads[src.index() * *n + dst.index()],
-            PairLoads::Sparse(pair_bits) => pair_bits.entry_or_zero(pair_key(src.raw(), dst.raw())),
-        };
-        let attempted = *used + bits;
+        let key = pair_key(src.raw(), dst.raw());
+        let attempted = self.loads.used(key, &self.outbox) + bits;
         if attempted > self.core.bandwidth {
             match self.core.enforcement {
                 Enforcement::Strict => {
@@ -464,7 +427,7 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
                 Enforcement::Audit => self.pending_violations += 1,
             }
         }
-        *used = attempted;
+        self.loads.commit(key, attempted);
         if src.raw() < self.last_src {
             self.src_monotone = false;
         }
@@ -481,19 +444,15 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
         self.outbox.len()
     }
 
-    /// Observer-only diagnostics: peak per-pair load (word-at-a-time scan
-    /// over the dense array; loads are monotone so final values are peaks)
-    /// and the inbox-size histogram. Allocation happens only here, only
-    /// when observing — `deliver` itself stays allocation-free.
+    /// Observer-only diagnostics: peak per-pair load (the tracker's
+    /// running maximum) and the inbox-size histogram. Allocation happens
+    /// only here, only when observing — `deliver` itself stays
+    /// allocation-free.
     fn observer_stats(&self, counts: &[u32]) -> (u64, Vec<(usize, usize)>) {
         if !self.core.observing() {
             return (0, Vec::new());
         }
-        let max = match &self.loads {
-            PairLoads::Dense { loads, .. } => loads.iter().copied().max().unwrap_or(0),
-            PairLoads::Sparse(pair_bits) => pair_bits.peak(),
-        };
-        (max, inbox_histogram(counts))
+        (self.loads.peak(), inbox_histogram(counts))
     }
 
     /// Closes the round: advances the clock and returns, for each node, the
@@ -517,25 +476,10 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
         let sharded = threads > 1 && m >= PAR_DELIVER_MIN_MESSAGES && n > 0;
         let shards = if sharded { threads.min(m) } else { 1 };
 
-        // Observer-only diagnostics, read before the loads are scrubbed.
+        // Observer-only diagnostics, read before the loads are retired.
         let (max_pair_load, histogram) = self.observer_stats(&counts);
-
-        // Scrub the dense load array back to all-zero (the pool invariant)
-        // and retire the loads. Small rounds scrub per touched pair; big
-        // rounds memset the whole array.
-        match mem::take(&mut self.loads) {
-            PairLoads::Dense { mut loads, n } => {
-                if m * 4 >= loads.len() {
-                    loads.fill(0);
-                } else {
-                    for &(src, dst, _) in &outbox {
-                        loads[src.index() * n + dst.index()] = 0;
-                    }
-                }
-                self.core.buffers.retire_dense(loads);
-            }
-            PairLoads::Sparse(pair_bits) => self.core.buffers.retire_sparse(pair_bits),
-        }
+        let loads = mem::take(&mut self.loads);
+        self.core.buffers.retire_pair_bits(loads);
 
         // Pass 2 — prefix offsets, then the stable src-major counting
         // scatter into the pooled arena.
@@ -683,23 +627,16 @@ impl<T, M: Send + 'static> Round<'_, T, M> {
 impl<T, M: Send + 'static> Drop for Round<'_, T, M> {
     /// Drop glue for a round discarded without [`Round::deliver`]: flush
     /// the batched charges (sent messages tally as attempts, exactly as
-    /// per-send charging did), scrub the dense loads back to all-zero, and
-    /// retire every pooled buffer. After `deliver` this is a no-op.
+    /// per-send charging did) and retire every pooled buffer. After
+    /// `deliver` this is a no-op.
     fn drop(&mut self) {
         if self.finished {
             return;
         }
         self.flush_charges();
         self.core.buffers.counts = mem::take(&mut self.counts);
-        match mem::take(&mut self.loads) {
-            PairLoads::Dense { mut loads, n } => {
-                for &(src, dst, _) in &self.outbox {
-                    loads[src.index() * n + dst.index()] = 0;
-                }
-                self.core.buffers.retire_dense(loads);
-            }
-            PairLoads::Sparse(pair_bits) => self.core.buffers.retire_sparse(pair_bits),
-        }
+        let loads = mem::take(&mut self.loads);
+        self.core.buffers.retire_pair_bits(loads);
         let outbox = mem::take(&mut self.outbox);
         self.core.buffers.retire_outbox(outbox);
     }
@@ -944,46 +881,44 @@ mod tests {
         assert_eq!(core.ledger().bits, 8);
     }
 
-    /// Satellite pin: at the dense cutoff boundary the dense `n * n` array
-    /// and the sparse `PairBits` log charge identical ledgers, emit
-    /// identical observer events (including `max_pair_load`), and reject
-    /// the same over-budget send — the cutoff is a space/time trade only.
+    /// A strict rejection consumes none of the pair's budget, is not
+    /// delivered and is not charged, and the observer's `max_pair_load` is
+    /// the fullest pair's total.
     #[test]
-    fn dense_and_sparse_pair_accounting_agree_at_the_boundary() {
-        let n = 6usize;
-        let run = |cutoff: usize| {
-            crate::pool::set_dense_pair_max_override(Some(cutoff));
-            let recorder = shared_recorder();
-            let mut core = RoundCore::new(32, Enforcement::Strict);
-            core.ledger_mut().begin_phase("boundary");
-            core.attach_observer(recorder.clone());
-            let mut round: Round<'_, CliqueTransport, u8> =
-                Round::begin(&mut core, CliqueTransport { n });
-            round
-                .send(NodeId::new(0), NodeId::new(1), 24, 1)
-                .expect("first send fits the 32-bit pair budget");
-            round
-                .send(NodeId::new(0), NodeId::new(1), 8, 2)
-                .expect("second send exactly fills the pair budget");
-            let over = round
-                .send(NodeId::new(0), NodeId::new(1), 1, 3)
-                .expect_err("third send exceeds the pair budget")
-                .to_string();
-            round
-                .send(NodeId::new(3), NodeId::new(2), 16, 4)
-                .expect("fresh pair has a full budget");
-            round.deliver();
-            crate::pool::set_dense_pair_max_override(None);
-            let events = recorder.borrow().events.clone();
-            (events, core.ledger().clone(), over)
-        };
-        // cutoff = n keeps the dense array; cutoff = n - 1 forces sparse.
-        let dense = run(n);
-        let sparse = run(n - 1);
-        assert_eq!(dense, sparse);
-        assert_eq!(dense.0[0].max_pair_load, 32);
-        assert_eq!(dense.1.messages, 3);
-        assert_eq!(dense.1.bits, 48);
+    fn strict_rejection_leaves_pair_budget_and_ledger_untouched() {
+        let recorder = shared_recorder();
+        let mut core = RoundCore::new(32, Enforcement::Strict);
+        core.ledger_mut().begin_phase("boundary");
+        core.attach_observer(recorder.clone());
+        let mut round: Round<'_, CliqueTransport, u8> =
+            Round::begin(&mut core, CliqueTransport { n: 6 });
+        round
+            .send(NodeId::new(0), NodeId::new(1), 24, 1)
+            .expect("first send fits the 32-bit pair budget");
+        round
+            .send(NodeId::new(0), NodeId::new(1), 8, 2)
+            .expect("second send exactly fills the pair budget");
+        let over = round
+            .send(NodeId::new(0), NodeId::new(1), 1, 3)
+            .expect_err("third send exceeds the pair budget")
+            .to_string();
+        round
+            .send(NodeId::new(3), NodeId::new(2), 16, 4)
+            .expect("fresh pair has a full budget");
+        let inboxes = round.deliver();
+        assert_eq!(&inboxes[1], &[(NodeId::new(0), 1), (NodeId::new(0), 2)][..]);
+        assert_eq!(&inboxes[2], &[(NodeId::new(3), 4)][..]);
+        assert_eq!(
+            over,
+            "bandwidth exceeded on link v0->v1: 33 bits attempted, budget 32"
+        );
+        let events = recorder.borrow().events.clone();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].max_pair_load, 32);
+        assert_eq!(events[0].messages, 3);
+        assert_eq!(core.ledger().messages, 3);
+        assert_eq!(core.ledger().bits, 48);
+        assert_eq!(core.ledger().violations, 0);
     }
 
     #[test]
@@ -1009,13 +944,11 @@ mod tests {
         assert!(clique.check_link(NodeId::new(0), NodeId::new(2)).is_ok());
         assert!(clique.check_link(NodeId::new(1), NodeId::new(1)).is_err());
         assert!(clique.check_link(NodeId::new(0), NodeId::new(7)).is_err());
-        assert_eq!(clique.dense_pair_domain(), Some(3));
 
         let g = cc_mis_graph::generators::path(3);
         let congest = CongestTransport { graph: &g };
         assert!(congest.check_link(NodeId::new(0), NodeId::new(1)).is_ok());
         assert!(congest.check_link(NodeId::new(0), NodeId::new(2)).is_err());
-        assert_eq!(congest.dense_pair_domain(), None);
     }
 
     #[test]
@@ -1220,8 +1153,8 @@ mod tests {
         assert_eq!(core.ledger().rounds, sizes.len() as u64);
     }
 
-    /// The sparse (CONGEST) path still enforces shared per-pair budgets
-    /// across out-of-order sends via the probe-table fallback.
+    /// The CONGEST transport enforces shared per-pair budgets across
+    /// out-of-order sends through the probe table.
     #[test]
     fn sparse_path_budget_and_order() {
         let g = cc_mis_graph::generators::cycle(4);

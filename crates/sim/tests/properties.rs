@@ -11,7 +11,11 @@ use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::congest::CongestEngine;
 use cc_mis_sim::rng::{SharedRandomness, Stream};
 use cc_mis_sim::routing::{route, route_executed, Packet};
+use cc_mis_sim::runtime::{Enforcement, Round, RoundEvent, RoundObserver, Transport};
+use cc_mis_sim::{BandwidthError, RoundLedger};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 const CASES: u64 = 48;
 
@@ -210,6 +214,227 @@ fn clique_engine_counts_match_sends() {
         assert_eq!(engine.ledger().bits, expected_bits, "case {case}");
         assert_eq!(engine.ledger().messages, sent as u64, "case {case}");
         assert_eq!(engine.ledger().rounds, 1, "case {case}");
+    }
+}
+
+/// Per-pair budget of the pair-accounting reference test.
+const PAIR_BUDGET: u64 = 32;
+
+/// One round's `(src, dst, bits)` sends over the admissible `pairs` (sorted
+/// by `(src, dst)`, at least two):
+/// 1. a monotone prefix of ascending pairs, each sent up to three times
+///    and sometimes led by an over-budget send, so a pair can be refused
+///    before or instead of being used;
+/// 2. an over-budget send on a pair at or past the prefix's last;
+/// 3. out-of-order sends, the first to the prefix's smallest used pair,
+///    mixed with self-addressed ones.
+fn pair_budget_sends(
+    rng: &SharedRandomness,
+    tag: u32,
+    pairs: &[(u32, u32)],
+) -> Vec<(u32, u32, u64)> {
+    let mut counter = 0u64;
+    let mut draw = |bound: u64| {
+        counter += 1;
+        rng.bits(Stream::Aux, NodeId::new(tag), counter) % bound
+    };
+    let mut sends = Vec::new();
+    // Prefix pairs come from the first `len - 1`, leaving one for step 2;
+    // at least two distinct pairs carry an in-budget send.
+    let mut first_used = None;
+    let mut used = 0;
+    let mut at = draw(2) as usize;
+    while at + 1 < pairs.len() && (used < 2 || draw(4) != 0) {
+        let (src, dst) = pairs[at];
+        let repeats = draw(4);
+        if repeats == 0 || draw(4) == 0 {
+            sends.push((src, dst, PAIR_BUDGET + 1 + draw(8)));
+        }
+        for _ in 0..repeats {
+            sends.push((src, dst, 1 + draw(16)));
+        }
+        if repeats > 0 {
+            first_used.get_or_insert((src, dst));
+            used += 1;
+        }
+        at += 1 + draw(3) as usize;
+    }
+    let (src, dst) = pairs[at.min(pairs.len() - 1)];
+    sends.push((src, dst, PAIR_BUDGET + 1 + draw(8)));
+    if let Some((src, dst)) = first_used {
+        sends.push((src, dst, 1 + draw(16)));
+    }
+    for _ in 0..draw(100) {
+        if draw(10) == 0 {
+            let v = pairs[draw(pairs.len() as u64) as usize].0;
+            sends.push((v, v, 1));
+        } else {
+            let (src, dst) = pairs[draw(pairs.len() as u64) as usize];
+            sends.push((src, dst, 1 + draw(16)));
+        }
+    }
+    sends
+}
+
+/// What a round of `sends` must produce under `enforcement`, from a
+/// `BTreeMap` of per-pair totals: each send's result, then the committed
+/// messages, bits and violations and the largest pair total.
+type PairModel = (Vec<Result<(), BandwidthError>>, u64, u64, u64, u64);
+
+fn pair_budget_model(sends: &[(u32, u32, u64)], enforcement: Enforcement) -> PairModel {
+    let mut loads: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+    let (mut results, mut messages, mut bits, mut violations) = (Vec::new(), 0, 0, 0);
+    for &(src, dst, b) in sends {
+        if src == dst {
+            results.push(Err(BandwidthError::InvalidLink { src, dst }));
+            continue;
+        }
+        let load = loads.entry((src, dst)).or_insert(0);
+        let attempted = *load + b;
+        if attempted > PAIR_BUDGET {
+            if enforcement == Enforcement::Strict {
+                results.push(Err(BandwidthError::Exceeded {
+                    src,
+                    dst,
+                    attempted,
+                    budget: PAIR_BUDGET,
+                }));
+                continue;
+            }
+            violations += 1;
+        }
+        *load = attempted;
+        results.push(Ok(()));
+        messages += 1;
+        bits += b;
+    }
+    let peak = loads.values().copied().max().unwrap_or(0);
+    (results, messages, bits, violations, peak)
+}
+
+#[derive(Default)]
+struct Recorder(Vec<RoundEvent>);
+
+impl RoundObserver for Recorder {
+    fn on_event(&mut self, event: &RoundEvent) {
+        self.0.push(event.clone());
+    }
+}
+
+/// Plays `sends` on an open round and delivers it: each send's result and
+/// the number of messages delivered.
+fn play<T: Transport>(
+    mut round: Round<'_, T, u64>,
+    sends: &[(u32, u32, u64)],
+) -> (Vec<Result<(), BandwidthError>>, usize) {
+    let results = sends
+        .iter()
+        .map(|&(src, dst, bits)| round.send(NodeId::new(src), NodeId::new(dst), bits, 0))
+        .collect();
+    (results, round.deliver().message_count())
+}
+
+/// Checks two rounds of one engine against the model: every send's
+/// result, the delivered count, the ledger (cumulative) and each round's
+/// observed `max_pair_load` and violations.
+fn check_pair_budget_rounds(
+    label: &str,
+    enforcement: Enforcement,
+    rounds: &[Vec<(u32, u32, u64)>],
+    recorder: &RefCell<Recorder>,
+    mut run_round: impl FnMut(
+        &[(u32, u32, u64)],
+    ) -> (Vec<Result<(), BandwidthError>>, usize, RoundLedger),
+) {
+    let mut expected = RoundLedger::default();
+    for (r, sends) in rounds.iter().enumerate() {
+        let (results, messages, bits, violations, peak) = pair_budget_model(sends, enforcement);
+        let (got, delivered, ledger) = run_round(sends);
+        assert_eq!(got, results, "{label} round {r}");
+        assert_eq!(delivered as u64, messages, "{label} round {r}");
+        expected.messages += messages;
+        expected.bits += bits;
+        expected.violations += violations;
+        assert_eq!(
+            (
+                ledger.rounds,
+                ledger.messages,
+                ledger.bits,
+                ledger.violations
+            ),
+            (
+                r as u64 + 1,
+                expected.messages,
+                expected.bits,
+                expected.violations
+            ),
+            "{label} round {r}"
+        );
+        let event = &recorder.borrow().0[r];
+        assert_eq!(event.max_pair_load, peak, "{label} round {r}");
+        assert_eq!(event.violations, expected.violations, "{label} round {r}");
+    }
+}
+
+/// Reference model for per-pair budgets: on the clique and CONGEST
+/// transports, in strict and audit mode, every send's outcome, the ledger,
+/// the violations and `max_pair_load` match a `BTreeMap` of pair totals —
+/// across the switch from in-order to out-of-order sends, with a rejected
+/// send right before it.
+#[test]
+fn pair_budgets_match_a_reference_model() {
+    for case in 0..CASES {
+        let mut r = SplitMix64::new(0x9A1Bu64.wrapping_mul(case + 1));
+        let n = 4 + r.next_below(12) as usize;
+        let rng = SharedRandomness::new(r.next_u64());
+        let graph = generators::erdos_renyi_gnp(n, 0.5, r.next_u64());
+        let clique_pairs: Vec<(u32, u32)> = (0..n as u32)
+            .flat_map(|s| (0..n as u32).filter(move |&d| d != s).map(move |d| (s, d)))
+            .collect();
+        let congest_pairs: Vec<(u32, u32)> = graph
+            .nodes()
+            .flat_map(|v| graph.neighbors(v).iter().map(move |u| (v.raw(), u.raw())))
+            .collect();
+        assert!(congest_pairs.is_sorted(), "case {case}");
+        for enforcement in [Enforcement::Strict, Enforcement::Audit] {
+            let label = format!("case {case} {enforcement:?}");
+            let rounds: Vec<_> = (0..2)
+                .map(|t| pair_budget_sends(&rng, t, &clique_pairs))
+                .collect();
+            let recorder = Rc::new(RefCell::new(Recorder::default()));
+            let mut clique = CliqueEngine::new(n, PAIR_BUDGET, enforcement);
+            clique.attach_observer(recorder.clone());
+            check_pair_budget_rounds(
+                &format!("{label} clique"),
+                enforcement,
+                &rounds,
+                &recorder,
+                |sends| {
+                    let (results, delivered) = play(clique.begin_round(), sends);
+                    (results, delivered, clique.ledger().clone())
+                },
+            );
+
+            if congest_pairs.len() < 2 {
+                continue;
+            }
+            let rounds: Vec<_> = (2..4)
+                .map(|t| pair_budget_sends(&rng, t, &congest_pairs))
+                .collect();
+            let recorder = Rc::new(RefCell::new(Recorder::default()));
+            let mut congest = CongestEngine::new(&graph, PAIR_BUDGET, enforcement);
+            congest.attach_observer(recorder.clone());
+            check_pair_budget_rounds(
+                &format!("{label} CONGEST"),
+                enforcement,
+                &rounds,
+                &recorder,
+                |sends| {
+                    let (results, delivered) = play(congest.begin_round(), sends);
+                    (results, delivered, congest.ledger().clone())
+                },
+            );
+        }
     }
 }
 

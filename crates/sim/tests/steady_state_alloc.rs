@@ -10,11 +10,15 @@
 //! retired shows up here too: the next round's `take_*` comes back empty
 //! and has to allocate.
 //!
+//! The allocator also sums the bytes it hands out, which pins the cost of
+//! a *fresh* engine: its first round may only allocate what the messages
+//! it carries need, not storage for all `n²` ordered pairs.
+//!
 //! All shapes run at one worker thread with no observer attached. The
 //! parallel scatter (more than one thread, at least
 //! `PAR_DELIVER_MIN_MESSAGES` messages) spawns scoped workers every round
-//! and is deliberately out of scope. The in-process overrides are global,
-//! so the shapes run in sequence inside one `#[test]`.
+//! and is deliberately out of scope. The thread override is global, so
+//! the shapes run in sequence inside one `#[test]`.
 
 #![allow(unsafe_code)] // a GlobalAlloc impl is unsafe by definition; it only counts and forwards to System
 
@@ -25,19 +29,23 @@ use cc_mis_graph::{generators, NodeId};
 use cc_mis_sim::bits::standard_bandwidth;
 use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::congest::CongestEngine;
-use cc_mis_sim::{par_nodes, pool};
+use cc_mis_sim::par_nodes;
 
 thread_local! {
     /// Allocations made by this thread. `const`-initialised and free of
     /// drop glue, so reading it never allocates.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested by those allocations (a `realloc` counts its new
+    /// size in full).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Forwards to [`System`], counting allocations per thread.
+/// Forwards to [`System`], counting allocations and bytes per thread.
 struct CountingAlloc;
 
-fn count_one() {
+fn count_one(bytes: usize) {
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
@@ -46,19 +54,19 @@ fn count_one() {
 // which never allocates, so the allocator cannot re-enter itself.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract, which is `System`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: `ptr` and `layout` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -74,6 +82,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 /// Rounds run before measuring, so every pool is primed.
@@ -119,21 +131,12 @@ fn node(v: usize) -> NodeId {
 fn warmed_rounds_make_zero_heap_allocations() {
     par_nodes::set_thread_override(Some(1));
 
-    // Clique, dense per-pair accounting (n² load words).
-    pool::set_dense_pair_max_override(None);
+    // Clique, fan-out 8.
     let n = 64;
     let mut engine = CliqueEngine::strict(n, standard_bandwidth(n));
-    let dense = allocations_per_round(|| {
+    let clique = allocations_per_round(|| {
         assert!(clique_round(&mut engine, 8) > 0);
     });
-
-    // Clique, sparse per-pair accounting (cutoff forced below n).
-    pool::set_dense_pair_max_override(Some(1));
-    let mut engine = CliqueEngine::strict(n, standard_bandwidth(n));
-    let sparse = allocations_per_round(|| {
-        assert!(clique_round(&mut engine, 8) > 0);
-    });
-    pool::set_dense_pair_max_override(None);
 
     // CONGEST local broadcast over graph edges (sparse accounting).
     let graph = generators::grid(12, 12);
@@ -158,10 +161,23 @@ fn warmed_rounds_make_zero_heap_allocations() {
         assert!(clique_round(&mut engine, n - 1) > 0);
     });
 
+    // A fresh clique engine's first round at n = 2048, fan-out 8: outbox,
+    // arena and pair totals for 16,384 messages take about 1.7 MB with
+    // vector growth; an n² pair-indexed array alone would be 32 MiB.
+    let n = 2048;
+    let before = bytes();
+    let mut engine = CliqueEngine::strict(n, standard_bandwidth(n));
+    assert!(clique_round(&mut engine, 8) > 0);
+    let fresh_bytes = bytes() - before;
+
     par_nodes::set_thread_override(None);
     assert_eq!(
-        (dense, sparse, congest, large),
-        (0, 0, 0, 0),
-        "heap allocations per warmed round (clique dense, clique sparse, CONGEST, clique ≥ 8,192 messages)"
+        (clique, congest, large),
+        (0, 0, 0),
+        "heap allocations per warmed round (clique, CONGEST, clique ≥ 8,192 messages)"
+    );
+    assert!(
+        fresh_bytes < 4 << 20,
+        "a fresh n = 2048 clique engine's first round allocated {fresh_bytes} bytes"
     );
 }
