@@ -51,6 +51,10 @@ pub struct Harness {
 impl Harness {
     /// Creates a harness; sample count comes from `BENCH_SAMPLES` (default
     /// 10, minimum 3 so the median is meaningful).
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "bench harness knob; no simulated count depends on it"
+    )]
     pub fn new(group: &str) -> Self {
         let samples = std::env::var("BENCH_SAMPLES")
             .ok()
@@ -96,6 +100,10 @@ impl Harness {
 
     /// Finishes the group: if `BENCH_JSON` is set, appends one JSON line
     /// (`{"group": ..., "results": [...]}`) to that file.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "bench harness knob; no simulated count depends on it"
+    )]
     pub fn finish(self) {
         let Ok(path) = std::env::var("BENCH_JSON") else {
             return;

@@ -89,6 +89,10 @@ impl Family {
 
 /// The standard multi-seed count used across experiments (overridable via
 /// the `TRIALS` environment variable).
+#[allow(
+    clippy::disallowed_methods,
+    reason = "experiment knob read by the harness binaries, not the simulator"
+)]
 pub fn default_trials() -> usize {
     std::env::var("TRIALS")
         .ok()
@@ -98,12 +102,20 @@ pub fn default_trials() -> usize {
 
 /// The standard "quick mode" switch (set `QUICK=1` to shrink sweeps — used
 /// by the smoke tests so every experiment binary stays CI-runnable).
+#[allow(
+    clippy::disallowed_methods,
+    reason = "experiment knob read by the harness binaries, not the simulator"
+)]
 pub fn quick_mode() -> bool {
     std::env::var("QUICK").map(|v| v == "1").unwrap_or(false)
 }
 
 /// Writes a CSV string next to the experiment output when `CSV_DIR` is set;
 /// returns the path it wrote to, if any.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "experiment output directory, read by the harness binaries, not the simulator"
+)]
 pub fn maybe_write_csv(name: &str, csv: &str) -> Option<std::path::PathBuf> {
     let dir = std::env::var("CSV_DIR").ok()?;
     let path = std::path::Path::new(&dir).join(format!("{name}.csv"));

@@ -7,8 +7,8 @@
 //! within the caller's impl, and `.name(…)` method calls link only to fns
 //! that have a self type). This over-approximates trait dispatch and
 //! under-approximates macro-generated calls (macro bodies are opaque) —
-//! both deliberate: the interprocedural rules R10/R12 use the graph for
-//! reachability closures where over-approximation is the safe direction,
+//! both deliberate: the observer-purity rule R18 uses the graph for a
+//! reachability closure where over-approximation is the safe direction,
 //! and the misses are recorded in DESIGN.md §8.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -44,8 +44,6 @@ pub struct CallGraph {
     pub nodes: Vec<FnNode>,
     /// Resolved callee node ids per node (deduplicated, sorted).
     pub callees: Vec<Vec<usize>>,
-    /// Resolved caller node ids per node (deduplicated, sorted).
-    pub callers: Vec<Vec<usize>>,
     by_name: BTreeMap<String, Vec<usize>>,
 }
 
@@ -73,7 +71,6 @@ pub fn build(files: &[FileSyntax]) -> CallGraph {
     }
     let mut graph = CallGraph {
         callees: vec![Vec::new(); nodes.len()],
-        callers: vec![Vec::new(); nodes.len()],
         nodes,
         by_name,
     };
@@ -84,14 +81,7 @@ pub fn build(files: &[FileSyntax]) -> CallGraph {
                 targets.insert(t);
             }
         }
-        for t in targets {
-            graph.callees[i].push(t);
-            graph.callers[t].push(i);
-        }
-    }
-    for v in &mut graph.callers {
-        v.sort_unstable();
-        v.dedup();
+        graph.callees[i] = targets.into_iter().collect();
     }
     graph
 }
@@ -118,27 +108,18 @@ impl CallGraph {
             .collect()
     }
 
-    /// Reachability closure from `seeds`: repeatedly adds callers (if
-    /// `up`) and callees (if `down`) of members, admitting only nodes for
-    /// which `admit` holds. Seeds are included unconditionally.
+    /// Callee closure of `seeds`: everything they can reach through
+    /// calls, admitting only nodes for which `admit` holds. Seeds are
+    /// included unconditionally.
     pub fn closure(
         &self,
         seeds: impl IntoIterator<Item = usize>,
-        up: bool,
-        down: bool,
         admit: impl Fn(&FnNode) -> bool,
     ) -> BTreeSet<usize> {
         let mut set: BTreeSet<usize> = seeds.into_iter().collect();
         let mut work: Vec<usize> = set.iter().copied().collect();
         while let Some(i) = work.pop() {
-            let mut neighbors = Vec::new();
-            if up {
-                neighbors.extend_from_slice(&self.callers[i]);
-            }
-            if down {
-                neighbors.extend_from_slice(&self.callees[i]);
-            }
-            for n in neighbors {
+            for &n in &self.callees[i] {
                 if !set.contains(&n) && admit(&self.nodes[n]) {
                     set.insert(n);
                     work.push(n);
@@ -178,7 +159,7 @@ mod tests {
         ]);
         let (h, d) = (idx(&g, "helper"), idx(&g, "driver"));
         assert_eq!(g.callees[d], vec![h]);
-        assert_eq!(g.callers[h], vec![d]);
+        assert!(g.callees[h].is_empty());
     }
 
     #[test]
@@ -210,24 +191,25 @@ mod tests {
     }
 
     #[test]
-    fn closure_walks_callers_transitively() {
+    fn closure_walks_callees_transitively() {
         let src = "fn sink() {}\n\
                    fn mid() { sink(); }\n\
                    fn top() { mid(); }\n\
                    fn unrelated() {}\n";
         let g = graph_of(&[("crates/a/src/lib.rs", src)]);
-        let reach = g.closure([idx(&g, "sink")], true, false, |_| true);
+        let reach = g.closure([idx(&g, "top")], |_| true);
         let names: Vec<&str> = reach.iter().map(|&i| g.nodes[i].name.as_str()).collect();
         assert_eq!(names, vec!["sink", "mid", "top"]);
     }
 
     #[test]
     fn closure_admit_gate_blocks_expansion() {
-        let src = "fn sink() {}\n\
+        let src = "fn top() { t(); }\n\
                    #[cfg(test)]\n\
-                   mod tests { fn t() { sink(); } }\n";
+                   mod tests { pub fn t() { sink(); } }\n\
+                   fn sink() {}\n";
         let g = graph_of(&[("crates/a/src/lib.rs", src)]);
-        let reach = g.closure([idx(&g, "sink")], true, false, |n| !n.is_test);
-        assert_eq!(reach.len(), 1, "test callers are not admitted");
+        let reach = g.closure([idx(&g, "top")], |n| !n.is_test);
+        assert_eq!(reach.len(), 1, "test callees are not admitted");
     }
 }

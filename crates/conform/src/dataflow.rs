@@ -244,7 +244,7 @@ fn check_r18(syntaxes: &[FileSyntax], graph: &CallGraph, findings: &mut Vec<Find
         return;
     }
     let admit = |n: &FnNode| !n.is_test;
-    let reach = graph.closure(seeds.iter().copied(), false, true, admit);
+    let reach = graph.closure(seeds.iter().copied(), admit);
     let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
     for &ni in &reach {
         let node = &graph.nodes[ni];

@@ -9,7 +9,7 @@ pub struct Finding {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule id (`R1`..`R24`, or `P1`/`P2` for pragma violations).
+    /// Rule id (`R1`..`R21`, or `P1`/`P2` for pragma violations).
     pub rule: &'static str,
     /// Human-readable message.
     pub message: String,
@@ -152,7 +152,7 @@ mod tests {
         let mut v = vec![
             Finding::new("b.rs", 1, "R1", "m"),
             Finding::new("a.rs", 9, "R5", "m"),
-            Finding::new("a.rs", 9, "R2", "m"),
+            Finding::new("a.rs", 9, "R3", "m"),
             Finding::new("a.rs", 2, "R8", "m"),
         ];
         sort(&mut v);
@@ -162,7 +162,7 @@ mod tests {
             order,
             vec![
                 ("a.rs".to_string(), 2, "R8"),
-                ("a.rs".to_string(), 9, "R2"),
+                ("a.rs".to_string(), 9, "R3"),
                 ("a.rs".to_string(), 9, "R5"),
                 ("b.rs".to_string(), 1, "R1"),
             ]

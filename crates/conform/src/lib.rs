@@ -10,12 +10,19 @@
 //! so this crate enforces them the way production stacks do: a linter in
 //! the tier-1 gate, not a review checklist.
 //!
+//! It checks only what the compiler and clippy cannot. Ledger charge
+//! primitives are private to the round core (`cc-mis-sim`'s `runtime.rs`;
+//! analytic replay goes through the one public
+//! `RoundLedger::charge_replay`); threads, environment reads, processes and
+//! sockets are confined by the root `clippy.toml`; and `cc-mis-sim` denies
+//! `clippy::cast_possible_truncation` at its crate root.
+//!
 //! The linter is deliberately **zero-dependency and offline** (no dylint,
 //! no rustc internals, no registry crates): a line/token scanner
 //! ([`scanner`]), a token-tree layer ([`syntax`]) and approximate call
 //! graph ([`callgraph`]) on top of it, a rule set ([`rules`], lexical
-//! R1–R9 and R14, structural/interprocedural R10–R13 and R20), dataflow rules
-//! R18/R19 ([`dataflow`]), determinism-taint rules R21/R23/R24 ([`taint`]),
+//! R1, R3–R8 and R14, structural R11, R13 and R20), dataflow rules
+//! R18/R19 ([`dataflow`]), the determinism-taint rule R21 ([`taint`]),
 //! and a justified-pragma escape hatch ([`pragma`], with stale-pragma
 //! detection `P2`). Diagnostics are stable `file:line rule-id message`
 //! lines ([`diag`]), `--sarif PATH` also writes them as a SARIF 2.1.0 log
@@ -89,32 +96,22 @@ pub fn check(inputs: &[Input]) -> Vec<Finding> {
         sources.push(ix.source);
         syntaxes.push(ix.syntax);
     }
-    // Pragmas for every file up front: the structural rules need them
-    // before the per-file filter (a justified allow(R10) on a charge site
-    // must stop the interprocedural propagation, not just hide one line).
     let pragmas: Vec<Vec<pragma::Pragma>> = sources
         .iter()
         .map(|file| pragma::collect(file, &mut findings))
         .collect();
-    // `(pragma line, rule)` pairs that actually suppressed something, per
-    // file — the P2 stale-pragma pass flags the rest.
-    let mut hits: Vec<Vec<(usize, String)>> = vec![Vec::new(); sources.len()];
     let counters = rules::declared_counters(&sources);
     let mut rule_findings = Vec::new();
     for file in &sources {
         rules::check_file(file, &counters, &mut rule_findings);
     }
+    rules::check_structural(&sources, &syntaxes, &mut rule_findings);
     let graph = callgraph::build(&syntaxes);
-    rules::check_structural(
-        &sources,
-        &syntaxes,
-        &graph,
-        &pragmas,
-        &mut hits,
-        &mut rule_findings,
-    );
     dataflow::check(&syntaxes, &graph, &mut rule_findings);
-    taint::check(&sources, &syntaxes, &mut rule_findings);
+    taint::check(&syntaxes, &mut rule_findings);
+    // `(pragma line, rule)` pairs that actually suppressed something, per
+    // file — the P2 stale-pragma pass flags the rest.
+    let mut hits: Vec<Vec<(usize, String)>> = vec![Vec::new(); sources.len()];
     rule_findings.retain(|f| {
         let Some(fi) = sources.iter().position(|s| s.effective == f.path) else {
             return true;

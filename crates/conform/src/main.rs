@@ -4,7 +4,7 @@
 //! cc-mis-conform --workspace            # lint the whole workspace (default)
 //! cc-mis-conform --sarif out.sarif      # also write a SARIF 2.1.0 log
 //! cc-mis-conform --list-rules           # print the rule set
-//! cc-mis-conform --explain R10          # contract, rationale, fix recipe
+//! cc-mis-conform --explain R21          # contract, rationale, fix recipe
 //! cc-mis-conform --root DIR [PATH...]   # lint specific files/dirs under DIR
 //! ```
 //!
@@ -37,7 +37,7 @@ fn main() -> ExitCode {
             "--list-rules" => list_rules = true,
             "--explain" => match it.next() {
                 Some(rule) => explain = Some(rule.clone()),
-                None => return usage_error("--explain needs a rule id (e.g. R10)"),
+                None => return usage_error("--explain needs a rule id (e.g. R21)"),
             },
             "--sarif" => match it.next() {
                 Some(path) => sarif = Some(PathBuf::from(path)),

@@ -161,7 +161,7 @@ mod tests {
         assert!(suppressed(&p, "R5", 1));
         assert!(suppressed(&p, "R5", 2));
         assert!(!suppressed(&p, "R5", 3));
-        assert!(!suppressed(&p, "R2", 2));
+        assert!(!suppressed(&p, "R3", 2));
     }
 
     #[test]

@@ -6,14 +6,10 @@
 //! and string contents never trip them, and most rules skip test code
 //! (the contracts bind the simulation, not its assertions).
 
-use std::collections::BTreeSet;
-
-use crate::callgraph::{CallGraph, FnNode};
 use crate::diag::Finding;
-use crate::pragma::{self, Pragma};
 use crate::scanner::{Line, SourceFile};
 use crate::syntax::{
-    self, ident_of, line_of, punct_of, walk_exprs, ExprCtx, FileSyntax, Tok, Token, Tree,
+    ident_of, line_of, punct_of, walk_exprs, ExprCtx, FileSyntax, Tok, Token, Tree,
 };
 
 /// Static description of one rule, including the `--explain` material.
@@ -43,17 +39,6 @@ pub const RULES: &[RuleInfo] = &[
                     collection makes (seed, graph, params) stop fixing the run, breaking \
                     replay and the golden-ledger pins",
         fix: "use BTreeMap/BTreeSet, or an index-based Vec keyed by dense node ids",
-    },
-    RuleInfo {
-        id: "R2",
-        summary: "no std::thread outside crates/sim/src/par_nodes.rs: all parallelism flows \
-                  through the deterministic node pool",
-        contract: "std::thread (spawn/scope/Builder) appears only in \
-                   crates/sim/src/par_nodes.rs",
-        rationale: "par_map_nodes is the one parallel primitive proven bit-identical to \
-                    sequential execution; ad-hoc threads reintroduce scheduling \
-                    nondeterminism the equivalence tests cannot see",
-        fix: "express the parallel loop as par_map_nodes over a node range",
     },
     RuleInfo {
         id: "R3",
@@ -88,13 +73,18 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "R6",
-        summary: "ledger charges go through counters declared in crates/sim/src/metrics.rs; \
-                  no direct += on ledger counter fields elsewhere",
-        contract: "every charge_* call names a method declared in metrics.rs, and no code \
-                   outside metrics.rs mutates ledger counter fields directly",
+        summary: "ledger charges go through counters declared in the ledger modules \
+                  (crates/sim/src/metrics.rs, runtime.rs); no direct write to ledger \
+                  counter fields elsewhere",
+        contract: "every charge_* call names a method declared in metrics.rs or runtime.rs, \
+                   and no library code in crates/core or crates/sim outside those two \
+                   assigns (`=`, `+=`, …) to or mutably borrows (`&mut x.bits`) a ledger \
+                   counter field",
         rationale: "the E-series tables are read straight off the ledger; an ad-hoc \
-                    counter or direct field bump silently forks the accounting model",
-        fix: "add the counter as a RoundLedger method in metrics.rs and call it",
+                    counter or direct field write silently forks the accounting model, and \
+                    skips the checked add that makes counter overflow panic",
+        fix: "add the counter as a RoundLedger method in metrics.rs (public) or runtime.rs \
+              (round-core private) and call it",
     },
     RuleInfo {
         id: "R7",
@@ -117,34 +107,6 @@ pub const RULES: &[RuleInfo] = &[
         fix: "vendor the code in-tree as a workspace crate, or drop the dependency",
     },
     RuleInfo {
-        id: "R9",
-        summary: "in crates/sim, RoundLedger charge calls appear only in runtime.rs and \
-                  metrics.rs: every engine bills through the unified round core",
-        contract: "within crates/sim, .charge_*() call sites exist only in runtime.rs and \
-                   metrics.rs",
-        rationale: "PR 3 unified all engine billing in RoundCore so charges are \
-                    byte-identical across engines; a charge elsewhere in the simulator \
-                    forks that single audited path",
-        fix: "route the charge through RoundCore (emit/record_schedule/finish_round) or \
-              add a RoundLedger method and bill from the core",
-    },
-    RuleInfo {
-        id: "R10",
-        summary: "every call path that reaches a RoundLedger charge or Transport send stays \
-                  inside RoundCore round execution (interprocedural closure of R9)",
-        contract: "no library function in crates/core or crates/sim outside \
-                   runtime.rs/metrics.rs charges a ledger, directly or through any chain \
-                   of calls that reaches an unsanctioned charge site",
-        rationale: "R9 pins charge call sites path-wise inside crates/sim; R10 closes the \
-                    interprocedural gap — a core-side helper that bills a ledger it owns \
-                    bypasses the round core just as surely, and so does any caller of such \
-                    a helper",
-        fix: "drive the communication through an engine round (RoundCore charges it), or — \
-              for analytic replay accounting in crates/core — keep the charge and justify \
-              it with `// conform: allow(R10) -- <which lemma the replay implements>`; a \
-              justified site stops the caller-side propagation",
-    },
-    RuleInfo {
         id: "R11",
         summary: "RNG-stream discipline: seeded per-node streams are never .clone()d, and \
                   never re-seeded inside loops in library code",
@@ -157,21 +119,6 @@ pub const RULES: &[RuleInfo] = &[
                     totals, not distributions)",
         fix: "pass `&mut` to the one stream, or derive an independent per-node stream \
               through the Stream enum / mix3 keying; hoist constructors out of the loop",
-    },
-    RuleInfo {
-        id: "R12",
-        summary: "panic/overflow audit on charged paths: no truncating `as` casts, no \
-                  64-bit→usize index casts, no bare +/* on ledger counters",
-        contract: "inside functions on a charge path in crates/sim: no `as \
-                   u8/u16/u32/i8/i16/i32` casts, no `as usize` cast whose operand names a \
-                   64-bit type (unchecked index truncation), and no bare `+`/`*` on a \
-                   ledger counter field",
-        rationale: "ledger math must be provably non-truncating: a silent cast wrap or \
-                    counter overflow corrupts the Theorem 1.1 numbers without failing any \
-                    test; a checked conversion turns the same bug into a named panic",
-        fix: "use the width-safe helpers (cc_mis_sim::bits::idx_u32/idx_usize) or \
-              TryFrom with an invariant-naming expect; use \
-              checked_add(...).expect(\"<invariant>\") for counter arithmetic",
     },
     RuleInfo {
         id: "R13",
@@ -212,7 +159,7 @@ pub const RULES: &[RuleInfo] = &[
                     observer that charges or mutates rounds would make `--trace` \
                     perturb the golden numbers it exists to explain",
         fix: "keep observers to recording (own fields, sinks); move any accounting \
-              into the round core where R9/R10 govern it",
+              into the round core, the one module that can call the ledger charges",
     },
     RuleInfo {
         id: "R19",
@@ -263,32 +210,6 @@ pub const RULES: &[RuleInfo] = &[
               seed) instead; thread counts and shard indices may steer scheduling only",
     },
     RuleInfo {
-        id: "R23",
-        summary: "env-read discipline: std::env reads in crates/core and crates/sim live \
-                  only in crates/sim/src/config.rs",
-        contract: "library code in crates/core/src and crates/sim/src calls \
-                   env::var/env::var_os/env::vars only inside the central config module",
-        rationale: "environment variables are ambient per-process state; funneling every \
-                    read through one module keeps the full set of knobs auditable and \
-                    lets R21 verify each one is scheduling-only",
-        fix: "add an accessor to crates/sim/src/config.rs and call that",
-    },
-    RuleInfo {
-        id: "R24",
-        summary: "process/socket confinement: raw std::process and socket APIs in \
-                  crates/core and crates/sim live only in crates/sim/src/shard.rs",
-        contract: "library code in crates/core/src and crates/sim/src names \
-                   UnixListener/UnixStream/TcpListener/TcpStream, Command::new, \
-                   Stdio::, or .kill() only inside the sharded-transport module",
-        rationale: "worker processes and byte links are scheduling machinery: every \
-                    serialization boundary must speak the checksummed frame codec and \
-                    every child must be covered by checkpoint recovery; a stray socket \
-                    or spawn elsewhere is a side channel the fault matrix never kills \
-                    and the determinism story cannot audit",
-        fix: "route the spawn or connection through the FrameLink backends in \
-              crates/sim/src/shard.rs",
-    },
-    RuleInfo {
         id: "P1",
         summary: "conform pragmas must be well-formed, name known rules, and carry a \
                   justification",
@@ -325,8 +246,11 @@ fn is_metrics(path: &str) -> bool {
     path == "crates/sim/src/metrics.rs"
 }
 
-fn is_par_nodes(path: &str) -> bool {
-    path == "crates/sim/src/par_nodes.rs"
+/// The two modules that define `RoundLedger` charges: `metrics.rs` (the
+/// public `charge_replay`) and `runtime.rs` (the round core's private
+/// primitives).
+fn is_ledger_module(path: &str) -> bool {
+    is_metrics(path) || is_runtime(path)
 }
 
 fn is_runtime(path: &str) -> bool {
@@ -342,12 +266,6 @@ fn is_rng_module(path: &str) -> bool {
     path == "crates/sim/src/rng.rs" || path == "crates/graph/src/rng.rs"
 }
 
-/// The files where ledger charging is sanctioned (the round core and the
-/// ledger itself).
-fn is_charge_barrier(path: &str) -> bool {
-    is_metrics(path) || is_runtime(path)
-}
-
 /// The crates/core round substrate: shared subroutines (leader-election
 /// clean-up) that open engine rounds on behalf of a runner's `step`.
 fn is_round_substrate(path: &str) -> bool {
@@ -358,11 +276,11 @@ fn is_crate_root(path: &str) -> bool {
     path.ends_with("src/lib.rs") || path.ends_with("src/main.rs")
 }
 
-/// Extracts the `charge_*` counter names declared (`fn charge_x`) in
-/// `metrics.rs`-scanned files.
+/// Extracts the `charge_*` counter names declared (`fn charge_x`) in the
+/// scanned ledger modules.
 pub fn declared_counters(files: &[SourceFile]) -> Vec<String> {
     let mut out = Vec::new();
-    for f in files.iter().filter(|f| is_metrics(&f.effective)) {
+    for f in files.iter().filter(|f| is_ledger_module(&f.effective)) {
         for line in &f.lines {
             let mut rest = line.code.as_str();
             while let Some(at) = rest.find("fn charge_") {
@@ -382,7 +300,8 @@ pub fn declared_counters(files: &[SourceFile]) -> Vec<String> {
     out
 }
 
-/// Runs rules R1–R7 over one scanned file, appending findings.
+/// Runs the lexical rules (R1, R3–R7, R14) over one scanned file, appending
+/// findings.
 pub fn check_file(file: &SourceFile, counters: &[String], findings: &mut Vec<Finding>) {
     let path = file.effective.as_str();
     // R14 marker: a file that implements the `Execution` trait is a
@@ -414,29 +333,6 @@ pub fn check_file(file: &SourceFile, counters: &[String], findings: &mut Vec<Fin
                             "`{pat}` in node-simulation code: unordered iteration breaks the \
                              deterministic-replay contract; use BTreeMap/BTreeSet or an \
                              index-based Vec"
-                        ),
-                    ));
-                    break;
-                }
-            }
-        }
-
-        // R2 — parallelism flows through the deterministic node pool.
-        if !is_par_nodes(path) {
-            for pat in [
-                "std::thread",
-                "thread::spawn(",
-                "thread::scope(",
-                "thread::Builder",
-            ] {
-                if code.contains(pat) {
-                    findings.push(Finding::new(
-                        path,
-                        lineno,
-                        "R2",
-                        format!(
-                            "`{pat}` outside crates/sim/src/par_nodes.rs: all parallelism must \
-                             go through par_map_nodes so runs stay bit-identical to sequential"
                         ),
                     ));
                     break;
@@ -489,7 +385,7 @@ pub fn check_file(file: &SourceFile, counters: &[String], findings: &mut Vec<Fin
         }
 
         // R6 — charges go through declared counters; no direct field bumps.
-        if !is_metrics(path) {
+        if !is_ledger_module(path) {
             if !counters.is_empty() {
                 for name in charge_calls(code) {
                     if !counters.contains(&name) {
@@ -498,8 +394,8 @@ pub fn check_file(file: &SourceFile, counters: &[String], findings: &mut Vec<Fin
                             lineno,
                             "R6",
                             format!(
-                                "`{name}()` is not declared in crates/sim/src/metrics.rs: \
-                                 stale or ad-hoc counter (declared: {})",
+                                "`{name}()` is not declared in crates/sim/src/metrics.rs or \
+                                 runtime.rs: stale or ad-hoc counter (declared: {})",
                                 counters.join(", ")
                             ),
                         ));
@@ -507,38 +403,18 @@ pub fn check_file(file: &SourceFile, counters: &[String], findings: &mut Vec<Fin
                 }
             }
             if in_sim_core(path) {
-                for pat in [".rounds +=", ".messages +=", ".bits +=", ".violations +="] {
-                    if code.contains(pat) {
-                        findings.push(Finding::new(
-                            path,
-                            lineno,
-                            "R6",
-                            format!(
-                                "direct `{pat}` on a ledger counter bypasses the charge_* API; \
-                                 add or use a RoundLedger method so charges stay byte-identical \
-                                 and auditable"
-                            ),
-                        ));
-                        break;
-                    }
+                if let Some(field) = ledger_field_assignment(code) {
+                    findings.push(Finding::new(
+                        path,
+                        lineno,
+                        "R6",
+                        format!(
+                            "direct write to ledger counter `.{field}` bypasses the \
+                             charge_* API; add or use a RoundLedger method so charges stay \
+                             byte-identical, overflow-checked and auditable"
+                        ),
+                    ));
                 }
-            }
-        }
-
-        // R9 — in the simulator crate, ledger charging is the round core's
-        // job: engines describe transports, the core bills them.
-        if path.starts_with("crates/sim/src") && !is_metrics(path) && !is_runtime(path) {
-            for name in charge_calls(code) {
-                findings.push(Finding::new(
-                    path,
-                    lineno,
-                    "R9",
-                    format!(
-                        "`{name}()` charges a ledger outside the round core: in crates/sim \
-                         all RoundLedger charging lives in runtime.rs (or metrics.rs itself) \
-                         so every engine bills through one audited path"
-                    ),
-                ));
             }
         }
 
@@ -593,6 +469,41 @@ fn charge_calls(code: &str) -> Vec<String> {
         rest = &rest[ident_start..];
     }
     out
+}
+
+/// Ledger counter field names (RoundLedger and PhaseRecord).
+const LEDGER_FIELDS: &[&str] = &["rounds", "messages", "bits", "violations"];
+
+/// R6: the first ledger counter field that `code` writes: assigns to,
+/// plainly (`x.bits = x.bits + y`) or compoundly (`x.bits += y`,
+/// `x.bits <<= 1`), or mutably borrows through a plain field path
+/// (`bump(&mut x.bits, y)`). Comparisons (`==`, `<=`, `>=`, `!=`) are not
+/// assignments.
+fn ledger_field_assignment(code: &str) -> Option<&'static str> {
+    for field in LEDGER_FIELDS {
+        let pat = format!(".{field}");
+        for (at, _) in code.match_indices(&pat) {
+            let rest = &code[at + pat.len()..];
+            if rest.starts_with(|c: char| c.is_alphanumeric() || c == '_') {
+                continue;
+            }
+            let rest = rest.trim_start();
+            let receiver_start =
+                code[..at].trim_end_matches(|c: char| c.is_alphanumeric() || c == '_' || c == '.');
+            let whole_field = rest.is_empty() || rest.starts_with([',', ')', ';']);
+            if whole_field && receiver_start.trim_end().ends_with("&mut") {
+                return Some(field);
+            }
+            let op = ["<<=", ">>=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^="]
+                .iter()
+                .any(|op| rest.starts_with(op));
+            let plain = rest.starts_with('=') && !rest[1..].starts_with(['=', '>']);
+            if op || plain {
+                return Some(field);
+            }
+        }
+    }
+    None
 }
 
 /// If the line calls `.expect("...")` with a string literal shorter than 4
@@ -773,100 +684,16 @@ fn registry_finding(path: &str, line: usize, name: &str) -> Finding {
     )
 }
 
-/// Runs the structural rules R10–R13 and R20 over the whole parsed
-/// workspace.
-///
-/// `syntaxes`, `pragmas`, and `hits` must be index-aligned with the `.rs`
-/// sources the call graph was built from. Pragmas are consulted here (not
-/// only in the caller's final filter) because a justified `allow(R10)` on a
-/// charge site must also stop the caller-side propagation; every
-/// suppression is recorded in `hits` as `(pragma_line, rule)` so the P2
-/// stale-pragma pass can see which pragmas earned their keep.
+/// Runs the structural rules R11, R13 and R20 over the whole parsed
+/// workspace (`syntaxes` index-aligned with `sources`).
 pub fn check_structural(
     sources: &[SourceFile],
     syntaxes: &[FileSyntax],
-    graph: &CallGraph,
-    pragmas: &[Vec<Pragma>],
-    hits: &mut [Vec<(usize, String)>],
     findings: &mut Vec<Finding>,
 ) {
-    check_r10(syntaxes, graph, pragmas, hits, findings);
     check_r11(syntaxes, findings);
-    check_r12(syntaxes, graph, findings);
     check_r13(sources, syntaxes, findings);
     check_r20(sources, syntaxes, findings);
-}
-
-/// R10: interprocedural closure of R9 — any library function outside the
-/// round core that charges a ledger is flagged, and so is every library
-/// caller that can reach it.
-fn check_r10(
-    syntaxes: &[FileSyntax],
-    graph: &CallGraph,
-    pragmas: &[Vec<Pragma>],
-    hits: &mut [Vec<(usize, String)>],
-    findings: &mut Vec<Finding>,
-) {
-    let admit = |n: &FnNode| {
-        let p = syntaxes[n.file].effective.as_str();
-        !n.is_test && in_sim_core(p) && !is_charge_barrier(p)
-    };
-    // Seeds: admitted fns with at least one unsuppressed direct charge.
-    let mut seeds = BTreeSet::new();
-    for (i, node) in graph.nodes.iter().enumerate() {
-        if !admit(node) {
-            continue;
-        }
-        for call in &node.calls {
-            if call.method && call.name.starts_with("charge_") {
-                if let Some(pline) = pragma::suppressing(&pragmas[node.file], "R10", call.line) {
-                    hits[node.file].push((pline, "R10".to_string()));
-                    continue;
-                }
-                findings.push(Finding::new(
-                    &syntaxes[node.file].effective,
-                    call.line,
-                    "R10",
-                    format!(
-                        "`{}` calls `.{}()` outside RoundCore round execution: library \
-                         charges must flow through the round core, or carry a justified \
-                         allow(R10) for analytic replay accounting",
-                        node.name, call.name
-                    ),
-                ));
-                seeds.insert(i);
-            }
-        }
-    }
-    if seeds.is_empty() {
-        return;
-    }
-    // Every admitted caller that can reach a dirty fn is itself dirty: the
-    // charge happens whenever the caller runs, still outside the core.
-    let reach = graph.closure(seeds.iter().copied(), true, false, admit);
-    for &c in &reach {
-        if seeds.contains(&c) {
-            continue;
-        }
-        let node = &graph.nodes[c];
-        let mut seen: BTreeSet<(usize, &str)> = BTreeSet::new();
-        for call in &node.calls {
-            if graph.resolve(c, call).iter().any(|t| reach.contains(t))
-                && seen.insert((call.line, call.name.as_str()))
-            {
-                findings.push(Finding::new(
-                    &syntaxes[node.file].effective,
-                    call.line,
-                    "R10",
-                    format!(
-                        "`{}` calls `{}`, which reaches a ledger charge outside the round \
-                         core: the whole chain must run under RoundCore round execution",
-                        node.name, call.name
-                    ),
-                ));
-            }
-        }
-    }
 }
 
 /// R11: RNG-stream discipline — no `.clone()` on stream state, no stream
@@ -937,173 +764,6 @@ fn check_r11(syntaxes: &[FileSyntax], findings: &mut Vec<Finding>) {
                 }
             });
         }
-    }
-}
-
-/// Ledger counter field names (RoundLedger and PhaseRecord).
-const LEDGER_FIELDS: &[&str] = &["rounds", "messages", "bits", "violations"];
-
-/// R12: panic/overflow audit of functions on a charge path in crates/sim.
-///
-/// The charge-path set is computed in two stages: the caller closure of
-/// every charge site (who can trigger a charge), intersected with
-/// crates/sim, then the callee closure of that set within crates/sim
-/// (everything such a function runs on the way). Core algorithm code is
-/// deliberately out of scope — its arithmetic is probability math, not
-/// ledger bookkeeping.
-fn check_r12(syntaxes: &[FileSyntax], graph: &CallGraph, findings: &mut Vec<Finding>) {
-    let mut seeds = BTreeSet::new();
-    for (i, node) in graph.nodes.iter().enumerate() {
-        if node.is_test {
-            continue;
-        }
-        if node.name.starts_with("charge_")
-            || node
-                .calls
-                .iter()
-                .any(|c| c.method && c.name.starts_with("charge_"))
-        {
-            seeds.insert(i);
-        }
-    }
-    let callers = graph.closure(seeds.iter().copied(), true, false, |n| !n.is_test);
-    let in_sim =
-        |n: &FnNode| !n.is_test && syntaxes[n.file].effective.starts_with("crates/sim/src");
-    let sim_roots: Vec<usize> = callers
-        .iter()
-        .copied()
-        .filter(|&i| in_sim(&graph.nodes[i]))
-        .collect();
-    let charged = graph.closure(sim_roots, false, true, in_sim);
-    for &i in &charged {
-        let node = &graph.nodes[i];
-        if !in_sim(node) {
-            continue;
-        }
-        let fs = &syntaxes[node.file];
-        let path = fs.effective.as_str();
-        let body = fs.body_of(&fs.fns[node.item]);
-        let mut seen: BTreeSet<(usize, &'static str)> = BTreeSet::new();
-        walk_exprs(body, ExprCtx::default(), &mut |sibs, j, ctx| {
-            if ctx.in_macro {
-                return;
-            }
-            let line = line_of(&sibs[j]);
-            // (a)/(b): `as` casts.
-            if ident_of(&sibs[j]) == Some("as") {
-                match sibs.get(j + 1).and_then(ident_of) {
-                    Some(t @ ("u8" | "u16" | "u32" | "i8" | "i16" | "i32"))
-                        if seen.insert((line, "cast")) =>
-                    {
-                        findings.push(Finding::new(
-                            path,
-                            line,
-                            "R12",
-                            format!(
-                                "truncating `as {t}` in `{}`, which is on a charge \
-                                 path: a silent wrap corrupts ledger math; use \
-                                 cc_mis_sim::bits::idx_u32 or TryFrom with an \
-                                 invariant-naming expect",
-                                node.name
-                            ),
-                        ));
-                    }
-                    Some("usize")
-                        if operand_mentions_64bit(sibs, j) && seen.insert((line, "idx")) =>
-                    {
-                        let where_ = if ctx.in_index {
-                            "an index expression"
-                        } else {
-                            "a charge path"
-                        };
-                        findings.push(Finding::new(
-                            path,
-                            line,
-                            "R12",
-                            format!(
-                                "`as usize` on a 64-bit operand in `{}` (inside \
-                                 {where_}): on 32-bit targets this truncates; use \
-                                 cc_mis_sim::bits::idx_usize or usize::try_from",
-                                node.name
-                            ),
-                        ));
-                    }
-                    _ => {}
-                }
-            }
-            // (c): bare `+`/`*` on a ledger counter field (`+=` is R6's
-            // business; this closes the `x = x + y` loophole).
-            if let Some(field) = ident_of(&sibs[j]).filter(|f| LEDGER_FIELDS.contains(f)) {
-                let dotted = j > 0 && punct_of(&sibs[j - 1]) == Some('.');
-                let op = sibs.get(j + 1).and_then(punct_of);
-                let compound = sibs.get(j + 2).and_then(punct_of) == Some('=');
-                if dotted
-                    && matches!(op, Some('+' | '*'))
-                    && !compound
-                    && seen.insert((line, "arith"))
-                {
-                    findings.push(Finding::new(
-                        path,
-                        line,
-                        "R12",
-                        format!(
-                            "bare `{}` on ledger counter `.{field}` in `{}`: counter \
-                             arithmetic on a charge path must be \
-                             checked_add(...).expect(\"<invariant>\") so overflow panics \
-                             instead of corrupting the ledger",
-                            op.unwrap_or('+'),
-                            node.name
-                        ),
-                    ));
-                }
-            }
-        });
-    }
-}
-
-/// True if the expression ending just before the `as` at `sibs[as_at]`
-/// mentions a 64-bit integer type. Token-level: walks backwards over the
-/// operand trees (including group contents) looking for `u64`/`i64`.
-/// Misses variables whose 64-bit type is only in a declaration elsewhere —
-/// a documented approximation (DESIGN.md §8).
-fn operand_mentions_64bit(sibs: &[Tree], as_at: usize) -> bool {
-    let mut j = as_at;
-    while j > 0 {
-        let prev = &sibs[j - 1];
-        let expr_ish = match prev {
-            Tree::Group(_) => true,
-            Tree::Leaf(Token {
-                tok: Tok::Ident(s), ..
-            }) => !syntax::is_keyword(s) || matches!(s.as_str(), "self" | "Self" | "as"),
-            Tree::Leaf(Token {
-                tok: Tok::Num(_) | Tok::Lit,
-                ..
-            }) => true,
-            Tree::Leaf(Token {
-                tok: Tok::Punct(c), ..
-            }) => matches!(c, '.' | ':' | '?'),
-        };
-        if !expr_ish {
-            return false;
-        }
-        if tree_mentions_64bit(prev) {
-            return true;
-        }
-        j -= 1;
-    }
-    false
-}
-
-fn tree_mentions_64bit(tree: &Tree) -> bool {
-    match tree {
-        Tree::Leaf(Token {
-            tok: Tok::Ident(s), ..
-        }) => s == "u64" || s == "i64",
-        Tree::Leaf(Token {
-            tok: Tok::Num(s), ..
-        }) => s.contains("u64") || s.contains("i64"),
-        Tree::Leaf(_) => false,
-        Tree::Group(g) => g.children.iter().any(tree_mentions_64bit),
     }
 }
 

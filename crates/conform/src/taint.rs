@@ -1,4 +1,4 @@
-//! Determinism-taint rules R21–R24.
+//! Determinism-taint rule R21.
 //!
 //! The bit-determinism story says a run is a pure function of
 //! `(seed, graph, params)`. Scheduling identity — how many worker threads
@@ -7,46 +7,25 @@
 //! must never reach the three places where it would become observable:
 //! ledger charges, RNG seeding, and snapshot bytes.
 //!
-//! * **R21** tracks that taint intraprocedurally over the token-tree layer:
-//!   sources are `thread_count()` / `available_parallelism()` /
-//!   `std::env` reads (and the `config::env_*` accessors wrapping them),
-//!   plus the shard-index parameter of closures handed to
-//!   `par_zip_shards` / `par_scatter_shards`. `let`-bindings propagate
-//!   taint to a fixpoint; sinks are `.charge_*` arguments,
-//!   `SplitMix64`/`SharedRandomness` constructor arguments, and
-//!   `SnapshotWriter` `.write_*` arguments. The lattice is the trivial
-//!   clean < tainted, with no kills — a value once derived from scheduling
-//!   identity stays suspect for the rest of the function.
-//! * **R23** confines `std::env` reads in crates/core and crates/sim to
-//!   the central config module, so R21's env-source list stays auditable.
-//! * **R24** confines raw `std::process` and socket APIs in crates/core
-//!   and crates/sim to the sharded-transport module, so every process
-//!   boundary speaks the checksummed frame codec and sits behind the
-//!   checkpoint-recovery machinery the fault matrix exercises.
+//! R21 tracks that taint intraprocedurally over the token-tree layer:
+//! sources are `thread_count()` / `available_parallelism()` / `std::env`
+//! reads (and the `config::env_*` accessors wrapping them), plus the
+//! shard-index parameter of closures handed to `par_zip_shards` /
+//! `par_scatter_shards`. `let`-bindings propagate taint to a fixpoint;
+//! sinks are `.charge_*` arguments, `SplitMix64`/`SharedRandomness`
+//! constructor arguments, and `SnapshotWriter` `.write_*` arguments. The
+//! lattice is the trivial clean < tainted, with no kills — a value once
+//! derived from scheduling identity stays suspect for the rest of the
+//! function. The root `clippy.toml` keeps every `std::env` read in
+//! `crates/sim/src/config.rs`, which is what keeps the source list
+//! complete.
 
 use std::collections::BTreeSet;
 
 use crate::dataflow::{call_at, contains_ident, split_commas};
 use crate::diag::Finding;
 use crate::rules::in_sim_core;
-use crate::scanner::SourceFile;
 use crate::syntax::{group_of, ident_of, punct_of, FileSyntax, Tree};
-
-/// The path every core/sim env read must live in (R23), and the one module
-/// whose env sources R21 treats as its own.
-const CONFIG_MODULE: &str = "crates/sim/src/config.rs";
-
-/// The one core/sim module sanctioned to spawn worker processes and open
-/// sockets (R24): the sharded transport, whose FrameLink backends own the
-/// frame codec and the checkpoint-recovery protocol.
-const SHARD_MODULE: &str = "crates/sim/src/shard.rs";
-
-/// Runs the taint phase.
-pub fn check(sources: &[SourceFile], syntaxes: &[FileSyntax], findings: &mut Vec<Finding>) {
-    check_r21(syntaxes, findings);
-    check_r23(sources, findings);
-    check_r24(sources, findings);
-}
 
 // ---------------------------------------------------------------------------
 // R21 — scheduling identity must not reach charges, RNG seeds, or snapshots
@@ -69,7 +48,8 @@ const SOURCE_CALLS: &[&str] = &[
 /// Helpers whose closure's first parameter is a shard index.
 const SHARD_HELPERS: &[&str] = &["par_zip_shards", "par_scatter_shards"];
 
-fn check_r21(syntaxes: &[FileSyntax], findings: &mut Vec<Finding>) {
+/// Runs R21 over every core/sim library function.
+pub fn check(syntaxes: &[FileSyntax], findings: &mut Vec<Finding>) {
     for fs in syntaxes {
         let path = fs.effective.as_str();
         if !in_sim_core(path) {
@@ -289,104 +269,19 @@ fn scan_sinks(
     }
 }
 
-// ---------------------------------------------------------------------------
-// R23 — env reads live only in the config module
-// ---------------------------------------------------------------------------
-
-fn check_r23(sources: &[SourceFile], findings: &mut Vec<Finding>) {
-    for f in sources {
-        let path = f.effective.as_str();
-        if !in_sim_core(path) || path == CONFIG_MODULE {
-            continue;
-        }
-        for (idx, line) in f.lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
-            let code = line.code.as_str();
-            let Some(at) = code.find("env::var") else {
-                continue;
-            };
-            // Reject `my_env::var`-style matches: the char before `env`
-            // must not be part of an identifier.
-            let pre = code[..at].chars().next_back();
-            if pre.is_some_and(|c| c.is_alphanumeric() || c == '_') {
-                continue;
-            }
-            findings.push(Finding::new(
-                path,
-                idx + 1,
-                "R23",
-                format!(
-                    "environment read outside the config module: every std::env read in \
-                     crates/core and crates/sim belongs in {CONFIG_MODULE}, so the full \
-                     set of ambient knobs stays auditable in one place"
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R24 — process and socket APIs live only in the sharded-transport module
-// ---------------------------------------------------------------------------
-
-/// Tokens that open a process or byte-stream boundary. `Command::new` (not
-/// the bare path `std::process`) keeps `ExitCode`-style uses clean; `.kill()`
-/// catches hand-rolled child teardown outside the recovery protocol.
-const PROCESS_TOKENS: &[&str] = &[
-    "UnixListener",
-    "UnixStream",
-    "TcpListener",
-    "TcpStream",
-    "Command::new",
-    "Stdio::",
-    ".kill()",
-];
-
-fn check_r24(sources: &[SourceFile], findings: &mut Vec<Finding>) {
-    for f in sources {
-        let path = f.effective.as_str();
-        if !in_sim_core(path) || path == SHARD_MODULE {
-            continue;
-        }
-        for (idx, line) in f.lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
-            let code = line.code.as_str();
-            let Some(pat) = PROCESS_TOKENS.iter().find(|p| code.contains(*p)) else {
-                continue;
-            };
-            findings.push(Finding::new(
-                path,
-                idx + 1,
-                "R24",
-                format!(
-                    "`{pat}` outside the sharded-transport module: process spawns and \
-                     sockets in crates/core and crates/sim belong in {SHARD_MODULE}, \
-                     behind the frame codec and checkpoint recovery"
-                ),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scanner::scan_str;
     use crate::syntax::parse_file;
 
-    fn indexed(path: &str, src: &str) -> (Vec<SourceFile>, Vec<FileSyntax>) {
-        let file = scan_str(path, src);
-        let fs = parse_file(&file);
-        (vec![file], vec![fs])
+    fn indexed(path: &str, src: &str) -> Vec<FileSyntax> {
+        vec![parse_file(&scan_str(path, src))]
     }
 
     #[test]
     fn r21_flags_tainted_charge_and_clean_pool_use() {
-        let (src, fs) = indexed(
+        let fs = indexed(
             "crates/sim/src/demo.rs",
             "pub fn run(ledger: &mut RoundLedger) {\n\
              \x20   let threads = thread_count();\n\
@@ -396,7 +291,7 @@ mod tests {
              }\n",
         );
         let mut findings = Vec::new();
-        check(&src, &fs, &mut findings);
+        check(&fs, &mut findings);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, "R21");
         assert_eq!(findings[0].line, 5);
@@ -404,7 +299,7 @@ mod tests {
 
     #[test]
     fn r21_allows_scheduling_only_use() {
-        let (src, fs) = indexed(
+        let fs = indexed(
             "crates/sim/src/demo.rs",
             "pub fn run(ledger: &mut RoundLedger, n: u64) {\n\
              \x20   let threads = thread_count();\n\
@@ -413,13 +308,13 @@ mod tests {
              }\n",
         );
         let mut findings = Vec::new();
-        check(&src, &fs, &mut findings);
+        check(&fs, &mut findings);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn r21_flags_shard_index_seeding_an_rng() {
-        let (src, fs) = indexed(
+        let fs = indexed(
             "crates/sim/src/demo.rs",
             "pub fn run(outs: &mut [u64], rows: &mut [u64]) {\n\
              \x20   par_zip_shards(outs, rows, 4, |shard, chunk, row| {\n\
@@ -430,22 +325,8 @@ mod tests {
              }\n",
         );
         let mut findings = Vec::new();
-        check(&src, &fs, &mut findings);
+        check(&fs, &mut findings);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, "R21");
-    }
-
-    #[test]
-    fn r23_confines_env_reads_to_the_config_module() {
-        let (src, fs) = indexed(
-            "crates/sim/src/worker.rs",
-            "pub fn knob() -> bool {\n    std::env::var(\"CC_MIS_X\").is_ok()\n}\n",
-        );
-        let mut findings = Vec::new();
-        check(&src, &fs, &mut findings);
-        // The env read itself is an R21 *source*, not a sink — only R23 fires.
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].rule, "R23");
-        assert_eq!(findings[0].line, 2);
     }
 }

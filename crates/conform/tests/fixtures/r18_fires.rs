@@ -1,8 +1,8 @@
 // conform-fixture: crates/sim/src/runtime.rs
 //! R18 firing fixture: a `RoundObserver` impl that charges the ledger —
 //! attaching it with --trace would perturb the golden ledgers. (Scoped as
-//! runtime.rs so the lexical charge rules R9/R10 stay out of the way and
-//! R18's own dataflow finding is isolated.)
+//! runtime.rs, where charging is sanctioned, so R18's own dataflow finding
+//! is isolated.)
 
 pub struct ChattyObserver;
 

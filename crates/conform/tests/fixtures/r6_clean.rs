@@ -2,6 +2,7 @@
 use cc_mis_sim::RoundLedger;
 
 pub fn demo(ledger: &mut RoundLedger) {
-    // conform: allow(R10) -- fixture exercises the R6 declared-counter check, not charging paths
     ledger.charge_round();
+    let _settled = ledger.bits == 0 || ledger.rounds <= 1 || ledger.rounds != ledger.bits;
+    let _views = (&ledger.bits, &mut ledger.phases);
 }

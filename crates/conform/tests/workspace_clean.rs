@@ -2,7 +2,14 @@
 //! codes match its contract (0 clean, 1 findings, 3 any P1, 2 usage).
 
 use std::path::Path;
-use std::process::Command;
+
+#[allow(
+    clippy::disallowed_types,
+    reason = "drives the built cc-mis-conform binary as a child process"
+)]
+fn conform() -> std::process::Command {
+    std::process::Command::new(env!("CARGO_BIN_EXE_cc-mis-conform"))
+}
 
 fn workspace_root() -> &'static Path {
     // crates/conform -> crates -> workspace root.
@@ -29,7 +36,7 @@ fn live_workspace_has_no_findings() {
 
 #[test]
 fn cli_workspace_scan_exits_zero() {
-    let out = Command::new(env!("CARGO_BIN_EXE_cc-mis-conform"))
+    let out = conform()
         .args(["--workspace", "--root"])
         .arg(workspace_root())
         .output()
@@ -45,7 +52,7 @@ fn cli_workspace_scan_exits_zero() {
 #[test]
 fn cli_firing_fixture_exits_nonzero_with_stable_diagnostics() {
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/r1_fires.rs");
-    let out = Command::new(env!("CARGO_BIN_EXE_cc-mis-conform"))
+    let out = conform()
         .arg(&fixture)
         .output()
         .expect("linter binary runs");
@@ -60,7 +67,7 @@ fn cli_firing_fixture_exits_nonzero_with_stable_diagnostics() {
 
 #[test]
 fn cli_list_rules_names_every_rule() {
-    let out = Command::new(env!("CARGO_BIN_EXE_cc-mis-conform"))
+    let out = conform()
         .arg("--list-rules")
         .output()
         .expect("linter binary runs");
@@ -74,7 +81,9 @@ fn cli_list_rules_names_every_rule() {
         );
     }
     // Retired ids stay retired.
-    for retired in ["R15", "R16", "R17", "R22"] {
+    for retired in [
+        "R2", "R9", "R10", "R12", "R15", "R16", "R17", "R22", "R23", "R24",
+    ] {
         assert!(
             !stdout
                 .lines()
@@ -86,20 +95,20 @@ fn cli_list_rules_names_every_rule() {
 
 #[test]
 fn cli_explain_prints_contract_rationale_fix() {
-    let out = Command::new(env!("CARGO_BIN_EXE_cc-mis-conform"))
-        .args(["--explain", "R12"])
+    let out = conform()
+        .args(["--explain", "R13"])
         .output()
         .expect("linter binary runs");
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for section in ["R12", "contract:", "rationale:", "fix:"] {
+    for section in ["R13", "contract:", "rationale:", "fix:"] {
         assert!(stdout.contains(section), "missing {section} in:\n{stdout}");
     }
 }
 
 #[test]
 fn cli_explain_unknown_rule_is_a_usage_error() {
-    let out = Command::new(env!("CARGO_BIN_EXE_cc-mis-conform"))
+    let out = conform()
         .args(["--explain", "R99"])
         .output()
         .expect("linter binary runs");
@@ -110,9 +119,9 @@ fn cli_explain_unknown_rule_is_a_usage_error() {
 
 #[test]
 fn cli_sarif_writes_a_log_alongside_normal_output() {
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/r12_fires.rs");
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/r13_fires.rs");
     let sarif_path = std::env::temp_dir().join("cc-mis-conform-test.sarif");
-    let out = Command::new(env!("CARGO_BIN_EXE_cc-mis-conform"))
+    let out = conform()
         .arg("--sarif")
         .arg(&sarif_path)
         .arg(&fixture)
@@ -122,14 +131,14 @@ fn cli_sarif_writes_a_log_alongside_normal_output() {
     let sarif = std::fs::read_to_string(&sarif_path).expect("SARIF log written");
     let _ = std::fs::remove_file(&sarif_path);
     assert!(sarif.contains("\"version\": \"2.1.0\""), "{sarif}");
-    assert!(sarif.contains("\"ruleId\": \"R12\""), "{sarif}");
+    assert!(sarif.contains("\"ruleId\": \"R13\""), "{sarif}");
 }
 
 #[test]
 fn cli_p1_findings_exit_three() {
     let fixture =
         Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pragma_unjustified.rs");
-    let out = Command::new(env!("CARGO_BIN_EXE_cc-mis-conform"))
+    let out = conform()
         .arg(&fixture)
         .output()
         .expect("linter binary runs");
@@ -142,7 +151,7 @@ fn cli_r21_determinism_taint_exits_three() {
     // R21 findings are error severity (a run stops being a pure function
     // of seed, graph and params), same exit class as a broken pragma.
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/r21_fires.rs");
-    let out = Command::new(env!("CARGO_BIN_EXE_cc-mis-conform"))
+    let out = conform()
         .arg(&fixture)
         .output()
         .expect("linter binary runs");
@@ -154,10 +163,7 @@ fn cli_accepts_only_its_six_settable_values() {
     // --workspace, --sarif, --list-rules, --explain, --root and paths;
     // anything else is a usage error, never silently ignored.
     for flag in ["--json", "--timings", "--fix", "--no-cache", "--baseline"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_cc-mis-conform"))
-            .arg(flag)
-            .output()
-            .expect("linter binary runs");
+        let out = conform().arg(flag).output().expect("linter binary runs");
         assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");

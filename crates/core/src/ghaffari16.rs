@@ -532,10 +532,7 @@ impl Execution for Ghaffari16CliqueExecution<'_> {
                 }
             }
             let ledger = self.engine.ledger_mut();
-            // conform: allow(R10) -- analytic replay accounting: bills the CONGEST execution's rounds after the fact, no live transport
-            ledger.charge_rounds(2);
-            // conform: allow(R10) -- analytic replay accounting: per-iteration edge exchange billed from the replayed evolution
-            ledger.charge_aggregate(directed, directed * (PROBABILITY_EXPONENT_BITS + 1));
+            ledger.charge_replay(2, directed, directed * (PROBABILITY_EXPONENT_BITS + 1));
             self.next_t += 1;
             return Status::Running;
         }

@@ -301,8 +301,6 @@ impl Execution for SparsifiedExecution<'_> {
         // Phase-start exchange round: every undecided node learns its
         // undecided neighbors' p. One round, PROBABILITY_EXPONENT_BITS per
         // directed alive edge.
-        // conform: allow(R10) -- analytic replay accounting per Lemma 2.12: charges computed from the direct execution, no live transport
-        self.ledger.charge_round();
         let alive0: Vec<bool> = self.removed_at.iter().map(Option::is_none).collect();
         {
             let alive_directed_edges: u64 = (0..n)
@@ -314,8 +312,8 @@ impl Execution for SparsifiedExecution<'_> {
                         .count() as u64
                 })
                 .sum();
-            // conform: allow(R10) -- analytic replay accounting per Lemma 2.12: charges computed from the direct execution, no live transport
-            self.ledger.charge_aggregate(
+            self.ledger.charge_replay(
+                1,
                 alive_directed_edges,
                 alive_directed_edges * PROBABILITY_EXPONENT_BITS,
             );
@@ -395,13 +393,11 @@ impl Execution for SparsifiedExecution<'_> {
             // come from the joiners.
             for (i, _) in beeps.iter().enumerate().filter(|(_, &b)| b) {
                 let deg = g.degree(NodeId::new(i as u32)) as u64;
-                // conform: allow(R10) -- analytic replay of beep costs (Lemma 2.13), no live transport behind this charge
-                self.ledger.charge_aggregate(deg, deg);
+                self.ledger.charge_replay(0, deg, deg);
             }
             for &i in &joins {
                 let deg = g.degree(NodeId::new(i as u32)) as u64;
-                // conform: allow(R10) -- analytic replay of join-beep costs (Lemma 2.13), no live transport behind this charge
-                self.ledger.charge_aggregate(deg, deg);
+                self.ledger.charge_replay(0, deg, deg);
             }
 
             // Removals (R2).
@@ -418,8 +414,8 @@ impl Execution for SparsifiedExecution<'_> {
                     }
                 }
             }
-            // conform: allow(R10) -- analytic replay accounting: two beeping rounds per iteration (Lemma 2.13)
-            self.ledger.charge_rounds(2);
+            // Two beeping rounds per iteration (Lemma 2.13).
+            self.ledger.charge_replay(2, 0, 0);
         }
         self.t0 += len as u64;
         Status::Running

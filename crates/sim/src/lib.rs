@@ -47,6 +47,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod beeping;
 pub mod bits;

@@ -22,6 +22,12 @@ pub struct PhaseRecord {
 
 /// Tally of the communication an execution performed.
 ///
+/// Engines charge it through the round core (`crate::runtime`), which
+/// defines the `charge_*` primitives as private methods, so no other module
+/// can call one; everything else bills a ledger only through
+/// [`RoundLedger::charge_replay`], the one entry for analytic replay
+/// accounting.
+///
 /// # Example
 ///
 /// ```
@@ -29,11 +35,19 @@ pub struct PhaseRecord {
 ///
 /// let mut ledger = RoundLedger::new();
 /// ledger.begin_phase("setup");
-/// ledger.charge_round();
-/// ledger.charge_message(32);
-/// assert_eq!(ledger.rounds, 1);
+/// ledger.charge_replay(2, 3, 32);
+/// assert_eq!(ledger.rounds, 2);
 /// assert_eq!(ledger.bits, 32);
 /// assert_eq!(ledger.phases[0].label, "setup");
+/// assert_eq!(ledger.phases[0].rounds, 2);
+/// assert_eq!(ledger.phases[0].bits, 0);
+/// ```
+///
+/// The primitives are not reachable from other crates:
+///
+/// ```compile_fail,E0624
+/// let mut ledger = cc_mis_sim::RoundLedger::new();
+/// ledger.charge_rounds(2);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundLedger {
@@ -66,65 +80,19 @@ impl RoundLedger {
         });
     }
 
-    /// Records one elapsed synchronous round.
-    pub fn charge_round(&mut self) {
-        bump(&mut self.rounds, 1);
+    /// Analytic replay accounting: bills communication that an execution
+    /// computed rather than sent through a live transport (the direct runs
+    /// of Lemma 2.12's per-phase exchange and Lemma 2.13's beeping rounds).
+    /// `rounds` accrue to the current phase as well as the totals;
+    /// `messages` and `bits` to the totals only, because a post-hoc charge
+    /// has no meaningful per-phase placement.
+    pub fn charge_replay(&mut self, rounds: u64, messages: u64, bits: u64) {
+        bump(&mut self.rounds, rounds);
         if let Some(p) = self.phases.last_mut() {
-            bump(&mut p.rounds, 1);
+            bump(&mut p.rounds, rounds);
         }
-    }
-
-    /// Records `n` elapsed synchronous rounds.
-    pub fn charge_rounds(&mut self, n: u64) {
-        bump(&mut self.rounds, n);
-        if let Some(p) = self.phases.last_mut() {
-            bump(&mut p.rounds, n);
-        }
-    }
-
-    /// Records one message of `bits` bits.
-    pub fn charge_message(&mut self, bits: u64) {
-        bump(&mut self.messages, 1);
-        bump(&mut self.bits, bits);
-        if let Some(p) = self.phases.last_mut() {
-            bump(&mut p.messages, 1);
-            bump(&mut p.bits, bits);
-        }
-    }
-
-    /// Records `messages` messages totalling `bits` bits in one call,
-    /// attributed to the current phase — the bulk counterpart of
-    /// [`RoundLedger::charge_message`] for schedules that account whole
-    /// fragment batches at once (e.g. the Lenzen scheduler).
-    pub fn charge_fragments(&mut self, messages: u64, bits: u64) {
         bump(&mut self.messages, messages);
         bump(&mut self.bits, bits);
-        if let Some(p) = self.phases.last_mut() {
-            bump(&mut p.messages, messages);
-            bump(&mut p.bits, bits);
-        }
-    }
-
-    /// Records `messages` messages totalling `bits` bits against the
-    /// global counters only, **without** phase attribution. For post-hoc
-    /// aggregate accounting of replayed executions, whose per-phase
-    /// placement is not meaningful (the charges were computed after the
-    /// fact, not inside a phase).
-    pub fn charge_aggregate(&mut self, messages: u64, bits: u64) {
-        bump(&mut self.messages, messages);
-        bump(&mut self.bits, bits);
-    }
-
-    /// Records a bandwidth violation (audit mode).
-    pub fn charge_violation(&mut self) {
-        bump(&mut self.violations, 1);
-    }
-
-    /// Records `n` bandwidth violations in one call — the bulk counterpart
-    /// of [`RoundLedger::charge_violation`] for rounds that batch their
-    /// ledger charges and flush once at close.
-    pub fn charge_violations(&mut self, n: u64) {
-        bump(&mut self.violations, n);
     }
 
     /// Adds every counter of `other` into `self` (phases are appended).
@@ -139,7 +107,8 @@ impl RoundLedger {
 
 /// Checked counter bump: ledger totals are the paper's Theorem 1.1 numbers,
 /// so overflow must panic (naming the invariant) rather than wrap silently.
-fn bump(counter: &mut u64, by: u64) {
+/// Shared with the round core's charge primitives (`crate::runtime`).
+pub(crate) fn bump(counter: &mut u64, by: u64) {
     *counter = counter
         .checked_add(by)
         .expect("ledger counter stays within u64 (bits per run bounded far below 2^64)");
@@ -213,10 +182,8 @@ mod tests {
     #[test]
     fn ledger_accumulates() {
         let mut l = RoundLedger::new();
-        l.charge_round();
-        l.charge_round();
-        l.charge_message(10);
-        l.charge_message(20);
+        l.charge_replay(1, 1, 10);
+        l.charge_replay(1, 1, 20);
         assert_eq!(l.rounds, 2);
         assert_eq!(l.messages, 2);
         assert_eq!(l.bits, 30);
@@ -226,21 +193,24 @@ mod tests {
     fn phases_slice_the_ledger() {
         let mut l = RoundLedger::new();
         l.begin_phase("a");
-        l.charge_round();
-        l.charge_message(8);
+        l.charge_replay(1, 1, 8);
         l.begin_phase("b");
-        l.charge_rounds(3);
+        l.charge_replay(3, 0, 0);
         assert_eq!(l.phases.len(), 2);
         assert_eq!(l.phases[0].rounds, 1);
-        assert_eq!(l.phases[0].bits, 8);
+        assert_eq!(
+            l.phases[0].bits, 0,
+            "replayed bits accrue to the totals only"
+        );
         assert_eq!(l.phases[1].rounds, 3);
         assert_eq!(l.rounds, 4);
+        assert_eq!(l.bits, 8);
     }
 
     #[test]
     fn charges_before_any_phase_are_global_only() {
         let mut l = RoundLedger::new();
-        l.charge_round();
+        l.charge_replay(1, 0, 0);
         assert!(l.phases.is_empty());
         assert_eq!(l.rounds, 1);
     }
@@ -248,12 +218,11 @@ mod tests {
     #[test]
     fn merge_sums_counters() {
         let mut a = RoundLedger::new();
-        a.charge_round();
-        a.charge_message(5);
+        a.charge_replay(1, 1, 5);
         let mut b = RoundLedger::new();
         b.begin_phase("x");
-        b.charge_rounds(2);
-        b.charge_violation();
+        b.charge_replay(2, 0, 0);
+        b.violations = 1;
         a.merge(&b);
         assert_eq!(a.rounds, 3);
         assert_eq!(a.bits, 5);
@@ -264,9 +233,9 @@ mod tests {
     #[test]
     fn display_mentions_violations_only_when_present() {
         let mut l = RoundLedger::new();
-        l.charge_round();
+        l.charge_replay(1, 0, 0);
         assert!(!l.to_string().contains("violations"));
-        l.charge_violation();
+        l.violations = 1;
         assert!(l.to_string().contains("violations"));
     }
 

@@ -45,6 +45,10 @@ pub fn set_thread_override(threads: Option<usize>) {
 /// machine's available parallelism. The fallback is resolved once per
 /// process (`available_parallelism` reads cgroup files, and every round
 /// asks); the override is still checked first on every call.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "par_nodes owns the worker count, so it is resolved in one place"
+)]
 pub fn thread_count() -> usize {
     let ov = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if ov >= 1 {
@@ -64,6 +68,10 @@ pub fn thread_count() -> usize {
 /// it captures (read-only borrows are fine; that is the whole point). Under
 /// that contract the output — and therefore anything downstream of it — is
 /// bit-identical for every thread count, including 1.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "par_nodes owns the scoped pool; its index-order contract keeps runs bit-identical to sequential"
+)]
 pub fn par_map_nodes<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -108,6 +116,10 @@ where
 ///
 /// Panics if `shards == 0` or `out.len()` is not a positive multiple of
 /// `shards`.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "par_nodes owns the scoped pool; its index-order contract keeps runs bit-identical to sequential"
+)]
 pub fn par_zip_shards<A, B, F>(items: &[A], out: &mut [B], shards: usize, f: F)
 where
     A: Sync,
@@ -153,6 +165,10 @@ where
 ///
 /// Panics if the cut tables disagree in length, describe fewer than one
 /// shard, or do not span their buffers exactly.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "par_nodes owns the scoped pool; its index-order contract keeps runs bit-identical to sequential"
+)]
 pub fn par_scatter_shards<A, B, F>(
     a: &mut [A],
     a_cuts: &[usize],

@@ -120,6 +120,10 @@ const PAIR_EMPTY: u64 = u64::MAX;
 
 impl PairBits {
     #[inline]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "the shift keeps trailing_zeros(keys.len()) bits, so the value is below keys.len()"
+    )]
     fn slot(keys: &[u64], key: u64) -> usize {
         // Fibonacci hashing; table capacity is a power of two.
         let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);

@@ -163,7 +163,10 @@ pub fn route<M>(
 /// production behavior; the forced variants exist so tests can compare the
 /// two schedules on identical workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(not(test), allow(dead_code))] // forced variants are test-only
+#[cfg_attr(
+    not(test),
+    allow(dead_code, reason = "the forced variants are test-only")
+)]
 pub(crate) enum ScheduleChoice {
     /// Pick the cheaper schedule per batch (ties go to direct).
     Cheaper,

@@ -13,9 +13,10 @@
 //! * [`RoundCore`] — owns the [`RoundLedger`], the [`Enforcement`] mode,
 //!   the per-ordered-pair bandwidth budget, the recycled
 //!   [`pool::RoundBuffers`], and the optional [`RoundObserver`]. **Every**
-//!   `RoundLedger` charge in `crates/sim` happens here (enforced by
-//!   conformance rule R9), so the accounting semantics cannot drift
-//!   between engines.
+//!   `RoundLedger` charge in `crates/sim` happens here: the `charge_*`
+//!   primitives are private methods defined in this module, so the
+//!   compiler rejects a charge anywhere else and the accounting semantics
+//!   cannot drift between engines.
 //! * [`Round`] — one open synchronous round, generic over the transport
 //!   and the message type. A warmed round makes no heap allocation
 //!   (measured by `tests/steady_state_alloc.rs`): per-pair budget loads
@@ -60,7 +61,7 @@ use std::sync::{Arc, Mutex};
 use cc_mis_graph::{Graph, NodeId};
 
 use crate::bits::{idx_u32, pair_key};
-use crate::metrics::{BandwidthError, RoundLedger};
+use crate::metrics::{bump, BandwidthError, RoundLedger};
 use crate::par_nodes;
 use crate::pool::{self, ArenaPool, PairBits, RoundBuffers};
 use crate::shard::{self, Wire};
@@ -178,13 +179,49 @@ pub trait RoundObserver {
 /// the CONGEST and beeping engines of the sparsified algorithm).
 pub type SharedObserver = Rc<RefCell<dyn RoundObserver>>;
 
+/// The ledger's charge primitives. They are private to the round core, so
+/// no other module (and no other crate) can bill a ledger except through
+/// [`RoundLedger::charge_replay`].
+impl RoundLedger {
+    /// Records one elapsed synchronous round.
+    fn charge_round(&mut self) {
+        self.charge_rounds(1);
+    }
+
+    /// Records `n` elapsed synchronous rounds.
+    fn charge_rounds(&mut self, n: u64) {
+        bump(&mut self.rounds, n);
+        if let Some(p) = self.phases.last_mut() {
+            bump(&mut p.rounds, n);
+        }
+    }
+
+    /// Records `messages` messages totalling `bits` bits in one call,
+    /// attributed to the current phase (the round core flushes a round's
+    /// sends, and the Lenzen scheduler whole fragment batches, this way).
+    fn charge_fragments(&mut self, messages: u64, bits: u64) {
+        bump(&mut self.messages, messages);
+        bump(&mut self.bits, bits);
+        if let Some(p) = self.phases.last_mut() {
+            bump(&mut p.messages, messages);
+            bump(&mut p.bits, bits);
+        }
+    }
+
+    /// Records `n` bandwidth violations (audit mode) in one call.
+    fn charge_violations(&mut self, n: u64) {
+        bump(&mut self.violations, n);
+    }
+}
+
 /// The transport-independent heart of an engine: bandwidth budget,
 /// enforcement mode, ledger, recycled round buffers, and the optional
 /// observer.
 ///
 /// All `RoundLedger` charging in `crates/sim` funnels through this type
-/// (conformance rule R9), which is what makes the "ledger accounting is
-/// identical across engines" guarantee checkable.
+/// (the charge primitives below are private to this module), which is what
+/// makes the "ledger accounting is identical across engines" guarantee
+/// checkable.
 pub struct RoundCore {
     bandwidth: u64,
     enforcement: Enforcement,
@@ -835,6 +872,24 @@ mod tests {
 
     fn shared_recorder() -> Rc<RefCell<Recorder>> {
         Rc::new(RefCell::new(Recorder::default()))
+    }
+
+    #[test]
+    fn charge_primitives_slice_the_ledger_by_phase() {
+        let mut l = RoundLedger::new();
+        l.charge_round();
+        l.begin_phase("a");
+        l.charge_round();
+        l.charge_fragments(1, 8);
+        l.begin_phase("b");
+        l.charge_rounds(3);
+        l.charge_fragments(2, 20);
+        l.charge_violations(1);
+        assert_eq!((l.rounds, l.messages, l.bits, l.violations), (5, 3, 28, 1));
+        let a = &l.phases[0];
+        assert_eq!((a.rounds, a.messages, a.bits), (1, 1, 8));
+        let b = &l.phases[1];
+        assert_eq!((b.rounds, b.messages, b.bits), (3, 2, 20));
     }
 
     #[test]

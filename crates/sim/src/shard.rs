@@ -14,13 +14,13 @@
 //! Two [`FrameLink`] backends speak the same codec:
 //!
 //! * [`ChannelLink`] — in-process byte queues, the default. `send` runs the
-//!   worker synchronously (no threads: rule R2 confines threading to
+//!   worker synchronously (no threads: `clippy.toml` confines threading to
 //!   `par_nodes`), so it is deterministic at any `S` and needs no OS
 //!   support.
 //! * [`ProcessLink`] — real OS processes: the coordinator binds a Unix
 //!   domain socket, spawns `clique-mis worker --socket PATH --shard K`
 //!   children, and exchanges the identical frames over the stream. Raw
-//!   process/socket APIs are confined to this module (rule R24).
+//!   process/socket APIs are confined to this module (`clippy.toml`).
 //!
 //! # Frame format
 //!
@@ -94,8 +94,16 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::io::{Read, Write};
+#[allow(
+    clippy::disallowed_types,
+    reason = "the shard module owns worker processes and their sockets"
+)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+#[allow(
+    clippy::disallowed_types,
+    reason = "the shard module owns worker processes and their sockets"
+)]
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -773,10 +781,10 @@ trait FrameLink {
     fn respawn(&mut self) -> Result<(), ShardError>;
 }
 
-/// In-process backend: the worker runs synchronously inside `send` (rule R2
-/// keeps threads out of this module) and replies queue as byte frames, so
-/// the full frame codec is exercised without any OS dependency and results
-/// are deterministic at any shard count.
+/// In-process backend: the worker runs synchronously inside `send`
+/// (`clippy.toml` keeps threads out of this module) and replies queue as
+/// byte frames, so the full frame codec is exercised without any OS
+/// dependency and results are deterministic at any shard count.
 ///
 /// Reply buffers circulate instead of being copied: `recv` swaps the queued
 /// reply with the caller's buffer and keeps the caller's old one as the
@@ -849,6 +857,10 @@ static PATH_SEQ: AtomicU64 = AtomicU64::new(0);
 /// `clique-mis worker` child per shard, and exchanges the same frames over
 /// the stream. The listener outlives the child so [`FrameLink::respawn`]
 /// reuses the socket path.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the shard module owns worker processes and their sockets"
+)]
 struct ProcessLink {
     shard: u32,
     listener: UnixListener,
@@ -858,6 +870,10 @@ struct ProcessLink {
 }
 
 impl ProcessLink {
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the shard module owns worker processes and their sockets"
+    )]
     fn spawn(shard: u32) -> Result<Self, ShardError> {
         let seq = PATH_SEQ.fetch_add(1, Ordering::Relaxed);
         let socket_path = crate::config::socket_dir().join(format!(
@@ -882,6 +898,10 @@ impl ProcessLink {
     /// Spawns a worker child connected to this link's socket. Worker stderr
     /// goes to a log file under `CC_MIS_WORKER_LOG_DIR` when set (CI
     /// uploads these on failure), otherwise to null.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the shard module owns worker processes and their sockets"
+    )]
     fn spawn_child(&mut self) -> Result<(), ShardError> {
         let mut cmd = Command::new(worker_binary());
         cmd.arg("worker")
@@ -915,6 +935,10 @@ impl ProcessLink {
         Ok(())
     }
 
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the shard module tears worker processes down"
+    )]
     fn reap(&mut self) {
         if let Some(mut child) = self.child.take() {
             let _ = child.kill();
@@ -974,6 +998,10 @@ impl Drop for ProcessLink {
 ///
 /// Returns the first protocol or I/O error; the CLI maps it to a nonzero
 /// exit code and the message lands in the worker log.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the shard module owns worker processes and their sockets"
+)]
 pub fn worker_main(socket: &str, shard: u32) -> Result<(), ShardError> {
     let mut stream = UnixStream::connect(socket).map_err(io_err)?;
     let mut state = WorkerState::fresh(shard);

@@ -677,14 +677,19 @@ mod tests {
 
     #[test]
     fn ledger_round_trips_with_phases() {
-        let mut l = RoundLedger::new();
-        l.begin_phase("a");
-        l.charge_round();
-        l.charge_message(12);
-        l.begin_phase("b");
-        l.charge_rounds(3);
-        l.charge_violation();
-        round_trip(l);
+        let phase = |label: &str, rounds, messages, bits| PhaseRecord {
+            label: label.to_string(),
+            rounds,
+            messages,
+            bits,
+        };
+        round_trip(RoundLedger {
+            rounds: 4,
+            messages: 1,
+            bits: 12,
+            violations: 1,
+            phases: vec![phase("a", 1, 1, 12), phase("b", 3, 0, 0)],
+        });
     }
 
     #[test]

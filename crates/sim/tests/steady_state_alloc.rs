@@ -20,7 +20,10 @@
 //! and is deliberately out of scope. The thread override is global, so
 //! the shapes run in sequence inside one `#[test]`.
 
-#![allow(unsafe_code)] // a GlobalAlloc impl is unsafe by definition; it only counts and forwards to System
+#![allow(
+    unsafe_code,
+    reason = "a GlobalAlloc impl is unsafe by definition; it only counts and forwards to System"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

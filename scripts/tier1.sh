@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate: offline build, the full test suite, a lint-clean tree, and a
-# conform-clean tree (cc-mis-conform, the in-tree model-invariant linter).
+# Tier-1 gate: offline build, the full test suite, a clippy-clean tree
+# (including the root clippy.toml's thread/env/process/charge confinement),
+# and a conform-clean tree (cc-mis-conform, the in-tree model-invariant
+# linter).
 # Everything must pass before a change lands (see ROADMAP.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."

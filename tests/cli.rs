@@ -1,9 +1,11 @@
 //! End-to-end tests of the `clique-mis` CLI binary.
 
-use std::process::Command;
-
-fn cli() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_clique-mis"))
+#[allow(
+    clippy::disallowed_types,
+    reason = "drives the built clique-mis binary as a child process"
+)]
+fn cli() -> std::process::Command {
+    std::process::Command::new(env!("CARGO_BIN_EXE_clique-mis"))
 }
 
 #[test]
