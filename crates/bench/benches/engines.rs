@@ -4,6 +4,7 @@
 use cc_mis_bench::harness::Harness;
 use cc_mis_graph::{generators, NodeId};
 use cc_mis_sim::beeping::BeepingEngine;
+use cc_mis_sim::bits::standard_bandwidth;
 use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::congest::CongestEngine;
 
@@ -55,6 +56,41 @@ fn main() {
         });
     }
     cc_mis_sim::shard::set_shards_override(None);
+    h.finish();
+
+    // One message from each sender to each alive neighbour, as in the
+    // exchange rounds of every MIS algorithm here, on a Kronecker graph
+    // with every node alive: the hand-written send loop plus `deliver`
+    // against `exchange_with_neighbors`, with every node sending (the
+    // pull fill) and with 2% of nodes sending (the push direction, which
+    // is the send loop).
+    let mut h = Harness::new("neighbor_exchange");
+    let g = generators::kronecker(12, 8, 1);
+    let n = g.node_count();
+    let alive = vec![true; n];
+    for (suffix, stride) in [("", 1u32), ("_2pct", 50)] {
+        let message_of = |v: NodeId| v.raw().is_multiple_of(stride).then_some((7, v.raw()));
+        let mut e = CliqueEngine::strict(n, standard_bandwidth(n));
+        h.bench(&format!("send_loop{suffix}"), || {
+            let mut r = e.begin_round::<u32>();
+            for v in g.nodes() {
+                if let Some((bits, msg)) = message_of(v) {
+                    for &u in g.neighbors(v) {
+                        if alive[u.index()] {
+                            r.send(v, u, bits, msg).unwrap();
+                        }
+                    }
+                }
+            }
+            r.deliver()
+        });
+        let mut e = CliqueEngine::strict(n, standard_bandwidth(n));
+        h.bench(&format!("exchange{suffix}"), || {
+            e.begin_round::<u32>()
+                .exchange_with_neighbors(&g, &alive, message_of)
+                .unwrap()
+        });
+    }
     h.finish();
 
     let mut h = Harness::new("congest_broadcast_round");

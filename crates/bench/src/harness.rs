@@ -24,6 +24,11 @@ pub struct Sample {
     pub min_ns: u64,
     /// Median sample, nanoseconds.
     pub median_ns: u64,
+    /// First and third quartile samples, nanoseconds (nearest rank, like
+    /// the median): the spread to read the median against.
+    pub q1_ns: u64,
+    /// See [`Sample::q1_ns`].
+    pub q3_ns: u64,
     /// Mean sample, nanoseconds.
     pub mean_ns: u64,
 }
@@ -36,6 +41,8 @@ impl Sample {
             ("samples", Json::from(self.samples as u64)),
             ("min_ns", Json::from(self.min_ns)),
             ("median_ns", Json::from(self.median_ns)),
+            ("q1_ns", Json::from(self.q1_ns)),
+            ("q3_ns", Json::from(self.q3_ns)),
             ("mean_ns", Json::from(self.mean_ns)),
         ])
     }
@@ -86,13 +93,17 @@ impl Harness {
             samples: self.samples,
             min_ns: times[0],
             median_ns: times[times.len() / 2],
+            q1_ns: times[times.len() / 4],
+            q3_ns: times[times.len() * 3 / 4],
             mean_ns: times.iter().sum::<u64>() / times.len() as u64,
         };
         println!(
-            "{:<48} min {:>12}  median {:>12}  mean {:>12}",
+            "{:<48} min {:>12}  median {:>12}  IQR {:>12} .. {:>12}  mean {:>12}",
             sample.name,
             fmt_ns(sample.min_ns),
             fmt_ns(sample.median_ns),
+            fmt_ns(sample.q1_ns),
+            fmt_ns(sample.q3_ns),
             fmt_ns(sample.mean_ns),
         );
         self.results.push(sample);
@@ -156,7 +167,10 @@ mod tests {
         h.bench("spin", || (0..100u64).sum::<u64>());
         assert_eq!(h.results.len(), 2);
         assert!(h.results[0].name.starts_with("unit/"));
-        assert!(h.results.iter().all(|s| s.min_ns <= s.median_ns));
+        assert!(h
+            .results
+            .iter()
+            .all(|s| s.min_ns <= s.q1_ns && s.q1_ns <= s.median_ns && s.median_ns <= s.q3_ns));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! Both inputs are the JSON-lines format written by
 //! [`crate::harness::Harness::finish`] — one object per group, each with a
-//! `results` array of `{name, samples, min_ns, median_ns, mean_ns}`
+//! `results` array of `{name, samples, min_ns, median_ns, q1_ns, q3_ns,
+//! mean_ns}`
 //! records. The gate compares **medians** (robust to a single noisy
 //! sample) and fails when a case slows down by more than the allowed
 //! percentage, or disappears from the fresh run entirely.

@@ -54,7 +54,6 @@ use crate::cleanup::leader_cleanup;
 use crate::common::{check_node_vec_len, double_capped, halve, p_of, MisOutcome, INITIAL_PEXP};
 use crate::exponentiation::gather_balls;
 use crate::replay::{for_each_distinct_ball, LocalBall};
-use crate::rounds;
 use crate::sparsified::{sample_set, SparsifiedParams};
 
 /// Configuration of [`run_clique_mis`].
@@ -267,15 +266,13 @@ impl<'a> CliqueMisExecution<'a> {
 
         // ===== 1. p-exchange round =====
         let pexp0 = &self.pexp;
-        let mut round = self.engine.begin_round::<u32>();
-        rounds::broadcast_to_alive_neighbors(
-            &mut round,
-            g,
-            &alive0,
-            |v| alive0[v.index()].then(|| (PROBABILITY_EXPONENT_BITS, pexp0[v.index()])),
-            "p exponent fits the bandwidth",
-        );
-        let inboxes = round.deliver();
+        let inboxes = self
+            .engine
+            .begin_round::<u32>()
+            .exchange_with_neighbors(g, &alive0, |v| {
+                alive0[v.index()].then(|| (PROBABILITY_EXPONENT_BITS, pexp0[v.index()]))
+            })
+            .expect("p exponent fits the bandwidth");
         let threshold = params.super_heavy_threshold();
         let mut super_heavy = vec![false; n];
         for i in 0..n {
@@ -303,12 +300,10 @@ impl<'a> CliqueMisExecution<'a> {
         let in_s = sample_set(g, &rng, pexp0, &alive0, &super_heavy, t0, len);
 
         // ===== 2. Commitment round: (super-heavy?, beep vector, in S?) =====
-        let mut round = self.engine.begin_round::<(bool, u64, bool)>();
-        rounds::broadcast_to_alive_neighbors(
-            &mut round,
-            g,
-            &alive0,
-            |v| {
+        let inboxes = self
+            .engine
+            .begin_round::<(bool, u64, bool)>()
+            .exchange_with_neighbors(g, &alive0, |v| {
                 let i = v.index();
                 if !alive0[i] {
                     return None;
@@ -316,10 +311,8 @@ impl<'a> CliqueMisExecution<'a> {
                 let vec = if super_heavy[i] { sh_vector(i) } else { 0 };
                 let bits = 2 + if super_heavy[i] { len as u64 } else { 0 };
                 Some((bits, (super_heavy[i], vec, in_s[i])))
-            },
-            "commitment fits the bandwidth",
-        );
-        let inboxes = round.deliver();
+            })
+            .expect("commitment fits the bandwidth");
         // Per node: OR of super-heavy neighbors' schedules, and S-neighbor
         // lists (the node's incident edges of G[S], plus a watcher's view).
         let mut sh_or = vec![0u64; n];
@@ -394,15 +387,13 @@ impl<'a> CliqueMisExecution<'a> {
         // ===== 5. Announcement round =====
         let ann_bits =
             len as u64 + (len as u64 + 1).next_power_of_two().trailing_zeros() as u64 + 1;
-        let mut round = self.engine.begin_round::<Announcement>();
-        rounds::broadcast_to_alive_neighbors(
-            &mut round,
-            g,
-            &alive0,
-            |v| announcements[v.index()].map(|ann| (ann_bits, ann)),
-            "announcement fits the bandwidth",
-        );
-        let inboxes = round.deliver();
+        let inboxes = self
+            .engine
+            .begin_round::<Announcement>()
+            .exchange_with_neighbors(g, &alive0, |v| {
+                announcements[v.index()].map(|ann| (ann_bits, ann))
+            })
+            .expect("announcement fits the bandwidth");
 
         // Apply the phase outcome to the global state, exactly mirroring
         // the direct algorithm's update order.

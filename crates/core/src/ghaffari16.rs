@@ -45,7 +45,6 @@ use crate::common::{
     check_node_vec_len, double_capped, halve, iterations_for_max_degree, mis_from_flags, p_of,
     MisOutcome, INITIAL_PEXP,
 };
-use crate::rounds;
 
 /// Parameters for the Ghaffari'16 runners.
 #[derive(Debug, Clone, Copy)]
@@ -339,18 +338,14 @@ impl Execution for Ghaffari16Execution<'_> {
         });
 
         // Round 1: exchange (p-exponent, mark bit) with undecided neighbors.
-        let mut round = self.engine.begin_round::<(u32, bool)>();
-        rounds::broadcast_to_alive_neighbors(
-            &mut round,
-            g,
-            alive,
-            |v| {
+        let inboxes = self
+            .engine
+            .begin_round::<(u32, bool)>()
+            .exchange_with_neighbors(g, alive, |v| {
                 let i = v.index();
                 alive[i].then(|| (PROBABILITY_EXPONENT_BITS + 1, (pexp[i], marked[i])))
-            },
-            "(p, mark) fits the bandwidth",
-        );
-        let inboxes = round.deliver();
+            })
+            .expect("(p, mark) fits the bandwidth");
 
         // Per-node update from the delivered inboxes; each inbox is sorted
         // by sender, so the f64 sum order is fixed and the results are
@@ -385,15 +380,13 @@ impl Execution for Ghaffari16Execution<'_> {
         // Round 2: joiners announce; joiners and neighbors leave. (`joins`
         // is ascending by construction, so membership is binary-searchable.)
         let alive = &self.alive;
-        let mut round = self.engine.begin_round::<()>();
-        rounds::broadcast_to_alive_neighbors(
-            &mut round,
-            g,
-            alive,
-            |v| joins.binary_search(&v.index()).ok().map(|_| (1, ())),
-            "join bit fits",
-        );
-        let inboxes = round.deliver();
+        let inboxes = self
+            .engine
+            .begin_round::<()>()
+            .exchange_with_neighbors(g, alive, |v| {
+                joins.binary_search(&v.index()).ok().map(|_| (1, ()))
+            })
+            .expect("join bit fits");
         for &i in &joins {
             self.in_mis[i] = true;
             self.alive[i] = false;

@@ -53,7 +53,6 @@ pub mod lowdeg;
 pub mod luby;
 pub mod reductions;
 pub(crate) mod replay;
-pub(crate) mod rounds;
 pub mod ruling_set;
 pub mod sparsified;
 

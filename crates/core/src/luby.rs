@@ -20,7 +20,6 @@ use cc_mis_sim::snapshot_fields;
 use cc_mis_sim::SharedObserver;
 
 use crate::common::{check_node_vec_len, mis_from_flags, MisOutcome};
-use crate::rounds;
 
 /// Parameters for [`run_luby`].
 #[derive(Debug, Clone, Copy)]
@@ -151,18 +150,14 @@ impl Execution for LubyExecution<'_> {
             .collect();
         let alive = &self.alive;
         let priority_bits = self.params.priority_bits;
-        let mut round = self.engine.begin_round::<u64>();
-        rounds::broadcast_to_alive_neighbors(
-            &mut round,
-            g,
-            alive,
-            |v| {
+        let inboxes = self
+            .engine
+            .begin_round::<u64>()
+            .exchange_with_neighbors(g, alive, |v| {
                 let i = v.index();
                 alive[i].then(|| (priority_bits, priorities[i]))
-            },
-            "priority message fits the bandwidth",
-        );
-        let inboxes = round.deliver();
+            })
+            .expect("priority message fits the bandwidth");
 
         // Local rule: strict local minimum joins. Ties are broken by id
         // (priorities are 64-bit so ties are effectively impossible, but the
@@ -180,15 +175,11 @@ impl Execution for LubyExecution<'_> {
         }
 
         // Round 2: joiners announce; joiners and their neighbors leave.
-        let mut round = self.engine.begin_round::<()>();
-        rounds::broadcast_to_alive_neighbors(
-            &mut round,
-            g,
-            alive,
-            |v| joined[v.index()].then_some((1, ())),
-            "join bit fits",
-        );
-        let inboxes = round.deliver();
+        let inboxes = self
+            .engine
+            .begin_round::<()>()
+            .exchange_with_neighbors(g, alive, |v| joined[v.index()].then_some((1, ())))
+            .expect("join bit fits");
         for v in g.nodes() {
             if !self.alive[v.index()] {
                 continue;

@@ -634,15 +634,13 @@ impl Execution for SparsifiedMessagedExecution<'_> {
 
         // Phase-start exchange over the real CONGEST engine.
         let pexp_now = &self.pexp;
-        let mut round = self.congest.begin_round::<u32>();
-        crate::rounds::broadcast_to_alive_neighbors(
-            &mut round,
-            g,
-            &alive0,
-            |v| alive0[v.index()].then(|| (PROBABILITY_EXPONENT_BITS, pexp_now[v.index()])),
-            "p exponent fits",
-        );
-        let inboxes = round.deliver();
+        let inboxes = self
+            .congest
+            .begin_round::<u32>()
+            .exchange_with_neighbors(g, &alive0, |v| {
+                alive0[v.index()].then(|| (PROBABILITY_EXPONENT_BITS, pexp_now[v.index()]))
+            })
+            .expect("p exponent fits");
         let threshold = self.params.super_heavy_threshold();
         let super_heavy: Vec<bool> = (0..n)
             .map(|i| {

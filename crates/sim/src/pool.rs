@@ -6,21 +6,22 @@
 //! (measured by `crates/sim/tests/steady_state_alloc.rs`):
 //!
 //! * [`RoundBuffers`] — owned by [`crate::runtime::RoundCore`], recycles
-//!   the outbox arena, the per-destination count/offset/cursor tables and
-//!   the [`PairBits`] per-pair budget tracker across rounds. After the
-//!   first round of a steady-state loop, opening and closing a round
-//!   performs no heap allocation (the way `drive_with_checkpoints` already
-//!   recycles its encode buffer).
+//!   the outbox arena, the per-destination count/offset/cursor tables,
+//!   the [`PairBits`] per-pair budget tracker and the sender lists and
+//!   index of [`crate::runtime::Round::exchange_with_neighbors`] across
+//!   rounds. After the first round of a steady-state loop, opening and
+//!   closing a round performs no heap allocation (the way
+//!   `drive_with_checkpoints` already recycles its encode buffer).
 //! * [`ArenaPool`] — shared (behind `Arc<Mutex<..>>`) between the core and
 //!   the [`crate::runtime::Inboxes`] values `deliver` returns, so inbox
 //!   storage flows back to the engine when the algorithm drops a round's
 //!   inboxes, even though the `Inboxes` outlives the `Round`'s borrow.
 //!
 //! Message types differ per round (`Round<T, M>` is generic), so recycled
-//! outboxes and arenas are stored type-erased as `Box<dyn Any + Send>` and
-//! reclaimed by downcast — all in safe Rust (`M: Send + 'static`). The
-//! boxes themselves stay in the pool: taking a buffer moves the `Vec` out
-//! of its box, retiring moves one back in.
+//! outboxes, sender lists and arenas are stored type-erased as
+//! `Box<dyn Any + Send>` and reclaimed by downcast — all in safe Rust
+//! (`M: Send + 'static`). The boxes themselves stay in the pool: taking a
+//! buffer moves the `Vec` out of its box, retiring moves one back in.
 
 use std::any::Any;
 use std::mem;
@@ -30,10 +31,20 @@ use cc_mis_graph::NodeId;
 
 use crate::bits::{idx_u32, pair_key};
 
-/// How many type-erased buffer slots each pool retains. Two is enough
-/// for every in-tree pattern (at most one live `Inboxes` per engine plus
-/// one in flight); the cap bounds memory when many message types alternate.
+/// How many type-erased outboxes and arenas each pool retains. Two is
+/// enough for every in-tree pattern (at most one live `Inboxes` per engine
+/// plus one in flight); the cap bounds memory when many message types
+/// alternate. An arena can hold millions of messages, so a Theorem 1.1
+/// phase, which cycles through three message types, reallocates one of
+/// its three arenas each phase rather than keep all three (keeping them
+/// raised `thm11_rmat`'s peak RSS from 63 to 84 MB, for no measurable
+/// speed-up).
 const POOL_RETAIN: usize = 2;
+
+/// How many type-erased sender lists of the neighbour exchange the pool
+/// retains: one per message type of a Theorem 1.1 phase. A sender list
+/// holds at most one entry per node, so keeping three costs `O(n)`.
+const SENT_RETAIN: usize = 3;
 
 /// Type-erased buffer slots, each a boxed `Vec<T>` for some `T`. A slot
 /// whose `Vec` has no capacity is lent out (or was never filled).
@@ -51,9 +62,9 @@ fn take_erased<T: Send + 'static>(slots: &mut ErasedSlots) -> Vec<T> {
 }
 
 /// Moves `v` (contents as the caller left them) back into an empty slot of
-/// its type, boxing a new slot only while fewer than [`POOL_RETAIN`]
-/// exist. Unallocated vectors are dropped: keeping them saves nothing.
-fn retire_erased<T: Send + 'static>(slots: &mut ErasedSlots, v: Vec<T>) {
+/// its type, boxing a new slot only while fewer than `retain` exist.
+/// Unallocated vectors are dropped: keeping them saves nothing.
+fn retire_erased<T: Send + 'static>(slots: &mut ErasedSlots, v: Vec<T>, retain: usize) {
     if v.capacity() == 0 {
         return;
     }
@@ -64,7 +75,7 @@ fn retire_erased<T: Send + 'static>(slots: &mut ErasedSlots, v: Vec<T>) {
         .find(|slot| slot.capacity() == 0);
     match empty {
         Some(slot) => *slot = v,
-        None if retained < POOL_RETAIN => slots.push(Box::new(v)),
+        None if retained < retain => slots.push(Box::new(v)),
         None => {}
     }
 }
@@ -272,6 +283,11 @@ pub(crate) struct RoundBuffers {
     pair_bits: PairBits,
     /// Retired outboxes (`Vec<(NodeId, NodeId, M)>`), type-erased.
     outboxes: ErasedSlots,
+    /// Retired sender lists of the neighbour exchange
+    /// (`Vec<(NodeId, u64, M)>`), type-erased.
+    sent: ErasedSlots,
+    /// Per-node position in the neighbour exchange's sender list.
+    pub(crate) sender_at: Vec<u32>,
     /// Retired frame byte buffers for the sharded transport (round
     /// payloads, encoded frames, receive scratch).
     frames: Vec<Vec<u8>>,
@@ -310,7 +326,18 @@ impl RoundBuffers {
         mut outbox: Vec<(NodeId, NodeId, M)>,
     ) {
         outbox.clear();
-        retire_erased(&mut self.outboxes, outbox);
+        retire_erased(&mut self.outboxes, outbox, POOL_RETAIN);
+    }
+
+    /// A recycled (empty) sender list for message type `M`.
+    pub(crate) fn take_sent<M: Send + 'static>(&mut self) -> Vec<(NodeId, u64, M)> {
+        take_erased(&mut self.sent)
+    }
+
+    /// Retires a sender list, keeping its allocation.
+    pub(crate) fn retire_sent<M: Send + 'static>(&mut self, mut sent: Vec<(NodeId, u64, M)>) {
+        sent.clear();
+        retire_erased(&mut self.sent, sent, SENT_RETAIN);
     }
 
     /// A recycled (empty) frame byte buffer.
@@ -349,7 +376,7 @@ impl ArenaPool {
     /// length already covers the next round is truncated and overwritten in
     /// place, skipping the filler pass entirely.
     pub(crate) fn retire<M: Send + 'static>(&mut self, arena: Vec<(NodeId, M)>, offsets: Vec<u32>) {
-        retire_erased(&mut self.arenas, arena);
+        retire_erased(&mut self.arenas, arena, POOL_RETAIN);
         if offsets.capacity() > 0 && self.offsets.len() < POOL_RETAIN {
             self.offsets.push(offsets);
         }
@@ -457,15 +484,17 @@ mod tests {
     #[test]
     fn erased_slots_are_reused_in_place_and_capped() {
         let mut slots = ErasedSlots::new();
-        retire_erased(&mut slots, vec![7u32]);
+        retire_erased(&mut slots, vec![7u32], POOL_RETAIN);
         let v: Vec<u32> = take_erased(&mut slots);
         assert_eq!(v, [7]);
         assert_eq!(slots.len(), 1, "the box stays while its Vec is lent out");
-        retire_erased(&mut slots, v);
+        retire_erased(&mut slots, v, POOL_RETAIN);
         assert_eq!(slots.len(), 1, "retiring refills the lent-out slot");
-        retire_erased(&mut slots, vec![1u8]);
-        retire_erased(&mut slots, vec![1u16]);
+        retire_erased(&mut slots, vec![1u8], POOL_RETAIN);
+        retire_erased(&mut slots, vec![1u16], POOL_RETAIN);
         assert_eq!(slots.len(), POOL_RETAIN);
+        let dropped: Vec<u16> = take_erased(&mut slots);
+        assert_eq!(dropped.capacity(), 0, "a type past the cap is not retained");
     }
 
     #[test]

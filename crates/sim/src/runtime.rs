@@ -22,9 +22,13 @@
 //!   (measured by `tests/steady_state_alloc.rs`): per-pair budget loads
 //!   live in the pooled `PairBits` tracker, which holds one word per pair
 //!   the round actually uses (never `n²`), ledger charges are batched
-//!   locally and flushed once per round, and delivery is a stable
-//!   src-major counting scatter into a pooled arena — no per-inbox sort,
-//!   no per-inbox allocation.
+//!   locally and flushed once per round, and delivery fills a pooled
+//!   arena — no per-inbox sort, no per-inbox allocation. [`Round::deliver`]
+//!   fills it with a stable src-major counting scatter of the outbox;
+//!   [`Round::exchange_with_neighbors`], the "send to every receiving
+//!   neighbour" round every algorithm here runs, usually skips the outbox
+//!   and fills it sequentially, each receiver pulling its neighbours'
+//!   messages along its sorted adjacency.
 //! * [`Inboxes`] — the flat delivered-messages arena `deliver` returns,
 //!   indexable per node as a slice; its storage flows back to the engine's
 //!   pool on drop.
@@ -45,6 +49,8 @@
 //! order. Every in-tree round loop enqueues src-major, so the counting
 //! scatter produces that order directly; a round that sent out of source
 //! order falls back to a stable per-inbox sort with the identical result.
+//! The neighbour exchange's pull fill gets the same order from each
+//! receiver's ascending adjacency, and runs on one thread.
 //! When `par_nodes::thread_count() > 1` and the round is large, the
 //! counting pass and the scatter run sharded on the deterministic pool:
 //! per-shard count rows merge in fixed order and each worker writes a
@@ -90,6 +96,11 @@ pub trait Transport {
 
     /// Checks whether `src -> dst` may carry a message in this model.
     fn check_link(&self, src: NodeId, dst: NodeId) -> Result<(), BandwidthError>;
+
+    /// Whether both directions of every edge of `g` pass
+    /// [`Transport::check_link`], so a [`Round::exchange_with_neighbors`]
+    /// over `g` may skip the per-message check.
+    fn carries_edges_of(&self, g: &Graph) -> bool;
 }
 
 /// Transport of the congested clique: every ordered pair of distinct,
@@ -113,6 +124,12 @@ impl Transport for CliqueTransport {
             });
         }
         Ok(())
+    }
+
+    /// Graphs are simple (no self-loops), so every edge of a graph on at
+    /// most `n` nodes joins two distinct in-range nodes.
+    fn carries_edges_of(&self, g: &Graph) -> bool {
+        g.node_count() <= self.n
     }
 }
 
@@ -138,6 +155,12 @@ impl Transport for CongestTransport<'_> {
             });
         }
         Ok(())
+    }
+
+    /// Only the engine's own graph vouches for itself: an equal but
+    /// distinct `Graph` value takes the checked send loop.
+    fn carries_edges_of(&self, g: &Graph) -> bool {
+        std::ptr::eq(self.graph, g)
     }
 }
 
@@ -369,6 +392,9 @@ impl RoundCore {
         }
     }
 }
+
+/// `sender_at` entry of a node that sends nothing in a neighbour exchange.
+const NOT_SENT: u32 = u32::MAX;
 
 /// Minimum outbox size for the sharded (parallel) delivery path: below
 /// this the scoped-pool spawn overhead exceeds the scatter itself.
@@ -639,6 +665,193 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
             pool: Arc::clone(&self.core.buffers.arena_pool),
         }
     }
+
+    /// Sends each node's message to its neighbours in `graph` that are
+    /// `receivers`, then closes the round.
+    ///
+    /// For each node `v` of `graph` in id order, `message_of(v)` (called
+    /// exactly once per node) says whether `v` sends this round and, if so,
+    /// the declared bit size and the message, which then goes to every
+    /// neighbour `u` with `receivers[u]`. The inboxes, ledger charges,
+    /// [`RoundEvent`] and errors are exactly those of that loop of
+    /// [`Round::send`] calls followed by [`Round::deliver`], which stays
+    /// the reference semantics.
+    ///
+    /// In such a round every ordered pair carries at most one message, so
+    /// unless a sender exceeds the bandwidth no budget needs tracking. The
+    /// inbox arena is then filled *pull-style*: each receiver, in id order,
+    /// copies its sending neighbours' messages along its own ascending
+    /// adjacency, so the arena is written sequentially and is already
+    /// sorted by sender — no outbox, no pair tracker, no scatter. The send
+    /// loop runs instead when
+    /// * delivery is framed ([`shard::probe`]): the frame codec carries
+    ///   every message;
+    /// * a sender declares more bits than the bandwidth: strict errors and
+    ///   audit violations come from the one checked path;
+    /// * the transport cannot vouch for the graph's links
+    ///   ([`Transport::carries_edges_of`]);
+    /// * the senders' adjacency volume is under a third of the receivers':
+    ///   pushing a few senders' messages touches less than walking every
+    ///   receiver's adjacency.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Round::send`]; the first refused send ends the loop, and
+    /// the round is dropped without advancing the clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `receivers.len()` differs from `graph`'s node count.
+    pub fn exchange_with_neighbors(
+        mut self,
+        graph: &Graph,
+        receivers: &[bool],
+        mut message_of: impl FnMut(NodeId) -> Option<(u64, M)>,
+    ) -> Result<Inboxes<M>, BandwidthError>
+    where
+        M: Clone + Sync + Wire,
+    {
+        assert_eq!(
+            receivers.len(),
+            graph.node_count(),
+            "one receiver flag per node"
+        );
+        let mut sent = self.core.buffers.take_sent::<M>();
+        let mut max_bits = 0;
+        let mut send_volume = 0;
+        for v in graph.nodes() {
+            if let Some((bits, msg)) = message_of(v) {
+                max_bits = max_bits.max(bits);
+                send_volume += graph.degree(v);
+                sent.push((v, bits, msg));
+            }
+        }
+        let receive_volume: usize = graph
+            .nodes()
+            .filter(|v| receivers[v.index()])
+            .map(|v| graph.degree(v))
+            .sum();
+        let core = &mut *self.core;
+        let framed = shard::probe(
+            &mut core.shards,
+            self.transport.node_count(),
+            &mut core.buffers,
+        )
+        .unwrap_or_else(|e| panic!("sharded transport setup failed: {e}"));
+        let pull = !framed
+            && max_bits <= core.bandwidth
+            && self.transport.carries_edges_of(graph)
+            && 3 * send_volume >= receive_volume;
+        if pull {
+            let inboxes = self.pull_from_neighbors(graph, receivers, &sent);
+            self.core.buffers.retire_sent(sent);
+            return Ok(inboxes);
+        }
+        let pushed = self.send_to_neighbors(graph, receivers, &sent);
+        self.core.buffers.retire_sent(sent);
+        pushed?;
+        Ok(self.deliver())
+    }
+
+    /// The reference path of [`Round::exchange_with_neighbors`]: one
+    /// checked [`Round::send`] per (sender, receiving neighbour) pair,
+    /// senders in id order, each sender's neighbours ascending. `sent`
+    /// lists the senders' `(id, bits, message)` in id order.
+    fn send_to_neighbors(
+        &mut self,
+        graph: &Graph,
+        receivers: &[bool],
+        sent: &[(NodeId, u64, M)],
+    ) -> Result<(), BandwidthError>
+    where
+        M: Clone,
+    {
+        for (v, bits, msg) in sent {
+            for &u in graph.neighbors(*v) {
+                if receivers[u.index()] {
+                    self.send(*v, u, *bits, msg.clone())?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The pull path of [`Round::exchange_with_neighbors`]: fills the inbox
+    /// arena receiver by receiver and closes the round with the charges and
+    /// event the send loop would have produced (one message per ordered
+    /// pair, so the peak pair load is the largest delivered message).
+    fn pull_from_neighbors(
+        &mut self,
+        graph: &Graph,
+        receivers: &[bool],
+        sent: &[(NodeId, u64, M)],
+    ) -> Inboxes<M>
+    where
+        M: Clone,
+    {
+        // Per node, its position in `sent`, or `NOT_SENT`: every entry is
+        // `NOT_SENT` between rounds, so only the senders' are set and reset.
+        let mut sender_at = mem::take(&mut self.core.buffers.sender_at);
+        if sender_at.len() < graph.node_count() {
+            sender_at.resize(graph.node_count(), NOT_SENT);
+        }
+        for (at, (v, _, _)) in sent.iter().enumerate() {
+            sender_at[v.index()] = idx_u32(at);
+        }
+        let (mut data, mut offsets) = pool::take_arena_parts::<M>(&self.core.buffers.arena_pool);
+        data.clear();
+        offsets.clear();
+        let mut bits = 0;
+        let mut peak = 0;
+        let mut len = 0;
+        for (u, &receives) in graph.nodes().zip(receivers) {
+            offsets.push(len);
+            if receives {
+                for &v in graph.neighbors(u) {
+                    let at = sender_at[v.index()];
+                    if at != NOT_SENT {
+                        let (_, b, msg) = &sent[at as usize];
+                        bits += b;
+                        peak = peak.max(*b);
+                        data.push((v, msg.clone()));
+                    }
+                }
+                len = idx_u32(data.len());
+            }
+        }
+        for (v, _, _) in sent {
+            sender_at[v.index()] = NOT_SENT;
+        }
+        self.core.buffers.sender_at = sender_at;
+        // A clique engine may be larger than the graph (Theorem 1.1 runs a
+        // 1-node graph on 2 nodes): the extra nodes receive nothing.
+        offsets.resize(self.transport.node_count() + 1, len);
+        self.pending_messages = data.len() as u64;
+        self.pending_bits = bits;
+        self.flush_charges();
+        let histogram = if self.core.observing() {
+            for (count, bounds) in self.counts.iter_mut().zip(offsets.windows(2)) {
+                *count = bounds[1] - bounds[0];
+            }
+            inbox_histogram(&self.counts)
+        } else {
+            Vec::new()
+        };
+        self.retire_buffers();
+        self.finished = true;
+        self.core.finish_round(
+            "deliver",
+            peak,
+            histogram,
+            self.start_messages,
+            self.start_bits,
+        );
+        Inboxes {
+            data,
+            offsets,
+            pool: Arc::clone(&self.core.buffers.arena_pool),
+        }
+    }
 }
 
 impl<T, M: Send + 'static> Round<'_, T, M> {
@@ -659,6 +872,15 @@ impl<T, M: Send + 'static> Round<'_, T, M> {
             self.pending_violations = 0;
         }
     }
+
+    /// Returns the count table, pair tracker and outbox to the pool.
+    fn retire_buffers(&mut self) {
+        self.core.buffers.counts = mem::take(&mut self.counts);
+        let loads = mem::take(&mut self.loads);
+        self.core.buffers.retire_pair_bits(loads);
+        let outbox = mem::take(&mut self.outbox);
+        self.core.buffers.retire_outbox(outbox);
+    }
 }
 
 impl<T, M: Send + 'static> Drop for Round<'_, T, M> {
@@ -671,11 +893,7 @@ impl<T, M: Send + 'static> Drop for Round<'_, T, M> {
             return;
         }
         self.flush_charges();
-        self.core.buffers.counts = mem::take(&mut self.counts);
-        let loads = mem::take(&mut self.loads);
-        self.core.buffers.retire_pair_bits(loads);
-        let outbox = mem::take(&mut self.outbox);
-        self.core.buffers.retire_outbox(outbox);
+        self.retire_buffers();
     }
 }
 
@@ -857,6 +1075,8 @@ fn inbox_histogram(counts: &[u32]) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::standard_bandwidth;
+    use crate::congest::CongestEngine;
     use crate::par_nodes::set_thread_override;
 
     #[derive(Default)]
@@ -1177,6 +1397,35 @@ mod tests {
         }
     }
 
+    /// A framed core's neighbour exchange crosses the frame codec and
+    /// delivers what a direct core's pulled exchange does.
+    #[test]
+    fn framed_exchange_takes_the_frames() {
+        let _guard = crate::shard::TEST_CONFIG_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let g = cc_mis_graph::generators::erdos_renyi_gnp(24, 0.3, 5);
+        let alive = vec![true; g.node_count()];
+        let exchange = |core: &mut RoundCore| {
+            let inboxes = Round::begin(core, CongestTransport { graph: &g })
+                .exchange_with_neighbors(&g, &alive, |v| Some((8, v.raw())))
+                .expect("one byte per pair fits the budget");
+            inboxes.iter().map(<[_]>::to_vec).collect::<Vec<_>>()
+        };
+        let mut direct = RoundCore::new(32, Enforcement::Strict);
+        let want = exchange(&mut direct);
+        crate::shard::set_shards_override(Some(2));
+        let mut framed = RoundCore::new(32, Enforcement::Strict);
+        let got = exchange(&mut framed);
+        crate::shard::set_shards_override(None);
+        assert_eq!(got, want);
+        assert_eq!(framed.ledger(), direct.ledger());
+        match &framed.shards {
+            shard::ShardSlot::Framed(transport) => assert_eq!(transport.rounds(), 1),
+            _ => panic!("the core latched framed delivery"),
+        }
+    }
+
     /// Pooled buffers must never leak stale contents between rounds: a big
     /// round followed by a smaller one (arena truncation) followed by a
     /// bigger one (arena growth) all deliver exactly their own messages.
@@ -1235,6 +1484,57 @@ mod tests {
         let inboxes = round.deliver();
         assert_eq!(&inboxes[1], &[(NodeId::new(0), 1), (NodeId::new(0), 3)][..]);
         assert_eq!(&inboxes[3], &[(NodeId::new(2), 2)][..]);
+    }
+
+    /// The neighbour exchange delivers exactly what the manual loop of
+    /// sends to alive neighbours does, with the same charges.
+    #[test]
+    fn helper_matches_manual_loop_exactly() {
+        let g = cc_mis_graph::generators::erdos_renyi_gnp(30, 0.2, 3);
+        let n = g.node_count();
+        let alive: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
+
+        let mut manual = CongestEngine::strict(&g, standard_bandwidth(n));
+        let mut round = manual.begin_round::<u32>();
+        for v in g.nodes() {
+            if !alive[v.index()] {
+                continue;
+            }
+            for &u in g.neighbors(v) {
+                if alive[u.index()] {
+                    round
+                        .send(v, u, 7, v.raw())
+                        .expect("message fits the bandwidth");
+                }
+            }
+        }
+        let manual_inboxes = round.deliver();
+
+        let mut helped = CongestEngine::strict(&g, standard_bandwidth(n));
+        let helped_inboxes = helped
+            .begin_round::<u32>()
+            .exchange_with_neighbors(&g, &alive, |v| alive[v.index()].then(|| (7, v.raw())))
+            .expect("message fits the bandwidth");
+
+        assert_eq!(manual_inboxes, helped_inboxes);
+        assert_eq!(manual.ledger().messages, helped.ledger().messages);
+        assert_eq!(manual.ledger().bits, helped.ledger().bits);
+    }
+
+    #[test]
+    fn non_senders_and_dead_receivers_are_skipped() {
+        let g = cc_mis_graph::generators::star(4); // center 0, leaves 1..3
+        let alive = vec![true, true, false, true];
+        let mut engine = CongestEngine::strict(&g, standard_bandwidth(4));
+        // Only the center sends.
+        let inboxes = engine
+            .begin_round::<()>()
+            .exchange_with_neighbors(&g, &alive, |v| (v.index() == 0).then_some((1, ())))
+            .expect("message fits the bandwidth");
+        assert_eq!(inboxes[1].len(), 1);
+        assert!(inboxes[2].is_empty(), "dead receiver must get nothing");
+        assert_eq!(inboxes[3].len(), 1);
+        assert_eq!(engine.ledger().messages, 2);
     }
 
     /// Audit-mode violations batched per round must reach the ledger (and

@@ -1139,6 +1139,12 @@ impl ShardedTransport {
         self.n
     }
 
+    /// Rounds delivered through the frames so far.
+    #[cfg(test)]
+    pub(crate) fn rounds(&self) -> u64 {
+        self.round
+    }
+
     /// Sends `INIT` for shard `k` and consumes the `ACK`.
     fn init_shard(
         &mut self,

@@ -6,12 +6,12 @@
 //! carry the case index so any failure replays exactly.
 
 use cc_mis_graph::rng::SplitMix64;
-use cc_mis_graph::{generators, NodeId};
+use cc_mis_graph::{generators, Graph, NodeId};
 use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::congest::CongestEngine;
 use cc_mis_sim::rng::{SharedRandomness, Stream};
 use cc_mis_sim::routing::{route, route_executed, Packet};
-use cc_mis_sim::runtime::{Enforcement, Round, RoundEvent, RoundObserver, Transport};
+use cc_mis_sim::runtime::{Enforcement, Inboxes, Round, RoundEvent, RoundObserver, Transport};
 use cc_mis_sim::{BandwidthError, RoundLedger};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -436,6 +436,271 @@ fn pair_budgets_match_a_reference_model() {
             );
         }
     }
+}
+
+/// Per-pair budget of the neighbour-exchange tests.
+const EXCHANGE_BUDGET: u64 = 32;
+
+/// Per node: `Some((declared bits, payload))` if it sends this round.
+type Messages = Vec<Option<(u64, u64)>>;
+
+/// One exchange round: the receiver mask and the senders' messages.
+type ExchangeRound = (Vec<bool>, Messages);
+
+/// Each round's inboxes (sender, payload) or error, the final ledger and
+/// every observed event.
+type ExchangeTrace = (
+    Vec<Result<Vec<Vec<(u32, u64)>>, BandwidthError>>,
+    RoundLedger,
+    Vec<RoundEvent>,
+);
+
+/// The reference semantics of `Round::exchange_with_neighbors`: senders in
+/// id order, each to its receiving neighbours ascending, then `deliver`.
+/// The first refused send drops the round.
+fn send_loop<T: Transport>(
+    mut round: Round<'_, T, u64>,
+    graph: &Graph,
+    receivers: &[bool],
+    messages: &[Option<(u64, u64)>],
+) -> Result<Inboxes<u64>, BandwidthError> {
+    for v in graph.nodes() {
+        if let Some((bits, payload)) = messages[v.index()] {
+            for &u in graph.neighbors(v) {
+                if receivers[u.index()] {
+                    round.send(v, u, bits, payload)?;
+                }
+            }
+        }
+    }
+    Ok(round.deliver())
+}
+
+/// Closes `round` through the exchange (or, if `!exchange`, the reference
+/// send loop) and flattens the inboxes.
+fn play_exchange<T: Transport>(
+    round: Round<'_, T, u64>,
+    graph: &Graph,
+    (receivers, messages): &ExchangeRound,
+    exchange: bool,
+) -> Result<Vec<Vec<(u32, u64)>>, BandwidthError> {
+    let inboxes = if exchange {
+        round.exchange_with_neighbors(graph, receivers, |v| messages[v.index()])?
+    } else {
+        send_loop(round, graph, receivers, messages)?
+    };
+    Ok(inboxes
+        .iter()
+        .map(|inbox| inbox.iter().map(|&(s, p)| (s.raw(), p)).collect())
+        .collect())
+}
+
+/// Runs `rounds` over `graph` on a fresh observed `n`-node clique engine.
+fn clique_exchange(
+    n: usize,
+    enforcement: Enforcement,
+    graph: &Graph,
+    rounds: &[ExchangeRound],
+    exchange: bool,
+) -> ExchangeTrace {
+    let recorder = Rc::new(RefCell::new(Recorder::default()));
+    let mut engine = CliqueEngine::new(n, EXCHANGE_BUDGET, enforcement);
+    engine.attach_observer(recorder.clone());
+    engine.ledger_mut().begin_phase("exchange");
+    let results = rounds
+        .iter()
+        .map(|round| play_exchange(engine.begin_round(), graph, round, exchange))
+        .collect();
+    let events = recorder.borrow().0.clone();
+    (results, engine.into_ledger(), events)
+}
+
+/// Runs `rounds` over `graph` on a fresh observed CONGEST engine whose
+/// communication graph is `links`.
+fn congest_exchange(
+    links: &Graph,
+    enforcement: Enforcement,
+    graph: &Graph,
+    rounds: &[ExchangeRound],
+    exchange: bool,
+) -> ExchangeTrace {
+    let recorder = Rc::new(RefCell::new(Recorder::default()));
+    let mut engine = CongestEngine::new(links, EXCHANGE_BUDGET, enforcement);
+    engine.attach_observer(recorder.clone());
+    engine.ledger_mut().begin_phase("exchange");
+    let results = rounds
+        .iter()
+        .map(|round| play_exchange(engine.begin_round(), graph, round, exchange))
+        .collect();
+    let events = recorder.borrow().0.clone();
+    (results, engine.into_ledger(), events)
+}
+
+/// Asserts the exchange and the reference send loop agree on both
+/// transports: inboxes and errors, ledger totals and phase records, and
+/// every observed event (`max_pair_load`, inbox histogram, violations).
+fn assert_exchange_matches(
+    label: &str,
+    graph: &Graph,
+    rounds: &[ExchangeRound],
+    enforcement: Enforcement,
+) {
+    let n = graph.node_count();
+    assert_eq!(
+        clique_exchange(n, enforcement, graph, rounds, true),
+        clique_exchange(n, enforcement, graph, rounds, false),
+        "{label} clique"
+    );
+    assert_eq!(
+        congest_exchange(graph, enforcement, graph, rounds, true),
+        congest_exchange(graph, enforcement, graph, rounds, false),
+        "{label} CONGEST"
+    );
+}
+
+/// Messages from the nodes `sends` picks, with in-budget random sizes.
+fn exchange_messages(
+    r: &mut SplitMix64,
+    n: usize,
+    mut sends: impl FnMut(usize) -> bool,
+) -> Messages {
+    (0..n)
+        .map(|v| sends(v).then(|| (1 + r.next_below(EXCHANGE_BUDGET), r.next_u64())))
+        .collect()
+}
+
+/// Whether the exchange pushes (senders' adjacency volume under a third
+/// of the receivers'); mirrors the rule the runtime applies.
+fn exchange_pushes(graph: &Graph, (receivers, messages): &ExchangeRound) -> bool {
+    let send_volume: usize = graph
+        .nodes()
+        .filter(|v| messages[v.index()].is_some())
+        .map(|v| graph.degree(v))
+        .sum();
+    let receive_volume: usize = graph
+        .nodes()
+        .filter(|v| receivers[v.index()])
+        .map(|v| graph.degree(v))
+        .sum();
+    3 * send_volume < receive_volume
+}
+
+/// `Round::exchange_with_neighbors` is the send loop plus `deliver`, over
+/// random graphs and receiver masks with dense senders (the pull fill),
+/// one low-degree sender (the push direction) and no senders at all.
+#[test]
+fn neighbor_exchange_matches_the_send_loop() {
+    let (mut pulls, mut pushes) = (0, 0);
+    for case in 0..CASES {
+        let mut r = SplitMix64::new(0xE8C4u64.wrapping_mul(case + 1));
+        let n = 2 + r.next_below(40) as usize;
+        let graph = generators::erdos_renyi_gnp(n, 0.05 + 0.4 * r.next_f64(), r.next_u64());
+        let lightest = graph
+            .nodes()
+            .filter(|&v| graph.degree(v) > 0)
+            .min_by_key(|&v| graph.degree(v))
+            .map_or(0, NodeId::index);
+        let mut rounds = Vec::new();
+        for kind in 0..3 {
+            let receivers: Vec<bool> = (0..n).map(|_| r.next_below(4) != 0).collect();
+            let messages = match (kind + case) % 3 {
+                0 => exchange_messages(&mut r, n, |_| true),
+                1 => exchange_messages(&mut r, n, |v| v == lightest),
+                _ => vec![None; n],
+            };
+            let round = (receivers, messages);
+            if exchange_pushes(&graph, &round) {
+                pushes += 1;
+            } else {
+                pulls += 1;
+            }
+            rounds.push(round);
+        }
+        assert_exchange_matches(
+            &format!("case {case}"),
+            &graph,
+            &rounds,
+            Enforcement::Strict,
+        );
+    }
+    assert!(
+        pulls >= CASES && pushes >= CASES / 4,
+        "both directions covered: {pulls} pull rounds, {pushes} push rounds"
+    );
+}
+
+/// Over-budget senders, in strict mode (the same `Exceeded` error and
+/// ledger afterwards) and audit mode (the same violation count); a 1-node
+/// graph on a 2-node clique (Theorem 1.1's `n.max(2)`); and CONGEST
+/// engines whose graph is not the exchanged one.
+#[test]
+fn neighbor_exchange_edge_cases_match_the_send_loop() {
+    let mut refused = 0;
+    for case in 0..CASES {
+        let mut r = SplitMix64::new(0x0B1Du64.wrapping_mul(case + 1));
+        let n = 3 + r.next_below(30) as usize;
+        let graph = generators::erdos_renyi_gnp(n, 0.3, r.next_u64());
+        let heavy = r.next_below(n as u64) as usize;
+        let mut rounds = Vec::new();
+        for _ in 0..2 {
+            let receivers: Vec<bool> = (0..n).map(|_| r.next_below(4) != 0).collect();
+            let mut messages = exchange_messages(&mut r, n, |_| true);
+            messages[heavy] = Some((EXCHANGE_BUDGET + 1 + r.next_below(8), 0));
+            rounds.push((receivers, messages));
+        }
+        for enforcement in [Enforcement::Strict, Enforcement::Audit] {
+            let label = format!("case {case} {enforcement:?}");
+            assert_exchange_matches(&label, &graph, &rounds, enforcement);
+        }
+        let (results, _, _) = clique_exchange(n, Enforcement::Strict, &graph, &rounds, true);
+        if results
+            .iter()
+            .any(|r| matches!(r, Err(BandwidthError::Exceeded { .. })))
+        {
+            refused += 1;
+        }
+        let (results, ledger, _) = clique_exchange(n, Enforcement::Audit, &graph, &rounds, true);
+        assert!(results.iter().all(Result::is_ok), "case {case}");
+        let heavy_links: u64 = rounds
+            .iter()
+            .map(|(receivers, _)| {
+                let to = graph.neighbors(NodeId::new(heavy as u32));
+                to.iter().filter(|u| receivers[u.index()]).count() as u64
+            })
+            .sum();
+        assert_eq!(ledger.violations, heavy_links, "case {case}");
+
+        // An equal but distinct graph value: the engine cannot vouch for
+        // its links, so the exchange takes the checked send loop.
+        let copy = graph.clone();
+        let (receivers, mut messages) = rounds[0].clone();
+        messages[heavy] = None;
+        let dense = [(receivers, messages)];
+        assert_eq!(
+            congest_exchange(&copy, Enforcement::Strict, &graph, &dense, true),
+            congest_exchange(&copy, Enforcement::Strict, &graph, &dense, false),
+            "case {case} equal graph"
+        );
+        // A different graph on the same nodes: its non-edges are refused.
+        let other = generators::erdos_renyi_gnp(n, 0.3, r.next_u64());
+        assert_eq!(
+            congest_exchange(&other, Enforcement::Strict, &graph, &dense, true),
+            congest_exchange(&other, Enforcement::Strict, &graph, &dense, false),
+            "case {case} other graph"
+        );
+    }
+    assert!(refused >= CASES / 2, "{refused} cases refused a send");
+
+    // Theorem 1.1 runs a 1-node graph on a 2-node clique engine.
+    let single = Graph::empty(1);
+    let rounds = vec![(vec![true], vec![Some((8, 7))]), (vec![true], vec![None])];
+    let exchanged = clique_exchange(2, Enforcement::Strict, &single, &rounds, true);
+    assert_eq!(
+        exchanged,
+        clique_exchange(2, Enforcement::Strict, &single, &rounds, false)
+    );
+    assert_eq!(exchanged.0[0], Ok(vec![vec![], vec![]]));
+    assert_eq!(exchanged.1.rounds, 2);
 }
 
 #[test]

@@ -28,11 +28,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use cc_mis_graph::{generators, NodeId};
+use cc_mis_graph::{generators, Graph, NodeId};
 use cc_mis_sim::bits::standard_bandwidth;
 use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::congest::CongestEngine;
 use cc_mis_sim::par_nodes;
+use cc_mis_sim::runtime::{Round, Transport};
 
 thread_local! {
     /// Allocations made by this thread. `const`-initialised and free of
@@ -126,6 +127,25 @@ fn clique_round(engine: &mut CliqueEngine, fanout: usize) -> u64 {
     inboxes.iter().flatten().map(|&(_, msg)| msg).sum()
 }
 
+/// A neighbour exchange on `round` in which every `stride`-th node sends
+/// one word to its alive neighbours; returns the checksum of everything
+/// delivered.
+fn exchange_round<T: Transport>(
+    round: Round<'_, T, u64>,
+    graph: &Graph,
+    alive: &[bool],
+    stride: usize,
+) -> u64 {
+    let inboxes = round
+        .exchange_with_neighbors(graph, alive, |v| {
+            v.index()
+                .is_multiple_of(stride)
+                .then(|| (32, u64::from(v.raw()) + 1))
+        })
+        .expect("one word per pair fits the standard budget");
+    inboxes.iter().flatten().map(|&(_, msg)| msg).sum()
+}
+
 fn node(v: usize) -> NodeId {
     NodeId::new(u32::try_from(v).expect("test graphs have fewer than 2^32 nodes"))
 }
@@ -164,6 +184,26 @@ fn warmed_rounds_make_zero_heap_allocations() {
         assert!(clique_round(&mut engine, n - 1) > 0);
     });
 
+    // Neighbour exchanges over a G(n, 8/n) graph with every node alive:
+    // all nodes sending takes the pull fill, every 50th node sending the
+    // push direction (the send loop plus `deliver`).
+    let graph = generators::erdos_renyi_gnp(256, 8.0 / 256.0, 1);
+    let alive = vec![true; graph.node_count()];
+    let mut engine = CliqueEngine::strict(graph.node_count(), standard_bandwidth(256));
+    let clique_pull = allocations_per_round(|| {
+        assert!(exchange_round(engine.begin_round(), &graph, &alive, 1) > 0);
+    });
+    let clique_push = allocations_per_round(|| {
+        assert!(exchange_round(engine.begin_round(), &graph, &alive, 50) > 0);
+    });
+    let mut engine = CongestEngine::strict(&graph, standard_bandwidth(256));
+    let congest_pull = allocations_per_round(|| {
+        assert!(exchange_round(engine.begin_round(), &graph, &alive, 1) > 0);
+    });
+    let congest_push = allocations_per_round(|| {
+        assert!(exchange_round(engine.begin_round(), &graph, &alive, 50) > 0);
+    });
+
     // A fresh clique engine's first round at n = 2048, fan-out 8: outbox,
     // arena and pair totals for 16,384 messages take about 1.7 MB with
     // vector growth; an n² pair-indexed array alone would be 32 MiB.
@@ -173,14 +213,36 @@ fn warmed_rounds_make_zero_heap_allocations() {
     assert!(clique_round(&mut engine, 8) > 0);
     let fresh_bytes = bytes() - before;
 
+    // A fresh clique engine's first pulled exchange at n = 2048, average
+    // degree 8: the sender list (16 bytes a sender), the per-node sender
+    // index (4 bytes a node) and the arena for ~16,000 messages take
+    // about 0.7 MB with vector growth; a table per ordered pair would be
+    // 16 MiB even at 4 bytes a pair.
+    let graph = generators::erdos_renyi_gnp(2048, 8.0 / 2048.0, 2);
+    let alive = vec![true; graph.node_count()];
+    let before = bytes();
+    let mut engine = CliqueEngine::strict(2048, standard_bandwidth(2048));
+    assert!(exchange_round(engine.begin_round(), &graph, &alive, 1) > 0);
+    let fresh_exchange_bytes = bytes() - before;
+
     par_nodes::set_thread_override(None);
     assert_eq!(
         (clique, congest, large),
         (0, 0, 0),
         "heap allocations per warmed round (clique, CONGEST, clique ≥ 8,192 messages)"
     );
+    assert_eq!(
+        (clique_pull, clique_push, congest_pull, congest_push),
+        (0, 0, 0, 0),
+        "heap allocations per warmed neighbour exchange (clique pull, clique push, \
+         CONGEST pull, CONGEST push)"
+    );
     assert!(
         fresh_bytes < 4 << 20,
         "a fresh n = 2048 clique engine's first round allocated {fresh_bytes} bytes"
+    );
+    assert!(
+        fresh_exchange_bytes < 1 << 20,
+        "a fresh n = 2048 clique engine's first exchange allocated {fresh_exchange_bytes} bytes"
     );
 }
