@@ -58,37 +58,64 @@ fn main() {
     cc_mis_sim::shard::set_shards_override(None);
     h.finish();
 
-    // One message from each sender to each alive neighbour, as in the
-    // exchange rounds of every MIS algorithm here, on a Kronecker graph
-    // with every node alive: the hand-written send loop plus `deliver`
-    // against `exchange_with_neighbors`, with every node sending (the
-    // pull fill) and with 2% of nodes sending (the push direction, which
-    // is the send loop).
+    // One message from each sender to each receiving neighbour, as in the
+    // exchange rounds of every MIS algorithm here, on a Kronecker graph,
+    // each receiver folding what it gets into a per-node sum: the
+    // hand-written send loop plus `deliver` with the fold over the
+    // returned inboxes, against `exchange_with_neighbors` folding in its
+    // visitor. Shapes:
+    // * every node sending, all receiving (the exchange pulls);
+    // * `_2pct`: 2% of nodes sending, all receiving (it pushes, i.e. runs
+    //   the send loop);
+    // * `_announce`: ~5% of nodes sending, all of them low-degree, all
+    //   receiving (it pushes);
+    // * `_late`: a late-phase Theorem 1.1 announcement round, where 5% of
+    //   the nodes are undecided and receive and 90% of those send. The
+    //   senders' volume is most of the receivers', so the exchange pulls,
+    //   walking all `n` receiver flags for a few hundred messages.
     let mut h = Harness::new("neighbor_exchange");
     let g = generators::kronecker(12, 8, 1);
     let n = g.node_count();
-    let alive = vec![true; n];
-    for (suffix, stride) in [("", 1u32), ("_2pct", 50)] {
-        let message_of = |v: NodeId| v.raw().is_multiple_of(stride).then_some((7, v.raw()));
+    let mask = |f: &dyn Fn(u32) -> bool| -> Vec<bool> { g.nodes().map(|v| f(v.raw())).collect() };
+    let everyone = mask(&|_| true);
+    let two_pct = mask(&|v| v.is_multiple_of(50));
+    let low_degree = mask(&|v| v.is_multiple_of(10) && g.degree(NodeId::new(v)) <= 4);
+    let undecided = mask(&|v| v.is_multiple_of(20));
+    let late_senders = mask(&|v| v.is_multiple_of(20) && !v.is_multiple_of(200));
+    for (suffix, senders, receivers) in [
+        ("", &everyone, &everyone),
+        ("_2pct", &two_pct, &everyone),
+        ("_announce", &low_degree, &everyone),
+        ("_late", &late_senders, &undecided),
+    ] {
+        let message_of = |v: NodeId| senders[v.index()].then_some((7, v.raw()));
+        let mut sums = vec![0u64; n];
         let mut e = CliqueEngine::strict(n, standard_bandwidth(n));
         h.bench(&format!("send_loop{suffix}"), || {
             let mut r = e.begin_round::<u32>();
             for v in g.nodes() {
                 if let Some((bits, msg)) = message_of(v) {
                     for &u in g.neighbors(v) {
-                        if alive[u.index()] {
+                        if receivers[u.index()] {
                             r.send(v, u, bits, msg).unwrap();
                         }
                     }
                 }
             }
-            r.deliver()
+            let inboxes = r.deliver();
+            for (sum, inbox) in sums.iter_mut().zip(&inboxes) {
+                *sum += inbox.iter().map(|&(_, msg)| u64::from(msg)).sum::<u64>();
+            }
+            sums[0]
         });
         let mut e = CliqueEngine::strict(n, standard_bandwidth(n));
         h.bench(&format!("exchange{suffix}"), || {
             e.begin_round::<u32>()
-                .exchange_with_neighbors(&g, &alive, message_of)
-                .unwrap()
+                .exchange_with_neighbors(&g, receivers, message_of, |u, _, &msg| {
+                    sums[u.index()] += u64::from(msg);
+                })
+                .unwrap();
+            sums[0]
         });
     }
     h.finish();

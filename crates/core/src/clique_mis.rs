@@ -40,7 +40,8 @@
 //! [`crate::sparsified::run_sparsified`]'s full state trajectory
 //! bit-for-bit under a shared seed (enforced by tests).
 
-use cc_mis_graph::{Graph, GraphBuilder, NodeId};
+use cc_mis_graph::ops::filter_vertices;
+use cc_mis_graph::{Graph, NodeId};
 use cc_mis_sim::bits::{node_id_bits, standard_bandwidth, COIN_BITS, PROBABILITY_EXPONENT_BITS};
 use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::driver::{drive_observed, Execution, Status};
@@ -265,22 +266,21 @@ impl<'a> CliqueMisExecution<'a> {
         let rng = self.rng;
 
         // ===== 1. p-exchange round =====
+        // Each receiver sums its neighbours' probabilities in sender order,
+        // so the f64 sums are those of the direct execution.
         let pexp0 = &self.pexp;
-        let inboxes = self
-            .engine
+        let mut d = vec![0.0f64; n];
+        self.engine
             .begin_round::<u32>()
-            .exchange_with_neighbors(g, &alive0, |v| {
-                alive0[v.index()].then(|| (PROBABILITY_EXPONENT_BITS, pexp0[v.index()]))
-            })
+            .exchange_with_neighbors(
+                g,
+                &alive0,
+                |v| alive0[v.index()].then(|| (PROBABILITY_EXPONENT_BITS, pexp0[v.index()])),
+                |u, _, &pe| d[u.index()] += p_of(pe),
+            )
             .expect("p exponent fits the bandwidth");
         let threshold = params.super_heavy_threshold();
-        let mut super_heavy = vec![false; n];
-        for i in 0..n {
-            if alive0[i] {
-                let d: f64 = inboxes[i].iter().map(|&(_, pe)| p_of(pe)).sum();
-                super_heavy[i] = d >= threshold;
-            }
-        }
+        let super_heavy: Vec<bool> = (0..n).map(|i| alive0[i] && d[i] >= threshold).collect();
 
         // Super-heavy beep vectors: p halves deterministically, so the
         // schedule is a pure function of (pexp0, coins).
@@ -300,50 +300,36 @@ impl<'a> CliqueMisExecution<'a> {
         let in_s = sample_set(g, &rng, pexp0, &alive0, &super_heavy, t0, len);
 
         // ===== 2. Commitment round: (super-heavy?, beep vector, in S?) =====
-        let inboxes = self
-            .engine
-            .begin_round::<(bool, u64, bool)>()
-            .exchange_with_neighbors(g, &alive0, |v| {
-                let i = v.index();
-                if !alive0[i] {
-                    return None;
-                }
-                let vec = if super_heavy[i] { sh_vector(i) } else { 0 };
-                let bits = 2 + if super_heavy[i] { len as u64 } else { 0 };
-                Some((bits, (super_heavy[i], vec, in_s[i])))
-            })
-            .expect("commitment fits the bandwidth");
-        // Per node: OR of super-heavy neighbors' schedules, and S-neighbor
-        // lists (the node's incident edges of G[S], plus a watcher's view).
+        // Per node: the OR of its super-heavy neighbours' schedules. The
+        // `in S` bits tell each node its incident edges of G[S], which
+        // `filter_vertices` reads off `g` directly below.
         let mut sh_or = vec![0u64; n];
-        let mut s_neighbors: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for i in 0..n {
-            for &(u, (is_sh, vec, u_in_s)) in &inboxes[i] {
-                if is_sh {
-                    sh_or[i] |= vec;
-                }
-                if u_in_s {
-                    s_neighbors[i].push(u.raw());
-                }
-            }
-        }
+        self.engine
+            .begin_round::<(bool, u64, bool)>()
+            .exchange_with_neighbors(
+                g,
+                &alive0,
+                |v| {
+                    let i = v.index();
+                    if !alive0[i] {
+                        return None;
+                    }
+                    let vec = if super_heavy[i] { sh_vector(i) } else { 0 };
+                    let bits = 2 + if super_heavy[i] { len as u64 } else { 0 };
+                    Some((bits, (super_heavy[i], vec, in_s[i])))
+                },
+                |u, _, &(is_sh, vec, _)| {
+                    if is_sh {
+                        sh_or[u.index()] |= vec;
+                    }
+                },
+            )
+            .expect("commitment fits the bandwidth");
 
         // ===== 3. Gather P-hop balls in G[S] =====
         // The gather graph mirrors exactly what nodes know: their own
         // incident S–S edges.
-        let mut builder = GraphBuilder::new(n);
-        for i in 0..n {
-            if in_s[i] {
-                for &u in &s_neighbors[i] {
-                    if in_s[u as usize] && i < u as usize {
-                        builder
-                            .add_edge(NodeId::new(i as u32), NodeId::new(u))
-                            .expect("S-S edge is valid");
-                    }
-                }
-            }
-        }
-        let g_s = builder.build();
+        let g_s = filter_vertices(g, |v| in_s[v.index()]);
         let max_s_degree = (0..n)
             .filter(|&i| in_s[i])
             .map(|i| g_s.degree(NodeId::new(i as u32)))
@@ -385,14 +371,26 @@ impl<'a> CliqueMisExecution<'a> {
         });
 
         // ===== 5. Announcement round =====
+        // Per node: the OR of its S-neighbours' realized beep vectors and
+        // the earliest join among them.
         let ann_bits =
             len as u64 + (len as u64 + 1).next_power_of_two().trailing_zeros() as u64 + 1;
-        let inboxes = self
-            .engine
+        let mut heard_or = vec![0u64; n];
+        let mut first_join: Vec<Option<u8>> = vec![None; n];
+        self.engine
             .begin_round::<Announcement>()
-            .exchange_with_neighbors(g, &alive0, |v| {
-                announcements[v.index()].map(|ann| (ann_bits, ann))
-            })
+            .exchange_with_neighbors(
+                g,
+                &alive0,
+                |v| announcements[v.index()].map(|ann| (ann_bits, ann)),
+                |u, _, ann| {
+                    let i = u.index();
+                    heard_or[i] |= ann.beeps;
+                    if let Some(k) = ann.joined_k {
+                        first_join[i] = Some(first_join[i].map_or(k, |j| j.min(k)));
+                    }
+                },
+            )
             .expect("announcement fits the bandwidth");
 
         // Apply the phase outcome to the global state, exactly mirroring
@@ -407,7 +405,7 @@ impl<'a> CliqueMisExecution<'a> {
                     self.pexp[i] = halve(self.pexp[i]);
                 }
                 // Removed when the earliest neighbor join happens.
-                if let Some(k) = earliest_neighbor_join(&inboxes[i]) {
+                if let Some(k) = first_join[i] {
                     self.removed_at[i] = Some(t0 + k as u64);
                     self.undecided -= 1;
                 }
@@ -423,26 +421,20 @@ impl<'a> CliqueMisExecution<'a> {
                 }
             } else {
                 // Watcher: reconstruct hearing from super-heavy schedules
-                // and S-neighbors' realized beeps.
-                let mut removed_k: Option<u8> = None;
+                // and S-neighbors' realized beeps; removed at the earliest
+                // neighbor join.
+                let heard = sh_or[i] | heard_or[i];
                 for k in 0..len as u8 {
-                    if removed_k.is_some() {
-                        break;
-                    }
-                    let heard = (sh_or[i] >> k) & 1 == 1
-                        || inboxes[i].iter().any(|&(_, ann)| (ann.beeps >> k) & 1 == 1);
-                    self.pexp[i] = if heard {
+                    self.pexp[i] = if (heard >> k) & 1 == 1 {
                         halve(self.pexp[i])
                     } else {
                         double_capped(self.pexp[i])
                     };
-                    if inboxes[i].iter().any(|&(_, ann)| ann.joined_k == Some(k)) {
-                        removed_k = Some(k);
+                    if first_join[i] == Some(k) {
+                        self.removed_at[i] = Some(t0 + k as u64);
+                        self.undecided -= 1;
+                        break;
                     }
-                }
-                if let Some(k) = removed_k {
-                    self.removed_at[i] = Some(t0 + k as u64);
-                    self.undecided -= 1;
                 }
             }
         }
@@ -584,11 +576,6 @@ pub fn run_clique_mis_outcome_observed(
         ledger: res.ledger,
         iterations: res.iterations,
     }
-}
-
-/// The earliest join offset among a node's announced neighbors.
-fn earliest_neighbor_join(inbox: &[(NodeId, Announcement)]) -> Option<u8> {
-    inbox.iter().filter_map(|&(_, ann)| ann.joined_k).min()
 }
 
 /// Buffers for the Lemma 2.13 local replay of one phase on one ball,

@@ -18,6 +18,12 @@ pub const INITIAL_PEXP: u32 = 1;
 
 /// Converts a probability exponent to the probability `2^{-e}` it encodes.
 ///
+/// Every exponent the algorithms produce (at most
+/// [`MAX_PROBABILITY_EXPONENT`]) gives a normal `f64`, which is built
+/// directly from its biased exponent field; only exponents past the
+/// normal range (`e ≥ 1023`) go through `exp2`. Both are exact, so the
+/// result is the same either way.
+///
 /// # Example
 ///
 /// ```
@@ -27,7 +33,12 @@ pub const INITIAL_PEXP: u32 = 1;
 /// ```
 #[inline]
 pub fn p_of(pexp: u32) -> f64 {
-    (-(pexp as f64)).exp2()
+    const BIAS: u32 = 1023;
+    if pexp < BIAS {
+        f64::from_bits(u64::from(BIAS - pexp) << 52)
+    } else {
+        (-f64::from(pexp)).exp2()
+    }
 }
 
 /// Halves the probability (increments the exponent), saturating at the
@@ -128,6 +139,21 @@ mod tests {
         assert!(small >= 1);
         assert!(large > small);
         assert_eq!(iterations_for_max_degree(0, 1.0), 1);
+    }
+
+    /// The bit-built `2^-e` is the libm `exp2` value, bit for bit, over
+    /// every exponent the algorithms use and through the fallback range.
+    #[test]
+    fn p_of_is_exp2_bit_for_bit() {
+        for e in (0..=MAX_PROBABILITY_EXPONENT).chain(65..=1100) {
+            assert_eq!(
+                p_of(e).to_bits(),
+                (-f64::from(e)).exp2().to_bits(),
+                "exponent {e}"
+            );
+        }
+        assert_eq!(p_of(1074), f64::from_bits(1), "smallest subnormal");
+        assert_eq!(p_of(1075), 0.0);
     }
 
     #[test]

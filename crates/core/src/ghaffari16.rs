@@ -338,63 +338,62 @@ impl Execution for Ghaffari16Execution<'_> {
         });
 
         // Round 1: exchange (p-exponent, mark bit) with undecided neighbors.
-        let inboxes = self
-            .engine
+        // Each receiver sums its neighbours' probabilities in sender order,
+        // so the f64 sums are fixed.
+        let mut d = vec![0.0f64; n];
+        let mut neighbor_marked = vec![false; n];
+        self.engine
             .begin_round::<(u32, bool)>()
-            .exchange_with_neighbors(g, alive, |v| {
-                let i = v.index();
-                alive[i].then(|| (PROBABILITY_EXPONENT_BITS + 1, (pexp[i], marked[i])))
-            })
+            .exchange_with_neighbors(
+                g,
+                alive,
+                |v| {
+                    let i = v.index();
+                    alive[i].then(|| (PROBABILITY_EXPONENT_BITS + 1, (pexp[i], marked[i])))
+                },
+                |v, _, &(pe, m)| {
+                    let i = v.index();
+                    d[i] += p_of(pe);
+                    neighbor_marked[i] |= m;
+                },
+            )
             .expect("(p, mark) fits the bandwidth");
 
-        // Per-node update from the delivered inboxes; each inbox is sorted
-        // by sender, so the f64 sum order is fixed and the results are
-        // independent of the worker-thread count.
-        let updates = par_map_nodes(n, |i| {
-            if !alive[i] {
-                return None;
-            }
-            let mut d = 0.0f64;
-            let mut neighbor_marked = false;
-            for &(_, (pe, m)) in &inboxes[i] {
-                d += p_of(pe);
-                neighbor_marked |= m;
-            }
-            let next = if d >= 2.0 {
-                halve(pexp[i])
-            } else {
-                double_capped(pexp[i])
-            };
-            Some((marked[i] && !neighbor_marked, next))
-        });
         let mut joins: Vec<usize> = Vec::new();
-        for (i, update) in updates.into_iter().enumerate() {
-            if let Some((join, next)) = update {
-                if join {
-                    joins.push(i);
-                }
-                self.pexp[i] = next;
+        for i in 0..n {
+            if !self.alive[i] {
+                continue;
             }
+            if marked[i] && !neighbor_marked[i] {
+                joins.push(i);
+            }
+            self.pexp[i] = if d[i] >= 2.0 {
+                halve(self.pexp[i])
+            } else {
+                double_capped(self.pexp[i])
+            };
         }
 
         // Round 2: joiners announce; joiners and neighbors leave. (`joins`
         // is ascending by construction, so membership is binary-searchable.)
         let alive = &self.alive;
-        let inboxes = self
-            .engine
+        let mut hears_joiner = vec![false; n];
+        self.engine
             .begin_round::<()>()
-            .exchange_with_neighbors(g, alive, |v| {
-                joins.binary_search(&v.index()).ok().map(|_| (1, ()))
-            })
+            .exchange_with_neighbors(
+                g,
+                alive,
+                |v| joins.binary_search(&v.index()).ok().map(|_| (1, ())),
+                |v, _, ()| hears_joiner[v.index()] = true,
+            )
             .expect("join bit fits");
         for &i in &joins {
             self.in_mis[i] = true;
             self.alive[i] = false;
             self.undecided -= 1;
         }
-        for v in g.nodes() {
-            let i = v.index();
-            if self.alive[i] && !inboxes[i].is_empty() {
+        for (i, &hears) in hears_joiner.iter().enumerate() {
+            if hears && self.alive[i] {
                 self.alive[i] = false;
                 self.undecided -= 1;
             }

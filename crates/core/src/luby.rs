@@ -150,35 +150,37 @@ impl Execution for LubyExecution<'_> {
             .collect();
         let alive = &self.alive;
         let priority_bits = self.params.priority_bits;
-        let inboxes = self
-            .engine
+        // Local rule: strict local minimum joins, so a node stays a
+        // candidate while every neighbour's priority is larger. Ties are
+        // broken by id (priorities are 64-bit so ties are effectively
+        // impossible, but the rule must still be total).
+        let mut joined = alive.clone();
+        self.engine
             .begin_round::<u64>()
-            .exchange_with_neighbors(g, alive, |v| {
-                let i = v.index();
-                alive[i].then(|| (priority_bits, priorities[i]))
-            })
+            .exchange_with_neighbors(
+                g,
+                alive,
+                |v| {
+                    let i = v.index();
+                    alive[i].then(|| (priority_bits, priorities[i]))
+                },
+                |v, u, &pr| {
+                    let i = v.index();
+                    joined[i] &= (priorities[i], v.raw()) < (pr, u.raw());
+                },
+            )
             .expect("priority message fits the bandwidth");
 
-        // Local rule: strict local minimum joins. Ties are broken by id
-        // (priorities are 64-bit so ties are effectively impossible, but the
-        // rule must still be total).
-        let mut joined = vec![false; n];
-        for v in g.nodes() {
-            if !alive[v.index()] {
-                continue;
-            }
-            let my = (priorities[v.index()], v.raw());
-            let is_min = inboxes[v.index()].iter().all(|&(u, pr)| my < (pr, u.raw()));
-            if is_min {
-                joined[v.index()] = true;
-            }
-        }
-
         // Round 2: joiners announce; joiners and their neighbors leave.
-        let inboxes = self
-            .engine
+        let mut hears_joiner = vec![false; n];
+        self.engine
             .begin_round::<()>()
-            .exchange_with_neighbors(g, alive, |v| joined[v.index()].then_some((1, ())))
+            .exchange_with_neighbors(
+                g,
+                alive,
+                |v| joined[v.index()].then_some((1, ())),
+                |v, _, ()| hears_joiner[v.index()] = true,
+            )
             .expect("join bit fits");
         for v in g.nodes() {
             if !self.alive[v.index()] {
@@ -188,7 +190,7 @@ impl Execution for LubyExecution<'_> {
                 self.in_mis[v.index()] = true;
                 self.alive[v.index()] = false;
                 self.undecided -= 1;
-            } else if !inboxes[v.index()].is_empty() {
+            } else if hears_joiner[v.index()] {
                 self.alive[v.index()] = false;
                 self.undecided -= 1;
             }

@@ -633,20 +633,20 @@ impl Execution for SparsifiedMessagedExecution<'_> {
         let alive0: Vec<bool> = self.removed_at.iter().map(Option::is_none).collect();
 
         // Phase-start exchange over the real CONGEST engine.
+        // Each receiver sums its neighbours' probabilities in sender order.
         let pexp_now = &self.pexp;
-        let inboxes = self
-            .congest
+        let mut d = vec![0.0f64; n];
+        self.congest
             .begin_round::<u32>()
-            .exchange_with_neighbors(g, &alive0, |v| {
-                alive0[v.index()].then(|| (PROBABILITY_EXPONENT_BITS, pexp_now[v.index()]))
-            })
+            .exchange_with_neighbors(
+                g,
+                &alive0,
+                |v| alive0[v.index()].then(|| (PROBABILITY_EXPONENT_BITS, pexp_now[v.index()])),
+                |u, _, &pe| d[u.index()] += p_of(pe),
+            )
             .expect("p exponent fits");
         let threshold = self.params.super_heavy_threshold();
-        let super_heavy: Vec<bool> = (0..n)
-            .map(|i| {
-                alive0[i] && inboxes[i].iter().map(|&(_, pe)| p_of(pe)).sum::<f64>() >= threshold
-            })
-            .collect();
+        let super_heavy: Vec<bool> = (0..n).map(|i| alive0[i] && d[i] >= threshold).collect();
         let sampled = sample_set(g, &self.rng, &self.pexp, &alive0, &super_heavy, t0, len);
         self.phases.push(PhaseInfo {
             start_iteration: t0,

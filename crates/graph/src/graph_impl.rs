@@ -170,6 +170,19 @@ impl Graph {
         }
     }
 
+    /// Internal: wraps CSR arrays that are already valid (sorted, unique,
+    /// symmetric adjacency without self-loops). Used by
+    /// [`crate::ops::filter_vertices`].
+    pub(crate) fn from_csr(offsets: Vec<usize>, adj: Vec<NodeId>) -> Self {
+        debug_assert_eq!(offsets.last(), Some(&adj.len()), "offsets cover adj");
+        debug_assert!(adj.len().is_multiple_of(2), "every edge is listed twice");
+        Graph {
+            edge_count: adj.len() / 2,
+            offsets,
+            adj,
+        }
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn node_count(&self) -> usize {

@@ -262,14 +262,34 @@ pub fn decode_product(id: NodeId, c: usize) -> (NodeId, usize) {
 /// Restriction of `g` to the edges whose *both* endpoints satisfy `keep`.
 /// Unlike [`induced_subgraph`], the vertex set (and numbering) is unchanged;
 /// discarded vertices simply become isolated.
+///
+/// A direct CSR restriction: each kept node's sorted adjacency, filtered to
+/// kept neighbours, is already sorted and unique, so nothing is re-sorted
+/// or deduplicated. `keep` is called once per node.
+///
+/// # Example
+///
+/// ```
+/// use cc_mis_graph::{generators, ops, NodeId};
+///
+/// let g = generators::cycle(4);
+/// let f = ops::filter_vertices(&g, |v| v != NodeId::new(0));
+/// assert_eq!(f.node_count(), 4);
+/// assert_eq!(f.edge_count(), 2); // {1,2} and {2,3}
+/// assert_eq!(f.degree(NodeId::new(0)), 0);
+/// ```
 pub fn filter_vertices(g: &Graph, keep: impl Fn(NodeId) -> bool) -> Graph {
-    let mut b = GraphBuilder::new(g.node_count());
-    for (u, v) in g.edges() {
-        if keep(u) && keep(v) {
-            b.add_edge(u, v).expect("filtered edge");
+    let kept: Vec<bool> = g.nodes().map(keep).collect();
+    let mut offsets = Vec::with_capacity(g.node_count() + 1);
+    let mut adj = Vec::new();
+    offsets.push(0);
+    for v in g.nodes() {
+        if kept[v.index()] {
+            adj.extend(g.neighbors(v).iter().filter(|u| kept[u.index()]));
         }
+        offsets.push(adj.len());
     }
-    b.build()
+    Graph::from_csr(offsets, adj)
 }
 
 #[cfg(test)]

@@ -229,6 +229,36 @@ fn filter_vertices_drops_only_touching_edges() {
     }
 }
 
+/// The CSR restriction equals the `GraphBuilder` construction it replaced
+/// (every kept edge inserted into the builder), over seeded graphs with
+/// isolated nodes and random, empty and full masks.
+#[test]
+fn filter_vertices_equals_the_builder_construction() {
+    fn built(g: &Graph, keep: &[bool]) -> Graph {
+        let mut b = GraphBuilder::new(g.node_count());
+        for (u, v) in g.edges() {
+            if keep[u.index()] && keep[v.index()] {
+                b.add_edge(u, v).expect("filtered edge");
+            }
+        }
+        b.build()
+    }
+    for case in 0..CASES {
+        let (g, _) = gnp_case(case);
+        let mut r = SplitMix64::new(0xF17E_u64.wrapping_mul(case + 1));
+        // Isolated nodes past the G(n, p) instance's own.
+        let n = g.node_count() + r.next_below(4) as usize;
+        let g = Graph::from_edges(n, g.edges().map(|(u, v)| (u.raw(), v.raw())))
+            .expect("edges of a valid graph");
+        let random: Vec<bool> = (0..n).map(|_| r.next_below(3) != 0).collect();
+        for keep in [random, vec![false; n], vec![true; n]] {
+            let f = ops::filter_vertices(&g, |v| keep[v.index()]);
+            assert_eq!(f, built(&g, &keep), "case {case}");
+            assert_eq!(f.edge_count(), f.edges().count(), "case {case}");
+        }
+    }
+}
+
 #[test]
 fn regular_generator_is_regular() {
     let configs = [(10, 3), (20, 4), (15, 2), (30, 5), (12, 6)];

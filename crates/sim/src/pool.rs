@@ -34,11 +34,9 @@ use crate::bits::{idx_u32, pair_key};
 /// How many type-erased outboxes and arenas each pool retains. Two is
 /// enough for every in-tree pattern (at most one live `Inboxes` per engine
 /// plus one in flight); the cap bounds memory when many message types
-/// alternate. An arena can hold millions of messages, so a Theorem 1.1
-/// phase, which cycles through three message types, reallocates one of
-/// its three arenas each phase rather than keep all three (keeping them
-/// raised `thm11_rmat`'s peak RSS from 63 to 84 MB, for no measurable
-/// speed-up).
+/// alternate. Only `deliver` fills an arena: the neighbour exchange's pull
+/// path needs none, and its push path drops the inboxes it visits before
+/// returning, so a Theorem 1.1 phase holds no arena across its rounds.
 const POOL_RETAIN: usize = 2;
 
 /// How many type-erased sender lists of the neighbour exchange the pool

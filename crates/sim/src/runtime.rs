@@ -24,11 +24,12 @@
 //!   the round actually uses (never `n²`), ledger charges are batched
 //!   locally and flushed once per round, and delivery fills a pooled
 //!   arena — no per-inbox sort, no per-inbox allocation. [`Round::deliver`]
-//!   fills it with a stable src-major counting scatter of the outbox;
+//!   fills it with a stable src-major counting scatter of the outbox.
 //!   [`Round::exchange_with_neighbors`], the "send to every receiving
-//!   neighbour" round every algorithm here runs, usually skips the outbox
-//!   and fills it sequentially, each receiver pulling its neighbours'
-//!   messages along its sorted adjacency.
+//!   neighbour" round every algorithm here runs, hands each message to a
+//!   caller's visitor instead, and usually skips the outbox and the arena
+//!   altogether: each receiver pulls its neighbours' messages along its
+//!   sorted adjacency and the visitor folds them as they are pulled.
 //! * [`Inboxes`] — the flat delivered-messages arena `deliver` returns,
 //!   indexable per node as a slice; its storage flows back to the engine's
 //!   pool on drop.
@@ -49,8 +50,8 @@
 //! order. Every in-tree round loop enqueues src-major, so the counting
 //! scatter produces that order directly; a round that sent out of source
 //! order falls back to a stable per-inbox sort with the identical result.
-//! The neighbour exchange's pull fill gets the same order from each
-//! receiver's ascending adjacency, and runs on one thread.
+//! The neighbour exchange visits messages in that order too: its pull
+//! path gets it from each receiver's ascending adjacency, on one thread.
 //! When `par_nodes::thread_count() > 1` and the round is large, the
 //! counting pass and the scatter run sharded on the deterministic pool:
 //! per-shard count rows merge in fixed order and each worker writes a
@@ -667,23 +668,28 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
     }
 
     /// Sends each node's message to its neighbours in `graph` that are
-    /// `receivers`, then closes the round.
+    /// `receivers`, closes the round, and hands every delivered message to
+    /// `receive(receiver, sender, &message)`.
     ///
     /// For each node `v` of `graph` in id order, `message_of(v)` (called
     /// exactly once per node) says whether `v` sends this round and, if so,
     /// the declared bit size and the message, which then goes to every
-    /// neighbour `u` with `receivers[u]`. The inboxes, ledger charges,
+    /// neighbour `u` with `receivers[u]`. The ledger charges,
     /// [`RoundEvent`] and errors are exactly those of that loop of
     /// [`Round::send`] calls followed by [`Round::deliver`], which stays
-    /// the reference semantics.
+    /// the reference semantics, and `receive` sees each message that
+    /// `deliver` would have delivered exactly once, in the order of its
+    /// inboxes: receivers ascending, each receiver's senders ascending.
+    /// Callers fold the messages into state of their own (a sum, an OR, a
+    /// minimum) instead of reading back an inbox arena.
     ///
     /// In such a round every ordered pair carries at most one message, so
     /// unless a sender exceeds the bandwidth no budget needs tracking. The
-    /// inbox arena is then filled *pull-style*: each receiver, in id order,
-    /// copies its sending neighbours' messages along its own ascending
-    /// adjacency, so the arena is written sequentially and is already
-    /// sorted by sender — no outbox, no pair tracker, no scatter. The send
-    /// loop runs instead when
+    /// messages are then delivered *pull-style*: each receiver, in id
+    /// order, is handed its sending neighbours' messages along its own
+    /// ascending adjacency, so they arrive already sorted by sender — no
+    /// outbox, no pair tracker, no scatter, no arena. The send loop runs
+    /// instead, and `receive` visits the inboxes `deliver` returns, when
     /// * delivery is framed ([`shard::probe`]): the frame codec carries
     ///   every message;
     /// * a sender declares more bits than the bandwidth: strict errors and
@@ -696,8 +702,9 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
     ///
     /// # Errors
     ///
-    /// As for [`Round::send`]; the first refused send ends the loop, and
-    /// the round is dropped without advancing the clock.
+    /// As for [`Round::send`]; the first refused send ends the loop, the
+    /// round is dropped without advancing the clock, and `receive` is never
+    /// called.
     ///
     /// # Panics
     ///
@@ -707,7 +714,8 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
         graph: &Graph,
         receivers: &[bool],
         mut message_of: impl FnMut(NodeId) -> Option<(u64, M)>,
-    ) -> Result<Inboxes<M>, BandwidthError>
+        mut receive: impl FnMut(NodeId, NodeId, &M),
+    ) -> Result<(), BandwidthError>
     where
         M: Clone + Sync + Wire,
     {
@@ -743,14 +751,20 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
             && self.transport.carries_edges_of(graph)
             && 3 * send_volume >= receive_volume;
         if pull {
-            let inboxes = self.pull_from_neighbors(graph, receivers, &sent);
+            self.pull_from_neighbors(graph, receivers, &sent, receive);
             self.core.buffers.retire_sent(sent);
-            return Ok(inboxes);
+            return Ok(());
         }
         let pushed = self.send_to_neighbors(graph, receivers, &sent);
         self.core.buffers.retire_sent(sent);
         pushed?;
-        Ok(self.deliver())
+        let inboxes = self.deliver();
+        for (u, inbox) in inboxes.iter().enumerate() {
+            for (v, msg) in inbox {
+                receive(NodeId::new(idx_u32(u)), *v, msg);
+            }
+        }
+        Ok(())
     }
 
     /// The reference path of [`Round::exchange_with_neighbors`]: one
@@ -776,19 +790,18 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
         Ok(())
     }
 
-    /// The pull path of [`Round::exchange_with_neighbors`]: fills the inbox
-    /// arena receiver by receiver and closes the round with the charges and
-    /// event the send loop would have produced (one message per ordered
-    /// pair, so the peak pair load is the largest delivered message).
+    /// The pull path of [`Round::exchange_with_neighbors`]: hands each
+    /// receiver its sending neighbours' messages, receiver by receiver,
+    /// and closes the round with the charges and event the send loop would
+    /// have produced (one message per ordered pair, so the peak pair load
+    /// is the largest delivered message).
     fn pull_from_neighbors(
         &mut self,
         graph: &Graph,
         receivers: &[bool],
         sent: &[(NodeId, u64, M)],
-    ) -> Inboxes<M>
-    where
-        M: Clone,
-    {
+        mut receive: impl FnMut(NodeId, NodeId, &M),
+    ) {
         // Per node, its position in `sent`, or `NOT_SENT`: every entry is
         // `NOT_SENT` between rounds, so only the senders' are set and reset.
         let mut sender_at = mem::take(&mut self.core.buffers.sender_at);
@@ -798,41 +811,37 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
         for (at, (v, _, _)) in sent.iter().enumerate() {
             sender_at[v.index()] = idx_u32(at);
         }
-        let (mut data, mut offsets) = pool::take_arena_parts::<M>(&self.core.buffers.arena_pool);
-        data.clear();
-        offsets.clear();
+        let mut messages = 0;
         let mut bits = 0;
         let mut peak = 0;
-        let mut len = 0;
         for (u, &receives) in graph.nodes().zip(receivers) {
-            offsets.push(len);
             if receives {
+                let mut received = 0;
                 for &v in graph.neighbors(u) {
                     let at = sender_at[v.index()];
                     if at != NOT_SENT {
                         let (_, b, msg) = &sent[at as usize];
                         bits += b;
                         peak = peak.max(*b);
-                        data.push((v, msg.clone()));
+                        received += 1;
+                        receive(u, v, msg);
                     }
                 }
-                len = idx_u32(data.len());
+                // A clique engine may be larger than the graph (Theorem 1.1
+                // runs a 1-node graph on 2 nodes): the extra nodes' counts
+                // stay 0.
+                self.counts[u.index()] = received;
+                messages += u64::from(received);
             }
         }
         for (v, _, _) in sent {
             sender_at[v.index()] = NOT_SENT;
         }
         self.core.buffers.sender_at = sender_at;
-        // A clique engine may be larger than the graph (Theorem 1.1 runs a
-        // 1-node graph on 2 nodes): the extra nodes receive nothing.
-        offsets.resize(self.transport.node_count() + 1, len);
-        self.pending_messages = data.len() as u64;
+        self.pending_messages = messages;
         self.pending_bits = bits;
         self.flush_charges();
         let histogram = if self.core.observing() {
-            for (count, bounds) in self.counts.iter_mut().zip(offsets.windows(2)) {
-                *count = bounds[1] - bounds[0];
-            }
             inbox_histogram(&self.counts)
         } else {
             Vec::new()
@@ -846,11 +855,6 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
             self.start_messages,
             self.start_bits,
         );
-        Inboxes {
-            data,
-            offsets,
-            pool: Arc::clone(&self.core.buffers.arena_pool),
-        }
     }
 }
 
@@ -1398,7 +1402,7 @@ mod tests {
     }
 
     /// A framed core's neighbour exchange crosses the frame codec and
-    /// delivers what a direct core's pulled exchange does.
+    /// visits what a direct core's pulled exchange does, in the same order.
     #[test]
     fn framed_exchange_takes_the_frames() {
         let _guard = crate::shard::TEST_CONFIG_LOCK
@@ -1407,10 +1411,16 @@ mod tests {
         let g = cc_mis_graph::generators::erdos_renyi_gnp(24, 0.3, 5);
         let alive = vec![true; g.node_count()];
         let exchange = |core: &mut RoundCore| {
-            let inboxes = Round::begin(core, CongestTransport { graph: &g })
-                .exchange_with_neighbors(&g, &alive, |v| Some((8, v.raw())))
+            let mut visited = Vec::new();
+            Round::begin(core, CongestTransport { graph: &g })
+                .exchange_with_neighbors(
+                    &g,
+                    &alive,
+                    |v| Some((8, v.raw())),
+                    |u, v, &msg| visited.push((u, v, msg)),
+                )
                 .expect("one byte per pair fits the budget");
-            inboxes.iter().map(<[_]>::to_vec).collect::<Vec<_>>()
+            visited
         };
         let mut direct = RoundCore::new(32, Enforcement::Strict);
         let want = exchange(&mut direct);
@@ -1418,6 +1428,7 @@ mod tests {
         let mut framed = RoundCore::new(32, Enforcement::Strict);
         let got = exchange(&mut framed);
         crate::shard::set_shards_override(None);
+        assert_eq!(got.len(), 2 * g.edge_count());
         assert_eq!(got, want);
         assert_eq!(framed.ledger(), direct.ledger());
         match &framed.shards {
@@ -1486,8 +1497,8 @@ mod tests {
         assert_eq!(&inboxes[3], &[(NodeId::new(2), 2)][..]);
     }
 
-    /// The neighbour exchange delivers exactly what the manual loop of
-    /// sends to alive neighbours does, with the same charges.
+    /// The neighbour exchange visits exactly what the manual loop of sends
+    /// to alive neighbours delivers, in inbox order, with the same charges.
     #[test]
     fn helper_matches_manual_loop_exactly() {
         let g = cc_mis_graph::generators::erdos_renyi_gnp(30, 0.2, 3);
@@ -1509,14 +1520,25 @@ mod tests {
             }
         }
         let manual_inboxes = round.deliver();
+        let manual_visits: Vec<(usize, NodeId, u32)> = manual_inboxes
+            .iter()
+            .enumerate()
+            .flat_map(|(u, inbox)| inbox.iter().map(move |&(v, msg)| (u, v, msg)))
+            .collect();
 
         let mut helped = CongestEngine::strict(&g, standard_bandwidth(n));
-        let helped_inboxes = helped
+        let mut helped_visits = Vec::new();
+        helped
             .begin_round::<u32>()
-            .exchange_with_neighbors(&g, &alive, |v| alive[v.index()].then(|| (7, v.raw())))
+            .exchange_with_neighbors(
+                &g,
+                &alive,
+                |v| alive[v.index()].then(|| (7, v.raw())),
+                |u, v, &msg| helped_visits.push((u.index(), v, msg)),
+            )
             .expect("message fits the bandwidth");
 
-        assert_eq!(manual_inboxes, helped_inboxes);
+        assert_eq!(manual_visits, helped_visits);
         assert_eq!(manual.ledger().messages, helped.ledger().messages);
         assert_eq!(manual.ledger().bits, helped.ledger().bits);
     }
@@ -1527,13 +1549,19 @@ mod tests {
         let alive = vec![true, true, false, true];
         let mut engine = CongestEngine::strict(&g, standard_bandwidth(4));
         // Only the center sends.
-        let inboxes = engine
+        let mut received = [0; 4];
+        engine
             .begin_round::<()>()
-            .exchange_with_neighbors(&g, &alive, |v| (v.index() == 0).then_some((1, ())))
+            .exchange_with_neighbors(
+                &g,
+                &alive,
+                |v| (v.index() == 0).then_some((1, ())),
+                |u, _, ()| received[u.index()] += 1,
+            )
             .expect("message fits the bandwidth");
-        assert_eq!(inboxes[1].len(), 1);
-        assert!(inboxes[2].is_empty(), "dead receiver must get nothing");
-        assert_eq!(inboxes[3].len(), 1);
+        assert_eq!(received[1], 1);
+        assert_eq!(received[2], 0, "dead receiver must get nothing");
+        assert_eq!(received[3], 1);
         assert_eq!(engine.ledger().messages, 2);
     }
 

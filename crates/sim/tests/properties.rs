@@ -447,10 +447,10 @@ type Messages = Vec<Option<(u64, u64)>>;
 /// One exchange round: the receiver mask and the senders' messages.
 type ExchangeRound = (Vec<bool>, Messages);
 
-/// Each round's inboxes (sender, payload) or error, the final ledger and
-/// every observed event.
+/// Each round's delivered messages in visit order, as (receiver, sender,
+/// payload), or its error; the final ledger; and every observed event.
 type ExchangeTrace = (
-    Vec<Result<Vec<Vec<(u32, u64)>>, BandwidthError>>,
+    Vec<Result<Vec<(u32, u32, u64)>, BandwidthError>>,
     RoundLedger,
     Vec<RoundEvent>,
 );
@@ -476,22 +476,29 @@ fn send_loop<T: Transport>(
     Ok(round.deliver())
 }
 
-/// Closes `round` through the exchange (or, if `!exchange`, the reference
-/// send loop) and flattens the inboxes.
+/// Closes `round` through the exchange, recording what its visitor sees,
+/// or (if `!exchange`) through the reference send loop, iterating the
+/// delivered inboxes in node order.
 fn play_exchange<T: Transport>(
     round: Round<'_, T, u64>,
     graph: &Graph,
     (receivers, messages): &ExchangeRound,
     exchange: bool,
-) -> Result<Vec<Vec<(u32, u64)>>, BandwidthError> {
-    let inboxes = if exchange {
-        round.exchange_with_neighbors(graph, receivers, |v| messages[v.index()])?
-    } else {
-        send_loop(round, graph, receivers, messages)?
-    };
-    Ok(inboxes
-        .iter()
-        .map(|inbox| inbox.iter().map(|&(s, p)| (s.raw(), p)).collect())
+) -> Result<Vec<(u32, u32, u64)>, BandwidthError> {
+    if exchange {
+        let mut visited = Vec::new();
+        round.exchange_with_neighbors(
+            graph,
+            receivers,
+            |v| messages[v.index()],
+            |u, v, &p| visited.push((u.raw(), v.raw(), p)),
+        )?;
+        return Ok(visited);
+    }
+    let inboxes = send_loop(round, graph, receivers, messages)?;
+    Ok((0u32..)
+        .zip(&inboxes)
+        .flat_map(|(u, inbox)| inbox.iter().map(move |&(v, p)| (u, v.raw(), p)))
         .collect())
 }
 
@@ -699,7 +706,7 @@ fn neighbor_exchange_edge_cases_match_the_send_loop() {
         exchanged,
         clique_exchange(2, Enforcement::Strict, &single, &rounds, false)
     );
-    assert_eq!(exchanged.0[0], Ok(vec![vec![], vec![]]));
+    assert_eq!(exchanged.0, [Ok(vec![]), Ok(vec![])]);
     assert_eq!(exchanged.1.rounds, 2);
 }
 
