@@ -40,7 +40,6 @@ pub fn run(quick: bool) -> Vec<Table> {
             &g,
             &BeepingParams {
                 max_iterations: 100_000,
-                record_trace: false,
             },
             seed,
         );

@@ -9,7 +9,7 @@
 
 use cc_mis_analysis::stats::Summary;
 use cc_mis_analysis::table::{f3, Table};
-use cc_mis_core::beeping_mis::{run_beeping, BeepingParams};
+use cc_mis_core::beeping_mis::{beeping_trace, BeepingParams};
 use cc_mis_core::sparsified::{run_sparsified, SparsifiedParams};
 use cc_mis_graph::generators;
 
@@ -36,16 +36,12 @@ pub fn run(quick: bool) -> Vec<Table> {
         let g = generators::erdos_renyi_gnp(n, 16.0 / n as f64, 300 + seed);
 
         // §2.2 beeping algorithm.
-        let params = BeepingParams {
-            max_iterations: BeepingParams::for_graph(&g).max_iterations,
-            record_trace: true,
-        };
-        let run = run_beeping(&g, &params, seed);
+        let trace = beeping_trace(&g, seed, BeepingParams::for_graph(&g).max_iterations);
         let (fracs, wrong_rate) = fractions(
-            &run.trace.golden1,
-            &run.trace.golden2,
-            &run.trace.wrong_moves,
-            &run.trace.undecided_iterations,
+            &trace.golden1,
+            &trace.golden2,
+            &trace.wrong_moves,
+            &trace.undecided_iterations,
         );
         let s = Summary::of(&fracs);
         let above = fracs.iter().filter(|&&f| f >= 0.05).count() as f64 / fracs.len() as f64;

@@ -13,10 +13,12 @@
 //! (Theorem 2.1): each node `v` decides within
 //! `T = C(log deg(v) + log 1/ε)` iterations w.p. `≥ 1-ε`, depending only on
 //! randomness within `v`'s 2-hop neighborhood. The proof counts *golden
-//! rounds* (Lemma 2.3) and bounds *wrong moves* (Lemmas 2.4, 2.5); this
-//! module instruments all three quantities per node, so experiments E3/E4
-//! can chart them against the paper's constants (≥ `0.05 T` golden rounds,
-//! wrong-move probability ≤ `0.02` per round).
+//! rounds* (Lemma 2.3) and bounds *wrong moves* (Lemmas 2.4, 2.5). The
+//! execution ([`BeepingExecution`]) keeps only what the algorithm reads;
+//! [`beeping_trace`] replays the same run and counts all three quantities
+//! per node, so experiments E3/E4 can chart them against the paper's
+//! constants (≥ `0.05 T` golden rounds, wrong-move probability ≤ `0.02`
+//! per round).
 
 use cc_mis_graph::{Graph, NodeId};
 use cc_mis_sim::beeping::BeepingEngine;
@@ -44,26 +46,24 @@ pub const WRONG_MOVE_SHRINK: f64 = 0.6;
 pub struct BeepingParams {
     /// Iteration budget. [`run_beeping`] returns the partial result when the
     /// budget ends; [`run_beeping_to_completion`] demands every node decide.
+    /// The Theorem 2.1 counters of a run are not a parameter: pass the same
+    /// budget to [`beeping_trace`].
     pub max_iterations: u64,
-    /// Whether to record the per-node golden/wrong-move trace (small cost;
-    /// on by default).
-    pub record_trace: bool,
 }
 
 impl BeepingParams {
-    /// Defaults: budget `16 (log₂ n + 2)` with tracing on.
+    /// Defaults: budget `16 (log₂ n + 2)`.
     pub fn for_graph(g: &Graph) -> Self {
         let n = g.node_count().max(2) as f64;
         BeepingParams {
             max_iterations: (16.0 * (n.log2() + 2.0)).ceil() as u64,
-            record_trace: true,
         }
     }
 }
 
-/// Per-node analysis counters accumulated while the node was undecided
-/// (empty when tracing was off).
-#[derive(Debug, Clone, Default)]
+/// Per-node Theorem 2.1 counters accumulated while the node was undecided,
+/// as computed by [`beeping_trace`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BeepingTrace {
     /// Golden type-1 rounds per node (`p_t(v) = 1/2` and `d_t(v) ≤ 0.02`).
     pub golden1: Vec<u64>,
@@ -90,8 +90,6 @@ pub struct BeepingRun {
     pub ledger: RoundLedger,
     /// Iterations executed.
     pub iterations: u64,
-    /// Analysis counters (Theorem 2.1 bookkeeping).
-    pub trace: BeepingTrace,
 }
 
 /// Runs the beeping MIS for at most `params.max_iterations` iterations.
@@ -124,7 +122,8 @@ pub fn run_beeping_observed(
 
 /// The §2.2 beeping MIS as a step-driven state machine: one
 /// [`Execution::step`] is one iteration (beep round + MIS-announcement
-/// round), including the Theorem 2.1 trace bookkeeping.
+/// round). It holds only the algorithm's state; the Theorem 2.1 counters
+/// come from [`beeping_trace`].
 #[derive(Debug)]
 pub struct BeepingExecution<'a> {
     g: &'a Graph,
@@ -140,23 +139,12 @@ pub struct BeepingExecution<'a> {
     joined_at: Vec<Option<u64>>,
     removed_at: Vec<Option<u64>>,
     undecided: usize,
-    trace: BeepingTrace,
-    /// Wrong-move clause (2) compares d_{t+1} against d_t; remembers the d
-    /// of nodes whose clause-(2) precondition held.
-    pending_shrink: Vec<Option<f64>>,
 }
 
 impl<'a> BeepingExecution<'a> {
     /// Prepares a run on `g`; no rounds execute until the first step.
     pub fn new(g: &'a Graph, params: &BeepingParams, seed: u64) -> Self {
         let n = g.node_count();
-        let mut trace = BeepingTrace::default();
-        if params.record_trace {
-            trace.golden1 = vec![0; n];
-            trace.golden2 = vec![0; n];
-            trace.wrong_moves = vec![0; n];
-            trace.undecided_iterations = vec![0; n];
-        }
         BeepingExecution {
             g,
             graph_fp: graph_fingerprint(g),
@@ -168,8 +156,6 @@ impl<'a> BeepingExecution<'a> {
             joined_at: vec![None; n],
             removed_at: vec![None; n],
             undecided: n,
-            trace,
-            pending_shrink: vec![None; n],
         }
     }
 }
@@ -205,61 +191,26 @@ impl Execution for BeepingExecution<'_> {
                 removed_at: self.removed_at.clone(),
                 ledger: self.engine.ledger().clone(),
                 iterations: t,
-                trace: self.trace.clone(),
             });
         }
-        let alive = |r: &[Option<u64>], i: usize| r[i].is_none();
-
-        // d_t and d'_t over undecided neighbors (analysis bookkeeping and
-        // wrong-move detection; the algorithm itself never computes these).
-        let d: Vec<f64> = compute_d(g, &self.pexp, &self.removed_at);
-        if self.params.record_trace || self.pending_shrink.iter().any(Option::is_some) {
-            for (i, &di) in d.iter().enumerate() {
-                if !alive(&self.removed_at, i) {
-                    self.pending_shrink[i] = None;
-                    continue;
-                }
-                if let Some(d_prev) = self.pending_shrink[i].take() {
-                    if di > WRONG_MOVE_SHRINK * d_prev && self.params.record_trace {
-                        self.trace.wrong_moves[i] += 1;
-                    }
-                }
-            }
-        }
+        let alive = |i: usize| self.removed_at[i].is_none();
 
         // R1: beeps.
         let cursor = self.cursor;
-        let removed_at = &self.removed_at;
         let pexp = &self.pexp;
         let beeps: Vec<bool> = par_map_nodes(n, |i| {
-            alive(removed_at, i) && cursor.coin(NodeId::new(i as u32)) <= p_of(pexp[i])
+            alive(i) && cursor.coin(NodeId::new(i as u32)) <= p_of(pexp[i])
         });
         let heard = self.engine.round(&beeps);
 
-        if self.params.record_trace {
-            record_goldens(g, &self.pexp, &d, &self.removed_at, &mut self.trace);
-        }
-
         // Joins and p updates.
-        let mut joins: Vec<usize> = Vec::new();
+        let mut joins: Vec<NodeId> = Vec::new();
         for i in 0..n {
-            if !alive(&self.removed_at, i) {
+            if !alive(i) {
                 continue;
             }
-            if self.params.record_trace {
-                self.trace.undecided_iterations[i] += 1;
-            }
             if beeps[i] && !heard[i] {
-                joins.push(i);
-            }
-            // Wrong-move clause (1): d small but a neighbor beeped anyway.
-            if d[i] <= GOLDEN1_D_MAX && heard[i] && self.params.record_trace {
-                self.trace.wrong_moves[i] += 1;
-            }
-            // Arm clause (2) for evaluation against d_{t+1}.
-            let dprime = d_prime(g, &self.pexp, &d, &self.removed_at, i);
-            if d[i] > GOLDEN2_D_MIN && dprime < GOLDEN2_D_MIN * d[i] {
-                self.pending_shrink[i] = Some(d[i]);
+                joins.push(NodeId::new(i as u32));
             }
             self.pexp[i] = if heard[i] {
                 halve(self.pexp[i])
@@ -269,18 +220,14 @@ impl Execution for BeepingExecution<'_> {
         }
 
         // R2: new MIS members beep; they and their hearers leave.
-        let mut mis_beeps = vec![false; n];
-        for &i in &joins {
-            mis_beeps[i] = true;
-        }
-        self.engine.round(&mis_beeps);
-        for &i in &joins {
-            self.joined_at[i] = Some(t);
-            if self.removed_at[i].is_none() {
-                self.removed_at[i] = Some(t);
+        self.engine.round_sparse(&joins);
+        for &v in &joins {
+            self.joined_at[v.index()] = Some(t);
+            if self.removed_at[v.index()].is_none() {
+                self.removed_at[v.index()] = Some(t);
                 self.undecided -= 1;
             }
-            for &u in g.neighbors(NodeId::new(i as u32)) {
+            for &u in g.neighbors(v) {
                 if self.removed_at[u.index()].is_none() {
                     self.removed_at[u.index()] = Some(t);
                     self.undecided -= 1;
@@ -297,7 +244,6 @@ impl Execution for BeepingExecution<'_> {
             "graph fingerprint" => self.graph_fp,
             "seed" => self.seed,
             "max_iterations" => self.params.max_iterations,
-            "record_trace" => self.params.record_trace,
         }
         state {
             self.engine,
@@ -306,18 +252,12 @@ impl Execution for BeepingExecution<'_> {
             self.joined_at,
             self.removed_at,
             self.undecided,
-            self.trace.golden1,
-            self.trace.golden2,
-            self.trace.wrong_moves,
-            self.trace.undecided_iterations,
-            self.pending_shrink,
         }
         then {
             let n = self.g.node_count();
             check_node_vec_len("pexp vector length", self.pexp.len(), n)?;
             check_node_vec_len("joined_at vector length", self.joined_at.len(), n)?;
             check_node_vec_len("removed_at vector length", self.removed_at.len(), n)?;
-            check_node_vec_len("pending_shrink vector length", self.pending_shrink.len(), n)?;
         }
     }
 }
@@ -373,11 +313,15 @@ pub struct BeepingEvolution {
 
 /// Runs the §2.2 beeping dynamic as a pure function of the shared
 /// randomness — the replayable form used by the local-computation oracle
-/// ([`crate::lca`]) and tested to agree with [`run_beeping`] exactly.
+/// ([`crate::lca`]) and by [`beeping_trace`], and tested to agree with
+/// [`run_beeping`] exactly.
 ///
 /// `coin_ids[i]` is the global identity whose coins local node `i` draws
 /// (pass the ball's id mapping when replaying a gathered neighborhood).
-/// Stops early once every node has decided.
+/// Stops early once every node has decided. `visit(pexp, removed_at,
+/// heard)` is called once per executed iteration, after R1 and before the
+/// `p` update: `pexp` and `removed_at` are the state at the start of the
+/// iteration, `heard[v]` whether a neighbor of `v` beeped in its R1.
 ///
 /// # Panics
 ///
@@ -387,6 +331,7 @@ pub fn evolve_beeping(
     coin_ids: &[NodeId],
     rng: SharedRandomness,
     iterations: u64,
+    mut visit: impl FnMut(&[u32], &[Option<u64>], &[bool]),
 ) -> BeepingEvolution {
     assert_eq!(
         coin_ids.len(),
@@ -410,6 +355,7 @@ pub fn evolve_beeping(
                 .iter()
                 .any(|u| beeps[u.index()])
         });
+        visit(&pexp, &removed_at, &heard);
         let joins: Vec<usize> = (0..n)
             .filter(|&i| removed_at[i].is_none() && beeps[i] && !heard[i])
             .collect();
@@ -442,6 +388,85 @@ pub fn evolve_beeping(
         pexp,
         undecided,
     }
+}
+
+/// The Theorem 2.1 counters of the run [`run_beeping`] makes on `g` with
+/// `seed` and a budget of `iterations`: golden rounds of both types, wrong
+/// moves and undecided lifetimes per node.
+///
+/// Replays that run through [`evolve_beeping`] and evaluates the effective
+/// degrees `d_t(v)` and `d'_t(v)` of every iteration on the side; the
+/// algorithm itself never computes them. Every sum adds up in ascending
+/// neighbor order, so the counters do not depend on the thread count.
+///
+/// # Example
+///
+/// ```
+/// use cc_mis_core::beeping_mis::{beeping_trace, run_beeping, BeepingParams};
+/// use cc_mis_graph::generators;
+///
+/// let g = generators::cycle(20);
+/// let params = BeepingParams::for_graph(&g);
+/// let run = run_beeping(&g, &params, 3);
+/// let trace = beeping_trace(&g, 3, params.max_iterations);
+/// let lifetime: u64 = trace.undecided_iterations.iter().sum();
+/// let removal: u64 = run.removed_at.iter().map(|r| r.unwrap() + 1).sum();
+/// assert_eq!(lifetime, removal);
+/// ```
+pub fn beeping_trace(g: &Graph, seed: u64, iterations: u64) -> BeepingTrace {
+    let n = g.node_count();
+    let mut trace = BeepingTrace {
+        golden1: vec![0; n],
+        golden2: vec![0; n],
+        wrong_moves: vec![0; n],
+        undecided_iterations: vec![0; n],
+    };
+    // Wrong-move clause (2) compares d_{t+1} against d_t; remembers the d
+    // of nodes whose clause-(2) precondition held.
+    let mut pending_shrink: Vec<Option<f64>> = vec![None; n];
+    let ids: Vec<NodeId> = g.nodes().collect();
+    let rng = SharedRandomness::new(seed);
+    evolve_beeping(g, &ids, rng, iterations, |pexp, removed_at, heard| {
+        let d = compute_d(g, pexp, removed_at);
+        for (i, &di) in d.iter().enumerate() {
+            if removed_at[i].is_some() {
+                pending_shrink[i] = None;
+                continue;
+            }
+            if let Some(d_prev) = pending_shrink[i].take() {
+                if di > WRONG_MOVE_SHRINK * d_prev {
+                    trace.wrong_moves[i] += 1;
+                }
+            }
+        }
+        record_goldens(g, pexp, &d, removed_at, &mut trace);
+        // Clause (2) is armed in node order while `p` updates, so the
+        // `d'` of node `v` sees `p_{t+1}` for undecided neighbors below
+        // `v` and `p_t` for the rest. This is the in-step order that E4's
+        // pinned table and the reference model in tests/beeping_trace.rs
+        // count with.
+        let mut next = pexp.to_vec();
+        for i in 0..n {
+            if removed_at[i].is_some() {
+                continue;
+            }
+            trace.undecided_iterations[i] += 1;
+            // Wrong-move clause (1): d small but a neighbor beeped anyway.
+            if d[i] <= GOLDEN1_D_MAX && heard[i] {
+                trace.wrong_moves[i] += 1;
+            }
+            let dprime = d_prime(g, &next, &d, removed_at, i);
+            if d[i] > GOLDEN2_D_MIN && dprime < GOLDEN2_D_MIN * d[i] {
+                pending_shrink[i] = Some(d[i]);
+            }
+            next[i] = if heard[i] {
+                halve(next[i])
+            } else {
+                double_capped(next[i])
+            };
+        }
+    });
+    trace
 }
 
 /// `d_t(v) = Σ_{undecided u ∈ N(v)} p_t(u)` for every node.
@@ -527,10 +552,7 @@ mod tests {
     #[test]
     fn budget_truncates_with_partial_result() {
         let g = generators::complete(40);
-        let params = BeepingParams {
-            max_iterations: 1,
-            record_trace: false,
-        };
+        let params = BeepingParams { max_iterations: 1 };
         let run = run_beeping(&g, &params, 0);
         assert_eq!(run.iterations, 1);
         // Whatever joined is independent (≤ 1 node in a clique), and every
@@ -571,28 +593,27 @@ mod tests {
         // An isolated node has d = 0 forever: every round is golden type-1
         // until it joins (which happens as soon as it beeps).
         let g = Graph::empty(1);
-        let run = run_beeping(&g, &BeepingParams::for_graph(&g), 9);
+        let params = BeepingParams::for_graph(&g);
+        let run = run_beeping(&g, &params, 9);
         assert_eq!(run.mis.len(), 1);
-        assert!(run.trace.golden1[0] >= 1);
-        assert_eq!(run.trace.wrong_moves[0], 0);
+        let trace = beeping_trace(&g, 9, params.max_iterations);
+        assert!(trace.golden1[0] >= 1);
+        assert_eq!(trace.wrong_moves[0], 0);
+        assert_eq!(trace.undecided_iterations[0], run.iterations);
     }
 
     #[test]
-    fn trace_vectors_sized_when_enabled() {
+    fn trace_vectors_sized_to_the_graph() {
         let g = generators::cycle(10);
-        let run = run_beeping(&g, &BeepingParams::for_graph(&g), 0);
-        assert_eq!(run.trace.golden1.len(), 10);
-        assert_eq!(run.trace.golden2.len(), 10);
-        assert_eq!(run.trace.wrong_moves.len(), 10);
-        let run2 = run_beeping(
-            &g,
-            &BeepingParams {
-                max_iterations: 10,
-                record_trace: false,
-            },
-            0,
-        );
-        assert!(run2.trace.golden1.is_empty());
+        let trace = beeping_trace(&g, 0, BeepingParams::for_graph(&g).max_iterations);
+        assert_eq!(trace.golden1.len(), 10);
+        assert_eq!(trace.golden2.len(), 10);
+        assert_eq!(trace.wrong_moves.len(), 10);
+        assert_eq!(trace.undecided_iterations.len(), 10);
+        // No iteration runs: every counter exists and stays zero.
+        let idle = beeping_trace(&g, 0, 0);
+        assert_eq!(idle.golden1, vec![0; 10]);
+        assert_eq!(idle.undecided_iterations, vec![0; 10]);
     }
 
     #[test]
@@ -610,7 +631,13 @@ mod tests {
             let g = generators::erdos_renyi_gnp(70, 0.1, 500 + seed);
             let run = run_beeping(&g, &BeepingParams::for_graph(&g), seed);
             let ids: Vec<NodeId> = g.nodes().collect();
-            let evo = evolve_beeping(&g, &ids, SharedRandomness::new(seed), u64::MAX);
+            let evo = evolve_beeping(
+                &g,
+                &ids,
+                SharedRandomness::new(seed),
+                u64::MAX,
+                |_, _, _| {},
+            );
             assert_eq!(run.joined_at, evo.joined_at, "seed {seed}");
             assert_eq!(run.removed_at, evo.removed_at, "seed {seed}");
         }

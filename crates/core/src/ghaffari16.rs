@@ -449,10 +449,11 @@ pub fn run_ghaffari16_clique_observed(
 
 /// The congested-clique Ghaffari'16 baseline as a step-driven state
 /// machine. The evolution is a pure function of `(g, seed, budget)` and is
-/// recomputed at construction (snapshots never store it); one
+/// recomputed at construction (snapshots never store it), together with
+/// the number of directed alive edges of every iteration. One
 /// [`Execution::step`] bills one replayed iteration (2 clique rounds plus
-/// the per-edge exchange of that iteration), and a final step runs the
-/// leader clean-up.
+/// the per-edge exchange of that iteration) from that table in O(1), and a
+/// final step runs the leader clean-up.
 #[derive(Debug)]
 pub struct Ghaffari16CliqueExecution<'a> {
     g: &'a Graph,
@@ -464,6 +465,9 @@ pub struct Ghaffari16CliqueExecution<'a> {
     engine: CliqueEngine,
     evo: Evolution,
     executed: u64,
+    /// `directed_at[t]`: directed edges with both ends undecided at the
+    /// start of iteration `t`, for `t < executed`.
+    directed_at: Vec<u64>,
     /// Next iteration to bill; `executed` means the clean-up step is next.
     next_t: u64,
     cleanup_done: bool,
@@ -479,6 +483,7 @@ impl<'a> Ghaffari16CliqueExecution<'a> {
         let budget = iterations_for_max_degree(g.max_degree(), params.clique_factor);
         let evo = evolve(g, &g.nodes().collect::<Vec<_>>(), rng, budget);
         let executed = executed_iterations(&evo, budget);
+        let directed_at = directed_alive_edges(g, &evo, executed);
         let mut engine = CliqueEngine::strict(n.max(2), standard_bandwidth(n.max(2)));
         engine.ledger_mut().begin_phase("ghaffari16 iterations");
         Ghaffari16CliqueExecution {
@@ -489,6 +494,7 @@ impl<'a> Ghaffari16CliqueExecution<'a> {
             engine,
             evo,
             executed,
+            directed_at,
             next_t: 0,
             cleanup_done: false,
             mis: Vec::new(),
@@ -512,17 +518,7 @@ impl Execution for Ghaffari16CliqueExecution<'_> {
             // Bill one replayed iteration: 2 clique rounds and one (p, mark)
             // exchange over each directed alive edge — what the CONGEST
             // execution sends at iteration `t`.
-            let t = self.next_t;
-            let alive_at = |i: usize, t: u64| match self.evo.removed_at[i] {
-                None => true,
-                Some(r) => r >= t,
-            };
-            let mut directed: u64 = 0;
-            for (u, v) in self.g.edges() {
-                if alive_at(u.index(), t) && alive_at(v.index(), t) {
-                    directed += 2;
-                }
-            }
+            let directed = self.directed_at[self.next_t as usize];
             let ledger = self.engine.ledger_mut();
             ledger.charge_replay(2, directed, directed * (PROBABILITY_EXPONENT_BITS + 1));
             self.next_t += 1;
@@ -575,6 +571,23 @@ fn executed_iterations(evo: &Evolution, budget: u64) -> u64 {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// Directed edges alive at the start of each of the first `executed`
+/// iterations of `evo`. A node removed at `r` is still undecided at the
+/// start of iteration `r`, so an edge counts twice at every `t` up to the
+/// earlier of its ends' removals: add 2 there, then take suffix sums.
+fn directed_alive_edges(g: &Graph, evo: &Evolution, executed: u64) -> Vec<u64> {
+    let last = |v: NodeId| evo.removed_at[v.index()].map_or(executed, |r| r.min(executed));
+    let mut directed_at = vec![0u64; executed as usize + 1];
+    for (u, v) in g.edges() {
+        directed_at[last(u).min(last(v)) as usize] += 2;
+    }
+    for t in (0..executed as usize).rev() {
+        directed_at[t] += directed_at[t + 1];
+    }
+    directed_at.truncate(executed as usize);
+    directed_at
 }
 
 #[cfg(test)]
@@ -638,6 +651,108 @@ mod tests {
         let out = run_ghaffari16_clique(&g, &Ghaffari16Params::for_graph(&g), 0);
         // budget = 6 * log2(10) ≈ 20 iterations → ≈ 40 rounds + cleanup.
         assert!(out.ledger.rounds < 80, "rounds = {}", out.ledger.rounds);
+    }
+
+    /// The edge walk the billing table replaced: directed edges with both
+    /// ends undecided at the start of iteration `t`.
+    fn walked_directed(g: &Graph, evo: &Evolution, t: u64) -> u64 {
+        let alive_at = |v: NodeId| evo.removed_at[v.index()].is_none_or(|r| r >= t);
+        2 * g
+            .edges()
+            .filter(|&(u, v)| alive_at(u) && alive_at(v))
+            .count() as u64
+    }
+
+    /// Steps `exec` to the end. After every billed iteration its ledger must
+    /// equal the ledger before the step plus the edge walk's bill.
+    fn step_against_the_walk(exec: &mut Ghaffari16CliqueExecution<'_>, name: &str) -> MisOutcome {
+        loop {
+            let t = exec.next_t;
+            let mut want = exec.engine.ledger().clone();
+            let billed = t < exec.executed;
+            if billed {
+                let directed = walked_directed(exec.g, &exec.evo, t);
+                want.charge_replay(2, directed, directed * (PROBABILITY_EXPONENT_BITS + 1));
+            }
+            let status = exec.step();
+            if billed {
+                assert_eq!(exec.engine.ledger(), &want, "{name}: iteration {t}");
+            }
+            if let Status::Done(out) = status {
+                return out;
+            }
+        }
+    }
+
+    #[test]
+    fn clique_billing_table_equals_the_edge_walk() {
+        let sparse = generators::erdos_renyi_gnp(60, 0.02, 4);
+        assert!(
+            sparse.nodes().any(|v| sparse.degree(v) == 0),
+            "no isolated node"
+        );
+        let mut graphs = vec![
+            ("empty(0)", Graph::empty(0)),
+            ("empty(6)", Graph::empty(6)),
+            ("star(12)", generators::star(12)),
+            ("complete(10)", generators::complete(10)),
+            ("gnp(60, 0.02)", sparse),
+        ];
+        for s in 0..6 {
+            graphs.push((
+                "gnp",
+                generators::erdos_renyi_gnp(50 + 20 * s, 0.1, s as u64),
+            ));
+        }
+        for (name, g) in &graphs {
+            for seed in 0..3 {
+                let params = Ghaffari16Params::for_graph(g);
+                let mut exec = Ghaffari16CliqueExecution::new(g, &params, seed);
+                let out = step_against_the_walk(&mut exec, name);
+                assert!(checks::is_maximal_independent_set(g, &out.mis), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn clique_billing_table_covers_a_truncated_run() {
+        // One iteration cannot decide a dense graph: the run stops at the
+        // budget with nodes undecided, and the clean-up takes the rest.
+        let g = generators::erdos_renyi_gnp(150, 0.3, 8);
+        let params = Ghaffari16Params {
+            clique_factor: 0.1,
+            ..Ghaffari16Params::for_graph(&g)
+        };
+        let mut exec = Ghaffari16CliqueExecution::new(&g, &params, 2);
+        assert!(exec.evo.undecided > 0);
+        assert_eq!(exec.executed, 1);
+        assert_eq!(
+            exec.executed,
+            iterations_for_max_degree(g.max_degree(), 0.1)
+        );
+        let out = step_against_the_walk(&mut exec, "truncated");
+        assert!(checks::is_maximal_independent_set(&g, &out.mis));
+    }
+
+    #[test]
+    fn clique_billing_table_survives_snapshot_and_resume() {
+        use cc_mis_sim::driver::{resume, snapshot};
+        let g = generators::erdos_renyi_gnp(120, 0.1, 6);
+        let params = Ghaffari16Params::for_graph(&g);
+        let straight = run_ghaffari16_clique(&g, &params, 3);
+        let mut exec = Ghaffari16CliqueExecution::new(&g, &params, 3);
+        let mid = exec.executed / 2;
+        assert!(mid >= 1, "run too short to snapshot mid-run");
+        for _ in 0..mid {
+            assert!(matches!(exec.step(), Status::Running));
+        }
+        let bytes = snapshot(&exec);
+        let mut resumed = Ghaffari16CliqueExecution::new(&g, &params, 3);
+        resume(&mut resumed, &bytes).expect("own snapshot resumes");
+        assert_eq!(resumed.next_t, mid);
+        let out = step_against_the_walk(&mut resumed, "resumed");
+        assert_eq!(out.mis, straight.mis);
+        assert_eq!(out.ledger, straight.ledger);
     }
 
     #[test]

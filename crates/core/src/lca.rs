@@ -134,6 +134,7 @@ impl<'g> MisOracle<'g> {
                 &ball_ids,
                 self.rng,
                 if saturated { u64::MAX } else { iterations },
+                |_, _, _| {},
             );
             let me = ball_ids.binary_search(&v).expect("center is in its ball");
             let answer = if evo.joined_at[me].is_some() {
@@ -242,7 +243,6 @@ mod tests {
                 &g,
                 &BeepingParams {
                     max_iterations: 10_000,
-                    record_trace: false,
                 },
                 seed,
             );

@@ -29,7 +29,13 @@
 //! type encodes through the [`Field`] trait. The committed golden
 //! checkpoints in `tests/fixtures/snapshots/` pin the bytes themselves:
 //! any change to a field list fails `tests/snapshot_format.rs`, and a
-//! deliberate one must bump [`VERSION`] and re-record those files.
+//! deliberate one re-records the files it changes. [`VERSION`] covers the
+//! header and the shared [`Field`] encodings, so only a change to those
+//! bumps it. Bytes written under an older field list of one execution
+//! are refused only as far as the strict decode notices (identity checks,
+//! per-node length checks, no trailing bytes); `tests/snapshot_format.rs`
+//! keeps such a legacy file for every field-list change and asserts that
+//! it fails with a typed error.
 
 use std::error::Error;
 use std::fmt;

@@ -6,7 +6,7 @@
 //! cargo run --release --example beeping_locality
 //! ```
 
-use clique_mis::algorithms::beeping_mis::{run_beeping, BeepingParams};
+use clique_mis::algorithms::beeping_mis::{beeping_trace, run_beeping, BeepingParams};
 use clique_mis::analysis::stats::Summary;
 use clique_mis::graph::generators;
 
@@ -31,21 +31,16 @@ fn main() {
 
     // Golden rounds on one run.
     let g = generators::erdos_renyi_gnp(1000, 0.016, 5);
-    let params = BeepingParams {
-        record_trace: true,
-        ..BeepingParams::for_graph(&g)
-    };
-    let run = run_beeping(&g, &params, 2);
+    let trace = beeping_trace(&g, 2, BeepingParams::for_graph(&g).max_iterations);
     let fracs: Vec<f64> = (0..g.node_count())
-        .filter(|&i| run.trace.undecided_iterations[i] > 0)
+        .filter(|&i| trace.undecided_iterations[i] > 0)
         .map(|i| {
-            (run.trace.golden1[i] + run.trace.golden2[i]) as f64
-                / run.trace.undecided_iterations[i] as f64
+            (trace.golden1[i] + trace.golden2[i]) as f64 / trace.undecided_iterations[i] as f64
         })
         .collect();
     let s = Summary::of(&fracs);
-    let wrong: u64 = run.trace.wrong_moves.iter().sum();
-    let life: u64 = run.trace.undecided_iterations.iter().sum();
+    let wrong: u64 = trace.wrong_moves.iter().sum();
+    let life: u64 = trace.undecided_iterations.iter().sum();
     println!("\ngolden-round fraction across nodes (Lemma 2.3 promises ≥ 0.05):");
     println!(
         "  mean {:.3}, min {:.3}, median {:.3}",

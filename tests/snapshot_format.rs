@@ -10,7 +10,9 @@
 //!
 //! The same files double as hostile input: every strict prefix must be
 //! rejected with a typed error, and flipping any single byte must yield
-//! `Ok` or `Err` from `resume`, never a panic.
+//! `Ok` or `Err` from `resume`, never a panic. Files written under an
+//! execution's older field list are kept in `legacy/`, and resuming them
+//! into today's execution must fail with a typed error.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -225,5 +227,41 @@ fn a_flipped_byte_never_panics_resume() {
                 "{case}: resume panicked with byte {at} flipped"
             );
         }
+    }
+}
+
+/// Snapshots written under an older field list: the file in `legacy/`,
+/// the case it resumes into, and the error that refuses it.
+const LEGACY: [(&str, &str, SnapshotError); 1] = [
+    // The beeping execution before its Theorem 2.1 counters moved into
+    // `beeping_trace`: a `record_trace` identity field, four per-node
+    // counter vectors and the pending wrong-move vector. The extra
+    // identity byte shifts every later field, so a length inside the
+    // ledger reads an impossible value.
+    (
+        "beeping-analysis-counters",
+        "beeping",
+        SnapshotError::Corrupt {
+            offset: 95,
+            what: "length exceeds remaining bytes",
+        },
+    ),
+];
+
+#[test]
+fn legacy_field_lists_are_refused_with_a_typed_error() {
+    for (file, case, want) in LEGACY {
+        let bytes = golden_bytes(&format!("legacy/{file}"));
+        let g = graph_for(
+            CASES
+                .iter()
+                .find(|(c, _)| *c == case)
+                .expect("known case")
+                .1,
+        );
+        let mut exec = make(case, &g);
+        let result = catch_unwind(AssertUnwindSafe(|| resume(&mut exec, &bytes)))
+            .unwrap_or_else(|_| panic!("{file}: resume panicked"));
+        assert_eq!(result.err(), Some(want), "{file}");
     }
 }
