@@ -428,42 +428,34 @@ pub fn beeping_trace(g: &Graph, seed: u64, iterations: u64) -> BeepingTrace {
     let rng = SharedRandomness::new(seed);
     evolve_beeping(g, &ids, rng, iterations, |pexp, removed_at, heard| {
         let d = compute_d(g, pexp, removed_at);
-        for (i, &di) in d.iter().enumerate() {
+        for i in 0..n {
             if removed_at[i].is_some() {
                 pending_shrink[i] = None;
                 continue;
             }
             if let Some(d_prev) = pending_shrink[i].take() {
-                if di > WRONG_MOVE_SHRINK * d_prev {
+                if d[i] > WRONG_MOVE_SHRINK * d_prev {
                     trace.wrong_moves[i] += 1;
                 }
             }
-        }
-        record_goldens(g, pexp, &d, removed_at, &mut trace);
-        // Clause (2) is armed in node order while `p` updates, so the
-        // `d'` of node `v` sees `p_{t+1}` for undecided neighbors below
-        // `v` and `p_t` for the rest. This is the in-step order that E4's
-        // pinned table and the reference model in tests/beeping_trace.rs
-        // count with.
-        let mut next = pexp.to_vec();
-        for i in 0..n {
-            if removed_at[i].is_some() {
-                continue;
-            }
             trace.undecided_iterations[i] += 1;
+            if pexp[i] == INITIAL_PEXP && d[i] <= GOLDEN1_D_MAX {
+                trace.golden1[i] += 1;
+            }
             // Wrong-move clause (1): d small but a neighbor beeped anyway.
             if d[i] <= GOLDEN1_D_MAX && heard[i] {
                 trace.wrong_moves[i] += 1;
             }
-            let dprime = d_prime(g, &next, &d, removed_at, i);
-            if d[i] > GOLDEN2_D_MIN && dprime < GOLDEN2_D_MIN * d[i] {
-                pending_shrink[i] = Some(d[i]);
+            // A large d_t(v) is a type-2 golden round when its non-heavy
+            // share d'_t(v) (over p_t) is large too; otherwise it arms
+            // clause (2) for the next iteration.
+            if d[i] > GOLDEN2_D_MIN {
+                if d_prime(g, pexp, &d, removed_at, i) >= GOLDEN2_D_MIN * d[i] {
+                    trace.golden2[i] += 1;
+                } else {
+                    pending_shrink[i] = Some(d[i]);
+                }
             }
-            next[i] = if heard[i] {
-                halve(next[i])
-            } else {
-                double_capped(next[i])
-            };
         }
     });
     trace
@@ -492,27 +484,6 @@ fn d_prime(g: &Graph, pexp: &[u32], d: &[f64], removed_at: &[Option<u64>], i: us
         .filter(|u| removed_at[u.index()].is_none() && d[u.index()] <= HEAVY_THRESHOLD)
         .map(|u| p_of(pexp[u.index()]))
         .sum()
-}
-
-fn record_goldens(
-    g: &Graph,
-    pexp: &[u32],
-    d: &[f64],
-    removed_at: &[Option<u64>],
-    trace: &mut BeepingTrace,
-) {
-    for i in 0..g.node_count() {
-        if removed_at[i].is_some() {
-            continue;
-        }
-        if pexp[i] == INITIAL_PEXP && d[i] <= GOLDEN1_D_MAX {
-            trace.golden1[i] += 1;
-        }
-        let dp = d_prime(g, pexp, d, removed_at, i);
-        if d[i] > GOLDEN2_D_MIN && dp >= GOLDEN2_D_MIN * d[i] {
-            trace.golden2[i] += 1;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -299,13 +299,15 @@ impl<'a> CliqueMisExecution<'a> {
         // Sampled superset S (each node evaluates its own coins).
         let in_s = sample_set(g, &rng, pexp0, &alive0, &super_heavy, t0, len);
 
-        // ===== 2. Commitment round: (super-heavy?, beep vector, in S?) =====
-        // Per node: the OR of its super-heavy neighbours' schedules. The
-        // `in S` bits tell each node its incident edges of G[S], which
-        // `filter_vertices` reads off `g` directly below.
+        // ===== 2. Commitment round: (beep vector if super-heavy, in S?) =====
+        // Per node: the OR of its super-heavy neighbours' schedules. Only a
+        // super-heavy sender carries its vector; every sender declares the
+        // super-heavy bit and the `in S` bit. The `in S` bits tell each
+        // node its incident edges of G[S], which `filter_vertices` reads
+        // off `g` directly below.
         let mut sh_or = vec![0u64; n];
         self.engine
-            .begin_round::<(bool, u64, bool)>()
+            .begin_round::<(Option<u64>, bool)>()
             .exchange_with_neighbors(
                 g,
                 &alive0,
@@ -314,12 +316,12 @@ impl<'a> CliqueMisExecution<'a> {
                     if !alive0[i] {
                         return None;
                     }
-                    let vec = if super_heavy[i] { sh_vector(i) } else { 0 };
+                    let vec = super_heavy[i].then(|| sh_vector(i));
                     let bits = 2 + if super_heavy[i] { len as u64 } else { 0 };
-                    Some((bits, (super_heavy[i], vec, in_s[i])))
+                    Some((bits, (vec, in_s[i])))
                 },
-                |u, _, &(is_sh, vec, _)| {
-                    if is_sh {
+                |u, _, &(vec, _)| {
+                    if let Some(vec) = vec {
                         sh_or[u.index()] |= vec;
                     }
                 },

@@ -1,7 +1,8 @@
 //! `beeping_trace` against a reference model of the Theorem 2.1 counters:
 //! the beeping execution itself, stepped on its engine, with the golden
-//! rounds and wrong moves counted inside every iteration (`d_t` and `d'_t`
-//! evaluated before the beep round, clause (2) armed while `p` updates).
+//! rounds and wrong moves counted inside every iteration (`d_t` evaluated
+//! before the beep round, `d'_t` over `p_t` before `p` updates, as in the
+//! paper).
 //! The replay pass must give the same four vectors, field for field, on
 //! every graph, seed and budget, and at any thread count.
 //!
@@ -89,6 +90,9 @@ fn counted_in_step(g: &Graph, seed: u64, max_iterations: u64) -> BeepingTrace {
             if d[i] > GOLDEN2_D_MIN && dp >= GOLDEN2_D_MIN * d[i] {
                 trace.golden2[i] += 1;
             }
+            if d[i] > GOLDEN2_D_MIN && dp < GOLDEN2_D_MIN * d[i] {
+                pending_shrink[i] = Some(d[i]);
+            }
         }
 
         let mut joins = Vec::new();
@@ -102,10 +106,6 @@ fn counted_in_step(g: &Graph, seed: u64, max_iterations: u64) -> BeepingTrace {
             }
             if d[i] <= GOLDEN1_D_MAX && heard[i] {
                 trace.wrong_moves[i] += 1;
-            }
-            let dp = d_prime_of(g, &pexp, &d, &removed_at, i);
-            if d[i] > GOLDEN2_D_MIN && dp < GOLDEN2_D_MIN * d[i] {
-                pending_shrink[i] = Some(d[i]);
             }
             pexp[i] = if heard[i] {
                 halve(pexp[i])

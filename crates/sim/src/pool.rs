@@ -7,11 +7,13 @@
 //!
 //! * [`RoundBuffers`] — owned by [`crate::runtime::RoundCore`], recycles
 //!   the outbox arena, the per-destination count/offset/cursor tables,
-//!   the [`PairBits`] per-pair budget tracker and the sender lists and
-//!   index of [`crate::runtime::Round::exchange_with_neighbors`] across
-//!   rounds. After the first round of a steady-state loop, opening and
-//!   closing a round performs no heap allocation (the way
-//!   `drive_with_checkpoints` already recycles its encode buffer).
+//!   the [`PairBits`] per-pair budget tracker, the sender lists, index
+//!   and frame entries of
+//!   [`crate::runtime::Round::exchange_with_neighbors`], and the sharded
+//!   transport's frame buffers across rounds. After the first round of a
+//!   steady-state loop, opening and closing a round performs no heap
+//!   allocation (the way `drive_with_checkpoints` already recycles its
+//!   encode buffer).
 //! * [`ArenaPool`] — shared (behind `Arc<Mutex<..>>`) between the core and
 //!   the [`crate::runtime::Inboxes`] values `deliver` returns, so inbox
 //!   storage flows back to the engine when the algorithm drops a round's
@@ -30,6 +32,7 @@ use std::sync::{Arc, Mutex};
 use cc_mis_graph::NodeId;
 
 use crate::bits::{idx_u32, pair_key};
+use crate::shard::EntryTemplates;
 
 /// How many type-erased outboxes and arenas each pool retains. Two is
 /// enough for every in-tree pattern (at most one live `Inboxes` per engine
@@ -286,18 +289,19 @@ pub(crate) struct RoundBuffers {
     sent: ErasedSlots,
     /// Per-node position in the neighbour exchange's sender list.
     pub(crate) sender_at: Vec<u32>,
-    /// Retired frame byte buffers for the sharded transport (round
-    /// payloads, encoded frames, receive scratch).
+    /// The senders' frame entries of a framed neighbour exchange.
+    pub(crate) templates: EntryTemplates,
+    /// Retired frame byte buffers for the sharded transport (request
+    /// frames and receive scratch).
     frames: Vec<Vec<u8>>,
     /// Inbox arenas shared with the `Inboxes` values rounds return.
     pub(crate) arena_pool: Arc<Mutex<ArenaPool>>,
 }
 
-/// How many retired frame buffers the pool retains. A framed delivery holds
-/// four at once (round payload, encoded frame, receive scratch, message
-/// scratch), so retaining four makes steady-state framed rounds
-/// allocation-free.
-const FRAME_RETAIN: usize = 4;
+/// How many retired frame buffers the pool retains. A framed round holds
+/// two at once (request frame, receive scratch), so retaining two makes
+/// steady-state framed rounds allocation-free.
+const FRAME_RETAIN: usize = 2;
 
 impl RoundBuffers {
     /// The pooled per-pair budget tracker (already cleared).

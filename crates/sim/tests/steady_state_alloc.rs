@@ -14,7 +14,9 @@
 //! a *fresh* engine: its first round may only allocate what the messages
 //! it carries need, not storage for all `n²` ordered pairs.
 //!
-//! All shapes run at one worker thread with no observer attached. The
+//! All shapes run at one worker thread with no observer attached, and all
+//! but one with direct delivery; the framed shape goes through two
+//! in-process channel shards. The
 //! parallel scatter (more than one thread, at least
 //! `PAR_DELIVER_MIN_MESSAGES` messages) spawns scoped workers every round
 //! and is deliberately out of scope. The thread override is global, so
@@ -34,6 +36,7 @@ use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::congest::CongestEngine;
 use cc_mis_sim::par_nodes;
 use cc_mis_sim::runtime::{Round, Transport};
+use cc_mis_sim::{set_backend_override, set_shards_override, ShardBackend};
 
 thread_local! {
     /// Allocations made by this thread. `const`-initialised and free of
@@ -210,6 +213,18 @@ fn warmed_rounds_make_zero_heap_allocations() {
         assert!(exchange_round(engine.begin_round(), &graph, &alive, 50) > 0);
     });
 
+    // The pulled exchange through two in-process shards: the senders'
+    // frame entries, both frames of every shard and each worker's
+    // per-round checkpoint all reuse their storage once warmed.
+    set_backend_override(Some(ShardBackend::Channel));
+    set_shards_override(Some(2));
+    let mut engine = CliqueEngine::strict(graph.node_count(), standard_bandwidth(256));
+    let framed_pull = allocations_per_round(|| {
+        assert!(exchange_round(engine.begin_round(), &graph, &alive, 1) > 0);
+    });
+    set_shards_override(None);
+    set_backend_override(None);
+
     // A fresh clique engine's first round at n = 2048, fan-out 8: outbox,
     // arena and pair totals for 16,384 messages take about 1.7 MB with
     // vector growth; an n² pair-indexed array alone would be 32 MiB.
@@ -239,10 +254,16 @@ fn warmed_rounds_make_zero_heap_allocations() {
         "heap allocations per warmed round (clique, CONGEST, clique ≥ 8,192 messages)"
     );
     assert_eq!(
-        (clique_pull, clique_push, congest_pull, congest_push),
-        (0, 0, 0, 0),
+        (
+            clique_pull,
+            clique_push,
+            congest_pull,
+            congest_push,
+            framed_pull
+        ),
+        (0, 0, 0, 0, 0),
         "heap allocations per warmed neighbour exchange (clique pull, clique push, \
-         CONGEST pull, CONGEST push)"
+         CONGEST pull, CONGEST push, pull through 2 channel shards)"
     );
     assert!(
         fresh_bytes < 4 << 20,

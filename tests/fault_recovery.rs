@@ -19,6 +19,7 @@
 use std::sync::Mutex;
 
 use clique_mis::algorithms::clique_mis::{CliqueMisExecution, CliqueMisParams};
+use clique_mis::algorithms::ghaffari16::{Ghaffari16Execution, Ghaffari16Params};
 use clique_mis::algorithms::luby::{LubyExecution, LubyParams};
 use clique_mis::analysis::trace::JsonlTraceSink;
 use clique_mis::graph::{generators, Graph, NodeId};
@@ -52,6 +53,14 @@ fn run_algorithm(algorithm: &str, g: &Graph) -> MisLedger {
     match algorithm {
         "luby" => {
             let o = drive(LubyExecution::new(g, &LubyParams::for_graph(g), SEED));
+            (o.mis, o.ledger)
+        }
+        "ghaffari16" => {
+            let o = drive(Ghaffari16Execution::new(
+                g,
+                &Ghaffari16Params::for_graph(g),
+                SEED,
+            ));
             (o.mis, o.ledger)
         }
         "thm11" => {
@@ -107,7 +116,9 @@ fn kill_matrix(algorithm: &str, gname: &str, shards: usize, stride: u64) -> usiz
 }
 
 /// Channel backend, exhaustive: every shard killed at every checkpoint
-/// boundary, for S ∈ {1, 2, 4}, on both a CONGEST and a clique algorithm.
+/// boundary, for S ∈ {1, 2, 4}, on CONGEST algorithms (Luby, Ghaffari'16)
+/// and a clique one (Theorem 1.1). Their neighbour exchanges are pulled
+/// through the frames, so kills land in framed pulls on both transports.
 #[test]
 fn every_shard_killed_at_every_round_recovers_identically() {
     let _guard = lock();
@@ -115,6 +126,8 @@ fn every_shard_killed_at_every_round_recovers_identically() {
         let points = kill_matrix("luby", "gnp32", shards, 1);
         assert!(points >= shards, "luby/gnp32/S={shards}: matrix was empty");
     }
+    let points = kill_matrix("ghaffari16", "gnp32", 2, 1);
+    assert!(points >= 2, "ghaffari16/gnp32/S=2: matrix was empty");
     let points = kill_matrix("thm11", "cycle24", 2, 1);
     assert!(points >= 2, "thm11/cycle24/S=2: matrix was empty");
 }
