@@ -138,7 +138,11 @@ fn main() {
     for n in [1024usize, 8192] {
         let g = generators::erdos_renyi_gnp(n, 16.0 / n as f64, 4);
         let beeps: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
-        h.bench(&format!("n{n}"), || BeepingEngine::new(&g).round(&beeps));
+        let mut heard = Vec::new();
+        h.bench(&format!("n{n}"), || {
+            BeepingEngine::new(&g).round(&beeps, &mut heard);
+            heard.len()
+        });
     }
     h.finish();
 }

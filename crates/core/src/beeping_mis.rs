@@ -139,6 +139,9 @@ pub struct BeepingExecution<'a> {
     joined_at: Vec<Option<u64>>,
     removed_at: Vec<Option<u64>>,
     undecided: usize,
+    /// Per-round scratch the engine writes its `heard` vector into; not
+    /// state (every round overwrites it), so not in the snapshot.
+    heard: Vec<bool>,
 }
 
 impl<'a> BeepingExecution<'a> {
@@ -156,6 +159,7 @@ impl<'a> BeepingExecution<'a> {
             joined_at: vec![None; n],
             removed_at: vec![None; n],
             undecided: n,
+            heard: Vec::new(),
         }
     }
 }
@@ -201,7 +205,8 @@ impl Execution for BeepingExecution<'_> {
         let beeps: Vec<bool> = par_map_nodes(n, |i| {
             alive(i) && cursor.coin(NodeId::new(i as u32)) <= p_of(pexp[i])
         });
-        let heard = self.engine.round(&beeps);
+        self.engine.round(&beeps, &mut self.heard);
+        let heard = &self.heard;
 
         // Joins and p updates.
         let mut joins: Vec<NodeId> = Vec::new();
@@ -220,7 +225,7 @@ impl Execution for BeepingExecution<'_> {
         }
 
         // R2: new MIS members beep; they and their hearers leave.
-        self.engine.round_sparse(&joins);
+        self.engine.round_sparse(&joins, &mut self.heard);
         for &v in &joins {
             self.joined_at[v.index()] = Some(t);
             if self.removed_at[v.index()].is_none() {

@@ -554,6 +554,9 @@ pub struct SparsifiedMessagedExecution<'a> {
     undecided: usize,
     phases: Vec<PhaseInfo>,
     t0: u64,
+    /// Per-round scratch the beeping engine writes its `heard` vector
+    /// into; not state (every round overwrites it), so not in the snapshot.
+    heard: Vec<bool>,
 }
 
 impl<'a> SparsifiedMessagedExecution<'a> {
@@ -579,6 +582,7 @@ impl<'a> SparsifiedMessagedExecution<'a> {
             undecided: n,
             phases: Vec::new(),
             t0: 0,
+            heard: Vec::new(),
         }
     }
 }
@@ -671,11 +675,13 @@ impl Execution for SparsifiedMessagedExecution<'_> {
                     && rng.coin(Stream::Beep, NodeId::new(i as u32), t) <= p_of(pexp[i])
             });
             // R1 over the real beeping engine.
-            let heard = self.beeping.round(&beeps);
-            let joins: Vec<usize> = (0..n)
+            self.beeping.round(&beeps, &mut self.heard);
+            let heard = &self.heard;
+            let joins: Vec<NodeId> = (0..n)
                 .filter(|&i| {
                     self.removed_at[i].is_none() && !super_heavy[i] && beeps[i] && !heard[i]
                 })
+                .map(|i| NodeId::new(i as u32))
                 .collect();
             for i in 0..n {
                 if super_heavy[i] {
@@ -689,18 +695,15 @@ impl Execution for SparsifiedMessagedExecution<'_> {
                 }
             }
             // R2: new MIS members beep.
-            let mut mis_beeps = vec![false; n];
-            for &i in &joins {
-                mis_beeps[i] = true;
-            }
-            self.beeping.round(&mis_beeps);
-            for &i in &joins {
+            self.beeping.round_sparse(&joins, &mut self.heard);
+            for &v in &joins {
+                let i = v.index();
                 self.joined_at[i] = Some(t);
                 if self.removed_at[i].is_none() {
                     self.removed_at[i] = Some(t);
                     self.undecided -= 1;
                 }
-                for &u in g.neighbors(NodeId::new(i as u32)) {
+                for &u in g.neighbors(v) {
                     if self.removed_at[u.index()].is_none() {
                         self.removed_at[u.index()] = Some(t);
                         self.undecided -= 1;

@@ -61,6 +61,7 @@ fn counted_in_step(g: &Graph, seed: u64, max_iterations: u64) -> BeepingTrace {
         undecided_iterations: vec![0; n],
     };
     let mut pending_shrink: Vec<Option<f64>> = vec![None; n];
+    let mut heard = Vec::new();
     while undecided > 0 && cursor.position() < max_iterations {
         let t = cursor.position();
         let d = d_of(g, &pexp, &removed_at);
@@ -77,7 +78,7 @@ fn counted_in_step(g: &Graph, seed: u64, max_iterations: u64) -> BeepingTrace {
         let beeps: Vec<bool> = (0..n)
             .map(|i| removed_at[i].is_none() && cursor.coin(NodeId::new(i as u32)) <= p_of(pexp[i]))
             .collect();
-        let heard = engine.round(&beeps);
+        engine.round(&beeps, &mut heard);
 
         for i in 0..n {
             if removed_at[i].is_some() {
@@ -114,7 +115,7 @@ fn counted_in_step(g: &Graph, seed: u64, max_iterations: u64) -> BeepingTrace {
             };
         }
 
-        engine.round_sparse(&joins);
+        engine.round_sparse(&joins, &mut heard);
         for &v in &joins {
             for u in std::iter::once(v).chain(g.neighbors(v).iter().copied()) {
                 if removed_at[u.index()].is_none() {

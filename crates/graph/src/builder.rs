@@ -130,8 +130,7 @@ impl GraphBuilder {
 
     /// Finalizes the builder into an immutable [`Graph`].
     pub fn build(self) -> Graph {
-        let edges: Vec<(u32, u32)> = self.edges.into_iter().collect();
-        Graph::from_sorted_unique_edges(self.node_count, &edges)
+        Graph::from_sorted_unique_edges(self.node_count, self.edges.iter().copied())
     }
 }
 

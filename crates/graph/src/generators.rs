@@ -56,35 +56,30 @@ pub fn kronecker(scale: u32, edge_factor: usize, seed: u64) -> Graph {
     const C: f64 = 0.19;
     let n = 1usize << scale;
     let draws = (n as u64) * (edge_factor as u64);
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(edge_factor * n);
+    // Each kept edge as one key `(u << 32) | v` with `u < v`: the keys sort
+    // in the lexicographic edge order `from_sorted_unique_edges` expects.
+    let mut keys: Vec<u64> = Vec::with_capacity(edge_factor * n);
     for e in 0..draws {
         // conform: allow(R11) -- counter-based keying: mix3(seed, e, stream) derives an independent substream per candidate edge, the sanctioned alternative to re-seeding
         let mut rng = SplitMix64::new(mix3(seed, e, KRONECKER_STREAM));
         let (mut src, mut dst) = (0u32, 0u32);
         // One quadrant choice per bit of the address space, most significant
-        // bit first (the recursive R-MAT descent, unrolled).
+        // bit first (the recursive R-MAT descent, unrolled). The quadrant
+        // bits are the descent's comparisons taken as values, not branches:
+        // `r` is uniform, so a branch on it would be mispredicted at random.
         for _ in 0..scale {
             let r = rng.next_f64();
-            src <<= 1;
-            dst <<= 1;
-            if r < A + B {
-                if r >= A {
-                    dst |= 1;
-                }
-            } else {
-                src |= 1;
-                if r >= A + B + C {
-                    dst |= 1;
-                }
-            }
+            src = (src << 1) | u32::from(r >= A + B);
+            dst = (dst << 1) | u32::from((A..A + B).contains(&r) | (r >= A + B + C));
         }
         if src != dst {
-            edges.push(order_pair((src, dst)));
+            let (u, v) = order_pair((src, dst));
+            keys.push(u64::from(u) << 32 | u64::from(v));
         }
     }
-    edges.sort_unstable();
-    edges.dedup();
-    Graph::from_sorted_unique_edges(n, &edges)
+    keys.sort_unstable();
+    keys.dedup();
+    Graph::from_sorted_unique_edges(n, keys.iter().map(|&k| ((k >> 32) as u32, k as u32)))
 }
 
 /// Erdős–Rényi `G(n, p)`: each of the `n(n-1)/2` possible edges appears
@@ -135,7 +130,7 @@ pub fn erdos_renyi_gnp(n: usize, p: f64, seed: u64) -> Graph {
         edges.push(unrank_edge(idx, n as u64));
         idx += 1;
     }
-    Graph::from_sorted_unique_edges(n, &edges)
+    Graph::from_sorted_unique_edges(n, edges.iter().copied())
 }
 
 /// Maps a linear index in `[0, n(n-1)/2)` to the corresponding edge `(u, v)`
@@ -183,7 +178,7 @@ pub fn erdos_renyi_gnm(n: usize, m: usize, seed: u64) -> Graph {
         .into_iter()
         .map(|i| unrank_edge(i, n as u64))
         .collect();
-    Graph::from_sorted_unique_edges(n, &edges)
+    Graph::from_sorted_unique_edges(n, edges.iter().copied())
 }
 
 /// A random `d`-regular graph via the configuration model with restarts.
@@ -406,7 +401,7 @@ pub fn complete(n: usize) -> Graph {
             edges.push((u, v));
         }
     }
-    Graph::from_sorted_unique_edges(n, &edges)
+    Graph::from_sorted_unique_edges(n, edges.iter().copied())
 }
 
 /// The complete bipartite graph `K_{a,b}`: sides `0..a` and `a..a+b`.
@@ -417,7 +412,7 @@ pub fn complete_bipartite(a: usize, b: usize) -> Graph {
             edges.push((u, a as u32 + v));
         }
     }
-    Graph::from_sorted_unique_edges(a + b, &edges)
+    Graph::from_sorted_unique_edges(a + b, edges.iter().copied())
 }
 
 /// The star `S_n`: center `0`, leaves `1..n`. Total `n` vertices.
@@ -425,8 +420,7 @@ pub fn complete_bipartite(a: usize, b: usize) -> Graph {
 /// The extreme instance for local complexity: the center has degree `n-1`
 /// while all leaves have degree 1.
 pub fn star(n: usize) -> Graph {
-    let edges: Vec<(u32, u32)> = (1..n as u32).map(|v| (0, v)).collect();
-    Graph::from_sorted_unique_edges(n, &edges)
+    Graph::from_sorted_unique_edges(n, (1..n as u32).map(|v| (0, v)))
 }
 
 /// The `rows × cols` grid graph.
@@ -443,7 +437,7 @@ pub fn grid(rows: usize, cols: usize) -> Graph {
             }
         }
     }
-    Graph::from_sorted_unique_edges(rows * cols, &edges)
+    Graph::from_sorted_unique_edges(rows * cols, edges.iter().copied())
 }
 
 /// A complete `arity`-ary tree of the given `depth` (depth 0 = single root).
@@ -463,7 +457,7 @@ pub fn balanced_tree(arity: usize, depth: usize) -> Graph {
         }
         level = next_level;
     }
-    Graph::from_sorted_unique_edges(next_id as usize, &edges)
+    Graph::from_sorted_unique_edges(next_id as usize, edges.iter().copied())
 }
 
 /// A caterpillar: a spine path of `spine` vertices, each with `legs` pendant
@@ -481,7 +475,8 @@ pub fn caterpillar(spine: usize, legs: usize) -> Graph {
             next += 1;
         }
     }
-    Graph::from_sorted_unique_edges(n, &edges)
+    edges.sort_unstable();
+    Graph::from_sorted_unique_edges(n, edges.iter().copied())
 }
 
 /// `k` disjoint cliques of `size` vertices each.
@@ -498,7 +493,7 @@ pub fn disjoint_cliques(k: usize, size: usize) -> Graph {
             }
         }
     }
-    Graph::from_sorted_unique_edges(k * size, &edges)
+    Graph::from_sorted_unique_edges(k * size, edges.iter().copied())
 }
 
 /// `G(n, p)` with a planted independent set: vertices `0..is_size` get no

@@ -137,36 +137,45 @@ impl Graph {
         Ok(b.build())
     }
 
-    /// Internal: assembles the CSR form from a deduplicated, validated edge
-    /// list. Used by [`crate::GraphBuilder`].
-    pub(crate) fn from_sorted_unique_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut degree = vec![0usize; n];
-        for &(u, v) in edges {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
+    /// Internal: assembles the CSR form from an edge list that is strictly
+    /// ascending with `u < v` in every pair, so free of duplicates and
+    /// self-loops. The iterator is walked twice: once to count degrees,
+    /// once to fill. Used by [`crate::GraphBuilder`] and the generators.
+    ///
+    /// The fill needs no per-list sort: every neighbour `w < x` of `x`
+    /// arrives as `(w, x)`, in ascending `w`, before `x`'s own row
+    /// `(x, v)` arrives in ascending `v`.
+    pub(crate) fn from_sorted_unique_edges<I>(n: usize, edges: I) -> Self
+    where
+        I: Iterator<Item = (u32, u32)> + Clone,
+    {
+        debug_assert!(
+            edges.clone().all(|(u, v)| u < v)
+                && edges.clone().zip(edges.clone().skip(1)).all(|(a, b)| a < b),
+            "edges must be strictly ascending with u < v"
+        );
+        let mut offsets = vec![0usize; n + 1];
+        let mut edge_count = 0;
+        for (u, v) in edges.clone() {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+            edge_count += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut acc = 0usize;
-        for &d in &degree {
-            acc += d;
-            offsets.push(acc);
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
-        let mut cursor = offsets.clone();
-        let mut adj = vec![NodeId::new(0); acc];
-        for &(u, v) in edges {
+        let mut cursor = offsets[..n].to_vec();
+        let mut adj = vec![NodeId::new(0); offsets[n]];
+        for (u, v) in edges {
             adj[cursor[u as usize]] = NodeId::new(v);
             cursor[u as usize] += 1;
             adj[cursor[v as usize]] = NodeId::new(u);
             cursor[v as usize] += 1;
         }
-        for v in 0..n {
-            adj[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
         Graph {
             offsets,
             adj,
-            edge_count: edges.len(),
+            edge_count,
         }
     }
 

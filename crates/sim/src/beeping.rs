@@ -29,7 +29,8 @@ const BEEP_BIT: u64 = 1;
 ///
 /// let g = generators::path(3); // 0-1-2
 /// let mut engine = BeepingEngine::new(&g);
-/// let heard = engine.round(&[true, false, false]);
+/// let mut heard = Vec::new(); // reused across rounds
+/// engine.round(&[true, false, false], &mut heard);
 /// assert_eq!(heard, vec![false, true, false]); // only 1 hears 0's beep
 /// assert_eq!(engine.ledger().rounds, 1);
 /// ```
@@ -77,23 +78,35 @@ impl<'g> BeepingEngine<'g> {
     }
 
     /// Executes one synchronous round: `beeps[v]` says whether node `v`
-    /// beeps. Returns, for each node, whether it heard at least one
-    /// *neighbor* beep (full duplex: independent of its own beep).
+    /// beeps. Overwrites `heard` with, for each node, whether it heard at
+    /// least one *neighbor* beep (full duplex: independent of its own
+    /// beep). Passing the same `heard` every round keeps warmed rounds
+    /// allocation-free.
     ///
     /// # Panics
     ///
     /// Panics if `beeps.len()` differs from the node count.
-    pub fn round(&mut self, beeps: &[bool]) -> Vec<bool> {
-        beep_round(&mut self.core, self.graph, beeps)
+    pub fn round(&mut self, beeps: &[bool], heard: &mut Vec<bool>) {
+        assert_eq!(
+            beeps.len(),
+            self.graph.node_count(),
+            "beep vector length must equal the node count"
+        );
+        let beepers = self.graph.nodes().filter(|v| beeps[v.index()]);
+        beep_round(&mut self.core, self.graph, beepers, heard);
     }
 
-    /// Executes one round where only `beepers` beep (sparse interface).
-    pub fn round_sparse(&mut self, beepers: &[NodeId]) -> Vec<bool> {
-        let mut beeps = vec![false; self.graph.node_count()];
-        for &v in beepers {
-            beeps[v.index()] = true;
-        }
-        self.round(&beeps)
+    /// Executes one round where only `beepers` beep (sparse interface);
+    /// `heard` is overwritten as in [`BeepingEngine::round`].
+    ///
+    /// `beepers` must be strictly ascending, so that no node beeps (and is
+    /// charged) twice; debug builds check this.
+    pub fn round_sparse(&mut self, beepers: &[NodeId], heard: &mut Vec<bool>) {
+        debug_assert!(
+            beepers.windows(2).all(|w| w[0] < w[1]),
+            "beepers must be strictly ascending"
+        );
+        beep_round(&mut self.core, self.graph, beepers.iter().copied(), heard);
     }
 }
 
@@ -107,7 +120,8 @@ mod tests {
         let g = generators::cycle(4);
         let mut e = BeepingEngine::new(&g);
         // Only node 0 beeps: neighbors 1 and 3 hear, 0 and 2 do not.
-        let heard = e.round(&[true, false, false, false]);
+        let mut heard = Vec::new();
+        e.round(&[true, false, false, false], &mut heard);
         assert_eq!(heard, vec![false, true, false, true]);
     }
 
@@ -115,7 +129,8 @@ mod tests {
     fn full_duplex_beeper_hears_beeping_neighbor() {
         let g = generators::path(2);
         let mut e = BeepingEngine::new(&g);
-        let heard = e.round(&[true, true]);
+        let mut heard = Vec::new();
+        e.round(&[true, true], &mut heard);
         assert_eq!(heard, vec![true, true]);
     }
 
@@ -123,16 +138,18 @@ mod tests {
     fn silence_is_heard_as_silence() {
         let g = generators::complete(5);
         let mut e = BeepingEngine::new(&g);
-        let heard = e.round(&[false; 5]);
-        assert!(heard.iter().all(|&h| !h));
+        let mut heard = vec![true; 5];
+        e.round(&[false; 5], &mut heard);
+        assert_eq!(heard, vec![false; 5], "stale contents are overwritten");
     }
 
     #[test]
     fn cannot_count_beepers_only_detect() {
         let g = generators::star(4);
         let mut e = BeepingEngine::new(&g);
-        let one = e.round(&[false, true, false, false]);
-        let many = e.round(&[false, true, true, true]);
+        let (mut one, mut many) = (Vec::new(), Vec::new());
+        e.round(&[false, true, false, false], &mut one);
+        e.round(&[false, true, true, true], &mut many);
         // The center's observation is identical in both cases.
         assert_eq!(one[0], many[0]);
     }
@@ -145,16 +162,18 @@ mod tests {
         let mut beeps = vec![false; 6];
         beeps[2] = true;
         beeps[5] = true;
-        let a = e1.round(&beeps);
-        let b = e2.round_sparse(&[NodeId::new(2), NodeId::new(5)]);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        e1.round(&beeps, &mut a);
+        e2.round_sparse(&[NodeId::new(2), NodeId::new(5)], &mut b);
         assert_eq!(a, b);
+        assert_eq!(e1.ledger(), e2.ledger());
     }
 
     #[test]
     fn ledger_counts_rounds_and_beep_bits() {
         let g = generators::star(5); // center degree 4
         let mut e = BeepingEngine::new(&g);
-        e.round(&[true, false, false, false, false]);
+        e.round(&[true, false, false, false, false], &mut Vec::new());
         assert_eq!(e.ledger().rounds, 1);
         // One beep over 4 links: 4 one-bit messages, not 1 four-bit one.
         assert_eq!(e.ledger().messages, 4);
@@ -165,14 +184,15 @@ mod tests {
     #[should_panic(expected = "length must equal")]
     fn wrong_length_panics() {
         let g = generators::path(3);
-        BeepingEngine::new(&g).round(&[true]);
+        BeepingEngine::new(&g).round(&[true], &mut Vec::new());
     }
 
     #[test]
     fn isolated_node_never_hears() {
         let g = cc_mis_graph::Graph::empty(3);
         let mut e = BeepingEngine::new(&g);
-        let heard = e.round(&[true, true, true]);
+        let mut heard = Vec::new();
+        e.round(&[true, true, true], &mut heard);
         assert_eq!(heard, vec![false, false, false]);
     }
 }

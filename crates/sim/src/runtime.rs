@@ -1130,37 +1130,34 @@ impl<M: Send + 'static> Drop for Inboxes<M> {
     }
 }
 
-/// Executes one beeping round on the shared core: `beeps[v]` says whether
-/// node `v` beeps; the result says, per node, whether it heard at least one
-/// *neighbor* beep (full duplex: independent of its own beep).
+/// Executes one beeping round on the shared core: the nodes `beepers`
+/// yields beep (each must be yielded at most once), and `heard` is
+/// overwritten with, per node, whether it heard at least one *neighbor*
+/// beep (full duplex: independent of its own beep). `heard` is resized to the node count and
+/// keeps its capacity, so a caller that passes the same buffer every round
+/// allocates nothing once it is warm.
 ///
 /// A beep is accounted as one 1-bit message per incident link — `degree`
 /// messages of 1 bit each, the information an adversary could extract per
 /// link (the model itself is weaker).
-///
-/// # Panics
-///
-/// Panics if `beeps.len()` differs from the node count.
-pub(crate) fn beep_round(core: &mut RoundCore, graph: &Graph, beeps: &[bool]) -> Vec<bool> {
-    assert_eq!(
-        beeps.len(),
-        graph.node_count(),
-        "beep vector length must equal the node count"
-    );
+pub(crate) fn beep_round(
+    core: &mut RoundCore,
+    graph: &Graph,
+    beepers: impl IntoIterator<Item = NodeId>,
+    heard: &mut Vec<bool>,
+) {
     let start_messages = core.ledger.messages;
     let start_bits = core.ledger.bits;
-    let mut heard = vec![false; beeps.len()];
-    for v in graph.nodes() {
-        if beeps[v.index()] {
-            let degree = graph.degree(v) as u64;
-            core.ledger.charge_fragments(degree, degree);
-            for &u in graph.neighbors(v) {
-                heard[u.index()] = true;
-            }
+    heard.clear();
+    heard.resize(graph.node_count(), false);
+    for v in beepers {
+        let degree = graph.degree(v) as u64;
+        core.ledger.charge_fragments(degree, degree);
+        for &u in graph.neighbors(v) {
+            heard[u.index()] = true;
         }
     }
     core.finish_round("beep", 0, Vec::new(), start_messages, start_bits);
-    heard
 }
 
 /// `(inbox size, node count)` pairs, ascending by size. Counting-bucket

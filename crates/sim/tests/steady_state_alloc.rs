@@ -15,8 +15,9 @@
 //! it carries need, not storage for all `n²` ordered pairs.
 //!
 //! All shapes run at one worker thread with no observer attached, and all
-//! but one with direct delivery; the framed shape goes through two
-//! in-process channel shards. The
+//! message-passing shapes but one with direct delivery; the framed shape
+//! goes through two in-process channel shards. The beeping shapes write
+//! each round's `heard` vector into one buffer the caller keeps. The
 //! parallel scatter (more than one thread, at least
 //! `PAR_DELIVER_MIN_MESSAGES` messages) spawns scoped workers every round
 //! and is deliberately out of scope. The thread override is global, so
@@ -31,6 +32,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cc_mis_graph::{generators, Graph, NodeId};
+use cc_mis_sim::beeping::BeepingEngine;
 use cc_mis_sim::bits::standard_bandwidth;
 use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::congest::CongestEngine;
@@ -225,6 +227,21 @@ fn warmed_rounds_make_zero_heap_allocations() {
     set_shards_override(None);
     set_backend_override(None);
 
+    // Beeping rounds, dense (every third node beeps) and sparse (every
+    // 50th), writing `heard` into one caller-owned buffer.
+    let mut engine = BeepingEngine::new(&graph);
+    let beeps: Vec<bool> = (0..graph.node_count()).map(|v| v % 3 == 0).collect();
+    let beepers: Vec<NodeId> = (0..graph.node_count()).step_by(50).map(node).collect();
+    let mut heard = Vec::new();
+    let beep_dense = allocations_per_round(|| {
+        engine.round(&beeps, &mut heard);
+        assert!(heard.contains(&true));
+    });
+    let beep_sparse = allocations_per_round(|| {
+        engine.round_sparse(&beepers, &mut heard);
+        assert!(heard.contains(&true));
+    });
+
     // A fresh clique engine's first round at n = 2048, fan-out 8: outbox,
     // arena and pair totals for 16,384 messages take about 1.7 MB with
     // vector growth; an n² pair-indexed array alone would be 32 MiB.
@@ -264,6 +281,11 @@ fn warmed_rounds_make_zero_heap_allocations() {
         (0, 0, 0, 0, 0),
         "heap allocations per warmed neighbour exchange (clique pull, clique push, \
          CONGEST pull, CONGEST push, pull through 2 channel shards)"
+    );
+    assert_eq!(
+        (beep_dense, beep_sparse),
+        (0, 0),
+        "heap allocations per warmed beeping round (dense, sparse)"
     );
     assert!(
         fresh_bytes < 4 << 20,

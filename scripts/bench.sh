@@ -18,9 +18,15 @@
 # results/bench_batch_throughput.json (see
 # crates/bench/src/regress.rs). Opt into it from CI via BENCH_CHECK=1
 # scripts/tier1.sh.
+#
+# Pins and the gate both run at one worker thread: at the default count,
+# `par_map_nodes` spawns scoped threads on every call, so small benches
+# (batch_throughput, mis_algorithms) would time thread spawns and host
+# load instead of the code under test.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p results
+export CC_MIS_THREADS=1
 
 SAMPLES="${SAMPLES:-3}"
 
