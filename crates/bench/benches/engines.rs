@@ -2,11 +2,12 @@
 //! clique, CONGEST, and beeping engines.
 
 use cc_mis_bench::harness::Harness;
-use cc_mis_graph::{generators, NodeId};
+use cc_mis_graph::{generators, Graph, NodeId};
 use cc_mis_sim::beeping::BeepingEngine;
 use cc_mis_sim::bits::standard_bandwidth;
 use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::congest::CongestEngine;
+use cc_mis_sim::Frontier;
 
 fn main() {
     // Engines persist across the bench iterations (as they do across the
@@ -61,9 +62,9 @@ fn main() {
     // One message from each sender to each receiving neighbour, as in the
     // exchange rounds of every MIS algorithm here, on a Kronecker graph,
     // each receiver folding what it gets into a per-node sum: the
-    // hand-written send loop plus `deliver` with the fold over the
-    // returned inboxes, against `exchange_with_neighbors` folding in its
-    // visitor. Shapes:
+    // hand-written send loop over every node plus `deliver` with the fold
+    // over the returned inboxes, against `exchange_with_neighbors` over the
+    // sender list and receiver frontier, folding in its visitor. Shapes:
     // * every node sending, all receiving (the exchange pulls);
     // * `_2pct`: 2% of nodes sending, all receiving (it pushes, i.e. runs
     //   the send loop);
@@ -72,22 +73,48 @@ fn main() {
     // * `_late`: a late-phase Theorem 1.1 announcement round, where 5% of
     //   the nodes are undecided and receive and 90% of those send. The
     //   senders' volume is most of the receivers', so the exchange pulls,
-    //   walking all `n` receiver flags for a few hundred messages.
+    //   walking only the receivers' adjacency for a few hundred messages;
+    // * `_tail`: a Theorem 1.1 tail round on `kronecker(16, 8)`, where the
+    //   hubs have long decided: 3 senders and about a dozen receivers (up
+    //   to 3 neighbours of degree at most 16 per sender, and a few other
+    //   nodes). The send loop still visits all 65,536 nodes; the exchange
+    //   visits only the frontiers.
     let mut h = Harness::new("neighbor_exchange");
-    let g = generators::kronecker(12, 8, 1);
-    let n = g.node_count();
-    let mask = |f: &dyn Fn(u32) -> bool| -> Vec<bool> { g.nodes().map(|v| f(v.raw())).collect() };
-    let everyone = mask(&|_| true);
-    let two_pct = mask(&|v| v.is_multiple_of(50));
-    let low_degree = mask(&|v| v.is_multiple_of(10) && g.degree(NodeId::new(v)) <= 4);
-    let undecided = mask(&|v| v.is_multiple_of(20));
-    let late_senders = mask(&|v| v.is_multiple_of(20) && !v.is_multiple_of(200));
-    for (suffix, senders, receivers) in [
-        ("", &everyone, &everyone),
-        ("_2pct", &two_pct, &everyone),
-        ("_announce", &low_degree, &everyone),
-        ("_late", &late_senders, &undecided),
+    let small = generators::kronecker(12, 8, 1);
+    let large = generators::kronecker(16, 8, 1);
+    let mask = |g: &Graph, f: &dyn Fn(u32) -> bool| -> Vec<bool> {
+        g.nodes().map(|v| f(v.raw())).collect()
+    };
+    let everyone = mask(&small, &|_| true);
+    let two_pct = mask(&small, &|v| v.is_multiple_of(50));
+    let low_degree = mask(&small, &|v| {
+        v.is_multiple_of(10) && small.degree(NodeId::new(v)) <= 4
+    });
+    let undecided = mask(&small, &|v| v.is_multiple_of(20));
+    let late_senders = mask(&small, &|v| v.is_multiple_of(20) && !v.is_multiple_of(200));
+    let light = |v: NodeId| large.degree(v) <= 16;
+    let mut tail_senders = mask(&large, &|_| false);
+    for start in [10_000, 30_000, 50_000] {
+        let v = (start..)
+            .map(NodeId::new)
+            .find(|&v| light(v) && large.degree(v) >= 3)
+            .expect("R-MAT graphs have light nodes");
+        tail_senders[v.index()] = true;
+    }
+    let mut tail_receivers = mask(&large, &|v| v % 7_919 == 11 && light(NodeId::new(v)));
+    for v in large.nodes().filter(|v| tail_senders[v.index()]) {
+        for &u in large.neighbors(v).iter().filter(|&&u| light(u)).take(3) {
+            tail_receivers[u.index()] = true;
+        }
+    }
+    for (suffix, g, senders, receivers) in [
+        ("", &small, &everyone, &everyone),
+        ("_2pct", &small, &two_pct, &everyone),
+        ("_announce", &small, &low_degree, &everyone),
+        ("_late", &small, &late_senders, &undecided),
+        ("_tail", &large, &tail_senders, &tail_receivers),
     ] {
+        let n = g.node_count();
         let message_of = |v: NodeId| senders[v.index()].then_some((7, v.raw()));
         let mut sums = vec![0u64; n];
         let mut e = CliqueEngine::strict(n, standard_bandwidth(n));
@@ -108,12 +135,20 @@ fn main() {
             }
             sums[0]
         });
+        let sender_ids: Vec<NodeId> = g.nodes().filter(|v| senders[v.index()]).collect();
+        let frontier = Frontier::from_mask(receivers);
         let mut e = CliqueEngine::strict(n, standard_bandwidth(n));
         h.bench(&format!("exchange{suffix}"), || {
             e.begin_round::<u32>()
-                .exchange_with_neighbors(&g, receivers, message_of, |u, _, &msg| {
-                    sums[u.index()] += u64::from(msg);
-                })
+                .exchange_with_neighbors(
+                    g,
+                    &sender_ids,
+                    &frontier,
+                    |v| (7, v.raw()),
+                    |u, _, &msg| {
+                        sums[u.index()] += u64::from(msg);
+                    },
+                )
                 .unwrap();
             sums[0]
         });

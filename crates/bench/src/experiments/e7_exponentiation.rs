@@ -12,6 +12,7 @@ use cc_mis_core::exponentiation::gather_balls;
 use cc_mis_graph::generators;
 use cc_mis_sim::bits::standard_bandwidth;
 use cc_mis_sim::clique::CliqueEngine;
+use cc_mis_sim::Frontier;
 
 /// Runs E7 and returns its tables.
 pub fn run(quick: bool) -> Vec<Table> {
@@ -36,7 +37,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     for &r in radii {
         let g = generators::cycle(n);
         let mut engine = CliqueEngine::strict(n, standard_bandwidth(n));
-        let res = gather_balls(&mut engine, &g, &vec![true; n], r, 20);
+        let res = gather_balls(&mut engine, &g, &Frontier::full(n), r, 20);
         let expected = if r <= 1 {
             0
         } else {
@@ -61,7 +62,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     for &d in degrees {
         let g = generators::random_regular(n, d, 3);
         let mut engine = CliqueEngine::strict(n, standard_bandwidth(n));
-        let res = gather_balls(&mut engine, &g, &vec![true; n], 4, record_bits);
+        let res = gather_balls(&mut engine, &g, &Frontier::full(n), 4, record_bits);
         let capacity = n as u64 * standard_bandwidth(n);
         let pressure = res.max_ball_edges as u64 * record_bits;
         t2.row(&[

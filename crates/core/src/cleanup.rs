@@ -11,24 +11,26 @@ use cc_mis_graph::{Graph, NodeId};
 use cc_mis_sim::bits::node_id_bits;
 use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::routing::{route, Packet};
+use cc_mis_sim::Frontier;
 
 use crate::greedy::greedy_mis_on_residual;
 
-/// Runs the leader clean-up on the residual graph induced by `alive`,
+/// Runs the leader clean-up on the residual graph induced by `residual`,
 /// charging the engine for every round. Returns the nodes the leader adds
 /// to the MIS, sorted by id.
 ///
 /// Round bill: 1 round for aliveness reporting, the measured Lenzen-routing
 /// rounds for edge collection (`O(1)` whenever the residual has `O(n)`
-/// edges), and 1 round to inform the selected nodes.
+/// edges), and 1 round to inform the selected nodes. The residual edges are
+/// read off the residual nodes' adjacency only.
 ///
 /// # Panics
 ///
-/// Panics if `alive.len()` differs from the node count or the engine is
-/// smaller than the graph.
-pub fn leader_cleanup(engine: &mut CliqueEngine, g: &Graph, alive: &[bool]) -> Vec<NodeId> {
+/// Panics if `residual` is not drawn from the graph's nodes or the engine
+/// is smaller than the graph.
+pub fn leader_cleanup(engine: &mut CliqueEngine, g: &Graph, residual: &Frontier) -> Vec<NodeId> {
     let n = g.node_count();
-    assert_eq!(alive.len(), n, "alive mask must cover the graph");
+    assert_eq!(residual.universe(), n, "residual must cover the graph");
     assert!(
         engine.node_count() >= n.max(1),
         "engine too small for the graph"
@@ -41,8 +43,8 @@ pub fn leader_cleanup(engine: &mut CliqueEngine, g: &Graph, alive: &[bool]) -> V
     // Round 1: every alive node reports to the leader (the leader knows its
     // own state locally).
     let mut round = engine.begin_round::<()>();
-    for v in g.nodes() {
-        if alive[v.index()] && v != leader {
+    for &v in residual.ids() {
+        if v != leader {
             round.send(v, leader, 1, ()).expect("alive bit fits");
         }
     }
@@ -51,9 +53,8 @@ pub fn leader_cleanup(engine: &mut CliqueEngine, g: &Graph, alive: &[bool]) -> V
     // Residual edges travel to the leader via Lenzen routing; the lower
     // endpoint of each alive-alive edge is responsible for it.
     let id_bits = node_id_bits(n).max(1);
-    let packets: Vec<Packet<(u32, u32)>> = g
-        .edges()
-        .filter(|&(u, v)| alive[u.index()] && alive[v.index()])
+    let packets: Vec<Packet<(u32, u32)>> = residual
+        .induced_edges(g)
         .map(|(u, v)| Packet {
             src: u,
             dst: leader,
@@ -68,7 +69,7 @@ pub fn leader_cleanup(engine: &mut CliqueEngine, g: &Graph, alive: &[bool]) -> V
         .collect();
 
     // Leader solves the residual instance centrally.
-    let additions = greedy_mis_on_residual(n, alive, &residual_edges);
+    let additions = greedy_mis_on_residual(residual.ids(), &residual_edges);
 
     // Final round: the leader informs the selected nodes.
     let mut round = engine.begin_round::<()>();
@@ -97,7 +98,7 @@ mod tests {
         let g = generators::erdos_renyi_gnp(50, 0.1, 1);
         let alive = vec![true; 50];
         let mut engine = engine_for(50);
-        let mis = leader_cleanup(&mut engine, &g, &alive);
+        let mis = leader_cleanup(&mut engine, &g, &Frontier::from_mask(&alive));
         assert!(checks::is_maximal_independent_set(&g, &mis));
         assert!(engine.ledger().rounds >= 2);
     }
@@ -111,7 +112,7 @@ mod tests {
         alive[2] = true;
         alive[4] = true;
         let mut engine = engine_for(6);
-        let mis = leader_cleanup(&mut engine, &g, &alive);
+        let mis = leader_cleanup(&mut engine, &g, &Frontier::from_mask(&alive));
         assert_eq!(mis, vec![NodeId::new(2)]);
     }
 
@@ -120,7 +121,7 @@ mod tests {
         let g = generators::cycle(8);
         let alive = vec![false; 8];
         let mut engine = engine_for(8);
-        let mis = leader_cleanup(&mut engine, &g, &alive);
+        let mis = leader_cleanup(&mut engine, &g, &Frontier::from_mask(&alive));
         assert!(mis.is_empty());
         // Aliveness round + inform round; no routing rounds.
         assert_eq!(engine.ledger().rounds, 2);
@@ -131,7 +132,7 @@ mod tests {
         let g = generators::path(3);
         let alive = vec![true; 3];
         let mut engine = engine_for(3);
-        let mis = leader_cleanup(&mut engine, &g, &alive);
+        let mis = leader_cleanup(&mut engine, &g, &Frontier::from_mask(&alive));
         assert_eq!(mis, vec![NodeId::new(0), NodeId::new(2)]);
     }
 
@@ -141,7 +142,7 @@ mod tests {
         let g = generators::erdos_renyi_gnm(200, 300, 7);
         let alive = vec![true; 200];
         let mut engine = engine_for(200);
-        let mis = leader_cleanup(&mut engine, &g, &alive);
+        let mis = leader_cleanup(&mut engine, &g, &Frontier::from_mask(&alive));
         assert!(checks::is_maximal_independent_set(&g, &mis));
         assert!(
             engine.ledger().rounds <= 12,

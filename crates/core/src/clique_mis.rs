@@ -40,7 +40,6 @@
 //! [`crate::sparsified::run_sparsified`]'s full state trajectory
 //! bit-for-bit under a shared seed (enforced by tests).
 
-use cc_mis_graph::ops::filter_vertices;
 use cc_mis_graph::{Graph, NodeId};
 use cc_mis_sim::bits::{node_id_bits, standard_bandwidth, COIN_BITS, PROBABILITY_EXPONENT_BITS};
 use cc_mis_sim::clique::CliqueEngine;
@@ -49,7 +48,7 @@ use cc_mis_sim::rng::{SharedRandomness, Stream};
 use cc_mis_sim::shard::{Wire, WireCursor};
 use cc_mis_sim::snapshot::graph_fingerprint;
 use cc_mis_sim::snapshot_fields;
-use cc_mis_sim::{RoundLedger, SharedObserver};
+use cc_mis_sim::{Frontier, RoundLedger, SharedObserver};
 
 use crate::cleanup::leader_cleanup;
 use crate::common::{check_node_vec_len, double_capped, halve, p_of, MisOutcome, INITIAL_PEXP};
@@ -209,6 +208,12 @@ pub struct CliqueMisExecution<'a> {
     mis: Vec<NodeId>,
     residual_nodes: usize,
     residual_edges: usize,
+    /// The undecided nodes: derived from `removed_at` (rebuilt on restore,
+    /// never serialised) and shrunk at the end of every phase.
+    frontier: Frontier,
+    /// The current phase's sampled set `S`, reassigned every phase (its
+    /// slot table is allocated once).
+    sampled: Frontier,
 }
 
 impl<'a> CliqueMisExecution<'a> {
@@ -248,13 +253,24 @@ impl<'a> CliqueMisExecution<'a> {
             mis: Vec::new(),
             residual_nodes: 0,
             residual_edges: 0,
+            frontier: Frontier::full(n),
+            sampled: Frontier::empty(n),
         }
     }
 
+    /// The undecided nodes.
+    pub fn frontier(&self) -> &Frontier {
+        &self.frontier
+    }
+
     /// Runs one full phase of the simulation (steps 1–5 of the module doc).
+    ///
+    /// Every step walks the frontier of undecided nodes, and every
+    /// per-phase vector is indexed by frontier position (or, for the
+    /// replay results, by position in `S`), so a phase costs the frontier
+    /// and its volume, not `n`.
     fn step_phase(&mut self) {
         let g = self.g;
-        let n = g.node_count();
         let t0 = self.t0;
         let params = self.params;
         let len = (params.max_iterations - t0).min(params.phase_len as u64) as usize;
@@ -262,33 +278,38 @@ impl<'a> CliqueMisExecution<'a> {
             .ledger_mut()
             .begin_phase(format!("phase t0={t0}"));
         let rounds_before = self.engine.ledger().rounds;
-        let alive0: Vec<bool> = self.removed_at.iter().map(Option::is_none).collect();
         let rng = self.rng;
+        // The undecided nodes at phase start; the frontier shrinks only
+        // once the phase is applied.
+        let frontier = &self.frontier;
+        let live = frontier.ids();
+        let at = |v: NodeId| frontier.position(v);
 
         // ===== 1. p-exchange round =====
         // Each receiver sums its neighbours' probabilities in sender order,
         // so the f64 sums are those of the direct execution.
         let pexp0 = &self.pexp;
-        let mut d = vec![0.0f64; n];
+        let mut d = vec![0.0f64; live.len()];
         self.engine
             .begin_round::<u32>()
             .exchange_with_neighbors(
                 g,
-                &alive0,
-                |v| alive0[v.index()].then(|| (PROBABILITY_EXPONENT_BITS, pexp0[v.index()])),
-                |u, _, &pe| d[u.index()] += p_of(pe),
+                live,
+                frontier,
+                |v| (PROBABILITY_EXPONENT_BITS, pexp0[v.index()]),
+                |u, _, &pe| d[at(u)] += p_of(pe),
             )
             .expect("p exponent fits the bandwidth");
         let threshold = params.super_heavy_threshold();
-        let super_heavy: Vec<bool> = (0..n).map(|i| alive0[i] && d[i] >= threshold).collect();
+        let super_heavy: Vec<bool> = d.iter().map(|&d| d >= threshold).collect();
 
         // Super-heavy beep vectors: p halves deterministically, so the
         // schedule is a pure function of (pexp0, coins).
-        let sh_vector = |i: usize| -> u64 {
+        let sh_vector = |v: NodeId| -> u64 {
             let mut vec = 0u64;
-            let mut pe = pexp0[i];
+            let mut pe = pexp0[v.index()];
             for k in 0..len {
-                if rng.coin(Stream::Beep, NodeId::new(i as u32), t0 + k as u64) <= p_of(pe) {
+                if rng.coin(Stream::Beep, v, t0 + k as u64) <= p_of(pe) {
                     vec |= 1 << k;
                 }
                 pe = halve(pe);
@@ -297,47 +318,45 @@ impl<'a> CliqueMisExecution<'a> {
         };
 
         // Sampled superset S (each node evaluates its own coins).
-        let in_s = sample_set(g, &rng, pexp0, &alive0, &super_heavy, t0, len);
+        let candidates: Vec<NodeId> = live
+            .iter()
+            .zip(&super_heavy)
+            .filter_map(|(&v, &sh)| (!sh).then_some(v))
+            .collect();
+        self.sampled
+            .assign(sample_set(&rng, pexp0, &candidates, t0, len));
+        let sampled = &self.sampled;
 
         // ===== 2. Commitment round: (beep vector if super-heavy, in S?) =====
         // Per node: the OR of its super-heavy neighbours' schedules. Only a
         // super-heavy sender carries its vector; every sender declares the
         // super-heavy bit and the `in S` bit. The `in S` bits tell each
-        // node its incident edges of G[S], which `filter_vertices` reads
-        // off `g` directly below.
-        let mut sh_or = vec![0u64; n];
+        // node its incident edges of G[S], which the gather below reads
+        // off `g` directly.
+        let mut sh_or = vec![0u64; live.len()];
         self.engine
             .begin_round::<(Option<u64>, bool)>()
             .exchange_with_neighbors(
                 g,
-                &alive0,
+                live,
+                frontier,
                 |v| {
-                    let i = v.index();
-                    if !alive0[i] {
-                        return None;
-                    }
-                    let vec = super_heavy[i].then(|| sh_vector(i));
-                    let bits = 2 + if super_heavy[i] { len as u64 } else { 0 };
-                    Some((bits, (vec, in_s[i])))
+                    let heavy = super_heavy[at(v)];
+                    let vec = heavy.then(|| sh_vector(v));
+                    let bits = 2 + if heavy { len as u64 } else { 0 };
+                    (bits, (vec, sampled.contains(v)))
                 },
                 |u, _, &(vec, _)| {
                     if let Some(vec) = vec {
-                        sh_or[u.index()] |= vec;
+                        sh_or[at(u)] |= vec;
                     }
                 },
             )
             .expect("commitment fits the bandwidth");
 
         // ===== 3. Gather P-hop balls in G[S] =====
-        // The gather graph mirrors exactly what nodes know: their own
-        // incident S–S edges.
-        let g_s = filter_vertices(g, |v| in_s[v.index()]);
-        let max_s_degree = (0..n)
-            .filter(|&i| in_s[i])
-            .map(|i| g_s.degree(NodeId::new(i as u32)))
-            .max()
-            .unwrap_or(0);
-        // Record size: edge (2 ids) + both endpoints' decorations
+        // The gather walks exactly what nodes know: their own incident S–S
+        // edges. Record size: edge (2 ids) + both endpoints' decorations
         // (p exponent, super-heavy OR schedule, and the phase's coins).
         let decoration_bits = PROBABILITY_EXPONENT_BITS + len as u64 + len as u64 * COIN_BITS;
         let record_bits = 2 * self.id_bits + 2 * decoration_bits;
@@ -347,28 +366,25 @@ impl<'a> CliqueMisExecution<'a> {
         // paper's Lemma 2.13 absorbs this factor into its constants). With
         // radius 2·len the replay below is exact for the center through the
         // whole phase.
-        let gather = gather_balls(&mut self.engine, &g_s, &in_s, (2 * len).max(1), record_bits);
+        let gather = gather_balls(&mut self.engine, g, sampled, (2 * len).max(1), record_bits);
 
         // ===== 4. Local replay per S-node (Lemma 2.13) =====
         // Each replay is a pure function of the gathered ball and the
         // addressable randomness, so S-nodes with equal balls share one
-        // replay (`crate::replay`), and each reads its own row.
-        let pexp0 = &self.pexp;
-        let mut announcements: Vec<Option<Announcement>> = vec![None; n];
-        let mut replayed_pexp: Vec<Option<u32>> = vec![None; n];
-        let mut replayed_removed: Vec<Option<Option<u8>>> = vec![None; n];
+        // replay (`crate::replay`), and each reads its own row: its
+        // announcement, final probability exponent and removal offset.
+        let mut replayed: Vec<Option<(Announcement, u32, Option<u8>)>> = vec![None; sampled.len()];
         let mut replay = PhaseReplay::default();
         for_each_distinct_ball(&gather, |ball, members| {
-            replay.run(ball, pexp0, &sh_or, &rng, t0, len);
+            replay.run(ball, pexp0, |v| sh_or[at(v)], &rng, t0, len);
             for &s in members {
                 let i = ball.local(s);
-                let s = s as usize;
-                announcements[s] = Some(Announcement {
+                let ann = Announcement {
                     beeps: replay.beeps[i],
                     joined_k: replay.joined[i],
-                });
-                replayed_pexp[s] = Some(replay.pexp[i]);
-                replayed_removed[s] = Some(replay.removed[i]);
+                };
+                replayed[sampled.position(NodeId::new(s))] =
+                    Some((ann, replay.pexp[i], replay.removed[i]));
             }
         });
 
@@ -377,19 +393,23 @@ impl<'a> CliqueMisExecution<'a> {
         // the earliest join among them.
         let ann_bits =
             len as u64 + (len as u64 + 1).next_power_of_two().trailing_zeros() as u64 + 1;
-        let mut heard_or = vec![0u64; n];
-        let mut first_join: Vec<Option<u8>> = vec![None; n];
+        let mut heard_or = vec![0u64; live.len()];
+        let mut first_join: Vec<Option<u8>> = vec![None; live.len()];
         self.engine
             .begin_round::<Announcement>()
             .exchange_with_neighbors(
                 g,
-                &alive0,
-                |v| announcements[v.index()].map(|ann| (ann_bits, ann)),
+                sampled.ids(),
+                frontier,
+                |s| {
+                    let (ann, _, _) = replayed[sampled.position(s)].expect("replayed");
+                    (ann_bits, ann)
+                },
                 |u, _, ann| {
-                    let i = u.index();
-                    heard_or[i] |= ann.beeps;
-                    if let Some(k) = ann.joined_k {
-                        first_join[i] = Some(first_join[i].map_or(k, |j| j.min(k)));
+                    let k = at(u);
+                    heard_or[k] |= ann.beeps;
+                    if let Some(j) = ann.joined_k {
+                        first_join[k] = Some(first_join[k].map_or(j, |f| f.min(j)));
                     }
                 },
             )
@@ -397,43 +417,41 @@ impl<'a> CliqueMisExecution<'a> {
 
         // Apply the phase outcome to the global state, exactly mirroring
         // the direct algorithm's update order.
-        for i in 0..n {
-            if !alive0[i] {
-                continue;
-            }
-            if super_heavy[i] {
+        for (k, &v) in live.iter().enumerate() {
+            let i = v.index();
+            if super_heavy[k] {
                 // Deterministic halving for the whole phase.
                 for _ in 0..len {
                     self.pexp[i] = halve(self.pexp[i]);
                 }
                 // Removed when the earliest neighbor join happens.
-                if let Some(k) = first_join[i] {
-                    self.removed_at[i] = Some(t0 + k as u64);
+                if let Some(j) = first_join[k] {
+                    self.removed_at[i] = Some(t0 + j as u64);
                     self.undecided -= 1;
                 }
-            } else if in_s[i] {
-                self.pexp[i] = replayed_pexp[i].expect("replayed");
-                let ann = announcements[i].expect("announced");
-                if let Some(k) = ann.joined_k {
-                    self.joined_at[i] = Some(t0 + k as u64);
+            } else if sampled.contains(v) {
+                let (ann, pexp, removed) = replayed[sampled.position(v)].expect("replayed");
+                self.pexp[i] = pexp;
+                if let Some(j) = ann.joined_k {
+                    self.joined_at[i] = Some(t0 + j as u64);
                 }
-                if let Some(k) = replayed_removed[i].expect("replayed") {
-                    self.removed_at[i] = Some(t0 + k as u64);
+                if let Some(j) = removed {
+                    self.removed_at[i] = Some(t0 + j as u64);
                     self.undecided -= 1;
                 }
             } else {
                 // Watcher: reconstruct hearing from super-heavy schedules
                 // and S-neighbors' realized beeps; removed at the earliest
                 // neighbor join.
-                let heard = sh_or[i] | heard_or[i];
-                for k in 0..len as u8 {
-                    self.pexp[i] = if (heard >> k) & 1 == 1 {
+                let heard = sh_or[k] | heard_or[k];
+                for j in 0..len as u8 {
+                    self.pexp[i] = if (heard >> j) & 1 == 1 {
                         halve(self.pexp[i])
                     } else {
                         double_capped(self.pexp[i])
                     };
-                    if first_join[i] == Some(k) {
-                        self.removed_at[i] = Some(t0 + k as u64);
+                    if first_join[k] == Some(j) {
+                        self.removed_at[i] = Some(t0 + j as u64);
                         self.undecided -= 1;
                         break;
                     }
@@ -445,32 +463,28 @@ impl<'a> CliqueMisExecution<'a> {
         self.phases.push(CliquePhaseStats {
             start_iteration: t0,
             len,
-            alive_at_start: alive0.iter().filter(|&&a| a).count(),
+            alive_at_start: live.len(),
             super_heavy: super_heavy.iter().filter(|&&s| s).count(),
-            sampled: in_s.iter().filter(|&&s| s).count(),
-            max_s_degree,
+            sampled: sampled.len(),
+            max_s_degree: gather.max_degree,
             max_ball_edges: gather.max_ball_edges,
             gather_rounds: gather.rounds,
             phase_rounds,
         });
+        let removed_at = &self.removed_at;
+        self.frontier.retain(|v| removed_at[v.index()].is_none());
+        debug_assert_eq!(self.frontier.len(), self.undecided);
         self.t0 += len as u64;
     }
 
     /// The final step: record the residual statistics and (unless skipped)
-    /// run the leader clean-up.
+    /// run the leader clean-up. The residual is the frontier, so both walk
+    /// only the residual nodes' adjacency.
     fn step_cleanup(&mut self) {
         let g = self.g;
         let n = g.node_count();
-        let residual: Vec<NodeId> = (0..n)
-            .filter(|&i| self.removed_at[i].is_none())
-            .map(|i| NodeId::new(i as u32))
-            .collect();
-        self.residual_edges = g
-            .edges()
-            .filter(|&(u, v)| {
-                self.removed_at[u.index()].is_none() && self.removed_at[v.index()].is_none()
-            })
-            .count();
+        let residual = &self.frontier;
+        self.residual_edges = residual.induced_edges(g).count();
         self.residual_nodes = residual.len();
 
         let mut mis: Vec<NodeId> = (0..n)
@@ -479,11 +493,7 @@ impl<'a> CliqueMisExecution<'a> {
             .collect();
         if !self.cfg.skip_cleanup && n > 0 {
             self.engine.ledger_mut().begin_phase("cleanup");
-            let mut alive = vec![false; n];
-            for &v in &residual {
-                alive[v.index()] = true;
-            }
-            let additions = leader_cleanup(&mut self.engine, g, &alive);
+            let additions = leader_cleanup(&mut self.engine, g, residual);
             mis.extend(additions);
             mis.sort_unstable();
         }
@@ -556,6 +566,9 @@ impl Execution for CliqueMisExecution<'_> {
             check_node_vec_len("pexp vector length", self.pexp.len(), n)?;
             check_node_vec_len("joined_at vector length", self.joined_at.len(), n)?;
             check_node_vec_len("removed_at vector length", self.removed_at.len(), n)?;
+            let removed_at = &self.removed_at;
+            self.frontier = Frontier::full(n);
+            self.frontier.retain(|v| removed_at[v.index()].is_none());
         }
     }
 }
@@ -587,6 +600,8 @@ pub fn run_clique_mis_outcome_observed(
 #[derive(Debug, Default)]
 struct PhaseReplay {
     pexp: Vec<u32>,
+    /// Per local node: the OR of its super-heavy neighbours' schedules.
+    sh_heard: Vec<u64>,
     beeps: Vec<u64>,
     joined: Vec<Option<u8>>,
     removed: Vec<Option<u8>>,
@@ -604,7 +619,7 @@ impl PhaseReplay {
         &mut self,
         ball: &LocalBall,
         pexp0: &[u32],
-        sh_or: &[u64],
+        sh_or: impl Fn(NodeId) -> u64,
         rng: &SharedRandomness,
         t0: u64,
         len: usize,
@@ -612,6 +627,7 @@ impl PhaseReplay {
         let m = ball.len();
         let PhaseReplay {
             pexp,
+            sh_heard,
             beeps,
             joined,
             removed,
@@ -620,6 +636,8 @@ impl PhaseReplay {
         } = self;
         pexp.clear();
         pexp.extend((0..m).map(|i| pexp0[ball.id(i).index()]));
+        sh_heard.clear();
+        sh_heard.extend((0..m).map(|i| sh_or(ball.id(i))));
         beeps.clear();
         beeps.resize(m, 0);
         joined.clear();
@@ -640,7 +658,7 @@ impl PhaseReplay {
                 if removed[i].is_some() {
                     continue;
                 }
-                let heard = (sh_or[ball.id(i).index()] >> k) & 1 == 1
+                let heard = (sh_heard[i] >> k) & 1 == 1
                     || ball.neighbors(i).iter().any(|&u| beeping[u as usize]);
                 if beeping[i] && !heard {
                     joins.push(i);

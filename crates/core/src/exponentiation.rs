@@ -32,15 +32,16 @@
 //! if it were copied). Unions run against a membership bitmap (no hashing
 //! anywhere), stop early once a ball holds every participant edge, and
 //! emit the new ball in order by scanning the bitmap when it is no longer
-//! than the ball, else by sorting only the newly learned ids. After the
-//! `O(n + m)` set-up, every step pays for participants, packets and ball
-//! sizes, never for `n`. The round/bit accounting is unchanged: payload
-//! bits (`ball edges × record_bits`) and packet targets are computed
-//! exactly as before.
+//! than the ball, else by sorting only the newly learned ids. The set-up
+//! walks the participants' adjacency, and every step pays for
+//! participants, packets and ball sizes, never for `n` or `m`. The
+//! round/bit accounting is unchanged: payload bits (`ball edges ×
+//! record_bits`) and packet targets are computed exactly as before.
 
 use cc_mis_graph::{Graph, NodeId};
 use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::routing::{route, Packet};
+use cc_mis_sim::Frontier;
 
 /// Packs an edge `(a, b)` into a single `u64` key (`a` in the high bits).
 /// Sorting keys sorts the edges lexicographically by `(a, b)`.
@@ -73,6 +74,9 @@ pub struct GatherResult {
     pub rounds: u64,
     /// Largest ball, in edges, at the end.
     pub max_ball_edges: usize,
+    /// Largest participant degree within the participant-induced subgraph
+    /// (its radius-1 ball).
+    pub max_degree: usize,
 }
 
 impl GatherResult {
@@ -236,29 +240,32 @@ impl SortedUnion {
     }
 }
 
-/// Gathers, for every `participant` node, all edges of `gather` within
-/// distance `radius` of it.
+/// Gathers, for every participant, all edges of `g` among participants
+/// within distance `radius` of it.
 ///
-/// `gather` must have the same vertex numbering as the engine; its edges
-/// are the knowledge being learned (for §2.4 this is `G[S]`; for §2.5 it is
-/// `G` itself). Only participants hold and exchange knowledge; edges with a
-/// non-participant endpoint are assumed absent from `gather` (and are
-/// ignored if present).
+/// `g` must have the same vertex numbering as the engine. The knowledge
+/// being learned is `g[participants]`: only participants hold and exchange
+/// knowledge, and only edges with both ends in `participants` count (for
+/// §2.4 this is `G[S]`; for §2.5 it is `G` itself). The set-up walks the
+/// participants' adjacency only, in ascending `(u, v)` order, so a gather
+/// costs nothing for the rest of the graph.
 ///
 /// # Panics
 ///
-/// Panics if `radius == 0` or the mask length mismatches the graph.
+/// Panics if `radius == 0` or `participants` is not drawn from `g`'s
+/// nodes.
 ///
 /// # Example
 ///
 /// ```
 /// use cc_mis_core::exponentiation::gather_balls;
 /// use cc_mis_sim::clique::CliqueEngine;
+/// use cc_mis_sim::Frontier;
 /// use cc_mis_graph::{generators, NodeId};
 ///
 /// let g = generators::path(6);
 /// let mut engine = CliqueEngine::strict(6, 64);
-/// let res = gather_balls(&mut engine, &g, &vec![true; 6], 2, 20);
+/// let res = gather_balls(&mut engine, &g, &Frontier::full(6), 2, 20);
 /// // Node 0 sees edges (0,1) and (1,2) — its 2-hop ball on a path.
 /// let ball = res.ball(NodeId::new(0));
 /// assert!(ball.contains(0, 1));
@@ -267,46 +274,40 @@ impl SortedUnion {
 /// ```
 pub fn gather_balls(
     engine: &mut CliqueEngine,
-    gather: &Graph,
-    participant: &[bool],
+    g: &Graph,
+    participants: &Frontier,
     radius: usize,
     record_bits: u64,
 ) -> GatherResult {
     assert!(radius >= 1, "radius must be at least 1");
     assert_eq!(
-        participant.len(),
-        gather.node_count(),
-        "participant mask mismatch"
+        participants.universe(),
+        g.node_count(),
+        "participant set mismatch"
     );
-    let n = gather.node_count();
 
-    // Participant slots. `slot_of` is read only at participants, so the
-    // zeroed allocation needs no fill.
-    let mut members: Vec<u32> = Vec::new();
-    let mut slot_of: Vec<u32> = vec![0; n];
-    for (v, _) in participant.iter().enumerate().filter(|(_, &p)| p) {
-        slot_of[v] = members.len() as u32;
-        members.push(v as u32);
-    }
+    // Participant slots are the frontier's positions.
+    let members: Vec<u32> = participants.ids().iter().map(|v| v.raw()).collect();
     let k = members.len();
+    let slot_of = |v: NodeId| participants.position(v);
 
-    // Dense edge ids over the participant-filtered edge set, in ascending
-    // key order (`edges()` iterates in ascending `(u, v)` order).
+    // Dense edge ids over the participant-induced edge set, in ascending
+    // key order (`induced_edges` walks the participants' adjacency in
+    // ascending `(u, v)` order).
     let mut edge_keys: Vec<u64> = Vec::new();
     let mut ends: Vec<(u32, u32)> = Vec::new();
     let mut balls: Vec<Vec<u32>> = vec![Vec::new(); k];
-    for (u, v) in gather.edges() {
-        if participant[u.index()] && participant[v.index()] {
-            let id = edge_keys.len() as u32;
-            let (su, sv) = (slot_of[u.index()], slot_of[v.index()]);
-            edge_keys.push(pack_edge(u.raw(), v.raw()));
-            ends.push((su, sv));
-            // Radius-1 initialization: incident edges. Ids are appended in
-            // ascending order, so every ball starts sorted.
-            balls[su as usize].push(id);
-            balls[sv as usize].push(id);
-        }
+    for (u, v) in participants.induced_edges(g) {
+        let id = edge_keys.len() as u32;
+        let (su, sv) = (slot_of(u) as u32, slot_of(v) as u32);
+        edge_keys.push(pack_edge(u.raw(), v.raw()));
+        ends.push((su, sv));
+        // Radius-1 initialization: incident edges. Ids are appended in
+        // ascending order, so every ball starts sorted.
+        balls[su as usize].push(id);
+        balls[sv as usize].push(id);
     }
+    let max_degree = balls.iter().map(Vec::len).max().unwrap_or(0);
     debug_assert!(edge_keys.is_sorted());
     let m_part = edge_keys.len();
     let steps = if radius <= 1 {
@@ -351,7 +352,7 @@ pub fn gather_balls(
         // Unions read the previous step's balls; replacements land after.
         let mut grown: Vec<(usize, Vec<u32>, Vec<u32>)> = Vec::new();
         for inbox in delivery.nonempty() {
-            let x = slot_of[inbox[0].dst.index()] as usize;
+            let x = slot_of(inbox[0].dst);
             edges_union.start(&balls[x]);
             nodes_union.start(&spans[x]);
             let mut count = balls[x].len();
@@ -361,7 +362,7 @@ pub fn gather_balls(
                 if count == m_part {
                     break;
                 }
-                for &id in &balls[slot_of[packet.src.index()] as usize] {
+                for &id in &balls[slot_of(packet.src)] {
                     if edges_union.insert(id) {
                         count += 1;
                         let (a, b) = ends[id as usize];
@@ -396,6 +397,7 @@ pub fn gather_balls(
         steps: steps_run,
         rounds: total_rounds,
         max_ball_edges,
+        max_degree,
     }
 }
 
@@ -480,7 +482,7 @@ mod tests {
         ] {
             let n = g.node_count();
             let mut engine = engine_for(n);
-            let res = gather_balls(&mut engine, &g, &vec![true; n], radius, 24);
+            let res = gather_balls(&mut engine, &g, &Frontier::full(n), radius, 24);
             for v in g.nodes() {
                 let expected = bfs_ball(&g, v, radius);
                 assert!(
@@ -504,7 +506,7 @@ mod tests {
         ] {
             let n = g.node_count();
             let mut engine = engine_for(n);
-            let res = gather_balls(&mut engine, &g, &vec![true; n], radius, 24);
+            let res = gather_balls(&mut engine, &g, &Frontier::full(n), radius, 24);
             let reach = 1usize << res.steps;
             for v in g.nodes() {
                 assert_eq!(
@@ -522,7 +524,7 @@ mod tests {
         let n = g.node_count();
         let mut engine = engine_for(n);
         // radius 3 → 2 steps → effective radius 4.
-        let res = gather_balls(&mut engine, &g, &vec![true; n], 3, 24);
+        let res = gather_balls(&mut engine, &g, &Frontier::full(n), 3, 24);
         assert_eq!(res.steps, 2);
         let ball0 = as_set(ball_of(&res, 0));
         let reach = bfs_ball(&g, NodeId::new(0), 4);
@@ -534,7 +536,7 @@ mod tests {
         let g = generators::cycle(64);
         for (radius, expected_steps) in [(1, 0), (2, 1), (3, 2), (4, 2), (8, 3), (9, 4)] {
             let mut engine = engine_for(64);
-            let res = gather_balls(&mut engine, &g, &[true; 64], radius, 16);
+            let res = gather_balls(&mut engine, &g, &Frontier::full(64), radius, 16);
             assert_eq!(res.steps, expected_steps, "radius {radius}");
         }
     }
@@ -545,13 +547,37 @@ mod tests {
         // small. A cycle has 2 edges per ball initially.
         let g = generators::cycle(128);
         let mut engine = engine_for(128);
-        let res = gather_balls(&mut engine, &g, &[true; 128], 4, 16);
+        let res = gather_balls(&mut engine, &g, &Frontier::full(128), 4, 16);
         assert!(
             res.rounds <= 8 * res.steps.max(1),
             "{} rounds over {} steps",
             res.rounds,
             res.steps
         );
+    }
+
+    /// Walking the participants' adjacency in `G` gathers exactly what the
+    /// filtered graph `G[S]` gave: the same balls, the same routing and
+    /// the same ledger, and the radius-1 balls give `G[S]`'s max degree.
+    #[test]
+    fn induced_walk_matches_the_filtered_graph() {
+        for seed in 0..12u64 {
+            let g = generators::erdos_renyi_gnp(40, 0.15, seed);
+            let mask: Vec<bool> = (0..40u64).map(|v| (v * 7 + seed) % 3 != 0).collect();
+            let filtered = cc_mis_graph::ops::filter_vertices(&g, |v| mask[v.index()]);
+            let s = Frontier::from_mask(&mask);
+            let (mut direct, mut reference) = (engine_for(40), engine_for(40));
+            let got = gather_balls(&mut direct, &g, &s, 4, 24);
+            let want = gather_balls(&mut reference, &filtered, &s, 4, 24);
+            for v in 0..40 {
+                assert_eq!(as_set(ball_of(&got, v)), as_set(ball_of(&want, v)));
+            }
+            assert_eq!((got.steps, got.rounds), (want.steps, want.rounds));
+            assert_eq!(got.max_ball_edges, want.max_ball_edges);
+            assert_eq!(direct.ledger(), reference.ledger(), "seed {seed}");
+            let max_degree = s.ids().iter().map(|&v| filtered.degree(v)).max();
+            assert_eq!(got.max_degree, max_degree.unwrap_or(0));
+        }
     }
 
     #[test]
@@ -563,7 +589,7 @@ mod tests {
         // the caller promises this; emulate by filtering.
         let filtered = cc_mis_graph::ops::filter_vertices(&g, |v| v.raw() != 0);
         let mut engine = engine_for(6);
-        let res = gather_balls(&mut engine, &filtered, &mask, 2, 16);
+        let res = gather_balls(&mut engine, &filtered, &Frontier::from_mask(&mask), 2, 16);
         assert!(ball_of(&res, 0).is_empty());
         assert!(ball_of(&res, 1).edges().all(|(a, b)| a != 0 && b != 0));
     }
@@ -578,7 +604,7 @@ mod tests {
         let mut mask = vec![true; 6];
         mask[3] = false; // edges (2,3) and (3,4) have a non-participant end
         let mut engine = engine_for(6);
-        let res = gather_balls(&mut engine, &g, &mask, 4, 16);
+        let res = gather_balls(&mut engine, &g, &Frontier::from_mask(&mask), 4, 16);
         assert!(
             ball_of(&res, 3).is_empty(),
             "non-participant gathered edges"
@@ -603,7 +629,7 @@ mod tests {
         // ⌈log₂ 16⌉ = 4 never run.
         let g = generators::complete(4);
         let mut engine = engine_for(4);
-        let res = gather_balls(&mut engine, &g, &[true; 4], 16, 16);
+        let res = gather_balls(&mut engine, &g, &Frontier::full(4), 16, 16);
         assert_eq!(res.steps, 2, "expected early exit after the no-growth step");
         let full = g.edge_count();
         assert!((0..4).all(|v| ball_of(&res, v).len() == full));
@@ -623,7 +649,7 @@ mod tests {
         let g = generators::disjoint_cliques(2, 3);
         let n = g.node_count();
         let mut engine = engine_for(n);
-        let res = gather_balls(&mut engine, &g, &vec![true; n], 8, 16);
+        let res = gather_balls(&mut engine, &g, &Frontier::full(n), 8, 16);
         let (comp, _) = cc_mis_graph::ops::connected_components(&g);
         for v in 0..n {
             let expected: BTreeSet<(u32, u32)> = g
@@ -642,7 +668,7 @@ mod tests {
         // the result, only avoid redundant merging.
         let g = generators::grid(3, 3);
         let mut engine = engine_for(9);
-        let res = gather_balls(&mut engine, &g, &[true; 9], 8, 16);
+        let res = gather_balls(&mut engine, &g, &Frontier::full(9), 8, 16);
         let full: BTreeSet<(u32, u32)> = g.edges().map(|(u, v)| (u.raw(), v.raw())).collect();
         for v in 0..9 {
             assert_eq!(as_set(ball_of(&res, v)), full, "node {v}");
@@ -653,7 +679,7 @@ mod tests {
     fn radius_one_costs_no_rounds() {
         let g = generators::grid(3, 3);
         let mut engine = engine_for(9);
-        let res = gather_balls(&mut engine, &g, &[true; 9], 1, 16);
+        let res = gather_balls(&mut engine, &g, &Frontier::full(9), 1, 16);
         assert_eq!(res.rounds, 0);
         assert_eq!(engine.ledger().rounds, 0);
         // Radius-1 knowledge is the incident edges.
@@ -664,7 +690,7 @@ mod tests {
     fn empty_graph_gathers_nothing() {
         let g = cc_mis_graph::Graph::empty(5);
         let mut engine = engine_for(5);
-        let res = gather_balls(&mut engine, &g, &[true; 5], 4, 16);
+        let res = gather_balls(&mut engine, &g, &Frontier::full(5), 4, 16);
         assert!((0..5).all(|v| ball_of(&res, v).is_empty()));
         assert_eq!(res.rounds, 0);
         assert_eq!(res.max_ball_edges, 0);

@@ -38,7 +38,7 @@ use cc_mis_sim::par_nodes::par_map_nodes;
 use cc_mis_sim::rng::{SharedRandomness, Stream, StreamCursor};
 use cc_mis_sim::snapshot::graph_fingerprint;
 use cc_mis_sim::snapshot_fields;
-use cc_mis_sim::SharedObserver;
+use cc_mis_sim::{Frontier, SharedObserver};
 
 use crate::cleanup;
 use crate::common::{
@@ -283,6 +283,9 @@ pub struct Ghaffari16Execution<'a> {
     alive: Vec<bool>,
     in_mis: Vec<bool>,
     undecided: usize,
+    /// The undecided nodes: derived from `alive` (rebuilt on restore,
+    /// never serialised) and shrunk at the end of every iteration.
+    frontier: Frontier,
 }
 
 impl<'a> Ghaffari16Execution<'a> {
@@ -300,7 +303,13 @@ impl<'a> Ghaffari16Execution<'a> {
             alive: vec![true; n],
             in_mis: vec![false; n],
             undecided: n,
+            frontier: Frontier::full(n),
         }
+    }
+
+    /// The undecided nodes.
+    pub fn frontier(&self) -> &Frontier {
+        &self.frontier
     }
 }
 
@@ -329,75 +338,81 @@ impl Execution for Ghaffari16Execution<'_> {
             self.params.max_iterations
         );
         let g = self.g;
-        let n = g.node_count();
         let cursor = self.cursor;
-        let alive = &self.alive;
+        let frontier = &self.frontier;
+        let live = frontier.ids();
+        let at = |v: NodeId| frontier.position(v);
         let pexp = &self.pexp;
-        let marked: Vec<bool> = par_map_nodes(n, |i| {
-            alive[i] && cursor.coin(NodeId::new(i as u32)) <= p_of(pexp[i])
+        // Per-iteration vectors are indexed by frontier position: a decided
+        // node draws no coin and holds no slot.
+        let marked: Vec<bool> = par_map_nodes(live.len(), |k| {
+            cursor.coin(live[k]) <= p_of(pexp[live[k].index()])
         });
 
         // Round 1: exchange (p-exponent, mark bit) with undecided neighbors.
         // Each receiver sums its neighbours' probabilities in sender order,
         // so the f64 sums are fixed.
-        let mut d = vec![0.0f64; n];
-        let mut neighbor_marked = vec![false; n];
+        let mut d = vec![0.0f64; live.len()];
+        let mut neighbor_marked = vec![false; live.len()];
         self.engine
             .begin_round::<(u32, bool)>()
             .exchange_with_neighbors(
                 g,
-                alive,
+                live,
+                frontier,
                 |v| {
-                    let i = v.index();
-                    alive[i].then(|| (PROBABILITY_EXPONENT_BITS + 1, (pexp[i], marked[i])))
+                    (
+                        PROBABILITY_EXPONENT_BITS + 1,
+                        (pexp[v.index()], marked[at(v)]),
+                    )
                 },
                 |v, _, &(pe, m)| {
-                    let i = v.index();
-                    d[i] += p_of(pe);
-                    neighbor_marked[i] |= m;
+                    let k = at(v);
+                    d[k] += p_of(pe);
+                    neighbor_marked[k] |= m;
                 },
             )
             .expect("(p, mark) fits the bandwidth");
 
-        let mut joins: Vec<usize> = Vec::new();
-        for i in 0..n {
-            if !self.alive[i] {
-                continue;
+        let mut joins: Vec<NodeId> = Vec::new();
+        for (k, &v) in live.iter().enumerate() {
+            let i = v.index();
+            if marked[k] && !neighbor_marked[k] {
+                joins.push(v);
             }
-            if marked[i] && !neighbor_marked[i] {
-                joins.push(i);
-            }
-            self.pexp[i] = if d[i] >= 2.0 {
+            self.pexp[i] = if d[k] >= 2.0 {
                 halve(self.pexp[i])
             } else {
                 double_capped(self.pexp[i])
             };
         }
 
-        // Round 2: joiners announce; joiners and neighbors leave. (`joins`
-        // is ascending by construction, so membership is binary-searchable.)
-        let alive = &self.alive;
-        let mut hears_joiner = vec![false; n];
+        // Round 2: joiners (ascending, as the frontier is) announce;
+        // joiners and neighbors leave.
+        let mut hears_joiner = vec![false; live.len()];
         self.engine
             .begin_round::<()>()
             .exchange_with_neighbors(
                 g,
-                alive,
-                |v| joins.binary_search(&v.index()).ok().map(|_| (1, ())),
-                |v, _, ()| hears_joiner[v.index()] = true,
+                &joins,
+                frontier,
+                |_| (1, ()),
+                |v, _, ()| hears_joiner[at(v)] = true,
             )
             .expect("join bit fits");
-        for &i in &joins {
-            self.in_mis[i] = true;
-            self.alive[i] = false;
+        for &v in &joins {
+            self.in_mis[v.index()] = true;
+            self.alive[v.index()] = false;
             self.undecided -= 1;
         }
-        for (i, &hears) in hears_joiner.iter().enumerate() {
-            if hears && self.alive[i] {
-                self.alive[i] = false;
+        for (&v, &hears) in live.iter().zip(&hears_joiner) {
+            if hears && self.alive[v.index()] {
+                self.alive[v.index()] = false;
                 self.undecided -= 1;
             }
         }
+        let alive = &self.alive;
+        self.frontier.retain(|v| alive[v.index()]);
         self.cursor.advance();
         Status::Running
     }
@@ -423,6 +438,7 @@ impl Execution for Ghaffari16Execution<'_> {
             check_node_vec_len("pexp vector length", self.pexp.len(), n)?;
             check_node_vec_len("alive vector length", self.alive.len(), n)?;
             check_node_vec_len("in_mis vector length", self.in_mis.len(), n)?;
+            self.frontier = Frontier::from_mask(&self.alive);
         }
     }
 }
@@ -525,13 +541,9 @@ impl Execution for Ghaffari16CliqueExecution<'_> {
             return Status::Running;
         }
         if !self.cleanup_done {
-            let n = self.g.node_count();
-            let mut alive = vec![false; n];
-            for &v in &self.evo.residual() {
-                alive[v.index()] = true;
-            }
+            let residual = Frontier::from_ids(self.g.node_count(), self.evo.residual());
             self.engine.ledger_mut().begin_phase("cleanup");
-            let extra = cleanup::leader_cleanup(&mut self.engine, self.g, &alive);
+            let extra = cleanup::leader_cleanup(&mut self.engine, self.g, &residual);
             let mut mis = self.evo.mis();
             mis.extend(extra);
             mis.sort_unstable();

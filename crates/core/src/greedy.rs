@@ -49,28 +49,39 @@ pub fn greedy_mis_with_order(g: &Graph, order: &[NodeId]) -> Vec<NodeId> {
     mis
 }
 
-/// Greedy MIS over an explicit residual instance: `alive` flags the
-/// undecided vertices; `edges` are the residual edges (both endpoints
-/// alive). This is exactly the input the clean-up leader of §2.4 assembles
-/// from routed packets.
+/// Greedy MIS over an explicit residual instance: `residual` lists the
+/// undecided vertices, ascending; `edges` are the residual edges (both
+/// endpoints residual). This is exactly the input the clean-up leader of
+/// §2.4 assembles from routed packets. Vertices are scanned in id order,
+/// and the work is proportional to the residual instance, not to `n`.
 ///
-/// Vertices with `alive[v] == false` are ignored entirely.
-pub fn greedy_mis_on_residual(n: usize, alive: &[bool], edges: &[(NodeId, NodeId)]) -> Vec<NodeId> {
-    assert_eq!(alive.len(), n, "alive mask length must be n");
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+/// # Panics
+///
+/// Panics if an edge has an endpoint outside `residual`.
+pub fn greedy_mis_on_residual(residual: &[NodeId], edges: &[(NodeId, NodeId)]) -> Vec<NodeId> {
+    debug_assert!(
+        residual.windows(2).all(|w| w[0] < w[1]),
+        "the residual is strictly ascending"
+    );
+    let at = |v: NodeId| {
+        residual
+            .binary_search(&v)
+            .expect("residual edges join residual vertices")
+    };
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); residual.len()];
     for &(u, v) in edges {
-        debug_assert!(alive[u.index()] && alive[v.index()]);
-        adj[u.index()].push(v.raw());
-        adj[v.index()].push(u.raw());
+        let (a, b) = (at(u), at(v));
+        adj[a].push(b);
+        adj[b].push(a);
     }
-    let mut blocked = vec![false; n];
+    let mut blocked = vec![false; residual.len()];
     let mut mis = Vec::new();
-    for v in 0..n {
-        if alive[v] && !blocked[v] {
-            mis.push(NodeId::new(v as u32));
-            blocked[v] = true;
-            for &u in &adj[v] {
-                blocked[u as usize] = true;
+    for (a, &v) in residual.iter().enumerate() {
+        if !blocked[a] {
+            mis.push(v);
+            blocked[a] = true;
+            for &b in &adj[a] {
+                blocked[b] = true;
             }
         }
     }
@@ -118,19 +129,19 @@ mod tests {
     #[test]
     fn residual_variant_ignores_dead_vertices() {
         // 5 vertices; 2 is dead; residual edges form 0-1 and 3-4.
-        let alive = [true, true, false, true, true];
+        let residual = [0, 1, 3, 4].map(NodeId::new);
         let edges = [
             (NodeId::new(0), NodeId::new(1)),
             (NodeId::new(3), NodeId::new(4)),
         ];
-        let mis = greedy_mis_on_residual(5, &alive, &edges);
+        let mis = greedy_mis_on_residual(&residual, &edges);
         assert_eq!(mis, vec![NodeId::new(0), NodeId::new(3)]);
     }
 
     #[test]
     fn residual_variant_takes_isolated_alive() {
-        let alive = [true, false, true];
-        let mis = greedy_mis_on_residual(3, &alive, &[]);
+        let residual = [0, 2].map(NodeId::new);
+        let mis = greedy_mis_on_residual(&residual, &[]);
         assert_eq!(mis, vec![NodeId::new(0), NodeId::new(2)]);
     }
 

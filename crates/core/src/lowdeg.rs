@@ -20,7 +20,7 @@ use cc_mis_sim::snapshot::{
     graph_fingerprint, Field, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use cc_mis_sim::snapshot_fields;
-use cc_mis_sim::SharedObserver;
+use cc_mis_sim::{Frontier, SharedObserver};
 
 use crate::cleanup::leader_cleanup;
 use crate::clique_mis::{CliqueMisExecution, CliqueMisParams};
@@ -204,11 +204,16 @@ impl<'a> LowDegExecution<'a> {
         // replayed window.
         let id_bits = node_id_bits(n.max(2)).max(1);
         let record_bits = 2 * id_bits + 2 * radius as u64 * COIN_BITS;
-        let participant = vec![true; n];
         // Radius 2·radius: removal information travels 2 hops per iteration
         // (a neighbor's join depends on *its* neighbors' marks) — see the
         // matching comment in `clique_mis`.
-        gather_balls(engine, g, &participant, (2 * radius).max(1), record_bits)
+        gather_balls(
+            engine,
+            g,
+            &Frontier::full(n),
+            (2 * radius).max(1),
+            record_bits,
+        )
     }
 }
 
@@ -260,7 +265,8 @@ impl Execution for LowDegExecution<'_> {
             LowDegStage::Cleanup => {
                 // Clean-up at the leader.
                 self.engine.ledger_mut().begin_phase("cleanup");
-                let additions = leader_cleanup(&mut self.engine, g, &self.alive);
+                let additions =
+                    leader_cleanup(&mut self.engine, g, &Frontier::from_mask(&self.alive));
                 self.residual_nodes = self.alive.iter().filter(|&&a| a).count();
                 let mut mis: Vec<NodeId> = (0..n)
                     .filter(|&i| self.in_mis[i])

@@ -17,7 +17,7 @@ use cc_mis_sim::driver::{drive_observed, Execution, Status};
 use cc_mis_sim::rng::{SharedRandomness, Stream, StreamCursor};
 use cc_mis_sim::snapshot::graph_fingerprint;
 use cc_mis_sim::snapshot_fields;
-use cc_mis_sim::SharedObserver;
+use cc_mis_sim::{Frontier, SharedObserver};
 
 use crate::common::{check_node_vec_len, mis_from_flags, MisOutcome};
 
@@ -96,6 +96,9 @@ pub struct LubyExecution<'a> {
     alive: Vec<bool>,
     in_mis: Vec<bool>,
     undecided: usize,
+    /// The undecided nodes: derived from `alive` (rebuilt on restore,
+    /// never serialised) and shrunk at the end of every iteration.
+    frontier: Frontier,
 }
 
 impl<'a> LubyExecution<'a> {
@@ -112,7 +115,13 @@ impl<'a> LubyExecution<'a> {
             alive: vec![true; n],
             in_mis: vec![false; n],
             undecided: n,
+            frontier: Frontier::full(n),
         }
+    }
+
+    /// The undecided nodes.
+    pub fn frontier(&self) -> &Frontier {
+        &self.frontier
     }
 }
 
@@ -141,60 +150,63 @@ impl Execution for LubyExecution<'_> {
             self.params.max_iterations
         );
         let g = self.g;
-        let n = g.node_count();
+        let frontier = &self.frontier;
+        let live = frontier.ids();
+        let at = |v: NodeId| frontier.position(v);
 
         // Round 1: undecided nodes exchange priorities with undecided
-        // neighbors.
-        let priorities: Vec<u64> = (0..n)
-            .map(|v| self.cursor.bits(NodeId::new(v as u32)))
-            .collect();
-        let alive = &self.alive;
+        // neighbors. Only they draw one: a decided node's priority is
+        // never read.
+        let priorities: Vec<u64> = live.iter().map(|&v| self.cursor.bits(v)).collect();
         let priority_bits = self.params.priority_bits;
         // Local rule: strict local minimum joins, so a node stays a
         // candidate while every neighbour's priority is larger. Ties are
         // broken by id (priorities are 64-bit so ties are effectively
         // impossible, but the rule must still be total).
-        let mut joined = alive.clone();
+        let mut joined = vec![true; live.len()];
         self.engine
             .begin_round::<u64>()
             .exchange_with_neighbors(
                 g,
-                alive,
-                |v| {
-                    let i = v.index();
-                    alive[i].then(|| (priority_bits, priorities[i]))
-                },
+                live,
+                frontier,
+                |v| (priority_bits, priorities[at(v)]),
                 |v, u, &pr| {
-                    let i = v.index();
-                    joined[i] &= (priorities[i], v.raw()) < (pr, u.raw());
+                    let k = at(v);
+                    joined[k] &= (priorities[k], v.raw()) < (pr, u.raw());
                 },
             )
             .expect("priority message fits the bandwidth");
 
         // Round 2: joiners announce; joiners and their neighbors leave.
-        let mut hears_joiner = vec![false; n];
+        let joiners: Vec<NodeId> = live
+            .iter()
+            .zip(&joined)
+            .filter_map(|(&v, &j)| j.then_some(v))
+            .collect();
+        let mut hears_joiner = vec![false; live.len()];
         self.engine
             .begin_round::<()>()
             .exchange_with_neighbors(
                 g,
-                alive,
-                |v| joined[v.index()].then_some((1, ())),
-                |v, _, ()| hears_joiner[v.index()] = true,
+                &joiners,
+                frontier,
+                |_| (1, ()),
+                |v, _, ()| hears_joiner[at(v)] = true,
             )
             .expect("join bit fits");
-        for v in g.nodes() {
-            if !self.alive[v.index()] {
-                continue;
-            }
-            if joined[v.index()] {
+        for (k, &v) in live.iter().enumerate() {
+            if joined[k] {
                 self.in_mis[v.index()] = true;
                 self.alive[v.index()] = false;
                 self.undecided -= 1;
-            } else if hears_joiner[v.index()] {
+            } else if hears_joiner[k] {
                 self.alive[v.index()] = false;
                 self.undecided -= 1;
             }
         }
+        let alive = &self.alive;
+        self.frontier.retain(|v| alive[v.index()]);
         self.cursor.advance();
         Status::Running
     }
@@ -212,6 +224,7 @@ impl Execution for LubyExecution<'_> {
             let n = self.g.node_count();
             check_node_vec_len("alive vector length", self.alive.len(), n)?;
             check_node_vec_len("in_mis vector length", self.in_mis.len(), n)?;
+            self.frontier = Frontier::from_mask(&self.alive);
         }
     }
 }

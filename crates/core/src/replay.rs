@@ -187,7 +187,13 @@ mod tests {
     fn gather(g: &Graph, participant: &[bool], radius: usize) -> GatherResult {
         let n = g.node_count();
         let mut engine = CliqueEngine::strict(n.max(2), standard_bandwidth(n.max(2)));
-        gather_balls(&mut engine, g, participant, radius, 16)
+        gather_balls(
+            &mut engine,
+            g,
+            &cc_mis_sim::Frontier::from_mask(participant),
+            radius,
+            16,
+        )
     }
 
     /// Every group, as `(loaded ball nodes, members)`.
@@ -204,8 +210,7 @@ mod tests {
     fn groups_partition_participants_into_equal_balls() {
         let g = generators::erdos_renyi_gnp(60, 0.05, 3);
         let mask: Vec<bool> = (0..60).map(|v| v % 5 != 0).collect();
-        let g_s = cc_mis_graph::ops::filter_vertices(&g, |v| mask[v.index()]);
-        let res = gather(&g_s, &mask, 4);
+        let res = gather(&g, &mask, 4);
         let mut seen: Vec<u32> = Vec::new();
         for (_, members) in groups(&res) {
             let first = res.ball(NodeId::new(members[0]));

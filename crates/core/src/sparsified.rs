@@ -42,7 +42,7 @@ use cc_mis_sim::par_nodes::par_map_nodes;
 use cc_mis_sim::rng::{SharedRandomness, Stream};
 use cc_mis_sim::snapshot::graph_fingerprint;
 use cc_mis_sim::snapshot_fields;
-use cc_mis_sim::{RoundLedger, SharedObserver};
+use cc_mis_sim::{Frontier, RoundLedger, SharedObserver};
 
 use crate::beeping_mis::{GOLDEN1_D_MAX, GOLDEN2_D_MIN, HEAVY_THRESHOLD};
 use crate::common::{
@@ -324,15 +324,19 @@ impl Execution for SparsifiedExecution<'_> {
 
         // The sampled superset S (the clique algorithm materializes it; the
         // direct run computes it for the phase record and Lemma 2.12 stats).
-        let sampled = sample_set(g, &self.rng, &self.pexp, &alive0, &super_heavy, t0, len);
-        let max_s_degree = max_degree_within(g, &sampled);
+        let candidates: Vec<NodeId> = g
+            .nodes()
+            .filter(|v| alive0[v.index()] && !super_heavy[v.index()])
+            .collect();
+        let sampled =
+            Frontier::from_ids(n, sample_set(&self.rng, &self.pexp, &candidates, t0, len));
         self.phases.push(PhaseInfo {
             start_iteration: t0,
             len,
             alive_at_start: alive0.iter().filter(|&&a| a).count(),
             super_heavy: super_heavy.iter().filter(|&&s| s).count(),
-            sampled: sampled.iter().filter(|&&s| s).count(),
-            max_s_degree,
+            sampled: sampled.len(),
+            max_s_degree: max_degree_within(g, &sampled),
         });
 
         for k in 0..len {
@@ -483,20 +487,10 @@ pub fn run_sparsified_with_cleanup_observed(
 /// over the residual (no ledger charges — the reference counterpart of the
 /// clique algorithm's leader clean-up).
 pub fn finish_with_cleanup(g: &Graph, run: SparsifiedRun) -> MisOutcome {
-    let mut alive = vec![false; g.node_count()];
-    for &v in &run.residual {
-        alive[v.index()] = true;
-    }
-    let residual_edges: Vec<(NodeId, NodeId)> = g
-        .edges()
-        .filter(|&(u, v)| alive[u.index()] && alive[v.index()])
-        .collect();
+    let residual = Frontier::from_ids(g.node_count(), run.residual.iter().copied());
+    let residual_edges: Vec<(NodeId, NodeId)> = residual.induced_edges(g).collect();
     let mut mis = run.mis;
-    mis.extend(greedy_mis_on_residual(
-        g.node_count(),
-        &alive,
-        &residual_edges,
-    ));
+    mis.extend(greedy_mis_on_residual(&run.residual, &residual_edges));
     mis.sort_unstable();
     MisOutcome {
         mis,
@@ -557,6 +551,9 @@ pub struct SparsifiedMessagedExecution<'a> {
     /// Per-round scratch the beeping engine writes its `heard` vector
     /// into; not state (every round overwrites it), so not in the snapshot.
     heard: Vec<bool>,
+    /// The undecided nodes: derived from `removed_at` (rebuilt on restore,
+    /// never serialised) and shrunk at the end of every phase.
+    frontier: Frontier,
 }
 
 impl<'a> SparsifiedMessagedExecution<'a> {
@@ -583,7 +580,13 @@ impl<'a> SparsifiedMessagedExecution<'a> {
             phases: Vec::new(),
             t0: 0,
             heard: Vec::new(),
+            frontier: Frontier::full(n),
         }
+    }
+
+    /// The undecided nodes.
+    pub fn frontier(&self) -> &Frontier {
+        &self.frontier
     }
 }
 
@@ -634,30 +637,43 @@ impl Execution for SparsifiedMessagedExecution<'_> {
         }
         let t0 = self.t0;
         let len = (self.params.max_iterations - t0).min(self.params.phase_len as u64) as usize;
-        let alive0: Vec<bool> = self.removed_at.iter().map(Option::is_none).collect();
+        // The undecided nodes at phase start; the frontier shrinks only
+        // once the phase is over.
+        let alive0 = &self.frontier;
+        let live = alive0.ids();
 
         // Phase-start exchange over the real CONGEST engine.
         // Each receiver sums its neighbours' probabilities in sender order.
         let pexp_now = &self.pexp;
-        let mut d = vec![0.0f64; n];
+        let mut d = vec![0.0f64; live.len()];
         self.congest
             .begin_round::<u32>()
             .exchange_with_neighbors(
                 g,
-                &alive0,
-                |v| alive0[v.index()].then(|| (PROBABILITY_EXPONENT_BITS, pexp_now[v.index()])),
-                |u, _, &pe| d[u.index()] += p_of(pe),
+                live,
+                alive0,
+                |v| (PROBABILITY_EXPONENT_BITS, pexp_now[v.index()]),
+                |u, _, &pe| d[alive0.position(u)] += p_of(pe),
             )
             .expect("p exponent fits");
         let threshold = self.params.super_heavy_threshold();
-        let super_heavy: Vec<bool> = (0..n).map(|i| alive0[i] && d[i] >= threshold).collect();
-        let sampled = sample_set(g, &self.rng, &self.pexp, &alive0, &super_heavy, t0, len);
+        let mut super_heavy = vec![false; n];
+        for (&v, &d) in live.iter().zip(&d) {
+            super_heavy[v.index()] = d >= threshold;
+        }
+        let candidates: Vec<NodeId> = live
+            .iter()
+            .copied()
+            .filter(|v| !super_heavy[v.index()])
+            .collect();
+        let sampled =
+            Frontier::from_ids(n, sample_set(&self.rng, &self.pexp, &candidates, t0, len));
         self.phases.push(PhaseInfo {
             start_iteration: t0,
             len,
-            alive_at_start: alive0.iter().filter(|&&a| a).count(),
-            super_heavy: super_heavy.iter().filter(|&&s| s).count(),
-            sampled: sampled.iter().filter(|&&s| s).count(),
+            alive_at_start: live.len(),
+            super_heavy: live.len() - candidates.len(),
+            sampled: sampled.len(),
             max_s_degree: max_degree_within(g, &sampled),
         });
 
@@ -667,12 +683,12 @@ impl Execution for SparsifiedMessagedExecution<'_> {
             let removed_at = &self.removed_at;
             let pexp = &self.pexp;
             let sh = &super_heavy;
-            let a0 = &alive0;
             let beeps: Vec<bool> = par_map_nodes(n, |i| {
+                let v = NodeId::new(i as u32);
                 let schedule_active = sh[i] || removed_at[i].is_none();
                 schedule_active
-                    && a0[i]
-                    && rng.coin(Stream::Beep, NodeId::new(i as u32), t) <= p_of(pexp[i])
+                    && alive0.contains(v)
+                    && rng.coin(Stream::Beep, v, t) <= p_of(pexp[i])
             });
             // R1 over the real beeping engine.
             self.beeping.round(&beeps, &mut self.heard);
@@ -711,6 +727,8 @@ impl Execution for SparsifiedMessagedExecution<'_> {
                 }
             }
         }
+        let removed_at = &self.removed_at;
+        self.frontier.retain(|v| removed_at[v.index()].is_none());
         self.t0 += len as u64;
         Status::Running
     }
@@ -740,31 +758,35 @@ impl Execution for SparsifiedMessagedExecution<'_> {
             check_node_vec_len("pexp vector length", self.pexp.len(), n)?;
             check_node_vec_len("joined_at vector length", self.joined_at.len(), n)?;
             check_node_vec_len("removed_at vector length", self.removed_at.len(), n)?;
+            let removed_at = &self.removed_at;
+            self.frontier = Frontier::full(n);
+            self.frontier.retain(|v| removed_at[v.index()].is_none());
         }
     }
 }
 
-/// The sampled superset `S` for a phase: undecided, not super-heavy, and
-/// some coin of the phase falls below `2^len · p_{t0}(v)` (the paper's
-/// membership test, with the multiplier matching the possibly-truncated
-/// phase length).
+/// The sampled superset `S` for a phase, ascending: the `candidates`
+/// (the undecided nodes that are not super-heavy, ascending) some coin of
+/// whose phase falls below `2^len · p_{t0}(v)` (the paper's membership
+/// test, with the multiplier matching the possibly-truncated phase
+/// length).
 pub(crate) fn sample_set(
-    g: &Graph,
     rng: &SharedRandomness,
     pexp: &[u32],
-    alive0: &[bool],
-    super_heavy: &[bool],
+    candidates: &[NodeId],
     t0: u64,
     len: usize,
-) -> Vec<bool> {
-    let n = g.node_count();
-    par_map_nodes(n, |i| {
-        if !alive0[i] || super_heavy[i] {
-            return false;
-        }
-        let bound = (len as f64).exp2() * p_of(pexp[i]);
-        (0..len as u64).any(|k| rng.coin(Stream::Beep, NodeId::new(i as u32), t0 + k) <= bound)
-    })
+) -> Vec<NodeId> {
+    let picked = par_map_nodes(candidates.len(), |k| {
+        let v = candidates[k];
+        let bound = (len as f64).exp2() * p_of(pexp[v.index()]);
+        (0..len as u64).any(|j| rng.coin(Stream::Beep, v, t0 + j) <= bound)
+    });
+    candidates
+        .iter()
+        .zip(picked)
+        .filter_map(|(&v, picked)| picked.then_some(v))
+        .collect()
 }
 
 /// `Σ_{alive u ∈ N(v)} p(u)` for every node.
@@ -783,19 +805,18 @@ fn weighted_alive_degree(g: &Graph, pexp: &[u32], alive: &[bool]) -> Vec<f64> {
 }
 
 /// Maximum degree of the subgraph induced by `member` (Lemma 2.12 metric).
-fn max_degree_within(g: &Graph, member: &[bool]) -> usize {
-    let mut best = 0;
-    for i in 0..g.node_count() {
-        if member[i] {
-            let deg = g
-                .neighbors(NodeId::new(i as u32))
+fn max_degree_within(g: &Graph, member: &Frontier) -> usize {
+    member
+        .ids()
+        .iter()
+        .map(|&v| {
+            g.neighbors(v)
                 .iter()
-                .filter(|u| member[u.index()])
-                .count();
-            best = best.max(deg);
-        }
-    }
-    best
+                .filter(|&&u| member.contains(u))
+                .count()
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 fn record_trace(

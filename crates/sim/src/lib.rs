@@ -55,6 +55,7 @@ pub mod clique;
 pub mod config;
 pub mod congest;
 pub mod driver;
+pub mod frontier;
 pub mod metrics;
 pub mod par_nodes;
 mod pool;
@@ -68,6 +69,7 @@ pub mod snapshot;
 pub use driver::{
     drive, drive_observed, drive_with_checkpoints, drive_with_fault, Execution, Status,
 };
+pub use frontier::Frontier;
 pub use metrics::{BandwidthError, RoundLedger};
 pub use par_nodes::par_map_nodes;
 pub use rng::SharedRandomness;

@@ -272,7 +272,9 @@ impl PairBits {
 #[derive(Default)]
 pub(crate) struct RoundBuffers {
     /// Per-destination message counts (`u32`; message counts per round are
-    /// checked to fit via [`idx_u32`] before use).
+    /// checked to fit via [`idx_u32`] before use). All 0 between rounds:
+    /// every round clears the entries it wrote before retiring the table,
+    /// so opening a round never refills it.
     pub(crate) counts: Vec<u32>,
     /// Per-destination write cursors for the counting scatter.
     pub(crate) cursors: Vec<u32>,

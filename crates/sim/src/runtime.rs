@@ -26,10 +26,13 @@
 //!   arena — no per-inbox sort, no per-inbox allocation. [`Round::deliver`]
 //!   fills it with a stable src-major counting scatter of the outbox.
 //!   [`Round::exchange_with_neighbors`], the "send to every receiving
-//!   neighbour" round every algorithm here runs, hands each message to a
-//!   caller's visitor instead, and usually skips the outbox and the arena
-//!   altogether: each receiver pulls its neighbours' messages along its
-//!   sorted adjacency and the visitor folds them as they are pulled.
+//!   neighbour" round every algorithm here runs, takes its senders as an
+//!   ascending id list and its receivers as a [`Frontier`], hands each
+//!   message to a caller's visitor instead, and usually skips the outbox
+//!   and the arena altogether: each receiver pulls its neighbours'
+//!   messages along its sorted adjacency and the visitor folds them as
+//!   they are pulled. Such a round costs the frontiers and their volume,
+//!   not `n`.
 //! * [`Inboxes`] — the flat delivered-messages arena `deliver` returns,
 //!   indexable per node as a slice; its storage flows back to the engine's
 //!   pool on drop.
@@ -68,6 +71,7 @@ use std::sync::{Arc, Mutex};
 use cc_mis_graph::{Graph, NodeId};
 
 use crate::bits::{idx_u32, pair_key};
+use crate::frontier::Frontier;
 use crate::metrics::{bump, BandwidthError, RoundLedger};
 use crate::par_nodes;
 use crate::pool::{self, ArenaPool, PairBits, RoundBuffers};
@@ -439,8 +443,13 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
         let start_bits = core.ledger.bits;
         let loads = core.buffers.take_pair_bits();
         let outbox = core.buffers.take_outbox::<M>();
+        // Every count is 0 between rounds (each close clears the entries
+        // it wrote), so opening a round costs `O(n)` only when the size
+        // changes.
         let mut counts = mem::take(&mut core.buffers.counts);
-        pool::reset_zeroed(&mut counts, transport.node_count());
+        if counts.len() != transport.node_count() {
+            pool::reset_zeroed(&mut counts, transport.node_count());
+        }
         Round {
             core,
             transport,
@@ -535,7 +544,7 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
 
         // Per-destination counts were maintained by `send`; the close is a
         // single pass over the outbox (the scatter below).
-        let counts = mem::take(&mut self.counts);
+        let mut counts = mem::take(&mut self.counts);
         let threads = par_nodes::thread_count();
         let sharded = threads > 1 && m >= PAR_DELIVER_MIN_MESSAGES && n > 0;
         let shards = if sharded { threads.min(m) } else { 1 };
@@ -545,14 +554,15 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
         let loads = mem::take(&mut self.loads);
         self.core.buffers.retire_pair_bits(loads);
 
-        // Pass 2 — prefix offsets, then the stable src-major counting
-        // scatter into the pooled arena.
+        // Pass 2 — prefix offsets (clearing the counts for the next
+        // round), then the stable src-major counting scatter into the
+        // pooled arena.
         let (mut data, mut offsets) = pool::take_arena_parts::<M>(&self.core.buffers.arena_pool);
         pool::reset_zeroed(&mut offsets, n + 1);
         let mut acc = 0u32;
         for d in 0..n {
             offsets[d] = acc;
-            acc += counts[d];
+            acc += mem::take(&mut counts[d]);
         }
         offsets[n] = acc;
         debug_assert_eq!(acc, total, "offsets must account for every message");
@@ -667,14 +677,14 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
         }
     }
 
-    /// Sends each node's message to its neighbours in `graph` that are
+    /// Sends each sender's message to its neighbours in `graph` that are
     /// `receivers`, closes the round, and hands every delivered message to
     /// `receive(receiver, sender, &message)`.
     ///
-    /// For each node `v` of `graph` in id order, `message_of(v)` (called
-    /// exactly once per node) says whether `v` sends this round and, if so,
-    /// the declared bit size and the message, which then goes to every
-    /// neighbour `u` with `receivers[u]`. The ledger charges,
+    /// `senders` lists, strictly ascending, the nodes that send. For each
+    /// of them `message_of(v)` (called exactly once per sender, in order,
+    /// and never for any other node) gives the declared bit size and the
+    /// message, which goes to every neighbour `u` in `receivers`. The ledger charges,
     /// [`RoundEvent`] and errors are exactly those of that loop of
     /// [`Round::send`] calls followed by [`Round::deliver`], which stays
     /// the reference semantics, and `receive` sees each message that
@@ -682,6 +692,10 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
     /// inboxes: receivers ascending, each receiver's senders ascending.
     /// Callers fold the messages into state of their own (a sum, an OR, a
     /// minimum) instead of reading back an inbox arena.
+    ///
+    /// The round costs `O(|senders| + |receivers|)` plus the volume it
+    /// walks, never `O(n)`, unless it pushes (below) or is observed: the
+    /// inbox histogram of an observed round covers every node.
     ///
     /// In such a round every ordered pair carries at most one message, so
     /// unless a sender exceeds the bandwidth no budget needs tracking. The
@@ -697,9 +711,10 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
     ///   audit violations come from the one checked path;
     /// * the transport cannot vouch for the graph's links
     ///   ([`Transport::carries_edges_of`]);
-    /// * the senders' adjacency volume is under a third of the receivers':
-    ///   pushing a few senders' messages touches less than walking every
-    ///   receiver's adjacency.
+    /// * the receivers' adjacency volume exceeds three times the senders'
+    ///   plus the transport's node count: pushing a few senders' messages
+    ///   and paying `deliver`'s `O(n)` count and prefix sum touches less
+    ///   than walking every receiver's adjacency.
     ///
     /// # Errors
     ///
@@ -709,40 +724,40 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
     ///
     /// # Panics
     ///
-    /// Panics if `receivers.len()` differs from `graph`'s node count.
+    /// Panics if `receivers` is not drawn from `graph`'s nodes, or if a
+    /// sender is not a node of `graph`.
     pub fn exchange_with_neighbors(
         mut self,
         graph: &Graph,
-        receivers: &[bool],
-        mut message_of: impl FnMut(NodeId) -> Option<(u64, M)>,
+        senders: &[NodeId],
+        receivers: &Frontier,
+        mut message_of: impl FnMut(NodeId) -> (u64, M),
         mut receive: impl FnMut(NodeId, NodeId, &M),
     ) -> Result<(), BandwidthError>
     where
         M: Clone + Sync + Wire,
     {
         assert_eq!(
-            receivers.len(),
+            receivers.universe(),
             graph.node_count(),
-            "one receiver flag per node"
+            "receivers are drawn from the graph's nodes"
+        );
+        debug_assert!(
+            senders.windows(2).all(|w| w[0] < w[1]),
+            "senders must be strictly ascending"
         );
         let mut sent = self.core.buffers.take_sent::<M>();
         let mut max_bits = 0;
         let mut send_volume = 0;
-        for v in graph.nodes() {
-            if let Some((bits, msg)) = message_of(v) {
-                max_bits = max_bits.max(bits);
-                send_volume += graph.degree(v);
-                sent.push((v, bits, msg));
-            }
+        for &v in senders {
+            let (bits, msg) = message_of(v);
+            max_bits = max_bits.max(bits);
+            send_volume += graph.degree(v);
+            sent.push((v, bits, msg));
         }
-        let receive_volume: usize = graph
-            .nodes()
-            .filter(|v| receivers[v.index()])
-            .map(|v| graph.degree(v))
-            .sum();
         let pull = max_bits <= self.core.bandwidth
             && self.transport.carries_edges_of(graph)
-            && 3 * send_volume >= receive_volume;
+            && 3 * send_volume + self.transport.node_count() >= receivers.volume(graph);
         if pull {
             self.pull_from_neighbors(graph, receivers, &sent, receive);
             self.core.buffers.retire_sent(sent);
@@ -767,7 +782,7 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
     fn send_to_neighbors(
         &mut self,
         graph: &Graph,
-        receivers: &[bool],
+        receivers: &Frontier,
         sent: &[(NodeId, u64, M)],
     ) -> Result<(), BandwidthError>
     where
@@ -775,7 +790,7 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
     {
         for (v, bits, msg) in sent {
             for &u in graph.neighbors(*v) {
-                if receivers[u.index()] {
+                if receivers.contains(u) {
                     self.send(*v, u, *bits, msg.clone())?;
                 }
             }
@@ -792,7 +807,7 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
     fn pull_from_neighbors(
         &mut self,
         graph: &Graph,
-        receivers: &[bool],
+        receivers: &Frontier,
         sent: &[(NodeId, u64, M)],
         mut receive: impl FnMut(NodeId, NodeId, &M),
     ) where
@@ -809,7 +824,7 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
         }
         let walk = PullWalk {
             graph,
-            receivers,
+            receivers: receivers.ids(),
             sent,
             sender_at: &sender_at,
         };
@@ -851,6 +866,9 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
         } else {
             Vec::new()
         };
+        for &u in receivers.ids() {
+            self.counts[u.index()] = 0;
+        }
         self.retire_buffers();
         self.finished = true;
         self.core.finish_round(
@@ -909,7 +927,8 @@ struct PullTally {
 /// and framed delivery.
 struct PullWalk<'w, M> {
     graph: &'w Graph,
-    receivers: &'w [bool],
+    /// The receivers, ascending.
+    receivers: &'w [NodeId],
     /// The senders' `(id, bits, message)`, in id order.
     sent: &'w [(NodeId, u64, M)],
     /// Per node, its position in `sent`, or `NOT_SENT`.
@@ -917,11 +936,11 @@ struct PullWalk<'w, M> {
 }
 
 impl<M> PullWalk<'_, M> {
-    /// Walks the receivers among `nodes` in id order, each along its
-    /// ascending adjacency, calling `take(receiver, sender, position in
-    /// sent, &message)` for every message it pulls. Records each
-    /// receiver's message count in `counts`, adds the charges to `tally`,
-    /// and returns how many messages it pulled.
+    /// Walks the receivers whose ids fall in `nodes`, in id order, each
+    /// along its ascending adjacency, calling `take(receiver, sender,
+    /// position in sent, &message)` for every message it pulls. Records
+    /// each such receiver's message count in `counts`, adds the charges to
+    /// `tally`, and returns how many messages it pulled.
     fn run(
         &self,
         nodes: ops::Range<usize>,
@@ -930,19 +949,12 @@ impl<M> PullWalk<'_, M> {
         mut take: impl FnMut(NodeId, NodeId, usize, &M),
     ) -> u32 {
         // A clique engine may be larger than the graph (Theorem 1.1 runs a
-        // 1-node graph on 2 nodes): the walk ends with the graph's nodes,
+        // 1-node graph on 2 nodes): the receivers are the graph's nodes,
         // and the extra nodes' counts stay 0.
+        let lo = self.receivers.partition_point(|u| u.index() < nodes.start);
+        let hi = self.receivers.partition_point(|u| u.index() < nodes.end);
         let (mut pulled, mut bits, mut peak) = (0, 0, 0);
-        for (u, &receives) in self
-            .graph
-            .nodes()
-            .zip(self.receivers)
-            .take(nodes.end)
-            .skip(nodes.start)
-        {
-            if !receives {
-                continue;
-            }
+        for &u in &self.receivers[lo..hi] {
             let mut received = 0;
             for &v in self.graph.neighbors(u) {
                 let at = self.sender_at[v.index()];
@@ -983,7 +995,8 @@ impl<T, M: Send + 'static> Round<'_, T, M> {
         }
     }
 
-    /// Returns the count table, pair tracker and outbox to the pool.
+    /// Returns the count table, pair tracker and outbox to the pool. The
+    /// caller has cleared every count it wrote.
     fn retire_buffers(&mut self) {
         self.core.buffers.counts = mem::take(&mut self.counts);
         let loads = mem::take(&mut self.loads);
@@ -1003,6 +1016,9 @@ impl<T, M: Send + 'static> Drop for Round<'_, T, M> {
             return;
         }
         self.flush_charges();
+        for (_, dst, _) in &self.outbox {
+            self.counts[dst.index()] = 0;
+        }
         self.retire_buffers();
     }
 }
@@ -1504,12 +1520,14 @@ mod tests {
         }
     }
 
-    /// A framed core's pulled neighbour exchange crosses the frame codec
-    /// and gives what a direct core's does: the same `receive` calls in the
-    /// same order, the same ledger and the same events, at 1, 2 and 4
-    /// shards, over three rounds of one engine. The cases cover a shard
-    /// with no receivers (the lower half of the nodes only send), a silent
-    /// receiver (no neighbour of node 17 sends), and clique engines larger
+    /// The frontier exchange gives what the old mask semantics gave — a
+    /// send loop over every node, each sender to its receiving neighbours,
+    /// then `deliver` — on a direct core and through the frame codec at 1,
+    /// 2 and 4 shards: the same `receive` calls in the same order, the same
+    /// ledger and the same events, over three rounds of one engine. The
+    /// cases pull and push, and cover a shard with no receivers (the lower
+    /// half of the nodes only send), a silent receiver (no neighbour of
+    /// node 17 sends), an empty sender frontier, and clique engines larger
     /// than the graph (Theorem 1.1 runs its 1-node graph on 2 nodes).
     #[test]
     fn framed_exchange_matches_direct_pull() {
@@ -1518,34 +1536,52 @@ mod tests {
             .unwrap_or_else(|e| e.into_inner());
         /// Per round, the `(receiver, sender, message)` calls in order.
         type Visits = Vec<Vec<(u32, u32, u64)>>;
+        /// Runs three rounds through the exchange at `shards`, or (for
+        /// `None`) through the mask-semantics send loop on a direct core.
         fn run(
-            shards: Option<usize>,
+            shards: Option<Option<usize>>,
             g: &Graph,
             engine_n: Option<usize>,
             receivers: &[bool],
             sends: &dyn Fn(NodeId) -> bool,
         ) -> (Visits, RoundLedger, Vec<RoundEvent>) {
-            crate::shard::set_shards_override(shards);
+            crate::shard::set_shards_override(shards.flatten());
             let recorder = shared_recorder();
             let mut core = RoundCore::new(64, Enforcement::Strict);
             core.ledger_mut().begin_phase("exchange");
             core.attach_observer(recorder.clone());
+            let frontier = Frontier::from_mask(receivers);
+            let senders: Vec<NodeId> = g.nodes().filter(|&v| sends(v)).collect();
             let mut all = Vec::new();
             for round in 0..3u64 {
                 let mut visits = Vec::new();
                 let message_of =
                     |v: NodeId| sends(v).then(|| (8 + round, u64::from(v.raw()) * 10 + round));
                 let receive = |u: NodeId, v: NodeId, &m: &u64| visits.push((u.raw(), v.raw(), m));
+                let exchange = shards.is_some();
+                let (s, f) = (&senders[..], &frontier);
                 let result = match engine_n {
-                    Some(n) => Round::begin(&mut core, CliqueTransport { n })
-                        .exchange_with_neighbors(g, receivers, message_of, receive),
-                    None => Round::begin(&mut core, CongestTransport { graph: g })
-                        .exchange_with_neighbors(g, receivers, message_of, receive),
+                    Some(n) => play(
+                        Round::begin(&mut core, CliqueTransport { n }),
+                        exchange,
+                        g,
+                        (s, f, receivers),
+                        message_of,
+                        receive,
+                    ),
+                    None => play(
+                        Round::begin(&mut core, CongestTransport { graph: g }),
+                        exchange,
+                        g,
+                        (s, f, receivers),
+                        message_of,
+                        receive,
+                    ),
                 };
                 result.expect("one message per pair fits the budget");
                 all.push(visits);
             }
-            if shards.is_some() {
+            if let Some(Some(_)) = shards {
                 match &core.shards {
                     shard::ShardSlot::Framed(transport) => assert_eq!(transport.rounds(), 3),
                     _ => panic!("the core latched framed delivery"),
@@ -1555,11 +1591,49 @@ mod tests {
             let events = recorder.borrow().events.clone();
             (all, core.into_ledger(), events)
         }
+        /// Closes `round` through the exchange, or (if `!exchange`) through
+        /// the old semantics: `message_of` at every node, each message to
+        /// every neighbour whose receiver flag is set, then `deliver`.
+        fn play<T: Transport>(
+            mut round: Round<'_, T, u64>,
+            exchange: bool,
+            g: &Graph,
+            (senders, frontier, receivers): (&[NodeId], &Frontier, &[bool]),
+            message_of: impl Fn(NodeId) -> Option<(u64, u64)>,
+            mut receive: impl FnMut(NodeId, NodeId, &u64),
+        ) -> Result<(), BandwidthError> {
+            if exchange {
+                let message_of = |v| message_of(v).expect("every listed sender sends");
+                return round.exchange_with_neighbors(g, senders, frontier, message_of, receive);
+            }
+            for v in g.nodes() {
+                if let Some((bits, m)) = message_of(v) {
+                    for &u in g.neighbors(v) {
+                        if receivers[u.index()] {
+                            round.send(v, u, bits, m)?;
+                        }
+                    }
+                }
+            }
+            for (u, inbox) in round.deliver().iter().enumerate() {
+                for &(v, m) in inbox {
+                    receive(NodeId::new(idx_u32(u)), v, &m);
+                }
+            }
+            Ok(())
+        }
         let g = cc_mis_graph::generators::erdos_renyi_gnp(24, 0.3, 5);
         let silent = NodeId::new(17);
         let upper: Vec<bool> = (0..24).map(|i| i >= 12).collect();
+        let few: Vec<bool> = (0..24).map(|i| i % 8 == 1).collect();
         let all = vec![true; 24];
         let not_near_silent = |v: NodeId| !g.neighbors(silent).contains(&v);
+        let lightest = g
+            .nodes()
+            .filter(|&v| g.degree(v) > 0)
+            .min_by_key(|&v| g.degree(v))
+            .expect("the graph has edges");
+        let only_lightest = |v: NodeId| v == lightest;
         let path = cc_mis_graph::generators::path(3);
         let single = Graph::empty(1);
         type Case<'c> = (
@@ -1569,7 +1643,7 @@ mod tests {
             &'c [bool],
             &'c dyn Fn(NodeId) -> bool,
         );
-        let cases: [Case<'_>; 5] = [
+        let cases: [Case<'_>; 9] = [
             ("CONGEST, all", &g, None, &all, &|_| true),
             ("CONGEST, upper half receives", &g, None, &upper, &|_| true),
             (
@@ -1579,21 +1653,94 @@ mod tests {
                 &all,
                 &not_near_silent,
             ),
+            (
+                "clique, one light sender",
+                &g,
+                Some(24),
+                &all,
+                &only_lightest,
+            ),
+            ("CONGEST, one light sender", &g, None, &all, &only_lightest),
+            (
+                "clique, one sender, few receivers",
+                &g,
+                Some(24),
+                &few,
+                &only_lightest,
+            ),
+            ("CONGEST, no senders", &g, None, &all, &|_| false),
             ("path(3) on 5 nodes", &path, Some(5), &[true; 3], &|_| true),
             ("1 node on 2", &single, Some(2), &[true], &|_| true),
         ];
+        let mut pushed = 0;
         for (name, graph, engine_n, receivers, sends) in cases {
             let (want, ledger, events) = run(None, graph, engine_n, receivers, sends);
-            for shards in [1usize, 2, 4] {
+            for shards in [None, Some(1usize), Some(2), Some(4)] {
                 let got = run(Some(shards), graph, engine_n, receivers, sends);
-                assert_eq!(got.0, want, "{name}: visits at {shards} shards");
-                assert_eq!(got.1, ledger, "{name}: ledger at {shards} shards");
-                assert_eq!(got.2, events, "{name}: events at {shards} shards");
+                assert_eq!(got.0, want, "{name}: visits at {shards:?} shards");
+                assert_eq!(got.1, ledger, "{name}: ledger at {shards:?} shards");
+                assert_eq!(got.2, events, "{name}: events at {shards:?} shards");
+            }
+            let send_volume: usize = graph
+                .nodes()
+                .filter(|&v| sends(v))
+                .map(|v| graph.degree(v))
+                .sum();
+            let nodes = engine_n.unwrap_or(graph.node_count());
+            if 3 * send_volume + nodes < Frontier::from_mask(receivers).volume(graph) {
+                pushed += 1;
             }
             if name == "clique, silent receiver" {
                 assert!(want[0].iter().all(|&(u, _, _)| u != silent.raw()));
                 assert!(want[0].len() > 24, "{name}: the round carries messages");
             }
+        }
+        assert!(
+            pushed >= 3,
+            "the push direction is covered ({pushed} cases)"
+        );
+    }
+
+    /// `message_of` runs exactly once per sender, in order, and for no
+    /// other node; `receive` runs only at receivers — on the pull path and
+    /// on the push path alike.
+    #[test]
+    fn exchange_calls_only_the_frontiers() {
+        let g = cc_mis_graph::generators::erdos_renyi_gnp(40, 0.25, 9);
+        let receivers = Frontier::from_mask(&(0..40).map(|i| i % 3 != 0).collect::<Vec<_>>());
+        let everyone: Vec<NodeId> = g.nodes().collect();
+        let light: Vec<NodeId> = g.nodes().filter(|&v| v.raw() % 13 == 5).collect();
+        for senders in [everyone, light, Vec::new()] {
+            let mut core = RoundCore::new(64, Enforcement::Strict);
+            let mut asked = Vec::new();
+            let mut received = Vec::new();
+            Round::begin(&mut core, CliqueTransport { n: 40 })
+                .exchange_with_neighbors(
+                    &g,
+                    &senders,
+                    &receivers,
+                    |v| {
+                        asked.push(v);
+                        (8, v.raw())
+                    },
+                    |u, v, _| received.push((u, v)),
+                )
+                .expect("fits the budget");
+            assert_eq!(asked, senders, "message_of once per sender, in order");
+            assert!(received.iter().all(|&(u, _)| receivers.contains(u)));
+            assert!(received.iter().all(|&(_, v)| senders.contains(&v)));
+            let expected: usize = receivers
+                .ids()
+                .iter()
+                .map(|&u| {
+                    g.neighbors(u)
+                        .iter()
+                        .filter(|&&v| senders.contains(&v))
+                        .count()
+                })
+                .sum();
+            assert_eq!(received.len(), expected);
+            assert_eq!(core.ledger().messages, expected as u64);
         }
     }
 
@@ -1688,12 +1835,14 @@ mod tests {
 
         let mut helped = CongestEngine::strict(&g, standard_bandwidth(n));
         let mut helped_visits = Vec::new();
+        let frontier = Frontier::from_mask(&alive);
         helped
             .begin_round::<u32>()
             .exchange_with_neighbors(
                 &g,
-                &alive,
-                |v| alive[v.index()].then(|| (7, v.raw())),
+                frontier.ids(),
+                &frontier,
+                |v| (7, v.raw()),
                 |u, v, &msg| helped_visits.push((u.index(), v, msg)),
             )
             .expect("message fits the bandwidth");
@@ -1714,8 +1863,9 @@ mod tests {
             .begin_round::<()>()
             .exchange_with_neighbors(
                 &g,
-                &alive,
-                |v| (v.index() == 0).then_some((1, ())),
+                &[NodeId::new(0)],
+                &Frontier::from_mask(&alive),
+                |_| (1, ()),
                 |u, _, ()| received[u.index()] += 1,
             )
             .expect("message fits the bandwidth");

@@ -12,7 +12,7 @@ use cc_mis_sim::congest::CongestEngine;
 use cc_mis_sim::rng::{SharedRandomness, Stream};
 use cc_mis_sim::routing::{route, route_executed, Packet};
 use cc_mis_sim::runtime::{Enforcement, Inboxes, Round, RoundEvent, RoundObserver, Transport};
-use cc_mis_sim::{BandwidthError, RoundLedger};
+use cc_mis_sim::{BandwidthError, Frontier, RoundLedger};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -486,11 +486,16 @@ fn play_exchange<T: Transport>(
     exchange: bool,
 ) -> Result<Vec<(u32, u32, u64)>, BandwidthError> {
     if exchange {
+        let senders: Vec<NodeId> = graph
+            .nodes()
+            .filter(|v| messages[v.index()].is_some())
+            .collect();
         let mut visited = Vec::new();
         round.exchange_with_neighbors(
             graph,
-            receivers,
-            |v| messages[v.index()],
+            &senders,
+            &Frontier::from_mask(receivers),
+            |v| messages[v.index()].expect("senders have a message"),
             |u, v, &p| visited.push((u.raw(), v.raw(), p)),
         )?;
         return Ok(visited);
@@ -576,8 +581,9 @@ fn exchange_messages(
         .collect()
 }
 
-/// Whether the exchange pushes (senders' adjacency volume under a third
-/// of the receivers'); mirrors the rule the runtime applies.
+/// Whether the exchange pushes (three times the senders' adjacency volume
+/// plus the node count under the receivers' volume); mirrors the rule the
+/// runtime applies on an engine of `graph`'s size.
 fn exchange_pushes(graph: &Graph, (receivers, messages): &ExchangeRound) -> bool {
     let send_volume: usize = graph
         .nodes()
@@ -589,7 +595,7 @@ fn exchange_pushes(graph: &Graph, (receivers, messages): &ExchangeRound) -> bool
         .filter(|v| receivers[v.index()])
         .map(|v| graph.degree(v))
         .sum();
-    3 * send_volume < receive_volume
+    3 * send_volume + graph.node_count() < receive_volume
 }
 
 /// `Round::exchange_with_neighbors` is the send loop plus `deliver`, over

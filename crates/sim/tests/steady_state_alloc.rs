@@ -16,7 +16,9 @@
 //!
 //! All shapes run at one worker thread with no observer attached, and all
 //! message-passing shapes but one with direct delivery; the framed shape
-//! goes through two in-process channel shards. The beeping shapes write
+//! goes through two in-process channel shards. The tail shape (3 senders,
+//! about 10 receivers on a 2^16-node R-MAT graph) pins that a round which
+//! walks only its frontiers needs no `n`-sized buffer either. The beeping shapes write
 //! each round's `heard` vector into one buffer the caller keeps. The
 //! parallel scatter (more than one thread, at least
 //! `PAR_DELIVER_MIN_MESSAGES` messages) spawns scoped workers every round
@@ -38,7 +40,7 @@ use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::congest::CongestEngine;
 use cc_mis_sim::par_nodes;
 use cc_mis_sim::runtime::{Round, Transport};
-use cc_mis_sim::{set_backend_override, set_shards_override, ShardBackend};
+use cc_mis_sim::{set_backend_override, set_shards_override, Frontier, ShardBackend};
 
 thread_local! {
     /// Allocations made by this thread. `const`-initialised and free of
@@ -132,29 +134,55 @@ fn clique_round(engine: &mut CliqueEngine, fanout: usize) -> u64 {
     inboxes.iter().flatten().map(|&(_, msg)| msg).sum()
 }
 
-/// A neighbour exchange on `round` in which every `stride`-th node sends
-/// one word to its alive neighbours; returns the checksum of everything
-/// delivered, folded in the visitor.
+/// A neighbour exchange on `round` in which each of `senders` sends one
+/// word to its neighbours in `receivers`; returns the checksum of
+/// everything delivered, folded in the visitor.
 fn exchange_round<T: Transport>(
     round: Round<'_, T, u64>,
     graph: &Graph,
-    alive: &[bool],
-    stride: usize,
+    senders: &[NodeId],
+    receivers: &Frontier,
 ) -> u64 {
     let mut checksum = 0;
     round
         .exchange_with_neighbors(
             graph,
-            alive,
-            |v| {
-                v.index()
-                    .is_multiple_of(stride)
-                    .then(|| (32, u64::from(v.raw()) + 1))
-            },
+            senders,
+            receivers,
+            |v| (32, u64::from(v.raw()) + 1),
             |_, _, &msg| checksum += msg,
         )
         .expect("one word per pair fits the standard budget");
     checksum
+}
+
+/// Every `k`-th node of `graph`, ascending.
+fn every_kth(graph: &Graph, k: usize) -> Vec<NodeId> {
+    graph.nodes().step_by(k).collect()
+}
+
+/// A tail-phase shape on `graph`: 3 senders of degree at least 2, and as
+/// receivers their first two neighbours each plus 4 further nodes.
+fn tail_frontiers(graph: &Graph) -> (Vec<NodeId>, Frontier) {
+    let senders: Vec<NodeId> = graph
+        .nodes()
+        .filter(|&v| graph.degree(v) >= 2)
+        .step_by(997)
+        .take(3)
+        .collect();
+    let mut mask = vec![false; graph.node_count()];
+    for &v in &senders {
+        for &u in &graph.neighbors(v)[..2] {
+            mask[u.index()] = true;
+        }
+    }
+    for v in (0..graph.node_count())
+        .step_by(graph.node_count() / 4)
+        .take(4)
+    {
+        mask[v] = true;
+    }
+    (senders, Frontier::from_mask(&mask))
 }
 
 fn node(v: usize) -> NodeId {
@@ -199,20 +227,31 @@ fn warmed_rounds_make_zero_heap_allocations() {
     // all nodes sending takes the pull fill, every 50th node sending the
     // push direction (the send loop plus `deliver`).
     let graph = generators::erdos_renyi_gnp(256, 8.0 / 256.0, 1);
-    let alive = vec![true; graph.node_count()];
+    let alive = Frontier::full(graph.node_count());
+    let every = every_kth(&graph, 1);
+    let fiftieth = every_kth(&graph, 50);
     let mut engine = CliqueEngine::strict(graph.node_count(), standard_bandwidth(256));
     let clique_pull = allocations_per_round(|| {
-        assert!(exchange_round(engine.begin_round(), &graph, &alive, 1) > 0);
+        assert!(exchange_round(engine.begin_round(), &graph, &every, &alive) > 0);
     });
     let clique_push = allocations_per_round(|| {
-        assert!(exchange_round(engine.begin_round(), &graph, &alive, 50) > 0);
+        assert!(exchange_round(engine.begin_round(), &graph, &fiftieth, &alive) > 0);
     });
     let mut engine = CongestEngine::strict(&graph, standard_bandwidth(256));
     let congest_pull = allocations_per_round(|| {
-        assert!(exchange_round(engine.begin_round(), &graph, &alive, 1) > 0);
+        assert!(exchange_round(engine.begin_round(), &graph, &every, &alive) > 0);
     });
     let congest_push = allocations_per_round(|| {
-        assert!(exchange_round(engine.begin_round(), &graph, &alive, 50) > 0);
+        assert!(exchange_round(engine.begin_round(), &graph, &fiftieth, &alive) > 0);
+    });
+
+    // The tail of a Theorem 1.1 run: 3 senders and about 10 receivers on
+    // an R-MAT graph of 2^16 nodes, which pulls along the receivers only.
+    let rmat = generators::kronecker(16, 8, 1);
+    let (tail_senders, tail_receivers) = tail_frontiers(&rmat);
+    let mut engine = CliqueEngine::strict(rmat.node_count(), standard_bandwidth(rmat.node_count()));
+    let tail = allocations_per_round(|| {
+        assert!(exchange_round(engine.begin_round(), &rmat, &tail_senders, &tail_receivers) > 0);
     });
 
     // The pulled exchange through two in-process shards: the senders'
@@ -222,7 +261,7 @@ fn warmed_rounds_make_zero_heap_allocations() {
     set_shards_override(Some(2));
     let mut engine = CliqueEngine::strict(graph.node_count(), standard_bandwidth(256));
     let framed_pull = allocations_per_round(|| {
-        assert!(exchange_round(engine.begin_round(), &graph, &alive, 1) > 0);
+        assert!(exchange_round(engine.begin_round(), &graph, &every, &alive) > 0);
     });
     set_shards_override(None);
     set_backend_override(None);
@@ -258,10 +297,11 @@ fn warmed_rounds_make_zero_heap_allocations() {
     // visitor folds each as it is pulled (an inbox arena for them took
     // the total to about 0.67 MB).
     let graph = generators::erdos_renyi_gnp(2048, 8.0 / 2048.0, 2);
-    let alive = vec![true; graph.node_count()];
+    let alive = Frontier::full(graph.node_count());
+    let every = every_kth(&graph, 1);
     let before = bytes();
     let mut engine = CliqueEngine::strict(2048, standard_bandwidth(2048));
-    assert!(exchange_round(engine.begin_round(), &graph, &alive, 1) > 0);
+    assert!(exchange_round(engine.begin_round(), &graph, &every, &alive) > 0);
     let fresh_exchange_bytes = bytes() - before;
 
     par_nodes::set_thread_override(None);
@@ -276,11 +316,12 @@ fn warmed_rounds_make_zero_heap_allocations() {
             clique_push,
             congest_pull,
             congest_push,
-            framed_pull
+            framed_pull,
+            tail
         ),
-        (0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0),
         "heap allocations per warmed neighbour exchange (clique pull, clique push, \
-         CONGEST pull, CONGEST push, pull through 2 channel shards)"
+         CONGEST pull, CONGEST push, pull through 2 channel shards, kronecker tail)"
     );
     assert_eq!(
         (beep_dense, beep_sparse),

@@ -20,11 +20,11 @@ use clique_mis::algorithms::ghaffari16::{
 use clique_mis::algorithms::lowdeg::{AutoExecution, LowDegExecution, LowDegParams};
 use clique_mis::algorithms::luby::{LubyExecution, LubyParams};
 use clique_mis::algorithms::sparsified::{
-    finish_with_cleanup, SparsifiedExecution, SparsifiedParams,
+    finish_with_cleanup, SparsifiedExecution, SparsifiedMessagedExecution, SparsifiedParams,
 };
 use clique_mis::graph::{generators, Graph, NodeId};
-use clique_mis::sim::driver::{resume, snapshot};
-use clique_mis::sim::{drive, drive_with_checkpoints, Execution, RoundLedger};
+use clique_mis::sim::driver::{resume, snapshot, Status};
+use clique_mis::sim::{drive, drive_with_checkpoints, Execution, Frontier, RoundLedger};
 
 const SEED: u64 = 7;
 
@@ -206,4 +206,79 @@ fn resume_equivalence_cycle48() {
     ] {
         run_case(algorithm, "cycle48");
     }
+}
+
+/// Steps a run that is never parked and, at every step boundary, resumes a
+/// fresh execution from that run's snapshot: the resumed frontier must
+/// equal the live one (it is rebuilt from the snapshot, never stored), and
+/// the resumed run must finish with the outcome of the run never parked.
+fn check_frontier_resume<E, F, P, O>(make: F, frontier: fn(&E) -> &Frontier, proj: P, label: &str)
+where
+    E: Execution,
+    F: Fn() -> E,
+    P: Fn(E::Outcome) -> O,
+    O: PartialEq + std::fmt::Debug,
+{
+    let straight = proj(drive(make()));
+    let mut live = make();
+    let mut boundary = 0;
+    loop {
+        let mut resumed = make();
+        resume(&mut resumed, &snapshot(&live))
+            .unwrap_or_else(|e| panic!("{label}: resume at boundary {boundary}: {e}"));
+        assert_eq!(
+            frontier(&resumed),
+            frontier(&live),
+            "{label}: frontier after resume at boundary {boundary}"
+        );
+        assert_eq!(
+            proj(drive(resumed)),
+            straight,
+            "{label}: outcome after resume at boundary {boundary}"
+        );
+        match live.step() {
+            Status::Running => boundary += 1,
+            Status::Done(outcome) => {
+                assert_eq!(proj(outcome), straight, "{label}: stepped run");
+                break;
+            }
+        }
+    }
+    assert!(boundary >= 3, "{label}: only {boundary} steps");
+}
+
+/// Theorem 1.1, Luby, Ghaffari'16 and the sparsified algorithm each keep a
+/// frontier of undecided nodes; parking and resuming at any step leaves it,
+/// and the outcome, as in a run that was never parked.
+#[test]
+fn resumed_frontiers_match_the_unparked_run() {
+    let g = generators::kronecker(10, 8, 3);
+    let p = CliqueMisParams::default();
+    check_frontier_resume(
+        || CliqueMisExecution::new(&g, &p, SEED),
+        CliqueMisExecution::frontier,
+        |r| (r.mis, r.ledger, r.phases.len(), r.residual_edges),
+        "thm11",
+    );
+    let p = LubyParams::for_graph(&g);
+    check_frontier_resume(
+        || LubyExecution::new(&g, &p, SEED),
+        LubyExecution::frontier,
+        |o| (o.mis, o.ledger),
+        "luby",
+    );
+    let p = Ghaffari16Params::for_graph(&g);
+    check_frontier_resume(
+        || Ghaffari16Execution::new(&g, &p, SEED),
+        Ghaffari16Execution::frontier,
+        |o| (o.mis, o.ledger),
+        "ghaffari16",
+    );
+    let p = SparsifiedParams::for_graph(&g);
+    check_frontier_resume(
+        || SparsifiedMessagedExecution::new(&g, &p, SEED),
+        SparsifiedMessagedExecution::frontier,
+        |r| (r.mis, r.ledger, r.residual),
+        "sparsified",
+    );
 }
