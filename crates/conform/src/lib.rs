@@ -10,24 +10,25 @@
 //! so this crate enforces them the way production stacks do: a linter in
 //! the tier-1 gate, not a review checklist.
 //!
-//! It checks only what the compiler and clippy cannot. Ledger charge
-//! primitives are private to the round core (`cc-mis-sim`'s `runtime.rs`;
-//! analytic replay goes through the one public
-//! `RoundLedger::charge_replay`); threads, environment reads, processes and
-//! sockets are confined by the root `clippy.toml`; and `cc-mis-sim` denies
-//! `clippy::cast_possible_truncation` at its crate root.
+//! It checks only what the compiler and clippy cannot (DESIGN.md §8 lists
+//! what moved there). Ledger charge primitives are private to the round
+//! core (`cc-mis-sim`'s `runtime.rs`; analytic replay goes through the one
+//! public `RoundLedger::charge_replay`); hash collections, threads,
+//! environment reads, processes and sockets are confined by the root
+//! `clippy.toml`; `cc-mis-core` and `cc-mis-sim` deny `clippy::unwrap_used`,
+//! and the accounting modules deny float arithmetic and lossy casts; and
+//! `tests/workspace_policy.rs` checks that crate roots forbid unsafe code
+//! and that no lockfile names a registry crate.
 //!
 //! The linter is deliberately **zero-dependency and offline** (no dylint,
 //! no rustc internals, no registry crates): a line/token scanner
 //! ([`scanner`]), a token-tree layer ([`syntax`]) and approximate call
 //! graph ([`callgraph`]) on top of it, a rule set ([`rules`], lexical
-//! R1, R3–R8 and R14, structural R11, R13 and R20), dataflow rules
-//! R18/R19 ([`dataflow`]), the determinism-taint rule R21 ([`taint`]),
-//! and a justified-pragma escape hatch ([`pragma`], with stale-pragma
-//! detection `P2`). Diagnostics are stable `file:line rule-id message`
-//! lines ([`diag`]), `--sarif PATH` also writes them as a SARIF 2.1.0 log
-//! via `cc_mis_analysis::json`, and `--explain <rule>` prints each rule's
-//! contract, rationale, and fix recipe.
+//! R3, R5–R7 and R14, structural R11 and R20), dataflow rules R18/R19
+//! ([`dataflow`]), the determinism-taint rule R21 ([`taint`]), and a
+//! justified-pragma escape hatch ([`pragma`], with stale-pragma detection
+//! `P2`). Diagnostics are stable `file:line rule-id message` lines
+//! ([`diag`]).
 //!
 //! Run it with `cargo run -p cc-mis-conform -- --workspace` (or
 //! `scripts/conform.sh`); the process exits nonzero on any finding
@@ -80,18 +81,17 @@ pub fn index_str(path: &str, text: &str) -> FileIndex {
     FileIndex { source, syntax }
 }
 
-/// Checks a set of inputs (`.rs` sources and `Cargo.toml` manifests) and
-/// returns the sorted findings. This is the engine behind the CLI; tests
-/// drive it directly with fixture inputs.
+/// Checks a set of `.rs` inputs and returns the sorted findings. This is
+/// the engine behind the CLI; tests drive it directly with fixture inputs.
 ///
 /// The pipeline: index every file once, then the lexical, structural,
-/// dataflow and taint phases, pragma filtering (recording hits for the
-/// `P2` stale-pragma pass), and the manifest checks.
+/// dataflow and taint phases, and pragma filtering (recording hits for
+/// the `P2` stale-pragma pass).
 pub fn check(inputs: &[Input]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut sources: Vec<scanner::SourceFile> = Vec::new();
     let mut syntaxes: Vec<syntax::FileSyntax> = Vec::new();
-    for input in inputs.iter().filter(|i| i.path.ends_with(".rs")) {
+    for input in inputs {
         let ix = index_str(&input.path, &input.text);
         sources.push(ix.source);
         syntaxes.push(ix.syntax);
@@ -100,10 +100,9 @@ pub fn check(inputs: &[Input]) -> Vec<Finding> {
         .iter()
         .map(|file| pragma::collect(file, &mut findings))
         .collect();
-    let counters = rules::declared_counters(&sources);
     let mut rule_findings = Vec::new();
     for file in &sources {
-        rules::check_file(file, &counters, &mut rule_findings);
+        rules::check_file(file, &mut rule_findings);
     }
     rules::check_structural(&sources, &syntaxes, &mut rule_findings);
     let graph = callgraph::build(&syntaxes);
@@ -128,17 +127,14 @@ pub fn check(inputs: &[Input]) -> Vec<Finding> {
         pragma::check_stale(&file.effective, &pragmas[fi], &hits[fi], &mut findings);
     }
     findings.append(&mut rule_findings);
-    for input in inputs.iter().filter(|i| i.path.ends_with(".toml")) {
-        rules::check_manifest(&input.path, &input.text, &mut findings);
-    }
     diag::sort(&mut findings);
     findings
 }
 
-/// Walks the workspace at `root` and checks every tracked `.rs` source and
-/// `Cargo.toml`, in sorted path order. Skips `target/`, `.git/`,
-/// `results/`, and the linter's own `tests/fixtures/` trees (fixtures
-/// deliberately violate rules).
+/// Walks the workspace at `root` and checks every tracked `.rs` source, in
+/// sorted path order. Skips `target/`, `.git/`, `results/`, and the
+/// linter's own `tests/fixtures/` trees (fixtures deliberately violate
+/// rules).
 pub fn check_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut paths = Vec::new();
     collect_paths(root, root, &mut paths)?;
@@ -163,7 +159,7 @@ fn collect_paths(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<(
                 continue;
             }
             collect_paths(root, &path, out)?;
-        } else if name == "Cargo.toml" || name.ends_with(".rs") {
+        } else if name.ends_with(".rs") {
             let rel = path
                 .strip_prefix(root)
                 .unwrap_or(&path)
@@ -216,20 +212,20 @@ mod tests {
 
     #[test]
     fn pragma_suppresses_next_line_finding() {
-        let src = "// conform: allow(R1) -- demo of the escape hatch\n\
-                   use std::collections::HashMap;\n";
+        let src = "// conform: allow(R3) -- demo of the escape hatch\n\
+                   let t = Instant::now();\n";
         assert!(check(&[rs("crates/core/src/x.rs", src)]).is_empty());
-        let unsuppressed = "use std::collections::HashMap;\n";
+        let unsuppressed = "let t = Instant::now();\n";
         assert_eq!(check(&[rs("crates/core/src/x.rs", unsuppressed)]).len(), 1);
     }
 
     #[test]
     fn unjustified_pragma_does_not_suppress_and_is_reported() {
-        let src = "// conform: allow(R1)\nuse std::collections::HashMap;\n";
+        let src = "// conform: allow(R3)\nlet t = Instant::now();\n";
         let findings = check(&[rs("crates/core/src/x.rs", src)]);
         let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&"P1"), "{findings:?}");
-        assert!(rules.contains(&"R1"), "{findings:?}");
+        assert!(rules.contains(&"R3"), "{findings:?}");
     }
 
     #[test]
@@ -244,10 +240,6 @@ mod tests {
                 "crates/sim/src/b.rs",
                 "//! B.\npub fn g(x: u32) -> u32 { x + 1 }\n",
             ),
-            Input {
-                path: "crates/demo/Cargo.toml".to_string(),
-                text: "[package]\nname = \"demo\"\n".to_string(),
-            },
         ];
         let before = syntax::parse_invocations();
         let findings = check(&inputs);
@@ -262,12 +254,12 @@ mod tests {
 
     #[test]
     fn stale_pragma_is_flagged_and_live_pragma_is_not() {
-        // Live: R1 fires on the next line and is suppressed — no P2.
-        let live = "// conform: allow(R1) -- demo of the escape hatch\n\
-                    use std::collections::HashMap;\n";
+        // Live: R3 fires on the next line and is suppressed — no P2.
+        let live = "// conform: allow(R3) -- demo of the escape hatch\n\
+                    let t = Instant::now();\n";
         assert!(check(&[rs("crates/core/src/x.rs", live)]).is_empty());
-        // Stale: nothing on the covered lines ever fires R1.
-        let stale = "// conform: allow(R1) -- left behind after a refactor\n\
+        // Stale: nothing on the covered lines ever fires R3.
+        let stale = "// conform: allow(R3) -- left behind after a refactor\n\
                      pub fn f() -> u32 { 1 }\n";
         let findings = check(&[rs("crates/core/src/x.rs", stale)]);
         assert_eq!(findings.len(), 1, "{findings:?}");
@@ -277,10 +269,10 @@ mod tests {
 
     #[test]
     fn findings_are_sorted_and_stable() {
-        let src = "use std::collections::HashMap;\nlet x = opt.unwrap();\n";
+        let src = "let t = Instant::now();\nlet x = opt.expect(\"x\");\n";
         let findings = check(&[rs("crates/sim/src/x.rs", src)]);
         assert_eq!(findings.len(), 2);
         assert!(findings[0].line <= findings[1].line);
-        assert!(findings[0].render().starts_with("crates/sim/src/x.rs:1 R1"));
+        assert!(findings[0].render().starts_with("crates/sim/src/x.rs:1 R3"));
     }
 }

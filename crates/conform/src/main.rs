@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! cc-mis-conform --workspace            # lint the whole workspace (default)
-//! cc-mis-conform --sarif out.sarif      # also write a SARIF 2.1.0 log
-//! cc-mis-conform --list-rules           # print the rule set
-//! cc-mis-conform --explain R21          # contract, rationale, fix recipe
-//! cc-mis-conform --root DIR [PATH...]   # lint specific files/dirs under DIR
+//! cc-mis-conform --list-rules           # print the rule set (DESIGN.md §8
+//!                                       # has each rule's contract and fix)
+//! cc-mis-conform --root DIR [PATH...]   # lint specific files under DIR
 //! ```
 //!
 //! Exits 0 on a conform-clean tree, 1 on rule findings, 3 on any
@@ -18,16 +17,13 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use cc_mis_conform::{check, check_workspace, diag, find_workspace_root, rules, Input};
+use cc_mis_conform::{check, check_workspace, find_workspace_root, rules, Input};
 
-const USAGE: &str = "usage: cc-mis-conform [--workspace] [--sarif PATH] [--list-rules] \
-                     [--explain RULE] [--root DIR] [PATH...]";
+const USAGE: &str = "usage: cc-mis-conform [--workspace] [--list-rules] [--root DIR] [PATH...]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut list_rules = false;
-    let mut explain: Option<String> = None;
-    let mut sarif: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut it = args.iter();
@@ -35,14 +31,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--workspace" => {}
             "--list-rules" => list_rules = true,
-            "--explain" => match it.next() {
-                Some(rule) => explain = Some(rule.clone()),
-                None => return usage_error("--explain needs a rule id (e.g. R21)"),
-            },
-            "--sarif" => match it.next() {
-                Some(path) => sarif = Some(PathBuf::from(path)),
-                None => return usage_error("--sarif needs an output path"),
-            },
             "--root" => match it.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage_error("--root needs a directory"),
@@ -62,20 +50,6 @@ fn main() -> ExitCode {
         for rule in rules::RULES {
             println!("{:3}  {}", rule.id, rule.summary);
         }
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(id) = explain {
-        let Some(rule) = rules::RULES.iter().find(|r| r.id == id) else {
-            return usage_error(&format!(
-                "unknown rule `{id}` (try --list-rules for the rule set)"
-            ));
-        };
-        println!("{}  {}", rule.id, rule.summary);
-        println!();
-        println!("contract:  {}", rule.contract);
-        println!("rationale: {}", rule.rationale);
-        println!("fix:       {}", rule.fix);
         return ExitCode::SUCCESS;
     }
 
@@ -101,12 +75,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(path) = sarif {
-        if let Err(err) = std::fs::write(&path, diag::to_sarif(&findings)) {
-            eprintln!("error: writing {}: {err}", path.display());
-            return ExitCode::from(2);
-        }
-    }
     for f in &findings {
         println!("{}", f.render());
     }

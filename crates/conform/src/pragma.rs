@@ -96,15 +96,10 @@ fn parse(body: &str) -> Result<Vec<String>, String> {
     Ok(rules)
 }
 
-/// True if `pragmas` suppress `rule` at 1-based line `lineno` (a pragma
-/// covers its own line and the next one).
-pub fn suppressed(pragmas: &[Pragma], rule: &str, lineno: usize) -> bool {
-    suppressing(pragmas, rule, lineno).is_some()
-}
-
-/// Like [`suppressed`], but returns the line of the pragma doing the
-/// suppressing — callers record it as a "hit" so the P2 stale-pragma pass
-/// knows which `(pragma, rule)` pairs still pull their weight.
+/// If `pragmas` suppress `rule` at 1-based line `lineno` (a pragma covers
+/// its own line and the next one), returns the line of the pragma doing
+/// the suppressing — callers record it as a "hit" so the P2 stale-pragma
+/// pass knows which `(pragma, rule)` pairs still pull their weight.
 pub fn suppressing(pragmas: &[Pragma], rule: &str, lineno: usize) -> Option<usize> {
     pragmas
         .iter()
@@ -154,19 +149,19 @@ mod tests {
 
     #[test]
     fn justified_pragma_parses() {
-        let (p, f) = pragmas_of("// conform: allow(R1, R5) -- test scaffolding only\n");
+        let (p, f) = pragmas_of("// conform: allow(R3, R5) -- test scaffolding only\n");
         assert!(f.is_empty());
         assert_eq!(p.len(), 1);
-        assert_eq!(p[0].rules, vec!["R1", "R5"]);
-        assert!(suppressed(&p, "R5", 1));
-        assert!(suppressed(&p, "R5", 2));
-        assert!(!suppressed(&p, "R5", 3));
-        assert!(!suppressed(&p, "R3", 2));
+        assert_eq!(p[0].rules, vec!["R3", "R5"]);
+        assert_eq!(suppressing(&p, "R5", 1), Some(1));
+        assert_eq!(suppressing(&p, "R5", 2), Some(1));
+        assert_eq!(suppressing(&p, "R5", 3), None);
+        assert_eq!(suppressing(&p, "R7", 2), None);
     }
 
     #[test]
     fn missing_justification_is_a_finding() {
-        let (p, f) = pragmas_of("// conform: allow(R1)\n");
+        let (p, f) = pragmas_of("// conform: allow(R3)\n");
         assert!(p.is_empty());
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "P1");
@@ -182,7 +177,7 @@ mod tests {
 
     #[test]
     fn malformed_pragma_is_a_finding() {
-        let (p, f) = pragmas_of("// conform: disallow(R1) -- x\n");
+        let (p, f) = pragmas_of("// conform: disallow(R3) -- x\n");
         assert!(p.is_empty());
         assert_eq!(f[0].rule, "P1");
     }
@@ -190,8 +185,8 @@ mod tests {
     #[test]
     fn doc_comment_pragmas_are_documentation_not_directives() {
         let (p, f) = pragmas_of(
-            "//! // conform: allow(R1) -- grammar example in module docs\n\
-             /// // conform: allow(R1)\n",
+            "//! // conform: allow(R3) -- grammar example in module docs\n\
+             /// // conform: allow(R3)\n",
         );
         assert!(p.is_empty(), "{p:?}");
         assert!(f.is_empty(), "a malformed doc example is not a P1: {f:?}");
@@ -199,13 +194,13 @@ mod tests {
 
     #[test]
     fn stale_pragma_rules_are_reported_individually() {
-        let (p, _) = pragmas_of("// conform: allow(R1, R5) -- scaffolding\n");
+        let (p, _) = pragmas_of("// conform: allow(R3, R5) -- scaffolding\n");
         let mut findings = Vec::new();
-        // Only R1 registered a hit; R5 is stale.
+        // Only R3 registered a hit; R5 is stale.
         check_stale(
             "crates/core/src/x.rs",
             &p,
-            &[(1, "R1".to_string())],
+            &[(1, "R3".to_string())],
             &mut findings,
         );
         assert_eq!(findings.len(), 1, "{findings:?}");

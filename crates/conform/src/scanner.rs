@@ -4,7 +4,7 @@
 //! not) appear in particular regions of the tree. To keep them honest the
 //! scanner separates, per line, the *code* text from the *comment* text —
 //! string-literal contents are blanked out of the code channel (so a log
-//! message mentioning `HashMap` never trips R1) and comments are removed
+//! message mentioning `Instant::now` never trips R3) and comments are removed
 //! from the code channel entirely (so doc-examples never trip call-site
 //! rules) while remaining available for pragma parsing.
 //!

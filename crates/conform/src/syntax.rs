@@ -1,7 +1,7 @@
 //! Token-tree layer over the scanner's code channel.
 //!
-//! The lexical rules (R1, R3–R7, R14) match substrings of single lines;
-//! the structural and dataflow rules (R11, R13, R18–R21) need to know
+//! The lexical rules (R3, R5–R7, R14) match substrings of single lines;
+//! the structural and dataflow rules (R11, R18–R21) need to know
 //! *where* a token sits — which `fn`, which `impl`, whether a call is
 //! inside a loop body or a closure. This module supplies that context: it
 //! tokenizes the scanner's code channel (comments and string contents are

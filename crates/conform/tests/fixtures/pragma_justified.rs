@@ -1,8 +1,7 @@
 // conform-fixture: crates/core/src/fixture_demo.rs
 //! A justified pragma suppresses findings on its own line and the next.
 
-pub fn demo() -> usize {
-    // conform: allow(R1) -- fixture demonstrating the justified escape hatch
-    let m = std::collections::HashMap::<u32, u32>::new();
-    m.len()
+pub fn demo() -> u128 {
+    // conform: allow(R3) -- fixture demonstrating the justified escape hatch
+    std::time::Instant::now().elapsed().as_nanos()
 }

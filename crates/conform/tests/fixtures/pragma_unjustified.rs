@@ -1,7 +1,5 @@
 // conform-fixture: crates/core/src/fixture_demo.rs
-// conform: allow(R1)
-use std::collections::HashMap;
-
-pub fn demo() -> usize {
-    0
+// conform: allow(R3)
+pub fn demo() -> u128 {
+    std::time::Instant::now().elapsed().as_nanos()
 }

@@ -2,7 +2,7 @@
 use cc_mis_sim::RoundLedger;
 
 pub fn demo(ledger: &mut RoundLedger) {
-    ledger.charge_round();
+    ledger.charge_replay(1, 0, 0);
     let _settled = ledger.bits == 0 || ledger.rounds <= 1 || ledger.rounds != ledger.bits;
     let _views = (&ledger.bits, &mut ledger.phases);
 }

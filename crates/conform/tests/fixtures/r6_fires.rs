@@ -2,7 +2,6 @@
 use cc_mis_sim::RoundLedger;
 
 pub fn demo(ledger: &mut RoundLedger) {
-    ledger.charge_probe();
     ledger.bits += 8;
     ledger.messages = ledger.messages + 1;
     bump(&mut ledger.rounds, 1);

@@ -25,7 +25,6 @@ use cc_mis_sim::beeping::BeepingEngine;
 use cc_mis_sim::driver::{drive_observed, Execution, Status};
 use cc_mis_sim::par_nodes::par_map_nodes;
 use cc_mis_sim::rng::{SharedRandomness, Stream, StreamCursor};
-use cc_mis_sim::snapshot::graph_fingerprint;
 use cc_mis_sim::snapshot_fields;
 use cc_mis_sim::{RoundLedger, SharedObserver};
 
@@ -127,9 +126,6 @@ pub fn run_beeping_observed(
 #[derive(Debug)]
 pub struct BeepingExecution<'a> {
     g: &'a Graph,
-    /// Graph fingerprint, computed once at construction so per-checkpoint
-    /// `save` calls skip the O(m) edge walk.
-    graph_fp: u64,
     params: BeepingParams,
     seed: u64,
     engine: BeepingEngine<'a>,
@@ -150,7 +146,6 @@ impl<'a> BeepingExecution<'a> {
         let n = g.node_count();
         BeepingExecution {
             g,
-            graph_fp: graph_fingerprint(g),
             params: *params,
             seed,
             engine: BeepingEngine::new(g),
@@ -246,7 +241,7 @@ impl Execution for BeepingExecution<'_> {
     snapshot_fields! {
         self;
         identity {
-            "graph fingerprint" => self.graph_fp,
+            "graph fingerprint" => self.g.fingerprint(),
             "seed" => self.seed,
             "max_iterations" => self.params.max_iterations,
         }

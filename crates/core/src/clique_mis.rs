@@ -46,7 +46,6 @@ use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::driver::{drive_observed, Execution, Status};
 use cc_mis_sim::rng::{SharedRandomness, Stream};
 use cc_mis_sim::shard::{Wire, WireCursor};
-use cc_mis_sim::snapshot::graph_fingerprint;
 use cc_mis_sim::snapshot_fields;
 use cc_mis_sim::{Frontier, RoundLedger, SharedObserver};
 
@@ -188,9 +187,6 @@ pub fn run_clique_mis_observed(
 #[derive(Debug)]
 pub struct CliqueMisExecution<'a> {
     g: &'a Graph,
-    /// Graph fingerprint, computed once at construction so per-checkpoint
-    /// `save` calls skip the O(m) edge walk.
-    graph_fp: u64,
     cfg: CliqueMisParams,
     /// Resolved sparsified parameters (defaults applied).
     params: SparsifiedParams,
@@ -236,7 +232,6 @@ impl<'a> CliqueMisExecution<'a> {
         );
         CliqueMisExecution {
             g,
-            graph_fp: graph_fingerprint(g),
             cfg: *cfg,
             params,
             seed,
@@ -540,7 +535,7 @@ impl Execution for CliqueMisExecution<'_> {
     snapshot_fields! {
         self;
         identity {
-            "graph fingerprint" => self.graph_fp,
+            "graph fingerprint" => self.g.fingerprint(),
             "seed" => self.seed,
             "phase_len" => self.params.phase_len,
             "super_heavy_log2" => self.params.super_heavy_log2,

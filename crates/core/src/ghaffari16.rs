@@ -36,7 +36,6 @@ use cc_mis_sim::congest::CongestEngine;
 use cc_mis_sim::driver::{drive_observed, Execution, Status};
 use cc_mis_sim::par_nodes::par_map_nodes;
 use cc_mis_sim::rng::{SharedRandomness, Stream, StreamCursor};
-use cc_mis_sim::snapshot::graph_fingerprint;
 use cc_mis_sim::snapshot_fields;
 use cc_mis_sim::{Frontier, SharedObserver};
 
@@ -271,9 +270,6 @@ pub fn run_ghaffari16_observed(
 #[derive(Debug)]
 pub struct Ghaffari16Execution<'a> {
     g: &'a Graph,
-    /// Graph fingerprint, computed once at construction so per-checkpoint
-    /// `save` calls skip the O(m) edge walk.
-    graph_fp: u64,
     params: Ghaffari16Params,
     seed: u64,
     engine: CongestEngine<'a>,
@@ -294,7 +290,6 @@ impl<'a> Ghaffari16Execution<'a> {
         let n = g.node_count();
         Ghaffari16Execution {
             g,
-            graph_fp: graph_fingerprint(g),
             params: *params,
             seed,
             engine: CongestEngine::strict(g, standard_bandwidth(n)),
@@ -420,7 +415,7 @@ impl Execution for Ghaffari16Execution<'_> {
     snapshot_fields! {
         self;
         identity {
-            "graph fingerprint" => self.graph_fp,
+            "graph fingerprint" => self.g.fingerprint(),
             "seed" => self.seed,
             "max_iterations" => self.params.max_iterations,
             "clique_factor" => self.params.clique_factor,
@@ -473,9 +468,6 @@ pub fn run_ghaffari16_clique_observed(
 #[derive(Debug)]
 pub struct Ghaffari16CliqueExecution<'a> {
     g: &'a Graph,
-    /// Graph fingerprint, computed once at construction so per-checkpoint
-    /// `save` calls skip the O(m) edge walk.
-    graph_fp: u64,
     params: Ghaffari16Params,
     seed: u64,
     engine: CliqueEngine,
@@ -504,7 +496,6 @@ impl<'a> Ghaffari16CliqueExecution<'a> {
         engine.ledger_mut().begin_phase("ghaffari16 iterations");
         Ghaffari16CliqueExecution {
             g,
-            graph_fp: graph_fingerprint(g),
             params: *params,
             seed,
             engine,
@@ -561,7 +552,7 @@ impl Execution for Ghaffari16CliqueExecution<'_> {
     snapshot_fields! {
         self;
         identity {
-            "graph fingerprint" => self.graph_fp,
+            "graph fingerprint" => self.g.fingerprint(),
             "seed" => self.seed,
             "max_iterations" => self.params.max_iterations,
             "clique_factor" => self.params.clique_factor,

@@ -170,8 +170,8 @@ impl<'g> MisOracle<'g> {
     fn probe_ball(&self, v: NodeId, radius: usize) -> (Graph, Vec<NodeId>, usize, bool) {
         let g = self.graph;
         // BTreeMap, not HashMap: ball probing sits on the replay path, and
-        // the deterministic-replay contract (conform R1) bans unordered
-        // iteration there.
+        // the deterministic-replay contract (the root clippy.toml disallows
+        // hash collections) bans unordered iteration there.
         let mut dist = std::collections::BTreeMap::new();
         dist.insert(v, 0usize);
         let mut queue = VecDeque::from([v]);

@@ -16,9 +16,7 @@ use cc_mis_sim::bits::{node_id_bits, standard_bandwidth, COIN_BITS};
 use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::driver::{drive_observed, Execution, Status};
 use cc_mis_sim::rng::SharedRandomness;
-use cc_mis_sim::snapshot::{
-    graph_fingerprint, Field, SnapshotError, SnapshotReader, SnapshotWriter,
-};
+use cc_mis_sim::snapshot::{Field, SnapshotError, SnapshotReader, SnapshotWriter};
 use cc_mis_sim::snapshot_fields;
 use cc_mis_sim::{Frontier, SharedObserver};
 
@@ -158,9 +156,6 @@ impl Field for LowDegStage {
 #[derive(Debug)]
 pub struct LowDegExecution<'a> {
     g: &'a Graph,
-    /// Graph fingerprint, computed once at construction so per-checkpoint
-    /// `save` calls skip the O(m) edge walk.
-    graph_fp: u64,
     params: LowDegParams,
     seed: u64,
     rng: SharedRandomness,
@@ -180,7 +175,6 @@ impl<'a> LowDegExecution<'a> {
         let n = g.node_count();
         LowDegExecution {
             g,
-            graph_fp: graph_fingerprint(g),
             params: *params,
             seed,
             rng: SharedRandomness::new(seed),
@@ -301,7 +295,7 @@ impl Execution for LowDegExecution<'_> {
     snapshot_fields! {
         self;
         identity {
-            "graph fingerprint" => self.graph_fp,
+            "graph fingerprint" => self.g.fingerprint(),
             "seed" => self.seed,
             "iteration_factor" => self.params.iteration_factor,
         }

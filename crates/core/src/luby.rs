@@ -15,7 +15,6 @@ use cc_mis_sim::bits::standard_bandwidth;
 use cc_mis_sim::congest::CongestEngine;
 use cc_mis_sim::driver::{drive_observed, Execution, Status};
 use cc_mis_sim::rng::{SharedRandomness, Stream, StreamCursor};
-use cc_mis_sim::snapshot::graph_fingerprint;
 use cc_mis_sim::snapshot_fields;
 use cc_mis_sim::{Frontier, SharedObserver};
 
@@ -85,9 +84,6 @@ pub fn run_luby_observed(
 #[derive(Debug)]
 pub struct LubyExecution<'a> {
     g: &'a Graph,
-    /// Graph fingerprint, computed once at construction so per-checkpoint
-    /// `save` calls skip the O(m) edge walk.
-    graph_fp: u64,
     params: LubyParams,
     seed: u64,
     engine: CongestEngine<'a>,
@@ -107,7 +103,6 @@ impl<'a> LubyExecution<'a> {
         let n = g.node_count();
         LubyExecution {
             g,
-            graph_fp: graph_fingerprint(g),
             params: *params,
             seed,
             engine: CongestEngine::strict(g, standard_bandwidth(n)),
@@ -214,7 +209,7 @@ impl Execution for LubyExecution<'_> {
     snapshot_fields! {
         self;
         identity {
-            "graph fingerprint" => self.graph_fp,
+            "graph fingerprint" => self.g.fingerprint(),
             "seed" => self.seed,
             "max_iterations" => self.params.max_iterations,
             "priority_bits" => self.params.priority_bits,

@@ -40,7 +40,6 @@ use cc_mis_sim::congest::CongestEngine;
 use cc_mis_sim::driver::{drive, drive_observed, Execution, Status};
 use cc_mis_sim::par_nodes::par_map_nodes;
 use cc_mis_sim::rng::{SharedRandomness, Stream};
-use cc_mis_sim::snapshot::graph_fingerprint;
 use cc_mis_sim::snapshot_fields;
 use cc_mis_sim::{Frontier, RoundLedger, SharedObserver};
 
@@ -195,9 +194,6 @@ pub fn run_sparsified(g: &Graph, params: &SparsifiedParams, seed: u64) -> Sparsi
 #[derive(Debug)]
 pub struct SparsifiedExecution<'a> {
     g: &'a Graph,
-    /// Graph fingerprint, computed once at construction so per-checkpoint
-    /// `save` calls skip the O(m) edge walk.
-    graph_fp: u64,
     params: SparsifiedParams,
     seed: u64,
     rng: SharedRandomness,
@@ -229,7 +225,6 @@ impl<'a> SparsifiedExecution<'a> {
         }
         SparsifiedExecution {
             g,
-            graph_fp: graph_fingerprint(g),
             params: *params,
             seed,
             rng: SharedRandomness::new(seed),
@@ -428,7 +423,7 @@ impl Execution for SparsifiedExecution<'_> {
     snapshot_fields! {
         self;
         identity {
-            "graph fingerprint" => self.graph_fp,
+            "graph fingerprint" => self.g.fingerprint(),
             "seed" => self.seed,
             "phase_len" => self.params.phase_len,
             "super_heavy_log2" => self.params.super_heavy_log2,
@@ -534,9 +529,6 @@ pub fn run_sparsified_messaged_observed(
 #[derive(Debug)]
 pub struct SparsifiedMessagedExecution<'a> {
     g: &'a Graph,
-    /// Graph fingerprint, computed once at construction so per-checkpoint
-    /// `save` calls skip the O(m) edge walk.
-    graph_fp: u64,
     params: SparsifiedParams,
     seed: u64,
     rng: SharedRandomness,
@@ -567,7 +559,6 @@ impl<'a> SparsifiedMessagedExecution<'a> {
         let n = g.node_count();
         SparsifiedMessagedExecution {
             g,
-            graph_fp: graph_fingerprint(g),
             params: *params,
             seed,
             rng: SharedRandomness::new(seed),
@@ -736,7 +727,7 @@ impl Execution for SparsifiedMessagedExecution<'_> {
     snapshot_fields! {
         self;
         identity {
-            "graph fingerprint" => self.graph_fp,
+            "graph fingerprint" => self.g.fingerprint(),
             "seed" => self.seed,
             "phase_len" => self.params.phase_len,
             "super_heavy_log2" => self.params.super_heavy_log2,

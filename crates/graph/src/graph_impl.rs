@@ -1,6 +1,9 @@
 //! The compact undirected graph representation.
 
 use std::fmt;
+use std::sync::OnceLock;
+
+use crate::rng::mix3;
 
 /// Identifier of a vertex in a [`Graph`].
 ///
@@ -73,7 +76,7 @@ impl From<u32> for NodeId {
 /// assert!(g.has_edge(NodeId::new(0), NodeId::new(1)));
 /// assert!(!g.has_edge(NodeId::new(0), NodeId::new(3)));
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Graph {
     /// CSR offsets; `offsets[v]..offsets[v+1]` indexes `adj`.
     offsets: Vec<usize>,
@@ -81,7 +84,19 @@ pub struct Graph {
     adj: Vec<NodeId>,
     /// Number of undirected edges.
     edge_count: usize,
+    /// [`Graph::fingerprint`], computed on first use.
+    fingerprint: OnceLock<u64>,
 }
+
+/// Equality is structural: the fingerprint memo is a cache of the edge
+/// set, not part of it.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.offsets == other.offsets && self.adj == other.adj
+    }
+}
+
+impl Eq for Graph {}
 
 impl fmt::Debug for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -108,6 +123,7 @@ impl Graph {
             offsets: vec![0; n + 1],
             adj: Vec::new(),
             edge_count: 0,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -176,6 +192,7 @@ impl Graph {
             offsets,
             adj,
             edge_count,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -189,7 +206,37 @@ impl Graph {
             edge_count: adj.len() / 2,
             offsets,
             adj,
+            fingerprint: OnceLock::new(),
         }
+    }
+
+    /// Deterministic 64-bit identity hash: a [`mix3`] chain over the node
+    /// count, the edge count and the sorted edge list. Two graphs collide
+    /// only if they have identical edge sets (up to hash collisions), so a
+    /// snapshot taken on one graph is rejected when resumed on another.
+    ///
+    /// The O(m) walk runs once per graph, on first call; runs that never
+    /// save or restore never pay for it.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use cc_mis_graph::generators;
+    ///
+    /// let a = generators::cycle(8);
+    /// let b = generators::cycle(9);
+    /// assert_eq!(a.fingerprint(), a.clone().fingerprint());
+    /// assert_ne!(a.fingerprint(), b.fingerprint());
+    /// ```
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let tag = 0x636C_6971_7565_6D69; // b"cliquemi"
+            let mut h = mix3(tag, self.node_count() as u64, self.edge_count as u64);
+            for (u, v) in self.edges() {
+                h = mix3(h, u64::from(u.raw()), u64::from(v.raw()));
+            }
+            h
+        })
     }
 
     /// Number of vertices.
@@ -443,6 +490,19 @@ mod tests {
         assert_eq!(v.to_string(), "v9");
         assert_eq!(v.index(), 9);
         assert_eq!(v.raw(), 9);
+    }
+
+    #[test]
+    fn fingerprint_distinguishes_graphs_and_equality_ignores_the_memo() {
+        use crate::generators;
+        let a = generators::erdos_renyi_gnp(30, 0.2, 1);
+        let b = generators::erdos_renyi_gnp(30, 0.2, 2);
+        assert_eq!(a.fingerprint(), a.fingerprint());
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        let (cycle, path) = (generators::cycle(5), generators::path(5));
+        assert_ne!(cycle.fingerprint(), path.fingerprint());
+        // One copy has the memo filled, the other does not.
+        assert_eq!(cycle, generators::cycle(5));
     }
 
     #[test]

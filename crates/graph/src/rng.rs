@@ -228,8 +228,8 @@ mod tests {
 
     #[test]
     fn mix3_no_collisions_over_grid() {
-        // BTreeSet keeps even test code on deterministic collections
-        // (conform R1 exempts tests, but there is no reason to differ).
+        // BTreeSet keeps even test code on deterministic collections, as
+        // the root clippy.toml requires of every target.
         use std::collections::BTreeSet;
         let mut seen = BTreeSet::new();
         for node in 0..64u64 {

@@ -73,11 +73,3 @@ pub fn env_worker_log_dir() -> Option<String> {
 pub fn socket_dir() -> std::path::PathBuf {
     std::env::temp_dir()
 }
-
-#[cfg(test)]
-mod tests {
-    // The accessors are exercised (set and unset) through the owner knobs'
-    // own tests in `par_nodes` and `shard`; environment mutation
-    // is kept there so the process-global state is touched from one suite
-    // only.
-}

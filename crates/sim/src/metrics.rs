@@ -4,6 +4,18 @@
 //! ledger contents, so the numbers in `EXPERIMENTS.md` are exactly what the
 //! simulated network carried.
 
+// Accounting is integer-exact (DESIGN.md §8): float arithmetic is
+// rounding-order dependent, and a cast between integers and floats can
+// lose exactness. `cast_possible_truncation` is denied crate-wide.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::float_arithmetic,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss
+    )
+)]
+
 use std::error::Error;
 use std::fmt;
 

@@ -34,6 +34,18 @@
 //! keys that occur; and the result is one flat [`Delivery`] rather than an
 //! inbox per node.
 
+// Accounting is integer-exact (DESIGN.md §8): float arithmetic is
+// rounding-order dependent, and a cast between integers and floats can
+// lose exactness. `cast_possible_truncation` is denied crate-wide.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::float_arithmetic,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss
+    )
+)]
+
 use std::collections::VecDeque;
 use std::ops;
 

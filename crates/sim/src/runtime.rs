@@ -61,6 +61,18 @@
 //! disjoint arena range whose contents depend only on the outbox, so the
 //! delivered bytes are identical for every thread count.
 
+// Accounting is integer-exact (DESIGN.md §8): float arithmetic is
+// rounding-order dependent, and a cast between integers and floats can
+// lose exactness. `cast_possible_truncation` is denied crate-wide.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::float_arithmetic,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss
+    )
+)]
+
 use std::cell::RefCell;
 use std::fmt;
 use std::mem;

@@ -5,8 +5,8 @@
 //! such that the resumed run is bit-for-bit identical to the straight run
 //! (same MIS, byte-identical ledger). This module provides the byte layout:
 //! a hand-rolled little-endian encoding with an explicit magic/version
-//! header — deliberately dependency-free (rule R8 bans registry crates, so
-//! no serde) and self-checking (every identity field is written by the
+//! header — deliberately dependency-free (the workspace has no registry
+//! crates, so no serde) and self-checking (every identity field is written by the
 //! checkpointing run and *verified* by the resuming run, so a graph, seed,
 //! or parameter mismatch is rejected with a named error instead of
 //! producing a silently corrupt run).
@@ -40,8 +40,7 @@
 use std::error::Error;
 use std::fmt;
 
-use cc_mis_graph::rng::mix3;
-use cc_mis_graph::{Graph, NodeId};
+use cc_mis_graph::NodeId;
 
 use crate::beeping::BeepingEngine;
 use crate::clique::CliqueEngine;
@@ -130,34 +129,6 @@ impl fmt::Display for SnapshotError {
 }
 
 impl Error for SnapshotError {}
-
-/// Deterministic 64-bit identity hash of a graph: a [`mix3`] chain over the
-/// node count and the sorted edge list. Two graphs collide only if they
-/// have identical edge sets (up to hash collisions), so a snapshot taken on
-/// one graph is rejected when resumed on another.
-///
-/// # Example
-///
-/// ```
-/// use cc_mis_graph::generators;
-/// use cc_mis_sim::snapshot::graph_fingerprint;
-///
-/// let a = generators::cycle(8);
-/// let b = generators::cycle(9);
-/// assert_eq!(graph_fingerprint(&a), graph_fingerprint(&a));
-/// assert_ne!(graph_fingerprint(&a), graph_fingerprint(&b));
-/// ```
-pub fn graph_fingerprint(g: &Graph) -> u64 {
-    let mut h = mix3(
-        0x636C_6971_7565_6D69, // b"cliquemi" as a tag
-        g.node_count() as u64,
-        g.edge_count() as u64,
-    );
-    for (u, v) in g.edge_list() {
-        h = mix3(h, u as u64, v as u64);
-    }
-    h
-}
 
 /// Appends snapshot fields to a growing byte buffer.
 ///
@@ -637,7 +608,6 @@ snapshot_fields! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_mis_graph::generators;
 
     /// Encodes `value` after a `"demo"` header.
     fn encode<T: Field>(value: &T) -> Vec<u8> {
@@ -766,18 +736,6 @@ mod tests {
         assert_eq!(
             r.finish().err(),
             Some(SnapshotError::TrailingBytes { remaining: 8 })
-        );
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_graphs_and_is_stable() {
-        let a = generators::erdos_renyi_gnp(30, 0.2, 1);
-        let b = generators::erdos_renyi_gnp(30, 0.2, 2);
-        assert_eq!(graph_fingerprint(&a), graph_fingerprint(&a));
-        assert_ne!(graph_fingerprint(&a), graph_fingerprint(&b));
-        assert_ne!(
-            graph_fingerprint(&generators::cycle(5)),
-            graph_fingerprint(&generators::path(5))
         );
     }
 }

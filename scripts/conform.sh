@@ -8,9 +8,8 @@
 #   scripts/conform.sh --fixtures-only       # just the linter's own test suite
 #
 # Extra flags pass straight through to the linter:
-#   scripts/conform.sh --sarif out.sarif     # also write a SARIF 2.1.0 log
-#   scripts/conform.sh --list-rules          # print the rule set
-#   scripts/conform.sh --explain R21         # contract, rationale, fix recipe
+#   scripts/conform.sh --list-rules          # print the rule set (DESIGN.md §8
+#                                            # has each rule's contract and fix)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
