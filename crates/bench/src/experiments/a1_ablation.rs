@@ -50,7 +50,6 @@ pub fn run(quick: bool) -> Vec<Table> {
                 phase_len: p,
                 super_heavy_log2: sh,
                 max_iterations: budget,
-                record_trace: false,
             };
             let out = run_clique_mis(
                 &g,

@@ -10,7 +10,7 @@
 use cc_mis_analysis::stats::Summary;
 use cc_mis_analysis::table::{f3, Table};
 use cc_mis_core::beeping_mis::{beeping_trace, BeepingParams};
-use cc_mis_core::sparsified::{run_sparsified, SparsifiedParams};
+use cc_mis_core::sparsified::{sparsified_trace, SparsifiedParams};
 use cc_mis_graph::generators;
 
 use crate::default_trials;
@@ -55,15 +55,13 @@ pub fn run(quick: bool) -> Vec<Table> {
         ]);
 
         // §2.3 sparsified algorithm.
-        let mut sp = SparsifiedParams::for_graph(&g);
-        sp.record_trace = true;
-        let run = run_sparsified(&g, &sp, seed);
+        let trace = sparsified_trace(&g, &SparsifiedParams::for_graph(&g), seed);
         let zeros = vec![0u64; g.node_count()];
         let (fracs, _) = fractions(
-            &run.trace.golden1,
-            &run.trace.golden2,
+            &trace.golden1,
+            &trace.golden2,
             &zeros,
-            &run.trace.undecided_iterations,
+            &trace.undecided_iterations,
         );
         let s = Summary::of(&fracs);
         let above = fracs.iter().filter(|&&f| f >= 0.05).count() as f64 / fracs.len() as f64;

@@ -36,8 +36,9 @@
 //! they would be in `S`), so no gathering is needed for them; the realized
 //! vectors of their `S`-neighbors are exactly the information the beeping
 //! model would have delivered. This makes the whole simulation **exactly**
-//! equivalent to the direct execution: [`run_clique_mis`] reproduces
-//! [`crate::sparsified::run_sparsified`]'s full state trajectory
+//! equivalent to the sparsified algorithm run on the CONGEST and beeping
+//! engines: [`run_clique_mis`] reproduces
+//! [`crate::sparsified::SparsifiedExecution`]'s full state trajectory
 //! bit-for-bit under a shared seed (enforced by tests).
 
 use cc_mis_graph::{Graph, NodeId};
@@ -540,7 +541,6 @@ impl Execution for CliqueMisExecution<'_> {
             "phase_len" => self.params.phase_len,
             "super_heavy_log2" => self.params.super_heavy_log2,
             "max_iterations" => self.params.max_iterations,
-            "record_trace" => self.params.record_trace,
             "skip_cleanup" => self.cfg.skip_cleanup,
         }
         state {
@@ -716,7 +716,6 @@ mod tests {
                 phase_len: 2,
                 super_heavy_log2: 4,
                 max_iterations: 20,
-                record_trace: false,
             };
             let direct = run_sparsified(&g, &params, seed);
             let simulated = run_clique_mis(
@@ -762,7 +761,6 @@ mod tests {
                 phase_len: 3,
                 super_heavy_log2: 6,
                 max_iterations: 15,
-                record_trace: false,
             };
             for seed in 0..3 {
                 let direct = run_sparsified(&g, &params, seed);

@@ -93,8 +93,8 @@ impl RoundLedger {
     }
 
     /// Analytic replay accounting: bills communication that an execution
-    /// computed rather than sent through a live transport (the direct runs
-    /// of Lemma 2.12's per-phase exchange and Lemma 2.13's beeping rounds).
+    /// computed rather than sent through a live transport (the replayed
+    /// Ghaffari'16 iterations of the congested-clique variant).
     /// `rounds` accrue to the current phase as well as the totals;
     /// `messages` and `bits` to the totals only, because a post-hoc charge
     /// has no meaningful per-phase placement.

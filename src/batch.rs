@@ -34,7 +34,7 @@ use clique_mis::algorithms::ghaffari16::{
 use clique_mis::algorithms::lowdeg::{AutoExecution, LowDegExecution, LowDegParams, LowDegResult};
 use clique_mis::algorithms::luby::{LubyExecution, LubyParams};
 use clique_mis::algorithms::sparsified::{
-    finish_with_cleanup, SparsifiedExecution, SparsifiedMessagedExecution, SparsifiedParams,
+    finish_with_cleanup, SparsifiedExecution, SparsifiedParams,
 };
 use clique_mis::algorithms::MisOutcome;
 use clique_mis::analysis::json::Json;
@@ -111,7 +111,7 @@ pub(crate) fn cmd_batch(opts: &Options) -> Result<(), String> {
         let g = &graphs[graph_idx[i]];
         let mut spec = JobSpec::new(
             format!("job-{i:05}:{}", job.algorithm),
-            make_exec(&job.algorithm, g, job.seed, job.trace)?,
+            make_exec(&job.algorithm, g, job.seed)?,
         );
         let sink = if job.trace {
             let sink =
@@ -264,14 +264,10 @@ fn median(samples: &[u64]) -> u64 {
 /// Builds the factory closure for one job's execution, unified to
 /// [`JobOut`] via [`MapOutcome`]. The factory is re-invoked after every
 /// preemption, so it must (and does) construct deterministically.
-///
-/// `traced` selects the messaged sparsified execution exactly like the solo
-/// `run` path does, so traces stay byte-identical.
 fn make_exec<'a>(
     algorithm: &str,
     g: &'a Graph,
     seed: u64,
-    traced: bool,
 ) -> Result<Box<dyn FnMut() -> BoxedExecution<'a, JobOut> + 'a>, String> {
     let mis = |label: &'static str| move |o: MisOutcome| Ok((label.to_string(), o));
     Ok(match algorithm {
@@ -334,21 +330,12 @@ fn make_exec<'a>(
                     finish_with_cleanup(g, run),
                 ))
             };
-            if traced {
-                Box::new(move || {
-                    Box::new(MapOutcome::new(
-                        SparsifiedMessagedExecution::new(g, &params, seed),
-                        finish,
-                    ))
-                })
-            } else {
-                Box::new(move || {
-                    Box::new(MapOutcome::new(
-                        SparsifiedExecution::new(g, &params, seed),
-                        finish,
-                    ))
-                })
-            }
+            Box::new(move || {
+                Box::new(MapOutcome::new(
+                    SparsifiedExecution::new(g, &params, seed),
+                    finish,
+                ))
+            })
         }
         "thm11" => Box::new(move || {
             Box::new(MapOutcome::new(

@@ -33,7 +33,7 @@ use clique_mis::algorithms::reductions::{
 };
 use clique_mis::algorithms::ruling_set::k_ruling_set_via_mis;
 use clique_mis::algorithms::sparsified::{
-    finish_with_cleanup, SparsifiedExecution, SparsifiedMessagedExecution, SparsifiedParams,
+    finish_with_cleanup, SparsifiedExecution, SparsifiedParams,
 };
 use clique_mis::algorithms::MisOutcome;
 use clique_mis::analysis::json::Json;
@@ -433,14 +433,7 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         }
         "sparsified" => {
             let params = SparsifiedParams::for_graph(&g);
-            let run = match obs() {
-                None => drive_cli(SparsifiedExecution::new(&g, &params, seed), None, &ck)?,
-                Some(observer) => drive_cli(
-                    SparsifiedMessagedExecution::new(&g, &params, seed),
-                    Some(observer),
-                    &ck,
-                )?,
-            };
+            let run = drive_cli(SparsifiedExecution::new(&g, &params, seed), obs(), &ck)?;
             (
                 finish_with_cleanup(&g, run),
                 "sparsified beeping MIS (§2.3)".into(),

@@ -23,7 +23,7 @@ use clique_mis::algorithms::lowdeg::{
 };
 use clique_mis::algorithms::luby::{LubyExecution, LubyParams};
 use clique_mis::algorithms::sparsified::{
-    finish_with_cleanup, SparsifiedMessagedExecution, SparsifiedParams, SparsifiedRun,
+    finish_with_cleanup, SparsifiedExecution, SparsifiedParams, SparsifiedRun,
 };
 use clique_mis::algorithms::MisOutcome;
 use clique_mis::analysis::trace::write_event_line;
@@ -111,7 +111,7 @@ fn make_exec<'a>(
             let p = SparsifiedParams::for_graph(g);
             Box::new(move || {
                 Box::new(MapOutcome::new(
-                    SparsifiedMessagedExecution::new(g, &p, seed),
+                    SparsifiedExecution::new(g, &p, seed),
                     |r: SparsifiedRun| {
                         let o = finish_with_cleanup(g, r);
                         (o.mis, o.ledger)

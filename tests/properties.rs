@@ -110,7 +110,6 @@ fn simulation_equivalence_holds_generically() {
             phase_len: p,
             super_heavy_log2: (2 * p) as u32,
             max_iterations: 8,
-            record_trace: false,
         };
         let direct = run_sparsified(&g, &params, seed);
         let sim = run_clique_mis(

@@ -20,7 +20,7 @@ use clique_mis::algorithms::ghaffari16::{
 use clique_mis::algorithms::lowdeg::{AutoExecution, LowDegExecution, LowDegParams};
 use clique_mis::algorithms::luby::{LubyExecution, LubyParams};
 use clique_mis::algorithms::sparsified::{
-    finish_with_cleanup, SparsifiedExecution, SparsifiedMessagedExecution, SparsifiedParams,
+    finish_with_cleanup, SparsifiedExecution, SparsifiedParams,
 };
 use clique_mis::graph::{generators, Graph, NodeId};
 use clique_mis::sim::driver::{resume, snapshot, Status};
@@ -276,8 +276,8 @@ fn resumed_frontiers_match_the_unparked_run() {
     );
     let p = SparsifiedParams::for_graph(&g);
     check_frontier_resume(
-        || SparsifiedMessagedExecution::new(&g, &p, SEED),
-        SparsifiedMessagedExecution::frontier,
+        || SparsifiedExecution::new(&g, &p, SEED),
+        SparsifiedExecution::frontier,
         |r| (r.mis, r.ledger, r.residual),
         "sparsified",
     );

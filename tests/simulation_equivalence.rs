@@ -63,7 +63,6 @@ fn equivalence_across_families_and_phase_lengths() {
                 phase_len,
                 super_heavy_log2: (2 * phase_len) as u32,
                 max_iterations: 14,
-                record_trace: false,
             };
             for seed in 0..3 {
                 assert_equivalent(name, g, params, seed);
@@ -82,7 +81,6 @@ fn equivalence_with_truncated_final_phase() {
             phase_len: 3,
             super_heavy_log2: 6,
             max_iterations,
-            record_trace: false,
         };
         assert_equivalent("truncated", &g, params, 5);
     }
@@ -98,7 +96,6 @@ fn equivalence_with_decoupled_threshold() {
             phase_len: 2,
             super_heavy_log2: sh,
             max_iterations: 12,
-            record_trace: false,
         };
         assert_equivalent("threshold", &g, params, 2);
     }
@@ -112,7 +109,6 @@ fn full_pipeline_with_cleanup_agrees() {
         phase_len: 2,
         super_heavy_log2: 4,
         max_iterations: 10,
-        record_trace: false,
     };
     for seed in 0..3 {
         let direct = run_sparsified_with_cleanup(&g, &params, seed);

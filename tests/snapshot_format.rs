@@ -27,8 +27,7 @@ use clique_mis::algorithms::lowdeg::{
 };
 use clique_mis::algorithms::luby::{LubyExecution, LubyParams};
 use clique_mis::algorithms::sparsified::{
-    finish_with_cleanup, SparsifiedExecution, SparsifiedMessagedExecution, SparsifiedParams,
-    SparsifiedRun,
+    finish_with_cleanup, SparsifiedExecution, SparsifiedParams, SparsifiedRun,
 };
 use clique_mis::algorithms::MisOutcome;
 use clique_mis::graph::{generators, Graph, NodeId};
@@ -41,13 +40,12 @@ const SEED: u64 = 7;
 type Solved = (Vec<NodeId>, RoundLedger);
 
 /// Every execution shape, with the golden graph it is pinned on.
-const CASES: [(&str, &str); 10] = [
+const CASES: [(&str, &str); 9] = [
     ("luby", "gnp80"),
     ("ghaffari16", "gnp80"),
     ("g16-clique", "gnp80"),
     ("beeping", "gnp80"),
     ("sparsified", "gnp80"),
-    ("sparsified-messaged", "gnp80"),
     ("thm11", "gnp80"),
     ("lowdeg", "cycle48"),
     ("auto-sparsified", "gnp80"),
@@ -89,10 +87,6 @@ fn make<'g>(case: &str, g: &'g Graph) -> BoxedExecution<'g, Solved> {
         )),
         "sparsified" => Box::new(MapOutcome::new(
             SparsifiedExecution::new(g, &SparsifiedParams::for_graph(g), SEED),
-            move |r: SparsifiedRun| outcome(finish_with_cleanup(g, r)),
-        )),
-        "sparsified-messaged" => Box::new(MapOutcome::new(
-            SparsifiedMessagedExecution::new(g, &SparsifiedParams::for_graph(g), SEED),
             move |r: SparsifiedRun| outcome(finish_with_cleanup(g, r)),
         )),
         "thm11" => Box::new(MapOutcome::new(
@@ -232,25 +226,47 @@ fn a_flipped_byte_never_panics_resume() {
 
 /// Snapshots written under an older field list: the file in `legacy/`,
 /// the case it resumes into, and the error that refuses it.
-const LEGACY: [(&str, &str, SnapshotError); 1] = [
-    // The beeping execution before its Theorem 2.1 counters moved into
-    // `beeping_trace`: a `record_trace` identity field, four per-node
-    // counter vectors and the pending wrong-move vector. The extra
-    // identity byte shifts every later field, so a length inside the
-    // ledger reads an impossible value.
-    (
-        "beeping-analysis-counters",
-        "beeping",
-        SnapshotError::Corrupt {
-            offset: 95,
-            what: "length exceeds remaining bytes",
-        },
-    ),
-];
+fn legacy() -> [(&'static str, &'static str, SnapshotError); 5] {
+    let corrupt_length = |offset| SnapshotError::Corrupt {
+        offset,
+        what: "length exceeds remaining bytes",
+    };
+    [
+        // The beeping execution before its Theorem 2.1 counters moved into
+        // `beeping_trace`: an identity flag for the counters, four per-node
+        // counter vectors and the pending wrong-move vector. The extra
+        // identity byte shifts every later field, so a length inside the
+        // ledger reads an impossible value.
+        ("beeping-analysis-counters", "beeping", corrupt_length(95)),
+        // The analytic sparsified execution: the same trace-flag identity
+        // byte, then a hand-charged ledger where today's engines start.
+        ("sparsified-analytic", "sparsified", corrupt_length(134)),
+        // The engine-backed sparsified execution under its old algorithm
+        // id, which the header names before any field is read.
+        (
+            "sparsified-messaged",
+            "sparsified",
+            SnapshotError::Mismatch {
+                field: "algorithm",
+                expected: "sparsified".to_string(),
+                found: "sparsified-messaged".to_string(),
+            },
+        ),
+        // Theorem 1.1, alone and behind the dispatcher, when its identity
+        // still carried the sparsified trace flag: the extra byte passes
+        // as `skip_cleanup` and shifts the engine state by one.
+        ("thm11-trace-flag", "thm11", corrupt_length(98)),
+        (
+            "auto-sparsified-trace-flag",
+            "auto-sparsified",
+            corrupt_length(101),
+        ),
+    ]
+}
 
 #[test]
 fn legacy_field_lists_are_refused_with_a_typed_error() {
-    for (file, case, want) in LEGACY {
+    for (file, case, want) in legacy() {
         let bytes = golden_bytes(&format!("legacy/{file}"));
         let g = graph_for(
             CASES
