@@ -59,6 +59,37 @@ fn main() {
     cc_mis_sim::shard::set_shards_override(None);
     h.finish();
 
+    // A pulled neighbour exchange through the frames, against the direct
+    // pull: every node of `kronecker(12, 8)` sends and receives, each
+    // receiver folding what it gets into a per-node sum, as in a Theorem
+    // 1.1 phase's exchange rounds. The shard mode latches as above.
+    let mut h = Harness::new("sharded_exchange_frames");
+    let g = generators::kronecker(12, 8, 1);
+    let n = g.node_count();
+    let senders: Vec<NodeId> = g.nodes().collect();
+    let everyone = Frontier::full(n);
+    let mut sums = vec![0u64; n];
+    for (name, shards) in [("direct", None), ("s1", Some(1)), ("s2", Some(2))] {
+        cc_mis_sim::shard::set_shards_override(shards);
+        let mut e = CliqueEngine::strict(n, standard_bandwidth(n));
+        h.bench(name, || {
+            e.begin_round::<u32>()
+                .exchange_with_neighbors(
+                    &g,
+                    &senders,
+                    &everyone,
+                    |v| (7, v.raw()),
+                    |u, _, &msg| {
+                        sums[u.index()] += u64::from(msg);
+                    },
+                )
+                .unwrap();
+            sums[0]
+        });
+    }
+    cc_mis_sim::shard::set_shards_override(None);
+    h.finish();
+
     // One message from each sender to each receiving neighbour, as in the
     // exchange rounds of every MIS algorithm here, on a Kronecker graph,
     // each receiver folding what it gets into a per-node sum: the

@@ -41,6 +41,8 @@
 //! [`crate::sparsified::SparsifiedExecution`]'s full state trajectory
 //! bit-for-bit under a shared seed (enforced by tests).
 
+use std::mem;
+
 use cc_mis_graph::{Graph, NodeId};
 use cc_mis_sim::bits::{node_id_bits, standard_bandwidth, COIN_BITS, PROBABILITY_EXPONENT_BITS};
 use cc_mis_sim::clique::CliqueEngine;
@@ -518,18 +520,26 @@ impl Execution for CliqueMisExecution<'_> {
             self.step_cleanup();
             return Status::Running;
         }
+        // The outcome's vectors move out: stepping after `Done` is a
+        // contract violation, so the execution never reads them again.
+        // The two grown by pushes are trimmed, as a clone would be: a
+        // caller may keep many outcomes.
         let ledger = self.engine.ledger().clone();
+        let mut mis = mem::take(&mut self.mis);
+        mis.shrink_to_fit();
+        let mut phases = mem::take(&mut self.phases);
+        phases.shrink_to_fit();
         Status::Done(CliqueMisResult {
-            mis: self.mis.clone(),
+            mis,
             rounds: ledger.rounds,
             ledger,
             iterations: self.t0,
-            phases: self.phases.clone(),
+            phases,
             residual_nodes: self.residual_nodes,
             residual_edges: self.residual_edges,
-            joined_at: self.joined_at.clone(),
-            removed_at: self.removed_at.clone(),
-            pexp: self.pexp.clone(),
+            joined_at: mem::take(&mut self.joined_at),
+            removed_at: mem::take(&mut self.removed_at),
+            pexp: mem::take(&mut self.pexp),
         })
     }
 

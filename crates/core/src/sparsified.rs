@@ -36,6 +36,8 @@
 //! is `2^P` — so we keep those exact and expose `P` itself as a parameter
 //! (default `max(2, ⌈√(log₂ n)/2⌉)`). Experiment A1 sweeps `P`.
 
+use std::mem;
+
 use cc_mis_graph::{Graph, NodeId};
 use cc_mis_sim::beeping::BeepingEngine;
 use cc_mis_sim::bits::{standard_bandwidth, PROBABILITY_EXPONENT_BITS};
@@ -380,24 +382,30 @@ impl<'a> SparsifiedExecution<'a> {
         &self.dynamic.frontier
     }
 
-    fn finish(&self) -> SparsifiedRun {
+    /// The outcome. The per-node vectors and phases move out rather than
+    /// being cloned: stepping after `Done` is a contract violation, so the
+    /// execution never reads them again. The phases, grown by pushes, are
+    /// trimmed as a clone would be: a caller may keep many outcomes.
+    fn finish(&mut self) -> SparsifiedRun {
         let g = self.g;
-        let dynamic = &self.dynamic;
+        let dynamic = &mut self.dynamic;
         let mut ledger = self.congest.ledger().clone();
         ledger.merge(self.beeping.ledger());
+        let mut phases = mem::take(&mut self.phases);
+        phases.shrink_to_fit();
         SparsifiedRun {
             mis: g
                 .nodes()
                 .filter(|v| dynamic.joined_at[v.index()].is_some())
                 .collect(),
             residual: dynamic.frontier.ids().to_vec(),
-            joined_at: dynamic.joined_at.clone(),
-            removed_at: dynamic.removed_at.clone(),
-            pexp: dynamic.pexp.clone(),
+            residual_edge_count: dynamic.frontier.induced_edges(g).count(),
+            joined_at: mem::take(&mut dynamic.joined_at),
+            removed_at: mem::take(&mut dynamic.removed_at),
+            pexp: mem::take(&mut dynamic.pexp),
             iterations: dynamic.t,
             ledger,
-            phases: self.phases.clone(),
-            residual_edge_count: dynamic.frontier.induced_edges(g).count(),
+            phases,
         }
     }
 }

@@ -8,7 +8,7 @@
 //! * [`RoundBuffers`] — owned by [`crate::runtime::RoundCore`], recycles
 //!   the outbox arena, the per-destination count/offset/cursor tables,
 //!   the [`PairBits`] per-pair budget tracker, the sender lists, index
-//!   and frame entries of
+//!   and decoded sender tables of
 //!   [`crate::runtime::Round::exchange_with_neighbors`], and the sharded
 //!   transport's frame buffers across rounds. After the first round of a
 //!   steady-state loop, opening and closing a round performs no heap
@@ -32,7 +32,6 @@ use std::sync::{Arc, Mutex};
 use cc_mis_graph::NodeId;
 
 use crate::bits::{idx_u32, pair_key};
-use crate::shard::EntryTemplates;
 
 /// How many type-erased outboxes and arenas each pool retains. Two is
 /// enough for every in-tree pattern (at most one live `Inboxes` per engine
@@ -42,9 +41,10 @@ use crate::shard::EntryTemplates;
 /// returning, so a Theorem 1.1 phase holds no arena across its rounds.
 const POOL_RETAIN: usize = 2;
 
-/// How many type-erased sender lists of the neighbour exchange the pool
-/// retains: one per message type of a Theorem 1.1 phase. A sender list
-/// holds at most one entry per node, so keeping three costs `O(n)`.
+/// How many type-erased sender lists (and, apart, decoded sender tables)
+/// of the neighbour exchange the pool retains: one per message type of a
+/// Theorem 1.1 phase. Each holds at most one entry per node, so keeping
+/// three costs `O(n)`.
 const SENT_RETAIN: usize = 3;
 
 /// Type-erased buffer slots, each a boxed `Vec<T>` for some `T`. A slot
@@ -291,8 +291,9 @@ pub(crate) struct RoundBuffers {
     sent: ErasedSlots,
     /// Per-node position in the neighbour exchange's sender list.
     pub(crate) sender_at: Vec<u32>,
-    /// The senders' frame entries of a framed neighbour exchange.
-    pub(crate) templates: EntryTemplates,
+    /// Retired decoded sender tables of the framed neighbour exchange
+    /// (`Vec<(NodeId, M)>`), type-erased.
+    tables: ErasedSlots,
     /// Retired frame byte buffers for the sharded transport (request
     /// frames and receive scratch).
     frames: Vec<Vec<u8>>,
@@ -342,6 +343,17 @@ impl RoundBuffers {
     pub(crate) fn retire_sent<M: Send + 'static>(&mut self, mut sent: Vec<(NodeId, u64, M)>) {
         sent.clear();
         retire_erased(&mut self.sent, sent, SENT_RETAIN);
+    }
+
+    /// A recycled (empty) decoded sender table for message type `M`.
+    pub(crate) fn take_table<M: Send + 'static>(&mut self) -> Vec<(NodeId, M)> {
+        take_erased(&mut self.tables)
+    }
+
+    /// Retires a decoded sender table, keeping its allocation.
+    pub(crate) fn retire_table<M: Send + 'static>(&mut self, mut table: Vec<(NodeId, M)>) {
+        table.clear();
+        retire_erased(&mut self.tables, table, SENT_RETAIN);
     }
 
     /// A recycled (empty) frame byte buffer.

@@ -893,15 +893,16 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
     }
 }
 
-/// The framed half of [`Round::pull_from_neighbors`]: encodes each sender's
-/// frame entry once, walks every shard's receivers to build its `ROUND`
-/// frame, and folds the returned `INBOX` entries into `receive`.
+/// The framed half of [`Round::pull_from_neighbors`]: the transport
+/// encodes the senders' table once, the walk pushes each pulled message's
+/// sender index into its receiver's shard's `EXCHANGE` frame, and the
+/// returned runs are folded into `receive`.
 ///
 /// Kept out of line: inlined into its caller, it left the direct walk's
 /// loop about 7% slower on a `kronecker(16, 8)` exchange with every node
 /// sending.
 #[inline(never)]
-fn pull_framed<M: Wire>(
+fn pull_framed<M: Wire + Send + 'static>(
     transport: &mut shard::ShardedTransport,
     walk: &PullWalk<'_, M>,
     counts: &mut [u32],
@@ -909,21 +910,15 @@ fn pull_framed<M: Wire>(
     receive: impl FnMut(NodeId, NodeId, &M),
     buffers: &mut RoundBuffers,
 ) {
-    let mut templates = mem::take(&mut buffers.templates);
-    templates.encode(walk.sent);
     transport
         .exchange(
+            walk.sent,
             counts,
-            |dsts, frame, counts| {
-                walk.run(dsts, counts, tally, |u, _, at, _| {
-                    templates.frame(at, u, frame);
-                })
-            },
+            |dsts, counts, runs| walk.run(dsts, counts, tally, |u, _, at, _| runs.push(u, at)),
             receive,
             buffers,
         )
         .unwrap_or_else(|e| panic!("sharded exchange failed: {e}"));
-    buffers.templates = templates;
 }
 
 /// Charges of a pulled neighbour exchange, summed as it is walked.
@@ -1210,6 +1205,8 @@ fn inbox_histogram(counts: &[u32]) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cc_mis_graph::rng::mix3;
+
     use crate::bits::standard_bandwidth;
     use crate::congest::CongestEngine;
     use crate::par_nodes::set_thread_override;
@@ -1536,27 +1533,52 @@ mod tests {
     /// send loop over every node, each sender to its receiving neighbours,
     /// then `deliver` — on a direct core and through the frame codec at 1,
     /// 2 and 4 shards: the same `receive` calls in the same order, the same
-    /// ledger and the same events, over three rounds of one engine. The
-    /// cases pull and push, and cover a shard with no receivers (the lower
-    /// half of the nodes only send), a silent receiver (no neighbour of
-    /// node 17 sends), an empty sender frontier, and clique engines larger
-    /// than the graph (Theorem 1.1 runs its 1-node graph on 2 nodes).
+    /// ledger and the same events, over three rounds of one engine. It runs
+    /// for every message shape the algorithms exchange: `u64`, `u32`, the
+    /// sparsified `(Option<u64>, bool)`, an announcement-shaped `(u64,
+    /// Option<u8>)` and the zero-length `()`. The cases pull and push, and
+    /// cover a shard with no receivers (the lower half of the nodes only
+    /// send), a silent receiver (no neighbour of node 17 sends), senders
+    /// heard in one shard only (the ends of a path), a shard that receives
+    /// nothing (one sender near the start of a path), an empty sender
+    /// frontier, and clique engines larger than the graph (Theorem 1.1 runs
+    /// its 1-node graph on 2 nodes).
     #[test]
     fn framed_exchange_matches_direct_pull() {
         let _guard = crate::shard::TEST_CONFIG_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
+        check_framed_exchange(|v, round| u64::from(v.raw()) * 10 + round);
+        check_framed_exchange(|v, round| v.raw() ^ u32::try_from(round).expect("< 3"));
+        check_framed_exchange(|v, round| {
+            let h = mix3(round, u64::from(v.raw()), 1);
+            ((!h.is_multiple_of(3)).then_some(h), h.is_multiple_of(2))
+        });
+        check_framed_exchange(|v, round| {
+            let h = mix3(round, u64::from(v.raw()), 2);
+            (h, (!h.is_multiple_of(4)).then(|| h.to_le_bytes()[0]))
+        });
+        check_framed_exchange(|_, _| ());
+    }
+
+    /// [`framed_exchange_matches_direct_pull`] for messages built by
+    /// `make(sender, round)`.
+    fn check_framed_exchange<M>(make: impl Fn(NodeId, u64) -> M)
+    where
+        M: Wire + Clone + Sync + Send + PartialEq + fmt::Debug + 'static,
+    {
         /// Per round, the `(receiver, sender, message)` calls in order.
-        type Visits = Vec<Vec<(u32, u32, u64)>>;
+        type Visits<M> = Vec<Vec<(u32, u32, M)>>;
         /// Runs three rounds through the exchange at `shards`, or (for
         /// `None`) through the mask-semantics send loop on a direct core.
-        fn run(
+        fn run<M>(
             shards: Option<Option<usize>>,
-            g: &Graph,
-            engine_n: Option<usize>,
-            receivers: &[bool],
-            sends: &dyn Fn(NodeId) -> bool,
-        ) -> (Visits, RoundLedger, Vec<RoundEvent>) {
+            (g, engine_n, receivers, sends): Case<'_>,
+            make: &dyn Fn(NodeId, u64) -> M,
+        ) -> (Visits<M>, RoundLedger, Vec<RoundEvent>)
+        where
+            M: Wire + Clone + Sync + Send + 'static,
+        {
             crate::shard::set_shards_override(shards.flatten());
             let recorder = shared_recorder();
             let mut core = RoundCore::new(64, Enforcement::Strict);
@@ -1567,9 +1589,9 @@ mod tests {
             let mut all = Vec::new();
             for round in 0..3u64 {
                 let mut visits = Vec::new();
-                let message_of =
-                    |v: NodeId| sends(v).then(|| (8 + round, u64::from(v.raw()) * 10 + round));
-                let receive = |u: NodeId, v: NodeId, &m: &u64| visits.push((u.raw(), v.raw(), m));
+                let message_of = |v: NodeId| sends(v).then(|| (8 + round, make(v, round)));
+                let receive =
+                    |u: NodeId, v: NodeId, m: &M| visits.push((u.raw(), v.raw(), m.clone()));
                 let exchange = shards.is_some();
                 let (s, f) = (&senders[..], &frontier);
                 let result = match engine_n {
@@ -1606,13 +1628,13 @@ mod tests {
         /// Closes `round` through the exchange, or (if `!exchange`) through
         /// the old semantics: `message_of` at every node, each message to
         /// every neighbour whose receiver flag is set, then `deliver`.
-        fn play<T: Transport>(
-            mut round: Round<'_, T, u64>,
+        fn play<T: Transport, M: Wire + Clone + Sync + Send + 'static>(
+            mut round: Round<'_, T, M>,
             exchange: bool,
             g: &Graph,
             (senders, frontier, receivers): (&[NodeId], &Frontier, &[bool]),
-            message_of: impl Fn(NodeId) -> Option<(u64, u64)>,
-            mut receive: impl FnMut(NodeId, NodeId, &u64),
+            message_of: impl Fn(NodeId) -> Option<(u64, M)>,
+            mut receive: impl FnMut(NodeId, NodeId, &M),
         ) -> Result<(), BandwidthError> {
             if exchange {
                 let message_of = |v| message_of(v).expect("every listed sender sends");
@@ -1622,18 +1644,24 @@ mod tests {
                 if let Some((bits, m)) = message_of(v) {
                     for &u in g.neighbors(v) {
                         if receivers[u.index()] {
-                            round.send(v, u, bits, m)?;
+                            round.send(v, u, bits, m.clone())?;
                         }
                     }
                 }
             }
             for (u, inbox) in round.deliver().iter().enumerate() {
-                for &(v, m) in inbox {
-                    receive(NodeId::new(idx_u32(u)), v, &m);
+                for (v, m) in inbox {
+                    receive(NodeId::new(idx_u32(u)), *v, m);
                 }
             }
             Ok(())
         }
+        type Case<'c> = (
+            &'c Graph,
+            Option<usize>,
+            &'c [bool],
+            &'c dyn Fn(NodeId) -> bool,
+        );
         let g = cc_mis_graph::generators::erdos_renyi_gnp(24, 0.3, 5);
         let silent = NodeId::new(17);
         let upper: Vec<bool> = (0..24).map(|i| i >= 12).collect();
@@ -1647,52 +1675,55 @@ mod tests {
             .expect("the graph has edges");
         let only_lightest = |v: NodeId| v == lightest;
         let path = cc_mis_graph::generators::path(3);
+        let path8 = cc_mis_graph::generators::path(8);
         let single = Graph::empty(1);
-        type Case<'c> = (
-            &'c str,
-            &'c Graph,
-            Option<usize>,
-            &'c [bool],
-            &'c dyn Fn(NodeId) -> bool,
-        );
-        let cases: [Case<'_>; 9] = [
-            ("CONGEST, all", &g, None, &all, &|_| true),
-            ("CONGEST, upper half receives", &g, None, &upper, &|_| true),
+        let cases: [(&str, Case<'_>); 11] = [
+            ("CONGEST, all", (&g, None, &all, &|_| true)),
+            (
+                "CONGEST, upper half receives",
+                (&g, None, &upper, &|_| true),
+            ),
             (
                 "clique, silent receiver",
-                &g,
-                Some(24),
-                &all,
-                &not_near_silent,
+                (&g, Some(24), &all, &not_near_silent),
             ),
             (
                 "clique, one light sender",
-                &g,
-                Some(24),
-                &all,
-                &only_lightest,
+                (&g, Some(24), &all, &only_lightest),
             ),
-            ("CONGEST, one light sender", &g, None, &all, &only_lightest),
+            (
+                "CONGEST, one light sender",
+                (&g, None, &all, &only_lightest),
+            ),
             (
                 "clique, one sender, few receivers",
-                &g,
-                Some(24),
-                &few,
-                &only_lightest,
+                (&g, Some(24), &few, &only_lightest),
             ),
-            ("CONGEST, no senders", &g, None, &all, &|_| false),
-            ("path(3) on 5 nodes", &path, Some(5), &[true; 3], &|_| true),
-            ("1 node on 2", &single, Some(2), &[true], &|_| true),
+            ("CONGEST, no senders", (&g, None, &all, &|_| false)),
+            (
+                "path(3) on 5 nodes",
+                (&path, Some(5), &[true; 3], &|_| true),
+            ),
+            ("1 node on 2", (&single, Some(2), &[true], &|_| true)),
+            (
+                "path(8), ends heard in one shard each",
+                (&path8, None, &[true; 8], &|v| v.raw() % 7 == 0),
+            ),
+            (
+                "path(8), upper shards hear nothing",
+                (&path8, None, &[true; 8], &|v| v.raw() == 1),
+            ),
         ];
         let mut pushed = 0;
-        for (name, graph, engine_n, receivers, sends) in cases {
-            let (want, ledger, events) = run(None, graph, engine_n, receivers, sends);
+        for (name, case) in cases {
+            let (want, ledger, events) = run(None, case, &make);
             for shards in [None, Some(1usize), Some(2), Some(4)] {
-                let got = run(Some(shards), graph, engine_n, receivers, sends);
+                let got = run(Some(shards), case, &make);
                 assert_eq!(got.0, want, "{name}: visits at {shards:?} shards");
                 assert_eq!(got.1, ledger, "{name}: ledger at {shards:?} shards");
                 assert_eq!(got.2, events, "{name}: events at {shards:?} shards");
             }
+            let (graph, engine_n, receivers, sends) = case;
             let send_volume: usize = graph
                 .nodes()
                 .filter(|&v| sends(v))

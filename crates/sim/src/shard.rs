@@ -10,9 +10,13 @@
 //! shard inboxes — dst-major, send order within each destination — which is
 //! byte-identical to the direct in-process scatter in
 //! [`crate::runtime::Round::deliver`] at any shard count. A pulled
-//! [`crate::runtime::Round::exchange_with_neighbors`] frames its messages
-//! dst-major from the start and folds each returned entry into its visitor,
-//! in the order the direct pull visits them.
+//! [`crate::runtime::Round::exchange_with_neighbors`] is a local broadcast
+//! (each sender tells every receiving neighbour the same value), so its
+//! `EXCHANGE` frame carries each sender's message once, in a table, and
+//! each message as the sender's `u32` index in a per-destination run. It
+//! is already a shard's inbox: the worker checks it and echoes it, and the
+//! coordinator folds the runs into its visitor in the order the direct
+//! pull visits them.
 //!
 //! Two [`FrameLink`] backends speak the same codec:
 //!
@@ -23,7 +27,9 @@
 //! * [`ProcessLink`] — real OS processes: the coordinator binds a Unix
 //!   domain socket, spawns `clique-mis worker --socket PATH --shard K`
 //!   children, and exchanges the identical frames over the stream. Raw
-//!   process/socket APIs are confined to this module (`clippy.toml`).
+//!   process/socket APIs are confined to this module (`clippy.toml`). The
+//!   child is this process's own executable, so both ends always speak the
+//!   same protocol.
 //!
 //! # Frame format
 //!
@@ -47,51 +53,69 @@
 //! |----------------------------------------------|-------|
 //! | `INIT [shard u32][n u32][dst_lo][dst_hi]`    | `ACK [shard u32]` |
 //! | `ROUND [round u64][count u32]` + entries     | `INBOX [round u64][fingerprint u64][count u32]` + entries |
+//! | `EXCHANGE [round u64][count u32][senders u32]` + table + runs | `INBOX [round u64][fingerprint u64][count u32][senders u32]` + table + runs |
 //! | `SAVE` (empty)                               | `STATE [CCMS snapshot bytes]` |
 //! | `RESTORE [CCMS snapshot bytes]`              | `ACK [shard u32]` |
 //! | `SHUTDOWN` (empty)                           | none (worker exits) |
 //!
 //! `ROUND` entries are `[src u32][dst u32][len u32][payload bytes]` in send
 //! order; `INBOX` entries are the same layout in scattered (dst-major)
-//! order. Workers never decode message payloads — `M` is encoded by the
-//! coordinator via [`Wire`] and treated as opaque bytes in flight. The
-//! coordinator checks each `INBOX`'s shape as it reads it: its entry count
-//! must equal the `ROUND` frame's, and no destination may receive more
-//! entries than were framed for it — in `deliver` no entry may overrun its
-//! destination's slots in the arena; in an exchange each destination's run
-//! must come whole, in order, senders ascending.
+//! order. An `EXCHANGE`'s table holds one `[src u32][len u32][payload
+//! bytes]` per sender, sources ascending; its runs follow, one per
+//! receiving destination, destinations ascending: `[dst u32][run u32]` and
+//! `run` indices into the table, each a `u32`, ascending. `count` is the
+//! number of messages: `ROUND` entries or `EXCHANGE` indices. Both request
+//! kinds open with `[round][count]`, and the `INBOX` echoes them with the
+//! worker's fingerprint in between; an exchange's `INBOX` then repeats the
+//! rest of the request byte for byte. Workers never decode message
+//! payloads — `M` is encoded by the coordinator via [`Wire`] and treated as
+//! opaque bytes in flight — but a worker checks an `EXCHANGE`'s shape
+//! before it echoes it: sources ascending, every payload inside the frame,
+//! runs non-empty with their destinations inside the shard and ascending,
+//! indices inside the table and ascending within a run, exactly `count`
+//! of them and no trailing byte.
+//!
+//! The coordinator checks each `INBOX`'s shape as it reads it: its message
+//! count must equal the request's, and no destination may receive more
+//! messages than were framed for it — in `deliver` no entry may overrun
+//! its destination's slots in the arena; in an exchange the table must be
+//! the one framed, each payload must decode to exactly one `M`, and each
+//! destination's run must hold exactly the messages framed for it, with
+//! the worker's shape checks repeated.
 //!
 //! # Where the bytes go
 //!
 //! Framed delivery touches each message's bytes a fixed, small number of
 //! times. `deliver` builds every shard's `ROUND` frame in place, in one
 //! pass over the outbox: it reserves the header, `Wire`-encodes each
-//! message straight into its shard's frame, and seals the header last. A
-//! pulled exchange has no outbox: it `Wire`-encodes each sender's entry
-//! once ([`EntryTemplates`]), and its receiver-order walk copies the
-//! sender's entry into the receiver's shard's frame and patches in the
-//! destination. The worker counts entry bytes per destination, prefix-sums
-//! them into write offsets, and copies each entry once, reading the round
-//! payload in order, into an `INBOX` frame that is also built in place; a
-//! payload that is already dst-major (an exchange's) is copied in one
-//! piece. `deliver` decodes the `INBOX` into the arena, an exchange folds
-//! each entry into its visitor as it decodes it. The channel backend hands
-//! reply buffers over by swapping, never copying, and the worker writes
-//! each checkpoint into a recycled buffer, so a steady-state round
-//! allocates nothing.
+//! message straight into its shard's frame, and seals the header last. The
+//! worker counts entry bytes per destination, prefix-sums them into write
+//! offsets, and copies each entry once, reading the round payload in
+//! order, into an `INBOX` frame that is also built in place; `deliver`
+//! decodes that `INBOX` into the arena. A pulled exchange has no outbox:
+//! it `Wire`-encodes the sender table into the first shard's frame and
+//! copies it into the others, and its receiver-order walk appends one
+//! `u32` per message ([`ExchangeRuns`]). The worker copies the checked
+//! frame into its `INBOX` in one piece, and the coordinator decodes the
+//! table once per shard and folds each run by table lookup. The channel
+//! backend hands reply buffers over by swapping, never copying, and the
+//! worker writes each checkpoint into a recycled buffer, so a steady-state
+//! round allocates nothing.
 //!
-//! Over three `kronecker(16, 8)` Theorem 1.1 solves (one thread, two
-//! channel shards; ~3.1 M pulled messages, 57 MB of entries per solve),
-//! a solve's framed exchanges spend about 0.15 s building frames (the
-//! direct walk and fold alone take 0.09 s), 0.03 s per checksum pass (four
-//! of them: both ends of both frames), 0.06 s in the worker's parse and
-//! copy, 0.09 s decoding and folding entries, and under 1 ms on
+//! Over six `kronecker(16, 8)` Theorem 1.1 solves (one thread, two channel
+//! shards; 3.14 M pulled messages and 24.8 MB of `EXCHANGE` frames per
+//! solve, 7.9 bytes per message against 18.2 for per-receiver entries), a
+//! solve's framed exchanges spend about 0.07–0.09 s building frames (the
+//! receiver walk included), 0.05 s on the four checksum passes (both ends
+//! of both frames), 0.02–0.03 s in the worker's checks and copy,
+//! 0.04–0.06 s decoding the table and folding the runs, and under 1 ms on
 //! checkpoints.
 //!
 //! # Fingerprints make recovery load-bearing
 //!
 //! Each worker chains `fingerprint = mix3(fingerprint, frame_checksum,
-//! round)` over every `ROUND` frame it applies; the coordinator maintains
+//! round)` over every `ROUND` or `EXCHANGE` frame it applies; the
+//! coordinator maintains
 //! the identical mirror chain at send time and verifies it on every
 //! `INBOX`. The fingerprint is part of the worker's checkpoint, so a
 //! recovered worker that skipped its `RESTORE` (or restored the wrong
@@ -102,9 +126,10 @@
 //!
 //! After every round the coordinator collects a `SAVE` checkpoint from each
 //! shard (round 0's is taken at construction) and retains the last `ROUND`
-//! frame per shard. When a link dies ([`ShardError::WorkerDead`] or an I/O
-//! error), the coordinator respawns the worker, replays `INIT` +
-//! `RESTORE(last checkpoint)` + the retained `ROUND` frame, and resumes —
+//! or `EXCHANGE` frame per shard. When a link dies
+//! ([`ShardError::WorkerDead`] or an I/O error), the coordinator respawns
+//! the worker, replays `INIT` + `RESTORE(last checkpoint)` + the retained
+//! frame, and resumes —
 //! so a killed-and-recovered run is byte-identical (MIS, ledger, trace) to
 //! the unkilled run at every (shard, round) injection point. Fault
 //! injection for tests and the CLI is a process-global
@@ -325,6 +350,8 @@ pub enum FrameKind {
     Ack = 7,
     /// Coordinator → worker: exit cleanly.
     Shutdown = 8,
+    /// Coordinator → worker: one pulled neighbour exchange for this shard.
+    Exchange = 9,
 }
 
 impl FrameKind {
@@ -340,6 +367,7 @@ impl FrameKind {
             FrameKind::Restore => 6,
             FrameKind::Ack => 7,
             FrameKind::Shutdown => 8,
+            FrameKind::Exchange => 9,
         }
     }
 
@@ -353,6 +381,7 @@ impl FrameKind {
             6 => FrameKind::Restore,
             7 => FrameKind::Ack,
             8 => FrameKind::Shutdown,
+            9 => FrameKind::Exchange,
             _ => return None,
         })
     }
@@ -545,49 +574,133 @@ pub fn decode_frame(frame: &[u8]) -> Result<(FrameKind, &[u8], u64), ShardError>
 /// Bytes of a `ROUND` / `INBOX` entry header: `[src u32][dst u32][len u32]`.
 const ENTRY_HEAD: usize = 12;
 
-/// Appends the entry `[src][dst][len][payload]` of message `m` to `out`:
-/// `m` is encoded straight into place and its length back-patched.
+/// Appends the entry `[src][dst][len][payload]` of message `m` to `out`.
 fn push_entry<M: Wire>(out: &mut Vec<u8>, src: u32, dst: u32, m: &M) {
-    let mut head = [0u8; ENTRY_HEAD];
-    head[..4].copy_from_slice(&src.to_le_bytes());
-    head[4..8].copy_from_slice(&dst.to_le_bytes());
-    out.extend_from_slice(&head);
+    push_u32(out, src);
+    push_u32(out, dst);
+    push_payload(out, m);
+}
+
+/// Appends `[len u32][payload]` for message `m`: `m` is encoded straight
+/// into place and its length back-patched.
+fn push_payload<M: Wire>(out: &mut Vec<u8>, m: &M) {
+    push_u32(out, 0);
     let at = out.len();
     m.encode(out);
     let len = idx_u32(out.len() - at);
     out[at - 4..at].copy_from_slice(&len.to_le_bytes());
 }
 
-/// The `ROUND` entries of a neighbour exchange's senders, each encoded once
-/// per round with a blank destination: framing a pulled message copies its
-/// sender's entry and patches the receiver in.
-#[derive(Debug, Default)]
-pub(crate) struct EntryTemplates {
-    bytes: Vec<u8>,
-    /// Where each entry starts in `bytes`, then where the last one ends.
-    starts: Vec<usize>,
+/// Appends the runs of an `EXCHANGE` frame, one message at a time: a
+/// message for a new destination closes the open run (back-patching its
+/// length) and opens `[dst][run]`; every message adds its sender's index.
+pub(crate) struct ExchangeRuns<'f> {
+    frame: &'f mut Vec<u8>,
+    dst: u32,
+    /// Where the open run's indices start; 0 while no run is open (a frame
+    /// header always precedes the runs).
+    at: usize,
 }
 
-impl EntryTemplates {
-    /// Replaces the templates with one per `(sender, bits, message)` of
-    /// `sent`, in order.
-    pub(crate) fn encode<M: Wire>(&mut self, sent: &[(NodeId, u64, M)]) {
-        self.bytes.clear();
-        self.starts.clear();
-        for (src, _, m) in sent {
-            self.starts.push(self.bytes.len());
-            push_entry(&mut self.bytes, src.raw(), 0, m);
+impl ExchangeRuns<'_> {
+    /// Appends a message to `dst` from the sender at `index` of the table.
+    #[inline]
+    pub(crate) fn push(&mut self, dst: NodeId, index: usize) {
+        if self.at == 0 || dst.raw() != self.dst {
+            self.close();
+            push_u32(self.frame, dst.raw());
+            push_u32(self.frame, 0);
+            self.dst = dst.raw();
+            self.at = self.frame.len();
         }
-        self.starts.push(self.bytes.len());
+        push_u32(self.frame, idx_u32(index));
     }
 
-    /// Appends the entry of `sent[at]` to `frame`, addressed to `dst`.
-    #[inline]
-    pub(crate) fn frame(&self, at: usize, dst: NodeId, frame: &mut Vec<u8>) {
-        let base = frame.len();
-        frame.extend_from_slice(&self.bytes[self.starts[at]..self.starts[at + 1]]);
-        frame[base + 4..base + 8].copy_from_slice(&dst.raw().to_le_bytes());
+    /// Writes the open run's length into its header.
+    fn close(&mut self) {
+        if self.at > 0 {
+            let run = idx_u32((self.frame.len() - self.at) / 4);
+            self.frame[self.at - 4..self.at].copy_from_slice(&run.to_le_bytes());
+        }
     }
+}
+
+/// Reads the sender table of an `EXCHANGE` body, `senders` entries of
+/// `[src u32][len u32][payload]`, calling `sender(src, payload)` for each.
+/// Sources must be strictly ascending and every payload must lie inside
+/// the frame. Nothing is allocated by the claimed count: a count larger
+/// than the entries present ends in [`ShardError::Truncated`].
+fn walk_table(
+    c: &mut WireCursor<'_>,
+    senders: u32,
+    mut sender: impl FnMut(u32, &[u8]) -> Result<(), ShardError>,
+) -> Result<(), ShardError> {
+    let mut last = None;
+    for _ in 0..senders {
+        let src = c.u32().ok_or(ShardError::Truncated)?;
+        let len = c.u32().ok_or(ShardError::Truncated)?;
+        let payload = c.take(len as usize).ok_or(ShardError::Truncated)?;
+        if last >= Some(src) {
+            return Err(ShardError::Protocol(
+                "exchange sender table repeats or reorders a sender",
+            ));
+        }
+        last = Some(src);
+        sender(src, payload)?;
+    }
+    Ok(())
+}
+
+/// Reads the runs of an `EXCHANGE` body up to its end: `[dst u32][run
+/// u32]` and `run` sender indices, `count` messages in all. Calls
+/// `run(dst, len)` as each run opens and `message(dst, index)` for each of
+/// its indices. Destinations must lie in `dsts` and be strictly ascending,
+/// runs must hold at least one message and no more than the count has
+/// left, indices must be below `senders` and strictly ascending within
+/// their run, and no byte may follow the last run.
+fn walk_runs(
+    c: &mut WireCursor<'_>,
+    senders: u32,
+    count: u32,
+    dsts: ops::Range<u32>,
+    mut run: impl FnMut(u32, u32) -> Result<(), ShardError>,
+    mut message: impl FnMut(u32, usize),
+) -> Result<(), ShardError> {
+    let mut left = count;
+    let mut min_dst = dsts.start;
+    while left > 0 {
+        let dst = c.u32().ok_or(ShardError::Truncated)?;
+        let len = c.u32().ok_or(ShardError::Truncated)?;
+        if dst < min_dst || dst >= dsts.end {
+            return Err(ShardError::Protocol(
+                "exchange run repeats or reorders a destination, or leaves the shard",
+            ));
+        }
+        if len == 0 || len > left {
+            return Err(ShardError::Protocol(
+                "exchange run is empty or overruns the message count",
+            ));
+        }
+        run(dst, len)?;
+        let indices = c.take(len as usize * 4).ok_or(ShardError::Truncated)?;
+        let mut min_index = 0;
+        for index in indices.chunks_exact(4) {
+            let index = le_u32_at(index, 0);
+            if index < min_index || index >= senders {
+                return Err(ShardError::Protocol(
+                    "exchange run index repeats, descends or leaves the sender table",
+                ));
+            }
+            min_index = index + 1;
+            message(dst, index as usize);
+        }
+        left -= len;
+        min_dst = dst + 1;
+    }
+    if !c.done() {
+        return Err(ShardError::Protocol("trailing bytes in exchange frame"));
+    }
+    Ok(())
 }
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {
@@ -690,35 +803,66 @@ impl WorkerState {
         Ok(())
     }
 
-    /// Applies one `ROUND` payload: shard-local counting scatter of the
-    /// opaque entries into dst-major order, counters + fingerprint update,
-    /// and the complete `INBOX` reply frame built in place in `reply`.
+    /// Applies one `ROUND` or `EXCHANGE` payload: checks its shape, updates
+    /// the counters and the fingerprint, and builds the complete `INBOX`
+    /// reply in place in `reply`. Both kinds open with `[round u64][count
+    /// u32]`, and the reply echoes them after the fingerprint.
     ///
-    /// The scatter counts *bytes* per local destination, prefix-sums them
-    /// into write cursors inside the reply, and then copies every entry
-    /// once, reading the round payload front to back. Entries for one
-    /// destination keep their arrival order (the stable counting scatter).
-    /// Entries that already arrive dst-major (a pulled neighbour exchange
-    /// frames them so) are their own scatter and are copied in one piece.
+    /// A `ROUND`'s entries are scattered dst-major (see
+    /// [`WorkerState::scatter`]). An `EXCHANGE` is already a shard's inbox
+    /// (see the module docs), so once its shape checks out the rest of its
+    /// payload is copied into the reply in one piece.
     fn apply_round(
         &mut self,
+        kind: FrameKind,
         payload: &[u8],
         checksum: u64,
         reply: &mut Vec<u8>,
     ) -> Result<(), ShardError> {
-        /// `INBOX` header: `[round u64][fingerprint u64][count u32]`.
-        const INBOX_HEAD: usize = 8 + 8 + 4;
         let mut c = WireCursor::new(payload);
         let round = c.u64().ok_or(ShardError::Truncated)?;
         if round != self.applied + 1 {
             return Err(ShardError::Protocol("round frame out of sequence"));
         }
         let count = c.u32().ok_or(ShardError::Truncated)?;
-        let entries_at = c.pos();
+        let body = &payload[c.pos()..];
+        let bytes = if kind == FrameKind::Exchange {
+            let senders = c.u32().ok_or(ShardError::Truncated)?;
+            let mut bytes = 0;
+            walk_table(&mut c, senders, |_, m| {
+                bytes += m.len() as u64;
+                Ok(())
+            })?;
+            let dsts = self.dst_lo..self.dst_hi;
+            walk_runs(&mut c, senders, count, dsts, |_, _| Ok(()), |_, _| {})?;
+            bytes
+        } else {
+            self.count_entries(&mut c, count)?
+        };
+        self.applied = round;
+        self.delivered += u64::from(count);
+        self.bytes += bytes;
+        self.fingerprint = mix3(self.fingerprint, checksum, round);
+        open_frame(reply);
+        push_u64(reply, round);
+        push_u64(reply, self.fingerprint);
+        push_u32(reply, count);
+        if kind == FrameKind::Exchange {
+            reply.extend_from_slice(body);
+        } else {
+            self.scatter(body, reply);
+        }
+        seal_frame(FrameKind::Inbox, reply);
+        Ok(())
+    }
+
+    /// Checks a `ROUND`'s `count` entries `[src][dst][len][payload]` and
+    /// counts each local destination's entry bytes into the scatter
+    /// cursors. Returns the payload bytes.
+    fn count_entries(&mut self, c: &mut WireCursor<'_>, count: u32) -> Result<u64, ShardError> {
         self.cursors.clear();
         self.cursors.resize(self.width(), 0);
-        let mut dst_major = true;
-        let mut last_dst = self.dst_lo;
+        let mut bytes = 0;
         for _ in 0..count {
             let _src = c.u32().ok_or(ShardError::Truncated)?;
             let dst = c.u32().ok_or(ShardError::Truncated)?;
@@ -729,49 +873,39 @@ impl WorkerState {
                     "entry destination outside shard range",
                 ));
             }
-            dst_major &= dst >= last_dst;
-            last_dst = dst;
+            bytes += u64::from(len);
             self.cursors[(dst - self.dst_lo) as usize] += ENTRY_HEAD + len as usize;
         }
         if !c.done() {
             return Err(ShardError::Protocol("trailing bytes in round frame"));
         }
-        let entries = &payload[entries_at..];
-        self.applied = round;
-        self.delivered += u64::from(count);
-        self.bytes += (entries.len() - count as usize * ENTRY_HEAD) as u64;
-        self.fingerprint = mix3(self.fingerprint, checksum, round);
-        open_frame(reply);
-        push_u64(reply, round);
-        push_u64(reply, self.fingerprint);
-        push_u32(reply, count);
-        if dst_major {
-            reply.extend_from_slice(entries);
-        } else {
-            // Exclusive prefix sum: per-destination byte totals become each
-            // destination's first write offset in the reply.
-            let mut acc = FRAME_HEADER + INBOX_HEAD;
-            for cursor in &mut self.cursors {
-                let bytes = *cursor;
-                *cursor = acc;
-                acc += bytes;
-            }
-            reply.resize(acc, 0);
-            // The entries were validated above, so this pass only moves
-            // bytes.
-            let mut at = 0;
-            while at < entries.len() {
-                let dst = le_u32_at(entries, at + 4);
-                let len = le_u32_at(entries, at + 8) as usize;
-                let size = ENTRY_HEAD + len;
-                let cursor = &mut self.cursors[(dst - self.dst_lo) as usize];
-                reply[*cursor..*cursor + size].copy_from_slice(&entries[at..at + size]);
-                *cursor += size;
-                at += size;
-            }
+        Ok(bytes)
+    }
+
+    /// The shard-local counting scatter of a checked `ROUND`'s `entries`
+    /// into dst-major order after the `INBOX` header already in `reply`.
+    /// The per-destination byte totals of [`WorkerState::count_entries`]
+    /// are prefix-summed into write cursors inside the reply, and every
+    /// entry is then copied once, reading the round payload front to back,
+    /// so entries for one destination keep their arrival order.
+    fn scatter(&mut self, entries: &[u8], reply: &mut Vec<u8>) {
+        let mut acc = reply.len();
+        for cursor in &mut self.cursors {
+            let bytes = *cursor;
+            *cursor = acc;
+            acc += bytes;
         }
-        seal_frame(FrameKind::Inbox, reply);
-        Ok(())
+        reply.resize(acc, 0);
+        let mut at = 0;
+        while at < entries.len() {
+            let dst = le_u32_at(entries, at + 4);
+            let len = le_u32_at(entries, at + 8) as usize;
+            let size = ENTRY_HEAD + len;
+            let cursor = &mut self.cursors[(dst - self.dst_lo) as usize];
+            reply[*cursor..*cursor + size].copy_from_slice(&entries[at..at + size]);
+            *cursor += size;
+            at += size;
+        }
     }
 }
 
@@ -820,7 +954,7 @@ fn handle_frame(
             encode_frame(FrameKind::Ack, &shard.to_le_bytes(), reply);
             Ok(())
         }
-        FrameKind::Round => state.apply_round(payload, checksum, reply),
+        FrameKind::Round | FrameKind::Exchange => state.apply_round(kind, payload, checksum, reply),
         FrameKind::Save => {
             encode_frame(FrameKind::State, state.save_bytes(), reply);
             Ok(())
@@ -1127,9 +1261,10 @@ pub(crate) struct ShardedTransport {
     dst_cuts: Vec<u32>,
     /// Last `SAVE` checkpoint per shard (round 0's taken at construction).
     checkpoints: Vec<Vec<u8>>,
-    /// Last `ROUND` frame sent per shard, retained for recovery replay.
+    /// Last `ROUND` or `EXCHANGE` frame sent per shard, retained for
+    /// recovery replay.
     round_frames: Vec<Vec<u8>>,
-    /// Entry count of each shard's last `ROUND` frame; its `INBOX` must
+    /// Message count of each shard's last request frame; its `INBOX` must
     /// return exactly as many.
     sent_counts: Vec<u32>,
     /// Coordinator-side fingerprint mirror chain per shard.
@@ -1341,8 +1476,9 @@ impl ShardedTransport {
         Ok((c, count))
     }
 
-    /// Starts the next round: opens every shard's `ROUND` frame in its
-    /// retained slot (kept for recovery replay), with no entries yet.
+    /// Starts the next round: opens every shard's request frame in its
+    /// retained slot (kept for recovery replay) with `[round][count]`, the
+    /// count patched when the frame is sealed.
     fn open_round(&mut self) {
         self.round += 1;
         for (round_frame, count) in self.round_frames.iter_mut().zip(&mut self.sent_counts) {
@@ -1376,52 +1512,78 @@ impl ShardedTransport {
             push_entry(&mut self.round_frames[k], src.raw(), dst.raw(), m);
             self.sent_counts[k] += 1;
         }
-        self.ship(buffers, |t, k, inbox| {
+        self.ship(FrameKind::Round, buffers, |t, k, inbox| {
             t.apply_inbox(k, inbox, arena, cursors, offsets)
         })
     }
 
     /// Delivers one pulled neighbour exchange through the frame boundary
     /// and folds every message into `receive(receiver, sender, &message)`
-    /// as it is decoded, with no arena in between.
+    /// as the returned runs are read, with no arena in between.
     ///
-    /// `fill(dsts, frame, framed)` appends to `frame` the entries of shard
-    /// `k`'s destinations `dsts`, dst-major, each destination's senders
-    /// ascending, records in `framed[dst]` how many it framed for each, and
-    /// returns how many it appended in all. The `INBOX` must come back with
-    /// exactly that shape (see [`ShardedTransport::fold_inbox`]), so
+    /// Every shard's `EXCHANGE` frame carries the senders' table, `sent`
+    /// `Wire`-encoded once and copied into each frame. `fill(dsts, framed,
+    /// runs)` then pushes into `runs` the messages of shard `k`'s
+    /// destinations `dsts`, dst-major, each destination's senders
+    /// ascending, records in `framed[dst]` how many it pushed for each, and
+    /// returns how many it pushed in all. The `INBOX` must come back with
+    /// exactly that shape (see [`ShardedTransport::fold_exchange`]), so
     /// `receive` sees the messages in the order they were framed.
-    pub(crate) fn exchange<M: Wire>(
+    pub(crate) fn exchange<M: Wire + Send + 'static>(
         &mut self,
+        sent: &[(NodeId, u64, M)],
         framed: &mut [u32],
-        mut fill: impl FnMut(ops::Range<usize>, &mut Vec<u8>, &mut [u32]) -> u32,
+        mut fill: impl FnMut(ops::Range<usize>, &mut [u32], &mut ExchangeRuns<'_>) -> u32,
         mut receive: impl FnMut(NodeId, NodeId, &M),
         buffers: &mut RoundBuffers,
     ) -> Result<(), ShardError> {
         self.open_round();
+        let senders = idx_u32(sent.len());
+        if let Some((first, rest)) = self.round_frames.split_first_mut() {
+            push_u32(first, senders);
+            let table_at = first.len();
+            for (src, _, m) in sent {
+                push_u32(first, src.raw());
+                push_payload(first, m);
+            }
+            for frame in rest {
+                push_u32(frame, senders);
+                frame.extend_from_slice(&first[table_at..]);
+            }
+        }
         for k in 0..self.links.len() {
             let dsts = self.dst_cuts[k] as usize..self.dst_cuts[k + 1] as usize;
-            self.sent_counts[k] = fill(dsts, &mut self.round_frames[k], framed);
+            let mut runs = ExchangeRuns {
+                frame: &mut self.round_frames[k],
+                dst: 0,
+                at: 0,
+            };
+            self.sent_counts[k] = fill(dsts, framed, &mut runs);
+            runs.close();
         }
-        self.ship(buffers, |t, k, inbox| {
-            t.fold_inbox(k, inbox, framed, &mut receive)
-        })
+        let mut table = buffers.take_table::<M>();
+        let result = self.ship(FrameKind::Exchange, buffers, |t, k, inbox| {
+            t.fold_exchange(k, inbox, senders, framed, &mut table, &mut receive)
+        });
+        buffers.retire_table(table);
+        result
     }
 
-    /// Ships the open round and hands each shard's `INBOX` to
-    /// `apply(self, shard, inbox)`, with recovery and checkpoints: the one
-    /// routine behind [`ShardedTransport::deliver`] and
+    /// Ships the open round as `kind` frames and hands each shard's `INBOX`
+    /// to `apply(self, shard, inbox)`, with recovery and checkpoints: the
+    /// one routine behind [`ShardedTransport::deliver`] and
     /// [`ShardedTransport::exchange`]. Injects the armed [`FaultPlan`] when
     /// this round matches, and transparently recovers any shard whose link
     /// died.
     fn ship(
         &mut self,
+        kind: FrameKind,
         buffers: &mut RoundBuffers,
         apply: impl FnMut(&Self, usize, &[u8]) -> Result<(), ShardError>,
     ) -> Result<(), ShardError> {
         let mut frame = buffers.take_frame();
         let mut recv = buffers.take_frame();
-        let result = self.ship_inner(&mut frame, &mut recv, apply);
+        let result = self.ship_inner(kind, &mut frame, &mut recv, apply);
         buffers.retire_frame(frame);
         buffers.retire_frame(recv);
         result
@@ -1429,20 +1591,21 @@ impl ShardedTransport {
 
     fn ship_inner(
         &mut self,
+        kind: FrameKind,
         frame: &mut Vec<u8>,
         recv: &mut Vec<u8>,
         mut apply: impl FnMut(&Self, usize, &[u8]) -> Result<(), ShardError>,
     ) -> Result<(), ShardError> {
         let fault = fault_due(self.round);
         let shards = self.links.len();
-        // Send phase: seal each shard's frame with its entry count. Each
+        // Send phase: seal each shard's frame with its message count. Each
         // sealed frame's checksum extends the mirror chain before any
         // worker sees it.
         for k in 0..shards {
             let round_frame = &mut self.round_frames[k];
             let count_at = FRAME_HEADER + 8;
             round_frame[count_at..count_at + 4].copy_from_slice(&self.sent_counts[k].to_le_bytes());
-            let checksum = seal_frame(FrameKind::Round, round_frame);
+            let checksum = seal_frame(kind, round_frame);
             self.mirrors[k] = mix3(self.mirrors[k], checksum, self.round);
             if self.links[k].send(round_frame).is_err() {
                 self.links[k].kill();
@@ -1508,61 +1671,55 @@ impl ShardedTransport {
         Ok(())
     }
 
-    /// Folds shard `k`'s `INBOX` of a pulled exchange into `receive`, entry
-    /// by entry. The entries must be dst-major, each destination's run
-    /// exactly the `framed[dst]` entries framed for it, senders strictly
-    /// ascending within a run (one message per ordered pair). No run may
-    /// exceed its count or be interrupted, and the entry count equals the
-    /// `ROUND` frame's, so none falls short either: this rejects an inbox
-    /// that moves, repeats, drops or reorders an entry.
-    fn fold_inbox<M: Wire>(
+    /// Folds shard `k`'s `INBOX` of a pulled exchange into `receive`, run by
+    /// run. The reply must carry the `senders` table entries that were
+    /// framed, each decoding to exactly one `M` (into `table`, once), and
+    /// every destination's run must hold exactly the `framed[dst]`
+    /// messages framed for it. [`walk_runs`] checks the rest of the shape:
+    /// destinations ascending, indices ascending within a run (so senders
+    /// ascend, one message per ordered pair), the message count equal to
+    /// the `EXCHANGE` frame's. Together this rejects an inbox that moves,
+    /// repeats, drops or reorders a message.
+    fn fold_exchange<M: Wire>(
         &self,
         k: usize,
         recv: &[u8],
+        senders: u32,
         framed: &[u32],
+        table: &mut Vec<(NodeId, M)>,
         receive: &mut impl FnMut(NodeId, NodeId, &M),
     ) -> Result<(), ShardError> {
         let (mut c, count) = self.validate_inbox_header(k, recv)?;
-        // The destination whose run is being read, the entries it is still
-        // owed, its last sender, and the lowest destination a new run may
-        // start at.
-        let mut run_dst = 0;
-        let mut owed = 0u32;
-        let mut last_src = None;
-        let mut next_dst = self.dst_cuts[k];
-        for _ in 0..count {
-            let (src, dst, m) = self.next_entry::<M>(k, &mut c)?;
-            if owed == 0 {
-                if dst < next_dst {
-                    return Err(ShardError::Protocol(
-                        "inbox entry repeats or reorders a destination",
-                    ));
-                }
-                owed = framed[dst as usize];
-                if owed == 0 {
-                    return Err(ShardError::Protocol(
-                        "inbox entry for a destination framed none",
-                    ));
-                }
-                run_dst = dst;
-                next_dst = dst + 1;
-                last_src = None;
-            } else if dst != run_dst {
-                return Err(ShardError::Protocol(
-                    "inbox destination short of its framed entries",
-                ));
-            }
-            if last_src >= Some(src) {
-                return Err(ShardError::Protocol("inbox senders out of order"));
-            }
-            last_src = Some(src);
-            owed -= 1;
-            receive(NodeId::new(dst), NodeId::new(src), &m);
+        if c.u32() != Some(senders) {
+            return Err(ShardError::Protocol(
+                "inbox sender table differs from the exchange frame",
+            ));
         }
-        if !c.done() {
-            return Err(ShardError::Protocol("trailing bytes in inbox frame"));
-        }
-        Ok(())
+        table.clear();
+        walk_table(&mut c, senders, |src, bytes| {
+            table.push((NodeId::new(src), decode_exact(bytes)?));
+            Ok(())
+        })?;
+        let dsts = self.dst_cuts[k]..self.dst_cuts[k + 1];
+        walk_runs(
+            &mut c,
+            senders,
+            count,
+            dsts,
+            |dst, len| {
+                if framed[dst as usize] == len {
+                    Ok(())
+                } else {
+                    Err(ShardError::Protocol(
+                        "inbox run differs from the messages framed for its destination",
+                    ))
+                }
+            },
+            |dst, index| {
+                let (src, m) = &table[index];
+                receive(NodeId::new(dst), *src, m);
+            },
+        )
     }
 
     /// Reads the next `[src][dst][len][payload]` entry of shard `k`'s
@@ -1579,14 +1736,18 @@ impl ShardedTransport {
         if dst < self.dst_cuts[k] || dst >= self.dst_cuts[k + 1] {
             return Err(ShardError::Protocol("inbox entry outside shard range"));
         }
-        let mut mc = WireCursor::new(bytes);
-        let m =
-            M::decode(&mut mc).ok_or(ShardError::Protocol("message payload failed to decode"))?;
-        if !mc.done() {
-            return Err(ShardError::Protocol("trailing bytes after message payload"));
-        }
-        Ok((src, dst, m))
+        Ok((src, dst, decode_exact(bytes)?))
     }
+}
+
+/// Decodes `bytes` as exactly one `M`.
+fn decode_exact<M: Wire>(bytes: &[u8]) -> Result<M, ShardError> {
+    let mut c = WireCursor::new(bytes);
+    let m = M::decode(&mut c).ok_or(ShardError::Protocol("message payload failed to decode"))?;
+    if !c.done() {
+        return Err(ShardError::Protocol("trailing bytes after message payload"));
+    }
+    Ok(m)
 }
 
 /// A `RoundCore`'s sharding mode, latched at its first delivery so the
@@ -2078,109 +2239,332 @@ mod tests {
         }
     }
 
-    /// The worker returns every `ROUND` dst-major, each destination's
-    /// entries in arrival order: a src-major frame is scattered, and a
-    /// frame that is already dst-major comes back unchanged.
+    /// The worker returns a `ROUND` dst-major, each destination's entries
+    /// in arrival order: a src-major frame comes back scattered.
     #[test]
-    fn worker_returns_entries_dst_major() {
-        let apply = |entries: &[(u32, u32, u32)]| {
-            let mut w = WorkerState::fresh(0);
-            (w.n, w.dst_lo, w.dst_hi) = (4, 0, 4);
+    fn worker_scatters_round_entries_dst_major() {
+        let entries = |entries: &[(u32, u32, u32)]| {
             let mut payload = Vec::new();
-            push_u64(&mut payload, 1);
-            push_u32(&mut payload, idx_u32(entries.len()));
             for &(src, dst, m) in entries {
                 push_entry(&mut payload, src, dst, &m);
             }
-            let mut reply = Vec::new();
-            w.apply_round(&payload, 0, &mut reply)
-                .expect("a well-formed round applies");
-            let (kind, inbox, _) = decode_frame(&reply).expect("the reply decodes");
-            assert_eq!(kind, FrameKind::Inbox);
-            // Skip `[round][fingerprint][count]`; the entries follow.
-            (inbox[20..].to_vec(), payload[12..].to_vec())
+            payload
         };
         let src_major = [(0, 2, 1), (0, 3, 2), (1, 0, 3), (2, 3, 4), (3, 2, 5)];
         let dst_major = [(1, 0, 3), (0, 2, 1), (3, 2, 5), (0, 3, 2), (2, 3, 4)];
-        let (scattered, _) = apply(&src_major);
-        let (copied, framed) = apply(&dst_major);
-        assert_eq!(scattered, framed);
-        assert_eq!(copied, framed);
+        let mut w = WorkerState::fresh(0);
+        (w.n, w.dst_lo, w.dst_hi) = (4, 0, 4);
+        let mut payload = Vec::new();
+        push_u64(&mut payload, 1);
+        push_u32(&mut payload, idx_u32(src_major.len()));
+        payload.extend(entries(&src_major));
+        let mut reply = Vec::new();
+        w.apply_round(FrameKind::Round, &payload, 0, &mut reply)
+            .expect("a well-formed round applies");
+        let (kind, inbox, _) = decode_frame(&reply).expect("the reply decodes");
+        assert_eq!(kind, FrameKind::Inbox);
+        // Skip `[round][fingerprint][count]`; the entries follow.
+        assert_eq!(inbox[20..], entries(&dst_major));
+    }
+
+    /// A run of an `EXCHANGE` body: `(dst, run length, indices)`.
+    type Run<'r> = (u32, u32, &'r [u32]);
+
+    /// The run `dst` with `indices`, its length their count.
+    fn run(dst: u32, indices: &[u32]) -> Run<'_> {
+        (dst, idx_u32(indices.len()), indices)
+    }
+
+    /// An `EXCHANGE` body after `[round][count]`: `senders`, the table's
+    /// `(src, payload)` entries, then the runs, every field as given (so a
+    /// test can inflate one).
+    fn exchange_body(senders: u32, table: &[(u32, &[u8])], runs: &[Run<'_>]) -> Vec<u8> {
+        let mut body = Vec::new();
+        push_u32(&mut body, senders);
+        for &(src, payload) in table {
+            push_u32(&mut body, src);
+            push_u32(&mut body, idx_u32(payload.len()));
+            body.extend_from_slice(payload);
+        }
+        for &(dst, len, indices) in runs {
+            push_u32(&mut body, dst);
+            push_u32(&mut body, len);
+            for &index in indices {
+                push_u32(&mut body, index);
+            }
+        }
+        body
+    }
+
+    /// A hostile exchange: what it breaks, its `count` and its body.
+    type Hostile = (&'static str, u32, Vec<u8>);
+
+    /// The hostile exchanges both ends must reject, each a `(what, count,
+    /// body)` against the well-formed one of [`hostile_exchanges`]' table:
+    /// senders 1, 3 and 6 with `u32` payloads 10, 30 and 60, and runs
+    /// dst 4 ← {1, 6}, dst 5 ← {3}, dst 7 ← {1, 3, 6}.
+    fn hostile_exchanges() -> (Vec<u8>, Vec<Hostile>) {
+        let (p1, p3, p6) = (
+            10u32.to_le_bytes(),
+            30u32.to_le_bytes(),
+            60u32.to_le_bytes(),
+        );
+        let table: [(u32, &[u8]); 3] = [(1, &p1), (3, &p3), (6, &p6)];
+        let good = exchange_body(
+            3,
+            &table,
+            &[run(4, &[0, 2]), run(5, &[1]), run(7, &[0, 1, 2])],
+        );
+        let with_runs = |runs: &[Run<'_>]| exchange_body(3, &table, runs);
+        let tail = [run(5, &[1]), run(7, &[0, 1, 2])];
+        let cases = vec![
+            (
+                "an index at or past the table's end",
+                6,
+                with_runs(&[run(4, &[0, 3]), tail[0], tail[1]]),
+            ),
+            (
+                "a run of length 0",
+                6,
+                with_runs(&[run(4, &[0, 2]), tail[0], run(6, &[]), tail[1]]),
+            ),
+            (
+                "a run below the shard",
+                6,
+                with_runs(&[run(3, &[0, 2]), tail[0], tail[1]]),
+            ),
+            (
+                "a run above the shard",
+                6,
+                with_runs(&[run(4, &[0, 2]), tail[0], run(8, &[0, 1, 2])]),
+            ),
+            (
+                "a repeated run dst",
+                6,
+                with_runs(&[run(4, &[0]), run(4, &[2]), tail[0], tail[1]]),
+            ),
+            (
+                "a descending run dst",
+                6,
+                with_runs(&[tail[0], run(4, &[0, 2]), tail[1]]),
+            ),
+            (
+                "a repeated index",
+                6,
+                with_runs(&[run(4, &[0, 0]), tail[0], tail[1]]),
+            ),
+            (
+                "a descending index",
+                6,
+                with_runs(&[run(4, &[2, 0]), tail[0], tail[1]]),
+            ),
+            (
+                "a reordered sender table",
+                6,
+                exchange_body(
+                    3,
+                    &[(3, &p3), (1, &p1), (6, &p6)],
+                    &[run(4, &[0, 2]), tail[0], tail[1]],
+                ),
+            ),
+            (
+                "a table payload past the frame's end",
+                6,
+                exchange_body(3, &table, &[])
+                    .into_iter()
+                    .take(4 + 8 + 4 + 4)
+                    .chain(u32::MAX.to_le_bytes())
+                    .collect(),
+            ),
+            ("more runs than the count", 5, good.clone()),
+            ("fewer runs than the count", 7, good.clone()),
+            ("trailing bytes", 6, [&good[..], &[0]].concat()),
+            ("senders inflated", 6, {
+                let mut body = good.clone();
+                body[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+                body
+            }),
+            ("count inflated", u32::MAX, good.clone()),
+            (
+                "a run inflated",
+                6,
+                with_runs(&[(4, u32::MAX, &[0, 2]), tail[0], tail[1]]),
+            ),
+        ];
+        (good, cases)
+    }
+
+    /// The worker checks an `EXCHANGE`'s shape before it echoes it: each
+    /// hostile case, sealed with a valid checksum, gives a typed error
+    /// without a panic and without allocating by a claimed count, and
+    /// leaves the worker's round unapplied. Message payloads are opaque to
+    /// the worker, so their decoding is the coordinator's to check.
+    #[test]
+    fn worker_rejects_a_misshapen_exchange() {
+        let apply = |count: u32, body: &[u8]| {
+            let mut w = WorkerState::fresh(0);
+            (w.n, w.dst_lo, w.dst_hi) = (8, 4, 8);
+            let mut payload = Vec::new();
+            push_u64(&mut payload, 1);
+            push_u32(&mut payload, count);
+            payload.extend_from_slice(body);
+            let mut frame = Vec::new();
+            encode_frame(FrameKind::Exchange, &payload, &mut frame);
+            let (kind, payload, checksum) = decode_frame(&frame).expect("the frame decodes");
+            let mut reply = Vec::new();
+            let result = handle_frame(&mut w, kind, payload, checksum, &mut reply);
+            (result.map(|()| reply.clone()), w.applied, reply.capacity())
+        };
+        let (good, cases) = hostile_exchanges();
+        let (reply, applied, _) = apply(6, &good);
+        let reply = reply.expect("a well-formed exchange applies");
+        let (kind, inbox, _) = decode_frame(&reply).expect("the reply decodes");
+        assert_eq!((kind, applied), (FrameKind::Inbox, 1));
+        // `[round][fingerprint][count]`, then the body echoed whole.
+        assert_eq!(inbox[16..20], 6u32.to_le_bytes());
+        assert_eq!(inbox[20..], good);
+        for (what, count, body) in cases {
+            let (result, applied, capacity) = apply(count, &body);
+            assert!(
+                matches!(result, Err(ShardError::Protocol(_) | ShardError::Truncated)),
+                "{what}: {result:?}"
+            );
+            assert_eq!((applied, capacity), (0, 0), "{what}");
+        }
     }
 
     /// An exchange `INBOX` with a valid checksum and fingerprint that
-    /// moves, repeats, drops or reorders an entry is rejected: each case
-    /// below is caught by a different one of the fold's shape checks.
+    /// moves, repeats, drops or reorders a message, or whose sender table
+    /// fails to decode or was altered, is rejected with a typed error and
+    /// without allocating by a claimed count.
     #[test]
     fn coordinator_rejects_a_misshapen_exchange_inbox() {
         let _guard = FAULT_LOCK.lock().expect("fault lock is never poisoned");
-        let n = 4usize;
+        // Shard 1 of 2 owns dsts 4..8 of 8.
+        let n = 8usize;
         let mut buffers = RoundBuffers::default();
-        let mut t = ShardedTransport::new(n, 1, ShardBackend::Channel, &mut buffers)
+        let mut t = ShardedTransport::new(n, 2, ShardBackend::Channel, &mut buffers)
             .expect("channel transport builds");
-        // One real round, framed dst-major: dst 0 hears from 2, dst 1 from
-        // 0 and 2, dst 2 from 1, and dst 3 (silent) from nobody.
-        let entries = [(2u32, 0u32, 7u32), (0, 1, 9), (2, 1, 8), (1, 2, 5)];
+        let sent = [
+            (NodeId::new(1), 32, 10u32),
+            (NodeId::new(3), 32, 30),
+            (NodeId::new(6), 32, 60),
+        ];
+        // dst 0 ← {1}; then shard 1's dst 4 ← {1, 6}, dst 5 ← {3},
+        // dst 7 ← {1, 3, 6}, and dst 6 (silent) from nobody.
+        let pulls: [(u32, usize); 7] = [(0, 0), (4, 0), (4, 2), (5, 1), (7, 0), (7, 1), (7, 2)];
         let mut framed = vec![0u32; n];
         let mut got = Vec::new();
         t.exchange(
+            &sent,
             &mut framed,
-            |_, frame, framed| {
-                for &(src, dst, m) in &entries {
-                    push_entry(frame, src, dst, &m);
-                    framed[dst as usize] += 1;
+            |dsts, framed, runs| {
+                let mut pushed = 0;
+                for &(dst, index) in &pulls {
+                    if dsts.contains(&(dst as usize)) {
+                        runs.push(NodeId::new(dst), index);
+                        framed[dst as usize] += 1;
+                        pushed += 1;
+                    }
                 }
-                idx_u32(entries.len())
+                pushed
             },
-            |u: NodeId, v: NodeId, &m: &u32| got.push((v.raw(), u.raw(), m)),
+            |u: NodeId, v: NodeId, &m: &u32| got.push((u.raw(), v.raw(), m)),
             &mut buffers,
         )
         .expect("framed exchange succeeds");
-        assert_eq!(got, entries);
-        let fold = |t: &ShardedTransport, entries: &[(u32, u32, u32)]| {
+        let want: Vec<(u32, u32, u32)> = pulls
+            .iter()
+            .map(|&(dst, index)| (dst, sent[index].0.raw(), sent[index].2))
+            .collect();
+        assert_eq!(got, want);
+        let fold = |count: u32, body: &[u8]| {
             let mut payload = Vec::new();
             push_u64(&mut payload, t.round);
-            push_u64(&mut payload, t.mirrors[0]);
-            push_u32(&mut payload, idx_u32(entries.len()));
-            for &(src, dst, m) in entries {
-                push_entry(&mut payload, src, dst, &m);
-            }
+            push_u64(&mut payload, t.mirrors[1]);
+            push_u32(&mut payload, count);
+            payload.extend_from_slice(body);
             let mut frame = Vec::new();
             encode_frame(FrameKind::Inbox, &payload, &mut frame);
+            let mut table = Vec::new();
             let mut folded = Vec::new();
-            t.fold_inbox(0, &frame, &framed, &mut |u: NodeId, v: NodeId, &m: &u32| {
-                folded.push((v.raw(), u.raw(), m));
-            })
-            .map(|()| folded)
-        };
-        assert_eq!(fold(&t, &entries), Ok(entries.to_vec()));
-        for (what, entries) in [
-            (
-                "moved to a silent dst",
-                &[(2, 0, 7), (0, 1, 9), (2, 1, 8), (1, 3, 5)][..],
-            ),
-            (
-                "moved to a later dst",
-                &[(2, 0, 7), (0, 1, 9), (2, 2, 8), (1, 2, 5)][..],
-            ),
-            (
-                "moved past its shard",
-                &[(2, 0, 7), (0, 1, 9), (2, 1, 8), (1, 4, 5)][..],
-            ),
-            (
-                "repeated",
-                &[(2, 0, 7), (0, 1, 9), (2, 1, 8), (2, 1, 8)][..],
-            ),
-            ("dropped", &[(2, 0, 7), (0, 1, 9), (2, 1, 8)][..]),
-            (
-                "reordered senders",
-                &[(2, 0, 7), (2, 1, 8), (0, 1, 9), (1, 2, 5)][..],
-            ),
-        ] {
-            assert!(
-                matches!(fold(&t, entries), Err(ShardError::Protocol(_))),
-                "{what} entry must be rejected"
+            let result = t.fold_exchange(
+                1,
+                &frame,
+                3,
+                &framed,
+                &mut table,
+                &mut |u: NodeId, v: NodeId, &m: &u32| folded.push((u.raw(), v.raw(), m)),
             );
+            (result.map(|()| folded), table.capacity())
+        };
+        let (good, cases) = hostile_exchanges();
+        assert_eq!(fold(6, &good).0, Ok(want[1..].to_vec()));
+        let (p1, p3, p6) = (
+            10u32.to_le_bytes(),
+            30u32.to_le_bytes(),
+            60u32.to_le_bytes(),
+        );
+        let runs = [run(4, &[0, 2]), run(5, &[1]), run(7, &[0, 1, 2])];
+        let coordinator_cases = [
+            (
+                "a payload that fails to decode",
+                6,
+                exchange_body(3, &[(1, &p1), (3, &p3[..3]), (6, &p6)], &runs),
+            ),
+            (
+                "a payload with trailing bytes",
+                6,
+                exchange_body(
+                    3,
+                    &[(1, &p1), (3, &[&p3[..], &[0]].concat()), (6, &p6)],
+                    &runs,
+                ),
+            ),
+            (
+                "a dropped sender",
+                6,
+                exchange_body(
+                    2,
+                    &[(1, &p1), (6, &p6)],
+                    &[run(4, &[0, 1]), run(5, &[0]), run(7, &[0, 1])],
+                ),
+            ),
+            (
+                "a message moved to a silent dst",
+                6,
+                exchange_body(
+                    3,
+                    &[(1, &p1), (3, &p3), (6, &p6)],
+                    &[runs[0], run(6, &[1]), runs[2]],
+                ),
+            ),
+            (
+                "a message moved to a later dst",
+                6,
+                exchange_body(
+                    3,
+                    &[(1, &p1), (3, &p3), (6, &p6)],
+                    &[run(4, &[0]), run(5, &[1, 2]), runs[2]],
+                ),
+            ),
+            (
+                "a dropped message",
+                5,
+                exchange_body(
+                    3,
+                    &[(1, &p1), (3, &p3), (6, &p6)],
+                    &[runs[0], run(7, &[0, 1, 2])],
+                ),
+            ),
+        ];
+        for (what, count, body) in cases.into_iter().chain(coordinator_cases) {
+            let (result, capacity) = fold(count, &body);
+            assert!(
+                matches!(result, Err(ShardError::Protocol(_) | ShardError::Truncated)),
+                "{what}: {result:?}"
+            );
+            assert!(capacity <= 4, "{what}: the table grew to {capacity}");
         }
     }
 

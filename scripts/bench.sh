@@ -12,8 +12,9 @@
 #
 # `bench.sh --check` is the regression gate: it reruns the engines and
 # batch-throughput benches into scratch files and fails if any
-# `clique_all_to_all_round` or `sharded_round_frames` median regresses
-# >25% against the pinned results/bench_engines.json, or any
+# `clique_all_to_all_round`, `sharded_round_frames` or
+# `sharded_exchange_frames` median regresses >25% against the pinned
+# results/bench_engines.json, or any
 # `batch_throughput` median regresses >25% against
 # results/bench_batch_throughput.json (see
 # crates/bench/src/regress.rs). Opt into it from CI via BENCH_CHECK=1
@@ -40,6 +41,8 @@ if [ "${1:-}" = "--check" ]; then
     results/bench_engines.json "$fresh" clique_all_to_all_round 25
   cargo run -q --release -p cc-mis-bench --bin bench_check -- \
     results/bench_engines.json "$fresh" sharded_round_frames 25
+  cargo run -q --release -p cc-mis-bench --bin bench_check -- \
+    results/bench_engines.json "$fresh" sharded_exchange_frames 25
   BENCH_JSON="$fresh_batch" cargo bench -p cc-mis-bench --bench batch_throughput
   cargo run -q --release -p cc-mis-bench --bin bench_check -- \
     results/bench_batch_throughput.json "$fresh_batch" batch_throughput 25

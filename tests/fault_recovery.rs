@@ -21,6 +21,7 @@ use std::sync::Mutex;
 use clique_mis::algorithms::clique_mis::{CliqueMisExecution, CliqueMisParams};
 use clique_mis::algorithms::ghaffari16::{Ghaffari16Execution, Ghaffari16Params};
 use clique_mis::algorithms::luby::{LubyExecution, LubyParams};
+use clique_mis::algorithms::sparsified::{SparsifiedExecution, SparsifiedParams};
 use clique_mis::analysis::trace::JsonlTraceSink;
 use clique_mis::graph::{generators, Graph, NodeId};
 use clique_mis::sim::par_nodes::set_thread_override;
@@ -59,6 +60,14 @@ fn run_algorithm(algorithm: &str, g: &Graph) -> MisLedger {
             let o = drive(Ghaffari16Execution::new(
                 g,
                 &Ghaffari16Params::for_graph(g),
+                SEED,
+            ));
+            (o.mis, o.ledger)
+        }
+        "sparsified" => {
+            let o = drive(SparsifiedExecution::new(
+                g,
+                &SparsifiedParams::for_graph(g),
                 SEED,
             ));
             (o.mis, o.ledger)
@@ -116,9 +125,10 @@ fn kill_matrix(algorithm: &str, gname: &str, shards: usize, stride: u64) -> usiz
 }
 
 /// Channel backend, exhaustive: every shard killed at every checkpoint
-/// boundary, for S ∈ {1, 2, 4}, on CONGEST algorithms (Luby, Ghaffari'16)
-/// and a clique one (Theorem 1.1). Their neighbour exchanges are pulled
-/// through the frames, so kills land in framed pulls on both transports.
+/// boundary, for S ∈ {1, 2, 4}, on CONGEST algorithms (Luby, Ghaffari'16,
+/// the §2.3 sparsified beeping MIS) and a clique one (Theorem 1.1). Their
+/// neighbour exchanges are pulled through `EXCHANGE` frames, so kills land
+/// in framed pulls on both transports.
 #[test]
 fn every_shard_killed_at_every_round_recovers_identically() {
     let _guard = lock();
@@ -128,6 +138,8 @@ fn every_shard_killed_at_every_round_recovers_identically() {
     }
     let points = kill_matrix("ghaffari16", "gnp32", 2, 1);
     assert!(points >= 2, "ghaffari16/gnp32/S=2: matrix was empty");
+    let points = kill_matrix("sparsified", "gnp32", 2, 1);
+    assert!(points >= 2, "sparsified/gnp32/S=2: matrix was empty");
     let points = kill_matrix("thm11", "cycle24", 2, 1);
     assert!(points >= 2, "thm11/cycle24/S=2: matrix was empty");
 }
