@@ -59,6 +59,16 @@ pub fn run(quick: bool) -> Vec<Table> {
     for (name, g) in &families {
         let out = run_lowdeg(g, &LowDegParams::default(), 3);
         assert!(checks::is_maximal_independent_set(g, &out.mis));
+        // The Verdict's step shape: replaying T iterations needs a ball of
+        // radius 2T, gathered in at most ⌈log₂(2T)⌉ doubling steps
+        // (fewer once every ball stops growing).
+        let doubling_bound = (2 * out.iterations).next_power_of_two().trailing_zeros();
+        assert!(
+            out.gather_steps <= u64::from(doubling_bound),
+            "{name}: {} gather steps for {} replay iterations",
+            out.gather_steps,
+            out.iterations
+        );
         t.row(&[
             name.to_string(),
             g.max_degree().to_string(),

@@ -7,10 +7,10 @@
 //! to every node *inside* that ball; since the ball holds all nodes within
 //! distance `2^i`, the union of received balls covers radius `2^{i+1}`.
 //! After `⌈log₂ r⌉` steps each node knows its `r`-hop neighborhood. Each
-//! step's packet exchange is delivered with Lenzen routing
-//! ([`cc_mis_sim::routing`]), whose measured rounds are charged to the
-//! engine — `O(1)` per step whenever the Lemma 2.14 capacity precondition
-//! (ball size `≪ n^{δ}`) holds.
+//! step's packet exchange is scheduled with Lenzen routing
+//! ([`cc_mis_sim::routing::charge_route`]), whose measured rounds are
+//! charged to the engine — `O(1)` per step whenever the Lemma 2.14
+//! capacity precondition (ball size `≪ n^{δ}`) holds.
 //!
 //! Knowledge travels as *edge records*. A record's declared size
 //! (`record_bits`) includes whatever decorations ride along — the caller
@@ -29,10 +29,14 @@
 //! touch; the node list is the sender's target list, so no step sorts
 //! endpoints. A packet's payload is the sender's previous-step ball, read
 //! by reference from the sender's slot (the declared bits are charged as
-//! if it were copied). Unions run against a membership bitmap (no hashing
-//! anywhere), stop early once a ball holds every participant edge, and
-//! emit the new ball in order by scanning the bitmap when it is no longer
-//! than the ball, else by sorting only the newly learned ids. The set-up
+//! if it were copied). A receiver's inbox is its own span: spans are
+//! symmetric (two participants are in each other's span exactly when they
+//! are within the current radius of each other), so the routed packets are
+//! only charged, never delivered or sorted. Unions run against a
+//! membership bitmap (no hashing anywhere), stop early once a ball holds
+//! every participant edge, and emit the new ball in order by scanning the
+//! bitmap when it is no longer than the ball, else by sorting only the
+//! newly learned ids. The set-up
 //! walks the participants' adjacency, and every step pays for
 //! participants, packets and ball sizes, never for `n` or `m`. The
 //! round/bit accounting is unchanged: payload bits (`ball edges ×
@@ -40,7 +44,7 @@
 
 use cc_mis_graph::{Graph, NodeId};
 use cc_mis_sim::clique::CliqueEngine;
-use cc_mis_sim::routing::{route, Packet};
+use cc_mis_sim::routing::{charge_route, Packet};
 use cc_mis_sim::Frontier;
 
 /// Packs an edge `(a, b)` into a single `u64` key (`a` in the high bits).
@@ -57,7 +61,7 @@ pub fn unpack_edge(key: u64) -> (u32, u32) {
 }
 
 /// Result of a [`gather_balls`] invocation: every participant's ball.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GatherResult {
     /// Participant ids, ascending; a participant's index here is its slot.
     members: Vec<u32>,
@@ -346,23 +350,29 @@ pub fn gather_balls(
                 }
             }
         }
-        let (delivery, outcome) = route(engine, packets).expect("gather packets are well-formed");
+        let outcome = charge_route(engine, &packets).expect("gather packets are well-formed");
         total_rounds += outcome.rounds;
         steps_run += 1;
+        // Spans are symmetric (`t ∈ spans[x]` iff `x ∈ spans[t]`: both say
+        // the two are within the current radius in G[participants]), so
+        // `x`'s inbox is its own span minus itself, in ascending source
+        // order. The payloads are the senders' balls, read by reference.
         // Unions read the previous step's balls; replacements land after.
         let mut grown: Vec<(usize, Vec<u32>, Vec<u32>)> = Vec::new();
-        for inbox in delivery.nonempty() {
-            let x = slot_of(inbox[0].dst);
+        for x in 0..k {
             edges_union.start(&balls[x]);
             nodes_union.start(&spans[x]);
             let mut count = balls[x].len();
-            for packet in inbox {
+            for &t in &spans[x] {
                 // Saturated at the participant edge set: nothing left to
                 // learn, skip the remaining payloads.
                 if count == m_part {
                     break;
                 }
-                for &id in &balls[slot_of(packet.src)] {
+                if t as usize == x {
+                    continue;
+                }
+                for &id in &balls[t as usize] {
                     if edges_union.insert(id) {
                         count += 1;
                         let (a, b) = ends[id as usize];
@@ -684,6 +694,108 @@ mod tests {
         assert_eq!(engine.ledger().rounds, 0);
         // Radius-1 knowledge is the incident edges.
         assert_eq!(ball_of(&res, 0).len(), g.degree(NodeId::new(0)));
+    }
+
+    /// The gather as it ran before it read inboxes from spans: route the
+    /// packets into a [`cc_mis_sim::routing::Delivery`] and union each
+    /// nonempty inbox's senders' balls. The set-up is a radius-1 gather,
+    /// which charges nothing.
+    fn gather_by_delivery(
+        engine: &mut CliqueEngine,
+        g: &Graph,
+        participants: &Frontier,
+        radius: usize,
+        record_bits: u64,
+    ) -> GatherResult {
+        let mut res = gather_balls(engine, g, participants, 1, record_bits);
+        let slot_of = |v: NodeId| participants.position(v);
+        let ends: Vec<(u32, u32)> = res
+            .edge_keys
+            .iter()
+            .map(|&key| {
+                let (a, b) = unpack_edge(key);
+                let slot = |x: u32| slot_of(NodeId::new(x)) as u32;
+                (slot(a), slot(b))
+            })
+            .collect();
+        let (k, m_part) = (res.members.len(), res.edge_keys.len());
+        let mut edges_union = SortedUnion::new(m_part);
+        let mut nodes_union = SortedUnion::new(k);
+        let steps = if radius <= 1 {
+            0
+        } else {
+            (radius as f64).log2().ceil() as u64
+        };
+        for _ in 0..steps {
+            let mut packets: Vec<Packet<()>> = Vec::new();
+            for x in 0..k {
+                let bits = res.balls[x].len() as u64 * record_bits;
+                for &t in res.spans[x].iter().filter(|&&t| t as usize != x) {
+                    packets.push(Packet {
+                        src: NodeId::new(res.members[x]),
+                        dst: NodeId::new(res.members[t as usize]),
+                        bits,
+                        payload: (),
+                    });
+                }
+            }
+            let (delivery, outcome) = cc_mis_sim::routing::route(engine, packets)
+                .expect("gather packets are well-formed");
+            res.rounds += outcome.rounds;
+            res.steps += 1;
+            let mut grown = Vec::new();
+            for inbox in delivery.nonempty() {
+                let x = slot_of(inbox[0].dst);
+                edges_union.start(&res.balls[x]);
+                nodes_union.start(&res.spans[x]);
+                for packet in inbox {
+                    for &id in &res.balls[slot_of(packet.src)] {
+                        if edges_union.insert(id) {
+                            let (a, b) = ends[id as usize];
+                            nodes_union.insert(a);
+                            nodes_union.insert(b);
+                        }
+                    }
+                }
+                let ball = edges_union.finish(&res.balls[x]);
+                let span = nodes_union.finish(&res.spans[x]);
+                if let Some(ball) = ball {
+                    grown.push((x, ball, span.unwrap_or_else(|| res.spans[x].clone())));
+                }
+            }
+            if grown.is_empty() {
+                break;
+            }
+            for (x, ball, span) in grown {
+                res.balls[x] = ball;
+                res.spans[x] = span;
+            }
+        }
+        res.max_ball_edges = res.balls.iter().map(Vec::len).max().unwrap_or(0);
+        res
+    }
+
+    /// Reading each inbox from the receiver's span gathers what the
+    /// delivered inboxes gave, at the same cost: this pins the span
+    /// symmetry `gather_balls` relies on.
+    #[test]
+    fn span_inboxes_match_delivered_inboxes() {
+        use cc_mis_graph::rng::SplitMix64;
+        for case in 0..40u64 {
+            let mut rng = SplitMix64::new(0x5BA4_0000 + case);
+            let n = 2 + rng.next_below(60) as usize;
+            let p = (1 + rng.next_below(20)) as f64 / 100.0;
+            let g = generators::erdos_renyi_gnp(n, p, case);
+            let keep = 1 + rng.next_below(4);
+            let mask: Vec<bool> = (0..n).map(|_| rng.next_below(4) < keep).collect();
+            let s = Frontier::from_mask(&mask);
+            let radius = 1 + rng.next_below(8) as usize;
+            let (mut spans, mut delivered) = (engine_for(n), engine_for(n));
+            let got = gather_balls(&mut spans, &g, &s, radius, 24);
+            let want = gather_by_delivery(&mut delivered, &g, &s, radius, 24);
+            assert_eq!(got, want, "case {case}: n {n}, p {p}, radius {radius}");
+            assert_eq!(spans.ledger(), delivered.ledger(), "case {case}");
+        }
     }
 
     #[test]

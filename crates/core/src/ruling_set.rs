@@ -16,7 +16,7 @@ use cc_mis_graph::ops::square;
 use cc_mis_graph::{Graph, NodeId};
 use cc_mis_sim::bits::{node_id_bits, standard_bandwidth};
 use cc_mis_sim::clique::CliqueEngine;
-use cc_mis_sim::routing::{route, Packet};
+use cc_mis_sim::routing::{charge_route, Packet};
 use cc_mis_sim::RoundLedger;
 
 use crate::clique_mis::{run_clique_mis, CliqueMisParams};
@@ -71,7 +71,7 @@ pub fn two_ruling_set(g: &Graph, seed: u64) -> RulingSetResult {
             }
         }
     }
-    let _ = route(&mut engine, packets).expect("squaring packets are well-formed");
+    charge_route(&mut engine, &packets).expect("squaring packets are well-formed");
     let g2 = square(g);
 
     // MIS on the square via the Theorem 1.1 algorithm.

@@ -1,6 +1,6 @@
 //! Incremental, validated graph construction.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, TryReserveError};
 use std::error::Error;
 use std::fmt;
 
@@ -129,8 +129,25 @@ impl GraphBuilder {
     }
 
     /// Finalizes the builder into an immutable [`Graph`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph's arrays cannot be allocated; see
+    /// [`GraphBuilder::try_build`].
     pub fn build(self) -> Graph {
         Graph::from_sorted_unique_edges(self.node_count, self.edges.iter().copied())
+    }
+
+    /// [`GraphBuilder::build`] for a vertex count that came from outside:
+    /// the `O(n)` arrays are allocated fallibly, so a count the allocator
+    /// refuses is an error instead of an abort.
+    ///
+    /// # Errors
+    ///
+    /// Returns the allocator's [`TryReserveError`] if the arrays cannot be
+    /// allocated.
+    pub fn try_build(self) -> Result<Graph, TryReserveError> {
+        Graph::try_from_sorted_unique_edges(self.node_count, self.edges.iter().copied())
     }
 }
 

@@ -1,5 +1,6 @@
 //! The compact undirected graph representation.
 
+use std::collections::TryReserveError;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -155,13 +156,33 @@ impl Graph {
 
     /// Internal: assembles the CSR form from an edge list that is strictly
     /// ascending with `u < v` in every pair, so free of duplicates and
-    /// self-loops. The iterator is walked twice: once to count degrees,
-    /// once to fill. Used by [`crate::GraphBuilder`] and the generators.
+    /// self-loops. Used by the generators, which size their own graphs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arrays cannot be allocated.
+    pub(crate) fn from_sorted_unique_edges<I>(n: usize, edges: I) -> Self
+    where
+        I: Iterator<Item = (u32, u32)> + Clone,
+    {
+        match Self::try_from_sorted_unique_edges(n, edges) {
+            Ok(g) => g,
+            Err(e) => panic!("cannot allocate a graph on {n} vertices: {e}"),
+        }
+    }
+
+    /// Internal: [`Graph::from_sorted_unique_edges`] with every allocation
+    /// fallible, for graphs whose size comes from outside (see
+    /// [`crate::GraphBuilder::try_build`]). The iterator is walked twice:
+    /// once to count degrees, once to fill.
     ///
     /// The fill needs no per-list sort: every neighbour `w < x` of `x`
     /// arrives as `(w, x)`, in ascending `w`, before `x`'s own row
     /// `(x, v)` arrives in ascending `v`.
-    pub(crate) fn from_sorted_unique_edges<I>(n: usize, edges: I) -> Self
+    pub(crate) fn try_from_sorted_unique_edges<I>(
+        n: usize,
+        edges: I,
+    ) -> Result<Self, TryReserveError>
     where
         I: Iterator<Item = (u32, u32)> + Clone,
     {
@@ -170,7 +191,7 @@ impl Graph {
                 && edges.clone().zip(edges.clone().skip(1)).all(|(a, b)| a < b),
             "edges must be strictly ascending with u < v"
         );
-        let mut offsets = vec![0usize; n + 1];
+        let mut offsets = filled(n + 1, 0usize)?;
         let mut edge_count = 0;
         for (u, v) in edges.clone() {
             offsets[u as usize + 1] += 1;
@@ -180,20 +201,22 @@ impl Graph {
         for v in 0..n {
             offsets[v + 1] += offsets[v];
         }
-        let mut cursor = offsets[..n].to_vec();
-        let mut adj = vec![NodeId::new(0); offsets[n]];
+        let mut cursor = Vec::new();
+        cursor.try_reserve_exact(n)?;
+        cursor.extend_from_slice(&offsets[..n]);
+        let mut adj = filled(offsets[n], NodeId::new(0))?;
         for (u, v) in edges {
             adj[cursor[u as usize]] = NodeId::new(v);
             cursor[u as usize] += 1;
             adj[cursor[v as usize]] = NodeId::new(u);
             cursor[v as usize] += 1;
         }
-        Graph {
+        Ok(Graph {
             offsets,
             adj,
             edge_count,
             fingerprint: OnceLock::new(),
-        }
+        })
     }
 
     /// Internal: wraps CSR arrays that are already valid (sorted, unique,
@@ -343,6 +366,14 @@ impl Graph {
         }
         hist
     }
+}
+
+/// `len` copies of `value`, or the allocator's refusal.
+fn filled<T: Clone>(len: usize, value: T) -> Result<Vec<T>, TryReserveError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len)?;
+    v.resize(len, value);
+    Ok(v)
 }
 
 /// Iterator over the vertices of a [`Graph`], produced by [`Graph::nodes`].

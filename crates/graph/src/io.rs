@@ -10,13 +10,23 @@
 //!
 //! Both readers are streaming (`R: Read`) and validate through
 //! [`GraphBuilder`], so malformed input yields a structured error rather
-//! than a bad graph.
+//! than a bad graph. A vertex count is the one number in a file that sizes
+//! an allocation by itself (a graph on `n` vertices holds `O(n)` words
+//! however few edges it has), so both readers refuse a count above
+//! [`MAX_NODES`] before allocating anything, and allocate the graph
+//! fallibly.
 
 use std::error::Error;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 
 use crate::{Graph, GraphBuilder, GraphError, NodeId};
+
+/// The most vertices a graph file may declare (or imply by its largest
+/// endpoint): `2^26`, 64 times the largest graph the experiments and
+/// scaling sweeps build. Its `O(n)` arrays then stay near 1 GiB at most,
+/// so a 20-byte header cannot ask for tens of gigabytes.
+pub const MAX_NODES: usize = 1 << 26;
 
 /// Error produced when parsing a graph file.
 #[derive(Debug)]
@@ -37,6 +47,15 @@ pub enum ParseGraphError {
         /// The underlying validation error.
         source: GraphError,
     },
+    /// The vertex count set on `line` is above [`MAX_NODES`], or the
+    /// allocator refused the graph's arrays.
+    TooLarge {
+        /// 1-based line number of the count (the header, or the largest
+        /// endpoint when there is no header).
+        line: usize,
+        /// The vertex count asked for.
+        nodes: usize,
+    },
 }
 
 impl fmt::Display for ParseGraphError {
@@ -49,6 +68,10 @@ impl fmt::Display for ParseGraphError {
             ParseGraphError::Graph { line, source } => {
                 write!(f, "invalid edge on line {line}: {source}")
             }
+            ParseGraphError::TooLarge { line, nodes } => write!(
+                f,
+                "graph too large on line {line}: {nodes} vertices (at most {MAX_NODES} are read)"
+            ),
         }
     }
 }
@@ -58,7 +81,7 @@ impl Error for ParseGraphError {
         match self {
             ParseGraphError::Io(e) => Some(e),
             ParseGraphError::Graph { source, .. } => Some(source),
-            ParseGraphError::Syntax { .. } => None,
+            ParseGraphError::Syntax { .. } | ParseGraphError::TooLarge { .. } => None,
         }
     }
 }
@@ -74,7 +97,8 @@ impl From<std::io::Error> for ParseGraphError {
 /// # Errors
 ///
 /// Returns [`ParseGraphError`] on I/O failure, unparsable lines, self-loops,
-/// or out-of-range endpoints (when an `n` header is present).
+/// out-of-range endpoints (when an `n` header is present), or a vertex
+/// count above [`MAX_NODES`].
 ///
 /// # Example
 ///
@@ -89,9 +113,11 @@ impl From<std::io::Error> for ParseGraphError {
 /// ```
 pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, ParseGraphError> {
     let buf = BufReader::new(reader);
-    let mut declared_n: Option<usize> = None;
+    // The declared count and the line that set it.
+    let mut declared_n: Option<(usize, usize)> = None;
     let mut edges: Vec<(u32, u32, usize)> = Vec::new();
     let mut max_id: u32 = 0;
+    let mut max_line = 0;
     let mut any_node = false;
     for (idx, line) in buf.lines().enumerate() {
         let line_no = idx + 1;
@@ -114,7 +140,7 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, ParseGraphError> {
                     line: line_no,
                     message: format!("bad node count: {e}"),
                 })?;
-            declared_n = Some(count);
+            declared_n = Some((count, line_no));
             continue;
         }
         let u = first.parse::<u32>().map_err(|e| ParseGraphError::Syntax {
@@ -132,17 +158,31 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, ParseGraphError> {
                 line: line_no,
                 message: format!("bad endpoint: {e}"),
             })?;
-        max_id = max_id.max(u).max(v);
+        if u.max(v) >= max_id {
+            max_id = u.max(v);
+            max_line = line_no;
+        }
         any_node = true;
         edges.push((u, v, line_no));
     }
-    let n = declared_n.unwrap_or(if any_node { max_id as usize + 1 } else { 0 });
+    let (n, n_line) = declared_n.unwrap_or(if any_node {
+        (max_id as usize + 1, max_line)
+    } else {
+        (0, 0)
+    });
+    let too_large = || ParseGraphError::TooLarge {
+        line: n_line,
+        nodes: n,
+    };
+    if n > MAX_NODES {
+        return Err(too_large());
+    }
     let mut b = GraphBuilder::new(n);
     for (u, v, line) in edges {
         b.add_edge(NodeId::new(u), NodeId::new(v))
             .map_err(|source| ParseGraphError::Graph { line, source })?;
     }
-    Ok(b.build())
+    b.try_build().map_err(|_| too_large())
 }
 
 /// Writes a graph as an edge list (with an `n` header so isolated trailing
@@ -164,7 +204,8 @@ pub fn write_edge_list<W: Write>(g: &Graph, mut writer: W) -> std::io::Result<()
 /// # Errors
 ///
 /// Returns [`ParseGraphError`] on I/O failure, unparsable lines, a missing
-/// `p` line, zero vertex ids, self-loops, or out-of-range endpoints.
+/// `p` line, zero vertex ids, self-loops, out-of-range endpoints, or a
+/// vertex count above [`MAX_NODES`].
 ///
 /// # Example
 ///
@@ -179,7 +220,8 @@ pub fn write_edge_list<W: Write>(g: &Graph, mut writer: W) -> std::io::Result<()
 /// ```
 pub fn read_dimacs<R: Read>(reader: R) -> Result<Graph, ParseGraphError> {
     let buf = BufReader::new(reader);
-    let mut builder: Option<GraphBuilder> = None;
+    // The builder and the line of its `p` line.
+    let mut builder: Option<(GraphBuilder, usize)> = None;
     for (idx, line) in buf.lines().enumerate() {
         let line_no = idx + 1;
         let line = line?;
@@ -203,9 +245,15 @@ pub fn read_dimacs<R: Read>(reader: R) -> Result<Graph, ParseGraphError> {
                     line: line_no,
                     message: "bad vertex count in p line".into(),
                 })?;
-            builder = Some(GraphBuilder::new(n));
+            if n > MAX_NODES {
+                return Err(ParseGraphError::TooLarge {
+                    line: line_no,
+                    nodes: n,
+                });
+            }
+            builder = Some((GraphBuilder::new(n), line_no));
         } else if let Some(rest) = trimmed.strip_prefix("e ") {
-            let b = builder.as_mut().ok_or_else(|| ParseGraphError::Syntax {
+            let (b, _) = builder.as_mut().ok_or_else(|| ParseGraphError::Syntax {
                 line: line_no,
                 message: "edge before p line".into(),
             })?;
@@ -232,11 +280,14 @@ pub fn read_dimacs<R: Read>(reader: R) -> Result<Graph, ParseGraphError> {
             });
         }
     }
-    let builder = builder.ok_or_else(|| ParseGraphError::Syntax {
+    let (builder, line) = builder.ok_or_else(|| ParseGraphError::Syntax {
         line: 0,
         message: "missing p line".into(),
     })?;
-    Ok(builder.build())
+    let nodes = builder.node_count();
+    builder
+        .try_build()
+        .map_err(|_| ParseGraphError::TooLarge { line, nodes })
 }
 
 /// Writes a graph in DIMACS `p edge` format (1-indexed on disk).
@@ -317,6 +368,33 @@ mod tests {
     fn dimacs_comments_ignored() {
         let g = read_dimacs("c hi\np edge 2 1\nc mid\ne 1 2\n".as_bytes()).unwrap();
         assert_eq!(g.edge_count(), 1);
+    }
+
+    /// A declared (or implied) vertex count above `MAX_NODES` is refused
+    /// before the graph is allocated: 4e9 vertices would take 32 GB of
+    /// offsets alone.
+    #[test]
+    fn huge_vertex_counts_are_refused_before_allocating() {
+        let too_large = |err: ParseGraphError, at: usize| {
+            assert!(
+                matches!(err, ParseGraphError::TooLarge { line, nodes: 4_000_000_000 } if line == at),
+                "{err}"
+            );
+        };
+        too_large(
+            read_edge_list("n 4000000000\n0 1\n".as_bytes()).unwrap_err(),
+            1,
+        );
+        too_large(
+            read_edge_list("0 1\n0 3999999999\n".as_bytes()).unwrap_err(),
+            2,
+        );
+        too_large(
+            read_dimacs("p edge 4000000000 1\ne 1 2\n".as_bytes()).unwrap_err(),
+            1,
+        );
+        let err = read_edge_list(format!("n {}\n", MAX_NODES + 1).as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("too large on line 1"), "{err}");
     }
 
     #[test]

@@ -33,6 +33,14 @@
 //! through the packets that touched them; grouping sorts only the distinct
 //! keys that occur; and the result is one flat [`Delivery`] rather than an
 //! inbox per node.
+//!
+//! Scheduling and delivery are separate steps. [`charge_route`] computes
+//! the schedule and charges it; [`route`] is that call followed by the
+//! `(dst, src)` sort that builds the [`Delivery`]. A caller that never
+//! reads the delivered payloads calls [`charge_route`] and skips the sort;
+//! the ledger is the same either way. Graph exponentiation is one: a
+//! gather's receiver already knows its senders (its own span) and reads
+//! their balls by reference.
 
 // Accounting is integer-exact (DESIGN.md §8): float arithmetic is
 // rounding-order dependent, and a cast between integers and floats can
@@ -126,7 +134,7 @@ impl<M> ops::Index<usize> for Delivery<M> {
 }
 
 /// Result of a routing invocation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingOutcome {
     /// Rounds the schedule consumed (also charged to the engine ledger).
     pub rounds: u64,
@@ -141,6 +149,8 @@ pub struct RoutingOutcome {
 /// destination. Returns the [`Delivery`] (per-destination inboxes sorted
 /// by source) plus the schedule's cost.
 ///
+/// This is [`charge_route`] followed by the delivery sort; a caller that
+/// does not read the [`Delivery`] should call [`charge_route`] instead.
 /// Self-addressed packets (`src == dst`) are delivered locally for free.
 ///
 /// # Errors
@@ -168,10 +178,45 @@ pub fn route<M>(
     engine: &mut CliqueEngine,
     packets: Vec<Packet<M>>,
 ) -> Result<(Delivery<M>, RoutingOutcome), RoutingError> {
-    route_with(engine, packets, ScheduleChoice::Cheaper)
+    let outcome = charge_route(engine, &packets)?;
+    Ok((deliver(packets), outcome))
 }
 
-/// Which schedule [`route_with`] uses for every batch. `Cheaper` is the
+/// Schedules `packets` and charges the engine's ledger exactly as
+/// [`route`] does, without delivering them: no payload is moved and no
+/// packet is sorted. For callers that know each receiver's senders
+/// without a [`Delivery`].
+///
+/// # Errors
+///
+/// Returns [`RoutingError`] if any endpoint is out of range; nothing is
+/// charged then.
+///
+/// # Example
+///
+/// ```
+/// use cc_mis_sim::clique::CliqueEngine;
+/// use cc_mis_sim::routing::{charge_route, Packet};
+/// use cc_mis_graph::NodeId;
+///
+/// let mut engine = CliqueEngine::strict(4, 32);
+/// let packets = [
+///     Packet { src: NodeId::new(0), dst: NodeId::new(3), bits: 20, payload: () },
+///     Packet { src: NodeId::new(1), dst: NodeId::new(3), bits: 20, payload: () },
+/// ];
+/// let outcome = charge_route(&mut engine, &packets)?;
+/// assert_eq!(engine.ledger().rounds, outcome.rounds);
+/// assert_eq!(engine.ledger().messages, 2);
+/// # Ok::<(), cc_mis_sim::routing::RoutingError>(())
+/// ```
+pub fn charge_route<M>(
+    engine: &mut CliqueEngine,
+    packets: &[Packet<M>],
+) -> Result<RoutingOutcome, RoutingError> {
+    charge_with(engine, packets, ScheduleChoice::Cheaper)
+}
+
+/// Which schedule [`charge_with`] uses for every batch. `Cheaper` is the
 /// production behavior; the forced variants exist so tests can compare the
 /// two schedules on identical workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,32 +233,29 @@ pub(crate) enum ScheduleChoice {
     Relay,
 }
 
-pub(crate) fn route_with<M>(
+pub(crate) fn charge_with<M>(
     engine: &mut CliqueEngine,
-    packets: Vec<Packet<M>>,
+    packets: &[Packet<M>],
     choice: ScheduleChoice,
-) -> Result<(Delivery<M>, RoutingOutcome), RoutingError> {
+) -> Result<RoutingOutcome, RoutingError> {
     let n = engine.node_count();
     let bandwidth = engine.bandwidth().max(1);
-    check_endpoints(n, &packets)?;
+    check_endpoints(n, packets)?;
     let (core, scratch) = engine.routing_parts();
     scratch.fit(n);
-    let batches = split_batches(n, &packets, scratch);
+    let batches = split_batches(n, packets, scratch);
     let mut total_rounds = 0u64;
     let mut used_relay = false;
     for batch in &batches {
-        let (rounds, relay) = schedule_batch(n, bandwidth, &packets, batch, core, choice, scratch);
+        let (rounds, relay) = schedule_batch(n, bandwidth, packets, batch, core, choice, scratch);
         total_rounds += rounds;
         used_relay |= relay;
     }
-    Ok((
-        deliver(packets),
-        RoutingOutcome {
-            rounds: total_rounds,
-            batches: batches.len() as u64,
-            used_relay,
-        },
-    ))
+    Ok(RoutingOutcome {
+        rounds: total_rounds,
+        batches: batches.len() as u64,
+        used_relay,
+    })
 }
 
 fn check_endpoints<M>(n: usize, packets: &[Packet<M>]) -> Result<(), RoutingError> {
@@ -664,6 +706,12 @@ mod tests {
             RoutingError::EndpointOutOfRange { node: 9, .. }
         ));
         assert!(err.to_string().contains("v9"));
+        let err = charge_route(&mut e, &[pkt(0, 1, 8, 0), pkt(9, 0, 8, 0)]).unwrap_err();
+        assert!(matches!(
+            err,
+            RoutingError::EndpointOutOfRange { node: 9, .. }
+        ));
+        assert_eq!(e.ledger().messages, 0, "a refused request charges nothing");
     }
 
     #[test]
@@ -746,8 +794,9 @@ mod tests {
             }
             let run = |choice: ScheduleChoice, packets: Vec<Packet<u32>>| {
                 let mut e = CliqueEngine::strict(n, 32);
-                let (inboxes, out) = route_with(&mut e, packets, choice)
+                let out = charge_with(&mut e, &packets, choice)
                     .expect("routing succeeds: endpoints are in range");
+                let inboxes = deliver(packets);
                 assert_eq!(
                     e.ledger().rounds,
                     out.rounds,

@@ -10,7 +10,7 @@ use cc_mis_graph::{generators, Graph, NodeId};
 use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::congest::CongestEngine;
 use cc_mis_sim::rng::{SharedRandomness, Stream};
-use cc_mis_sim::routing::{route, route_executed, Packet};
+use cc_mis_sim::routing::{charge_route, route, route_executed, Packet};
 use cc_mis_sim::runtime::{Enforcement, Inboxes, Round, RoundEvent, RoundObserver, Transport};
 use cc_mis_sim::{BandwidthError, Frontier, RoundLedger};
 use std::cell::RefCell;
@@ -81,6 +81,77 @@ fn routing_delivers_every_packet_exactly_once() {
         assert_eq!(engine.ledger().rounds, outcome.rounds, "case {case}");
         assert_eq!(engine.ledger().violations, 0, "case {case}");
     }
+}
+
+/// Hotspot workload for a case: every source sends `n / 2 + case % 5`
+/// packets to node 0 (so node 0 receives more than `n` and the request
+/// splits into batches), plus one over-full ordered pair that only the
+/// relay schedule spreads, plus a self-addressed packet per source.
+fn hotspot_case(case: u64) -> (usize, Vec<Packet<u32>>) {
+    let n = 3 + (case % 13) as usize;
+    let per_source = n / 2 + (case % 5) as usize;
+    let mut packets = Vec::new();
+    for s in 0..n as u32 {
+        for k in 0..per_source as u32 {
+            packets.push(Packet {
+                src: NodeId::new(s),
+                dst: NodeId::new(0),
+                bits: 8 + u64::from(k) * 13,
+                payload: k,
+            });
+        }
+        packets.push(Packet {
+            src: NodeId::new(s),
+            dst: NodeId::new(s),
+            bits: 64,
+            payload: s,
+        });
+    }
+    for k in 0..n as u32 {
+        packets.push(Packet {
+            src: NodeId::new(1),
+            dst: NodeId::new(2),
+            bits: 32,
+            payload: k,
+        });
+    }
+    (n, packets)
+}
+
+#[test]
+fn charging_without_delivery_matches_route() {
+    let workloads = (0..CASES).flat_map(|case| [packets_case(case), hotspot_case(case)]);
+    for (case, (n, packets)) in workloads.enumerate() {
+        // Two invocations in two phases, so the phase records are compared
+        // as well as the totals.
+        let mut routed = CliqueEngine::strict(n, 32);
+        let mut charged = CliqueEngine::strict(n, 32);
+        for engine in [&mut routed, &mut charged] {
+            engine.ledger_mut().begin_phase("first");
+        }
+        let (_, outcome) = route(&mut routed, packets.clone()).unwrap();
+        assert_eq!(
+            charge_route(&mut charged, &packets).unwrap(),
+            outcome,
+            "case {case}"
+        );
+        for engine in [&mut routed, &mut charged] {
+            engine.ledger_mut().begin_phase("second");
+        }
+        let tail = &packets[packets.len() / 2..];
+        let (_, outcome) = route(&mut routed, tail.to_vec()).unwrap();
+        assert_eq!(
+            charge_route(&mut charged, tail).unwrap(),
+            outcome,
+            "case {case}"
+        );
+        assert_eq!(charged.ledger(), routed.ledger(), "case {case}");
+        assert_eq!(routed.ledger().phases.len(), 2, "case {case}");
+    }
+    // Hotspots split into batches, and some schedule takes the relay.
+    let (n, packets) = hotspot_case(4);
+    let outcome = charge_route(&mut CliqueEngine::strict(n, 32), &packets).unwrap();
+    assert!(outcome.batches >= 2 && outcome.used_relay, "{outcome:?}");
 }
 
 #[test]

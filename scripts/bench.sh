@@ -3,7 +3,10 @@
 #
 # Two layers:
 #   1. the harness benches (per-operation timings; each group appends one
-#      JSON line via BENCH_JSON — see crates/bench/src/harness.rs);
+#      JSON line via BENCH_JSON — see crates/bench/src/harness.rs),
+#      including the two layers under the low-degree path: the
+#      `gather_balls` group (exponentiation) and the `lenzen_routing`
+#      group (routing);
 #   2. end-to-end experiment timings for the perf-sensitive experiments
 #      (e1, e7), reported as the minimum of $SAMPLES runs.
 #
@@ -51,7 +54,7 @@ fi
 
 cargo build --release --workspace
 
-for bench in engines mis_algorithms batch_throughput; do
+for bench in engines mis_algorithms batch_throughput exponentiation routing; do
   out="results/bench_${bench}.json"
   : > "$out"
   # Absolute path: cargo runs bench binaries from the crate directory.

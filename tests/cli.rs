@@ -58,6 +58,39 @@ fn run_json_is_parseable_shape() {
     assert!(text.contains("\"mis_size\""));
 }
 
+/// A file that declares billions of vertices gets a typed error and exit
+/// code 1, not an allocation abort: the readers refuse the count before
+/// allocating.
+#[test]
+fn huge_declared_vertex_counts_fail_cleanly() {
+    let dir = std::env::temp_dir().join(format!("clique-mis-cli-huge-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, text) in [
+        ("huge.edges", "n 4000000000\n0 1\n"),
+        ("huge.dimacs", "p edge 4000000000 1\ne 1 2\n"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let out = cli()
+            .args([
+                "run",
+                "--algorithm",
+                "luby",
+                "--input",
+                path.to_str().unwrap(),
+            ])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.contains("graph too large on line 1"),
+            "{name}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn gen_then_run_roundtrips_through_a_file() {
     let dir = std::env::temp_dir().join(format!("clique-mis-cli-test-{}", std::process::id()));
