@@ -7,10 +7,9 @@
 //!
 //! * [`RoundBuffers`] — owned by [`crate::runtime::RoundCore`], recycles
 //!   the outbox arena, the per-destination count/offset/cursor tables,
-//!   the [`PairBits`] per-pair budget tracker, the sender lists, index
-//!   and decoded sender tables of
-//!   [`crate::runtime::Round::exchange_with_neighbors`], and the sharded
-//!   transport's frame buffers across rounds. After the first round of a
+//!   the [`PairBits`] per-pair budget tracker, the sender lists and index
+//!   of [`crate::runtime::Round::exchange_with_neighbors`], and the sharded
+//!   transport's decoded tables and frame buffers across rounds. After the first round of a
 //!   steady-state loop, opening and closing a round performs no heap
 //!   allocation (the way `drive_with_checkpoints` already recycles its
 //!   encode buffer).
@@ -41,10 +40,12 @@ use crate::bits::{idx_u32, pair_key};
 /// returning, so a Theorem 1.1 phase holds no arena across its rounds.
 const POOL_RETAIN: usize = 2;
 
-/// How many type-erased sender lists (and, apart, decoded sender tables)
-/// of the neighbour exchange the pool retains: one per message type of a
-/// Theorem 1.1 phase. Each holds at most one entry per node, so keeping
-/// three costs `O(n)`.
+/// How many type-erased sender lists of the neighbour exchange (and,
+/// apart, decoded tables of framed rounds) the pool retains: one per
+/// message type of a Theorem 1.1 phase. A sender list holds at most one
+/// entry per node, so keeping three costs `O(n)`; a decoded table holds
+/// one entry per message of one shard's largest framed `deliver`, or one
+/// per sender of a framed exchange.
 const SENT_RETAIN: usize = 3;
 
 /// Type-erased buffer slots, each a boxed `Vec<T>` for some `T`. A slot
@@ -291,7 +292,7 @@ pub(crate) struct RoundBuffers {
     sent: ErasedSlots,
     /// Per-node position in the neighbour exchange's sender list.
     pub(crate) sender_at: Vec<u32>,
-    /// Retired decoded sender tables of the framed neighbour exchange
+    /// Retired decoded `ROUND` tables of framed rounds
     /// (`Vec<(NodeId, M)>`), type-erased.
     tables: ErasedSlots,
     /// Retired frame byte buffers for the sharded transport (request
@@ -345,12 +346,12 @@ impl RoundBuffers {
         retire_erased(&mut self.sent, sent, SENT_RETAIN);
     }
 
-    /// A recycled (empty) decoded sender table for message type `M`.
+    /// A recycled (empty) decoded `ROUND` table for message type `M`.
     pub(crate) fn take_table<M: Send + 'static>(&mut self) -> Vec<(NodeId, M)> {
         take_erased(&mut self.tables)
     }
 
-    /// Retires a decoded sender table, keeping its allocation.
+    /// Retires a decoded `ROUND` table, keeping its allocation.
     pub(crate) fn retire_table<M: Send + 'static>(&mut self, mut table: Vec<(NodeId, M)>) {
         table.clear();
         retire_erased(&mut self.tables, table, SENT_RETAIN);

@@ -774,12 +774,12 @@ mod tests {
     }
 
     #[test]
-    fn direct_and_relay_deliver_identical_multisets_with_exact_charges() {
+    fn direct_and_relay_charges_are_exact_and_deterministic() {
         // Property test (seeded cases): forcing the direct schedule and
-        // forcing the rotor-relay schedule must deliver the *same payload
-        // multiset* to every inbox, and each run's ledger must reflect its
-        // own schedule exactly (rounds charged == outcome rounds,
-        // deterministic across repetition).
+        // forcing the rotor-relay schedule must each charge the ledger
+        // exactly what its schedule says (rounds charged == outcome
+        // rounds), deterministically across repetition. Delivery does not
+        // depend on the schedule, so it is not compared here.
         use cc_mis_graph::rng::SplitMix64;
         for case in 0u64..32 {
             let mut rng = SplitMix64::new(0xD1CE_0000 + case);
@@ -792,39 +792,27 @@ mod tests {
                 let bits = 1 + rng.next_below(80);
                 packets.push(pkt(src, dst, bits, tag));
             }
-            let run = |choice: ScheduleChoice, packets: Vec<Packet<u32>>| {
+            let run = |choice: ScheduleChoice| {
                 let mut e = CliqueEngine::strict(n, 32);
                 let out = charge_with(&mut e, &packets, choice)
                     .expect("routing succeeds: endpoints are in range");
-                let inboxes = deliver(packets);
                 assert_eq!(
                     e.ledger().rounds,
                     out.rounds,
                     "case {case}: ledger rounds must equal schedule rounds"
                 );
-                let payloads: Vec<Vec<u32>> = (0..n)
-                    .map(|d| &inboxes[d])
-                    .map(|inbox| {
-                        let mut tags: Vec<u32> = inbox.iter().map(|p| p.payload).collect();
-                        tags.sort_unstable();
-                        tags
-                    })
-                    .collect();
-                (payloads, out.rounds, e.ledger().messages, e.ledger().bits)
+                (out.rounds, e.ledger().messages, e.ledger().bits)
             };
-            let (direct, d_rounds, d_msgs, d_bits) = run(ScheduleChoice::Direct, packets.clone());
-            let (relay, r_rounds, r_msgs, r_bits) = run(ScheduleChoice::Relay, packets.clone());
-            assert_eq!(direct, relay, "case {case}: inbox payload multisets differ");
             // Determinism of the charges: re-running either schedule on the
             // same workload reproduces rounds, messages, and bits exactly.
-            let (_, d_rounds2, d_msgs2, d_bits2) = run(ScheduleChoice::Direct, packets.clone());
-            assert_eq!((d_rounds, d_msgs, d_bits), (d_rounds2, d_msgs2, d_bits2));
-            let (_, r_rounds2, r_msgs2, r_bits2) = run(ScheduleChoice::Relay, packets.clone());
-            assert_eq!((r_rounds, r_msgs, r_bits), (r_rounds2, r_msgs2, r_bits2));
+            let direct = run(ScheduleChoice::Direct);
+            assert_eq!(direct, run(ScheduleChoice::Direct), "case {case}");
+            let relay = run(ScheduleChoice::Relay);
+            assert_eq!(relay, run(ScheduleChoice::Relay), "case {case}");
             // And the production chooser is never worse than either forced
             // schedule (it picks per batch, so it can beat both totals).
-            let (_, c_rounds, _, _) = run(ScheduleChoice::Cheaper, packets);
-            assert!(c_rounds <= d_rounds.min(r_rounds), "case {case}");
+            let (cheaper, _, _) = run(ScheduleChoice::Cheaper);
+            assert!(cheaper <= direct.0.min(relay.0), "case {case}");
         }
     }
 

@@ -587,28 +587,7 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
         let mut cursors = mem::take(&mut self.core.buffers.cursors);
         cursors.clear();
         cursors.extend_from_slice(&offsets[..n]);
-        // Framed delivery: when a sharded transport is configured, the
-        // scatter crosses the serialization boundary instead of running
-        // in-process. The workers' shard-local counting scatters compose to
-        // the identical dst-major arena bytes, so everything below (sort
-        // fallback, ledger close, observer event) is shared unchanged.
-        let core = &mut *self.core;
-        let framed = shard::probe(&mut core.shards, n, &mut core.buffers)
-            .unwrap_or_else(|e| panic!("sharded transport setup failed: {e}"));
-        if framed {
-            if let shard::ShardSlot::Framed(transport) = &mut core.shards {
-                transport
-                    .deliver(
-                        &outbox,
-                        &mut data,
-                        &mut cursors,
-                        &offsets,
-                        &mut core.buffers,
-                    )
-                    .unwrap_or_else(|e| panic!("sharded delivery failed: {e}"));
-            }
-            outbox.clear();
-        } else if sharded {
+        if sharded {
             // Destination-range shards balanced by message count. Each
             // worker scans the whole outbox and writes only its disjoint
             // contiguous arena chunk in outbox order, so the delivered
@@ -659,6 +638,18 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
                 data[at as usize] = (src, msg);
                 cursors[dst.index()] = at + 1;
             }
+        }
+        // Framed delivery: when a sharded transport is configured, the
+        // scattered arena crosses the serialization boundary, and what the
+        // shards return is written back over it, so everything below (sort
+        // fallback, ledger close, observer event) is shared unchanged.
+        let core = &mut *self.core;
+        let framed = shard::probe(&mut core.shards, n, &mut core.buffers)
+            .unwrap_or_else(|e| panic!("sharded transport setup failed: {e}"));
+        if let Some(transport) = framed {
+            transport
+                .deliver(&mut data, &mut cursors, &offsets, &mut core.buffers)
+                .unwrap_or_else(|e| panic!("sharded delivery failed: {e}"));
         }
         // Sends arrived src-major (the common case): per-inbox scatter
         // order is already the pinned sorted-by-sender order. Otherwise a
@@ -715,10 +706,12 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
     /// order, is handed its sending neighbours' messages along its own
     /// ascending adjacency, so they arrive already sorted by sender — no
     /// outbox, no pair tracker, no scatter, no arena. Under framed delivery
-    /// ([`shard::probe`]) the same walk writes each pulled message into the
-    /// receiver's shard's `ROUND` frame instead, and `receive` folds the
-    /// returned `INBOX` entries as they are decoded. The send loop runs
-    /// instead, and `receive` visits the inboxes `deliver` returns, when
+    /// ([`shard::probe`]) each shard's `ROUND` frame carries every sender's
+    /// message once, in a table, and the same walk appends each pulled
+    /// message to its receiver's run as the sender's `u32` table index;
+    /// `receive` is handed the messages as the returned `INBOX` runs are
+    /// read. The send loop runs instead, and `receive` visits the inboxes
+    /// `deliver` returns, when
     /// * a sender declares more bits than the bandwidth: strict errors and
     ///   audit violations come from the one checked path;
     /// * the transport cannot vouch for the graph's links
@@ -842,14 +835,14 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
         };
         let mut tally = PullTally::default();
         let core = &mut *self.core;
-        shard::probe(
+        let framed = shard::probe(
             &mut core.shards,
             self.transport.node_count(),
             &mut core.buffers,
         )
         .unwrap_or_else(|e| panic!("sharded transport setup failed: {e}"));
-        match &mut core.shards {
-            shard::ShardSlot::Framed(transport) => pull_framed(
+        match framed {
+            Some(transport) => pull_framed(
                 transport,
                 &walk,
                 &mut self.counts,
@@ -857,7 +850,7 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
                 receive,
                 &mut core.buffers,
             ),
-            _ => {
+            None => {
                 walk.run(
                     0..graph.node_count(),
                     &mut self.counts,
@@ -895,7 +888,7 @@ impl<'a, T: Transport, M: Send + 'static> Round<'a, T, M> {
 
 /// The framed half of [`Round::pull_from_neighbors`]: the transport
 /// encodes the senders' table once, the walk pushes each pulled message's
-/// sender index into its receiver's shard's `EXCHANGE` frame, and the
+/// sender index into its receiver's shard's `ROUND` frame, and the
 /// returned runs are folded into `receive`.
 ///
 /// Kept out of line: inlined into its caller, it left the direct walk's
@@ -913,8 +906,7 @@ fn pull_framed<M: Wire + Send + 'static>(
     transport
         .exchange(
             walk.sent,
-            counts,
-            |dsts, counts, runs| walk.run(dsts, counts, tally, |u, _, at, _| runs.push(u, at)),
+            |dsts, runs| walk.run(dsts, counts, tally, |u, _, at, _| runs.push(u, at)),
             receive,
             buffers,
         )
@@ -946,15 +938,15 @@ impl<M> PullWalk<'_, M> {
     /// Walks the receivers whose ids fall in `nodes`, in id order, each
     /// along its ascending adjacency, calling `take(receiver, sender,
     /// position in sent, &message)` for every message it pulls. Records
-    /// each such receiver's message count in `counts`, adds the charges to
-    /// `tally`, and returns how many messages it pulled.
+    /// each such receiver's message count in `counts` and adds the charges
+    /// to `tally`.
     fn run(
         &self,
         nodes: ops::Range<usize>,
         counts: &mut [u32],
         tally: &mut PullTally,
         mut take: impl FnMut(NodeId, NodeId, usize, &M),
-    ) -> u32 {
+    ) {
         // A clique engine may be larger than the graph (Theorem 1.1 runs a
         // 1-node graph on 2 nodes): the receivers are the graph's nodes,
         // and the extra nodes' counts stay 0.
@@ -979,7 +971,6 @@ impl<M> PullWalk<'_, M> {
         tally.messages += u64::from(pulled);
         tally.bits += bits;
         tally.peak = tally.peak.max(peak);
-        pulled
     }
 }
 

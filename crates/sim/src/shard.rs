@@ -3,20 +3,17 @@
 //! The paper's congested-clique model assumes perfectly reliable all-to-all
 //! communication; this module drops that assumption. Round delivery can
 //! cross a *serialization boundary*: a [`ShardedTransport`] partitions the
-//! destination id space over `S` worker shards, each of which receives its
-//! slice of the round's messages as a length-prefixed byte frame, performs
-//! the shard-local counting scatter over opaque payload bytes, and returns
-//! the reordered slice as another frame. The coordinator concatenates the
-//! shard inboxes — dst-major, send order within each destination — which is
-//! byte-identical to the direct in-process scatter in
-//! [`crate::runtime::Round::deliver`] at any shard count. A pulled
-//! [`crate::runtime::Round::exchange_with_neighbors`] is a local broadcast
-//! (each sender tells every receiving neighbour the same value), so its
-//! `EXCHANGE` frame carries each sender's message once, in a table, and
-//! each message as the sender's `u32` index in a per-destination run. It
-//! is already a shard's inbox: the worker checks it and echoes it, and the
-//! coordinator folds the runs into its visitor in the order the direct
-//! pull visits them.
+//! destination id space over `S` worker shards and sends each shard its
+//! slice of every round as one `ROUND` frame, which already is the shard's
+//! inbox: a table that carries each message once, then one run of table
+//! indices per receiving destination, in the order the direct path visits
+//! them. The worker checks the frame and echoes it, and the coordinator
+//! folds the runs into the round's receiver.
+//! [`crate::runtime::Round::deliver`] frames its scattered arena and writes
+//! the fold back over it, byte-identical to the direct scatter at any shard
+//! count. A pulled [`crate::runtime::Round::exchange_with_neighbors`] is a
+//! local broadcast, so its table lists each sender's message once for all
+//! of its receivers, and the fold hands every message to the visitor.
 //!
 //! Two [`FrameLink`] backends speak the same codec:
 //!
@@ -52,70 +49,50 @@
 //! | request                                      | reply |
 //! |----------------------------------------------|-------|
 //! | `INIT [shard u32][n u32][dst_lo][dst_hi]`    | `ACK [shard u32]` |
-//! | `ROUND [round u64][count u32]` + entries     | `INBOX [round u64][fingerprint u64][count u32]` + entries |
-//! | `EXCHANGE [round u64][count u32][senders u32]` + table + runs | `INBOX [round u64][fingerprint u64][count u32][senders u32]` + table + runs |
+//! | `ROUND [round u64][count u32][messages u32]` + table + runs | `INBOX [round u64][fingerprint u64]` + the `ROUND` payload after `round` |
 //! | `SAVE` (empty)                               | `STATE [CCMS snapshot bytes]` |
 //! | `RESTORE [CCMS snapshot bytes]`              | `ACK [shard u32]` |
 //! | `SHUTDOWN` (empty)                           | none (worker exits) |
 //!
-//! `ROUND` entries are `[src u32][dst u32][len u32][payload bytes]` in send
-//! order; `INBOX` entries are the same layout in scattered (dst-major)
-//! order. An `EXCHANGE`'s table holds one `[src u32][len u32][payload
-//! bytes]` per sender, sources ascending; its runs follow, one per
-//! receiving destination, destinations ascending: `[dst u32][run u32]` and
-//! `run` indices into the table, each a `u32`, ascending. `count` is the
-//! number of messages: `ROUND` entries or `EXCHANGE` indices. Both request
-//! kinds open with `[round][count]`, and the `INBOX` echoes them with the
-//! worker's fingerprint in between; an exchange's `INBOX` then repeats the
-//! rest of the request byte for byte. Workers never decode message
-//! payloads — `M` is encoded by the coordinator via [`Wire`] and treated as
-//! opaque bytes in flight — but a worker checks an `EXCHANGE`'s shape
-//! before it echoes it: sources ascending, every payload inside the frame,
-//! runs non-empty with their destinations inside the shard and ascending,
-//! indices inside the table and ascending within a run, exactly `count`
-//! of them and no trailing byte.
+//! A `ROUND`'s table holds `messages` entries of `[src u32][len u32][payload
+//! bytes]`; its runs follow, destinations ascending: `[dst u32][run u32]`
+//! and `run` ascending `u32` table indices, `count` in all. `deliver` lists
+//! one entry per message in arena order, so each run is consecutive
+//! indices; an exchange lists one entry per sender. Workers never decode
+//! message payloads — `M` is encoded by the coordinator via [`Wire`] and
+//! treated as opaque bytes in flight — but a worker checks a `ROUND`'s
+//! shape before it echoes it: every payload inside the frame, runs
+//! non-empty with their destinations inside the shard and ascending,
+//! indices inside the table and ascending within a run, exactly `count` of
+//! them and no trailing byte.
 //!
-//! The coordinator checks each `INBOX`'s shape as it reads it: its message
-//! count must equal the request's, and no destination may receive more
-//! messages than were framed for it — in `deliver` no entry may overrun
-//! its destination's slots in the arena; in an exchange the table must be
-//! the one framed, each payload must decode to exactly one `M`, and each
-//! destination's run must hold exactly the messages framed for it, with
-//! the worker's shape checks repeated.
+//! The coordinator keeps every shard's last `ROUND` for recovery and
+//! compares each `INBOX`'s echo with it byte for byte, so an inbox that
+//! moves, repeats, drops or reorders a message, or alters a table entry,
+//! is rejected before anything is folded. Each table payload must then
+//! decode to exactly one `M`.
 //!
 //! # Where the bytes go
 //!
 //! Framed delivery touches each message's bytes a fixed, small number of
-//! times. `deliver` builds every shard's `ROUND` frame in place, in one
-//! pass over the outbox: it reserves the header, `Wire`-encodes each
-//! message straight into its shard's frame, and seals the header last. The
-//! worker counts entry bytes per destination, prefix-sums them into write
-//! offsets, and copies each entry once, reading the round payload in
-//! order, into an `INBOX` frame that is also built in place; `deliver`
-//! decodes that `INBOX` into the arena. A pulled exchange has no outbox:
-//! it `Wire`-encodes the sender table into the first shard's frame and
-//! copies it into the others, and its receiver-order walk appends one
-//! `u32` per message ([`ExchangeRuns`]). The worker copies the checked
-//! frame into its `INBOX` in one piece, and the coordinator decodes the
-//! table once per shard and folds each run by table lookup. The channel
-//! backend hands reply buffers over by swapping, never copying, and the
-//! worker writes each checkpoint into a recycled buffer, so a steady-state
-//! round allocates nothing.
+//! times. Every shard's `ROUND` is built in place in its retained slot: the
+//! header is reserved, each table entry is `Wire`-encoded straight into the
+//! frame, the runs are appended ([`Runs`]), and the header is sealed last.
+//! `deliver` encodes its scattered arena front to back. A pulled exchange
+//! encodes the sender table into the first shard's frame, copies it into
+//! the others, and appends one `u32` per message as its receiver-order walk
+//! finds it. The worker copies the checked frame into its `INBOX` in one
+//! piece, and the coordinator decodes the table once per shard and folds
+//! each run by table lookup. The channel backend hands reply buffers over
+//! by swapping, never copying, and the worker writes each checkpoint into a
+//! recycled buffer, so a steady-state round allocates nothing.
 //!
-//! Over six `kronecker(16, 8)` Theorem 1.1 solves (one thread, two channel
-//! shards; 3.14 M pulled messages and 24.8 MB of `EXCHANGE` frames per
-//! solve, 7.9 bytes per message against 18.2 for per-receiver entries), a
-//! solve's framed exchanges spend about 0.07–0.09 s building frames (the
-//! receiver walk included), 0.05 s on the four checksum passes (both ends
-//! of both frames), 0.02–0.03 s in the worker's checks and copy,
-//! 0.04–0.06 s decoding the table and folding the runs, and under 1 ms on
-//! checkpoints.
+//! DESIGN.md §15 gives the measured time of each of these steps.
 //!
 //! # Fingerprints make recovery load-bearing
 //!
 //! Each worker chains `fingerprint = mix3(fingerprint, frame_checksum,
-//! round)` over every `ROUND` or `EXCHANGE` frame it applies; the
-//! coordinator maintains
+//! round)` over every `ROUND` frame it applies; the coordinator maintains
 //! the identical mirror chain at send time and verifies it on every
 //! `INBOX`. The fingerprint is part of the worker's checkpoint, so a
 //! recovered worker that skipped its `RESTORE` (or restored the wrong
@@ -126,10 +103,9 @@
 //!
 //! After every round the coordinator collects a `SAVE` checkpoint from each
 //! shard (round 0's is taken at construction) and retains the last `ROUND`
-//! or `EXCHANGE` frame per shard. When a link dies
-//! ([`ShardError::WorkerDead`] or an I/O error), the coordinator respawns
-//! the worker, replays `INIT` + `RESTORE(last checkpoint)` + the retained
-//! frame, and resumes —
+//! frame per shard. When a link dies ([`ShardError::WorkerDead`] or an I/O
+//! error), the coordinator respawns the worker, replays `INIT` +
+//! `RESTORE(last checkpoint)` + the retained frame, and resumes —
 //! so a killed-and-recovered run is byte-identical (MIS, ledger, trace) to
 //! the unkilled run at every (shard, round) injection point. Fault
 //! injection for tests and the CLI is a process-global
@@ -338,7 +314,7 @@ pub enum FrameKind {
     Init = 1,
     /// Coordinator → worker: one round's messages for this shard.
     Round = 2,
-    /// Worker → coordinator: the scattered inbox slice.
+    /// Worker → coordinator: the checked round, echoed.
     Inbox = 3,
     /// Coordinator → worker: checkpoint request.
     Save = 4,
@@ -350,8 +326,6 @@ pub enum FrameKind {
     Ack = 7,
     /// Coordinator → worker: exit cleanly.
     Shutdown = 8,
-    /// Coordinator → worker: one pulled neighbour exchange for this shard.
-    Exchange = 9,
 }
 
 impl FrameKind {
@@ -367,7 +341,6 @@ impl FrameKind {
             FrameKind::Restore => 6,
             FrameKind::Ack => 7,
             FrameKind::Shutdown => 8,
-            FrameKind::Exchange => 9,
         }
     }
 
@@ -381,7 +354,6 @@ impl FrameKind {
             6 => FrameKind::Restore,
             7 => FrameKind::Ack,
             8 => FrameKind::Shutdown,
-            9 => FrameKind::Exchange,
             _ => return None,
         })
     }
@@ -571,15 +543,9 @@ pub fn decode_frame(frame: &[u8]) -> Result<(FrameKind, &[u8], u64), ShardError>
     Ok((kind, payload, found))
 }
 
-/// Bytes of a `ROUND` / `INBOX` entry header: `[src u32][dst u32][len u32]`.
-const ENTRY_HEAD: usize = 12;
-
-/// Appends the entry `[src][dst][len][payload]` of message `m` to `out`.
-fn push_entry<M: Wire>(out: &mut Vec<u8>, src: u32, dst: u32, m: &M) {
-    push_u32(out, src);
-    push_u32(out, dst);
-    push_payload(out, m);
-}
+/// Offset in a `ROUND` frame of its `count` field, after the header and
+/// the round number; `messages` follows it.
+const COUNT_AT: usize = FRAME_HEADER + 8;
 
 /// Appends `[len u32][payload]` for message `m`: `m` is encoded straight
 /// into place and its length back-patched.
@@ -591,19 +557,31 @@ fn push_payload<M: Wire>(out: &mut Vec<u8>, m: &M) {
     out[at - 4..at].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Appends the runs of an `EXCHANGE` frame, one message at a time: a
-/// message for a new destination closes the open run (back-patching its
-/// length) and opens `[dst][run]`; every message adds its sender's index.
-pub(crate) struct ExchangeRuns<'f> {
+/// Appends the runs of a `ROUND` frame, one message at a time: a message
+/// for a new destination closes the open run (back-patching its length)
+/// and opens `[dst][run]`; every message adds its table index.
+pub(crate) struct Runs<'f> {
     frame: &'f mut Vec<u8>,
     dst: u32,
     /// Where the open run's indices start; 0 while no run is open (a frame
     /// header always precedes the runs).
     at: usize,
+    /// Messages appended so far: the frame's `count`.
+    count: u32,
 }
 
-impl ExchangeRuns<'_> {
-    /// Appends a message to `dst` from the sender at `index` of the table.
+impl<'f> Runs<'f> {
+    /// Runs appended to `frame`, whose table is complete.
+    fn new(frame: &'f mut Vec<u8>) -> Self {
+        Runs {
+            frame,
+            dst: 0,
+            at: 0,
+            count: 0,
+        }
+    }
+
+    /// Appends a message to `dst`: the entry at `index` of the table.
     #[inline]
     pub(crate) fn push(&mut self, dst: NodeId, index: usize) {
         if self.at == 0 || dst.raw() != self.dst {
@@ -614,6 +592,7 @@ impl ExchangeRuns<'_> {
             self.at = self.frame.len();
         }
         push_u32(self.frame, idx_u32(index));
+        self.count += 1;
     }
 
     /// Writes the open run's length into its header.
@@ -623,47 +602,45 @@ impl ExchangeRuns<'_> {
             self.frame[self.at - 4..self.at].copy_from_slice(&run.to_le_bytes());
         }
     }
+
+    /// Closes the last run and writes the frame's `count`.
+    fn finish(mut self) {
+        self.close();
+        self.frame[COUNT_AT..COUNT_AT + 4].copy_from_slice(&self.count.to_le_bytes());
+    }
 }
 
-/// Reads the sender table of an `EXCHANGE` body, `senders` entries of
-/// `[src u32][len u32][payload]`, calling `sender(src, payload)` for each.
-/// Sources must be strictly ascending and every payload must lie inside
-/// the frame. Nothing is allocated by the claimed count: a count larger
-/// than the entries present ends in [`ShardError::Truncated`].
+/// Reads the table of a `ROUND` body, `messages` entries of `[src
+/// u32][len u32][payload]`, calling `entry(src, payload)` for each. Every
+/// payload must lie inside the frame. Nothing is allocated by the claimed
+/// count: a count larger than the entries present ends in
+/// [`ShardError::Truncated`].
 fn walk_table(
     c: &mut WireCursor<'_>,
-    senders: u32,
-    mut sender: impl FnMut(u32, &[u8]) -> Result<(), ShardError>,
+    messages: u32,
+    mut entry: impl FnMut(u32, &[u8]) -> Result<(), ShardError>,
 ) -> Result<(), ShardError> {
-    let mut last = None;
-    for _ in 0..senders {
+    for _ in 0..messages {
         let src = c.u32().ok_or(ShardError::Truncated)?;
         let len = c.u32().ok_or(ShardError::Truncated)?;
         let payload = c.take(len as usize).ok_or(ShardError::Truncated)?;
-        if last >= Some(src) {
-            return Err(ShardError::Protocol(
-                "exchange sender table repeats or reorders a sender",
-            ));
-        }
-        last = Some(src);
-        sender(src, payload)?;
+        entry(src, payload)?;
     }
     Ok(())
 }
 
-/// Reads the runs of an `EXCHANGE` body up to its end: `[dst u32][run
-/// u32]` and `run` sender indices, `count` messages in all. Calls
-/// `run(dst, len)` as each run opens and `message(dst, index)` for each of
-/// its indices. Destinations must lie in `dsts` and be strictly ascending,
-/// runs must hold at least one message and no more than the count has
-/// left, indices must be below `senders` and strictly ascending within
-/// their run, and no byte may follow the last run.
+/// Reads the runs of a `ROUND` body up to its end: `[dst u32][run u32]`
+/// and `run` table indices, `count` messages in all, calling
+/// `message(dst, index)` for each index. Destinations must lie in `dsts`
+/// and be strictly ascending, runs must hold at least one message and no
+/// more than the count has left, indices must be below `messages` and
+/// strictly ascending within their run, and no byte may follow the last
+/// run.
 fn walk_runs(
     c: &mut WireCursor<'_>,
-    senders: u32,
+    messages: u32,
     count: u32,
     dsts: ops::Range<u32>,
-    mut run: impl FnMut(u32, u32) -> Result<(), ShardError>,
     mut message: impl FnMut(u32, usize),
 ) -> Result<(), ShardError> {
     let mut left = count;
@@ -673,22 +650,21 @@ fn walk_runs(
         let len = c.u32().ok_or(ShardError::Truncated)?;
         if dst < min_dst || dst >= dsts.end {
             return Err(ShardError::Protocol(
-                "exchange run repeats or reorders a destination, or leaves the shard",
+                "round run repeats or reorders a destination, or leaves the shard",
             ));
         }
         if len == 0 || len > left {
             return Err(ShardError::Protocol(
-                "exchange run is empty or overruns the message count",
+                "round run is empty or overruns the message count",
             ));
         }
-        run(dst, len)?;
         let indices = c.take(len as usize * 4).ok_or(ShardError::Truncated)?;
         let mut min_index = 0;
         for index in indices.chunks_exact(4) {
             let index = le_u32_at(index, 0);
-            if index < min_index || index >= senders {
+            if index < min_index || index >= messages {
                 return Err(ShardError::Protocol(
-                    "exchange run index repeats, descends or leaves the sender table",
+                    "round run index repeats, descends or leaves the table",
                 ));
             }
             min_index = index + 1;
@@ -698,7 +674,7 @@ fn walk_runs(
         min_dst = dst + 1;
     }
     if !c.done() {
-        return Err(ShardError::Protocol("trailing bytes in exchange frame"));
+        return Err(ShardError::Protocol("trailing bytes in round frame"));
     }
     Ok(())
 }
@@ -734,7 +710,7 @@ fn read_stream_frame(stream: &mut impl Read, frame: &mut Vec<u8>) -> Result<(), 
 }
 
 /// One shard worker's complete state: identity, counters, the fingerprint
-/// chain, and scatter scratch. Shared verbatim by both backends — the
+/// chain, and checkpoint scratch. Shared verbatim by both backends — the
 /// in-process [`ChannelLink`] holds one directly and the `clique-mis
 /// worker` child process holds one behind its socket loop — so the two
 /// backends cannot diverge behaviorally.
@@ -746,15 +722,12 @@ struct WorkerState {
     dst_hi: u32,
     /// Rounds applied so far (the last applied frame's round number).
     applied: u64,
-    /// Messages scattered so far.
+    /// Messages delivered so far.
     delivered: u64,
-    /// Payload bytes scattered so far.
+    /// Table payload bytes applied so far.
     bytes: u64,
     /// `mix3` chain over applied round-frame checksums (see module docs).
     fingerprint: u64,
-    /// Scatter scratch: per-local-destination entry bytes, then their
-    /// write cursors in the reply — capacity recycled across rounds.
-    cursors: Vec<usize>,
     /// Checkpoint scratch: the last `SAVE`'s snapshot bytes, whose
     /// allocation the next `SAVE` writes into.
     snapshot: Vec<u8>,
@@ -766,10 +739,6 @@ impl WorkerState {
             shard,
             ..WorkerState::default()
         }
-    }
-
-    fn width(&self) -> usize {
-        (self.dst_hi - self.dst_lo) as usize
     }
 
     crate::snapshot_fields! {
@@ -803,18 +772,13 @@ impl WorkerState {
         Ok(())
     }
 
-    /// Applies one `ROUND` or `EXCHANGE` payload: checks its shape, updates
-    /// the counters and the fingerprint, and builds the complete `INBOX`
-    /// reply in place in `reply`. Both kinds open with `[round u64][count
-    /// u32]`, and the reply echoes them after the fingerprint.
-    ///
-    /// A `ROUND`'s entries are scattered dst-major (see
-    /// [`WorkerState::scatter`]). An `EXCHANGE` is already a shard's inbox
-    /// (see the module docs), so once its shape checks out the rest of its
-    /// payload is copied into the reply in one piece.
+    /// Applies one `ROUND` payload: checks its shape (see the module
+    /// docs), updates the counters and the fingerprint, and builds the
+    /// complete `INBOX` reply in place in `reply`: `[round][fingerprint]`,
+    /// then the rest of the payload in one piece, since the frame already
+    /// is the shard's inbox. A rejected frame leaves `reply` untouched.
     fn apply_round(
         &mut self,
-        kind: FrameKind,
         payload: &[u8],
         checksum: u64,
         reply: &mut Vec<u8>,
@@ -824,88 +788,26 @@ impl WorkerState {
         if round != self.applied + 1 {
             return Err(ShardError::Protocol("round frame out of sequence"));
         }
+        let echo = &payload[c.pos()..];
         let count = c.u32().ok_or(ShardError::Truncated)?;
-        let body = &payload[c.pos()..];
-        let bytes = if kind == FrameKind::Exchange {
-            let senders = c.u32().ok_or(ShardError::Truncated)?;
-            let mut bytes = 0;
-            walk_table(&mut c, senders, |_, m| {
-                bytes += m.len() as u64;
-                Ok(())
-            })?;
-            let dsts = self.dst_lo..self.dst_hi;
-            walk_runs(&mut c, senders, count, dsts, |_, _| Ok(()), |_, _| {})?;
-            bytes
-        } else {
-            self.count_entries(&mut c, count)?
-        };
+        let messages = c.u32().ok_or(ShardError::Truncated)?;
+        let mut bytes = 0;
+        walk_table(&mut c, messages, |_, m| {
+            bytes += m.len() as u64;
+            Ok(())
+        })?;
+        walk_runs(&mut c, messages, count, self.dst_lo..self.dst_hi, |_, _| {})?;
         self.applied = round;
         self.delivered += u64::from(count);
         self.bytes += bytes;
         self.fingerprint = mix3(self.fingerprint, checksum, round);
         open_frame(reply);
+        reply.reserve_exact(16 + echo.len());
         push_u64(reply, round);
         push_u64(reply, self.fingerprint);
-        push_u32(reply, count);
-        if kind == FrameKind::Exchange {
-            reply.extend_from_slice(body);
-        } else {
-            self.scatter(body, reply);
-        }
+        reply.extend_from_slice(echo);
         seal_frame(FrameKind::Inbox, reply);
         Ok(())
-    }
-
-    /// Checks a `ROUND`'s `count` entries `[src][dst][len][payload]` and
-    /// counts each local destination's entry bytes into the scatter
-    /// cursors. Returns the payload bytes.
-    fn count_entries(&mut self, c: &mut WireCursor<'_>, count: u32) -> Result<u64, ShardError> {
-        self.cursors.clear();
-        self.cursors.resize(self.width(), 0);
-        let mut bytes = 0;
-        for _ in 0..count {
-            let _src = c.u32().ok_or(ShardError::Truncated)?;
-            let dst = c.u32().ok_or(ShardError::Truncated)?;
-            let len = c.u32().ok_or(ShardError::Truncated)?;
-            c.take(len as usize).ok_or(ShardError::Truncated)?;
-            if dst < self.dst_lo || dst >= self.dst_hi {
-                return Err(ShardError::Protocol(
-                    "entry destination outside shard range",
-                ));
-            }
-            bytes += u64::from(len);
-            self.cursors[(dst - self.dst_lo) as usize] += ENTRY_HEAD + len as usize;
-        }
-        if !c.done() {
-            return Err(ShardError::Protocol("trailing bytes in round frame"));
-        }
-        Ok(bytes)
-    }
-
-    /// The shard-local counting scatter of a checked `ROUND`'s `entries`
-    /// into dst-major order after the `INBOX` header already in `reply`.
-    /// The per-destination byte totals of [`WorkerState::count_entries`]
-    /// are prefix-summed into write cursors inside the reply, and every
-    /// entry is then copied once, reading the round payload front to back,
-    /// so entries for one destination keep their arrival order.
-    fn scatter(&mut self, entries: &[u8], reply: &mut Vec<u8>) {
-        let mut acc = reply.len();
-        for cursor in &mut self.cursors {
-            let bytes = *cursor;
-            *cursor = acc;
-            acc += bytes;
-        }
-        reply.resize(acc, 0);
-        let mut at = 0;
-        while at < entries.len() {
-            let dst = le_u32_at(entries, at + 4);
-            let len = le_u32_at(entries, at + 8) as usize;
-            let size = ENTRY_HEAD + len;
-            let cursor = &mut self.cursors[(dst - self.dst_lo) as usize];
-            reply[*cursor..*cursor + size].copy_from_slice(&entries[at..at + size]);
-            *cursor += size;
-            at += size;
-        }
     }
 }
 
@@ -954,7 +856,7 @@ fn handle_frame(
             encode_frame(FrameKind::Ack, &shard.to_le_bytes(), reply);
             Ok(())
         }
-        FrameKind::Round | FrameKind::Exchange => state.apply_round(kind, payload, checksum, reply),
+        FrameKind::Round => state.apply_round(payload, checksum, reply),
         FrameKind::Save => {
             encode_frame(FrameKind::State, state.save_bytes(), reply);
             Ok(())
@@ -1261,12 +1163,9 @@ pub(crate) struct ShardedTransport {
     dst_cuts: Vec<u32>,
     /// Last `SAVE` checkpoint per shard (round 0's taken at construction).
     checkpoints: Vec<Vec<u8>>,
-    /// Last `ROUND` or `EXCHANGE` frame sent per shard, retained for
-    /// recovery replay.
+    /// Last `ROUND` frame sent per shard, retained for recovery replay and
+    /// for checking the `INBOX` that echoes it.
     round_frames: Vec<Vec<u8>>,
-    /// Message count of each shard's last request frame; its `INBOX` must
-    /// return exactly as many.
-    sent_counts: Vec<u32>,
     /// Coordinator-side fingerprint mirror chain per shard.
     mirrors: Vec<u64>,
     /// Rounds delivered through this transport.
@@ -1294,21 +1193,6 @@ impl ShardedTransport {
         backend: ShardBackend,
         buffers: &mut RoundBuffers,
     ) -> Result<Box<ShardedTransport>, ShardError> {
-        let mut frame = buffers.take_frame();
-        let mut recv = buffers.take_frame();
-        let result = ShardedTransport::new_inner(n, shards, backend, &mut frame, &mut recv);
-        buffers.retire_frame(frame);
-        buffers.retire_frame(recv);
-        result
-    }
-
-    fn new_inner(
-        n: usize,
-        shards: usize,
-        backend: ShardBackend,
-        frame: &mut Vec<u8>,
-        recv: &mut Vec<u8>,
-    ) -> Result<Box<ShardedTransport>, ShardError> {
         let shards = shards.max(1);
         let mut dst_cuts = Vec::with_capacity(shards + 1);
         for k in 0..=shards {
@@ -1329,15 +1213,18 @@ impl ShardedTransport {
             dst_cuts,
             checkpoints: vec![Vec::new(); shards],
             round_frames: vec![Vec::new(); shards],
-            sent_counts: vec![0; shards],
             mirrors: vec![0; shards],
             round: 0,
         });
-        for k in 0..shards {
-            t.init_shard(k, frame, recv)?;
-            t.checkpoint_shard(k, frame, recv)?;
-        }
-        Ok(t)
+        let mut frame = buffers.take_frame();
+        let mut recv = buffers.take_frame();
+        let result = (0..shards).try_for_each(|k| {
+            t.init_shard(k, &mut frame, &mut recv)?;
+            t.checkpoint_shard(k, &mut frame, &mut recv)
+        });
+        buffers.retire_frame(frame);
+        buffers.retire_frame(recv);
+        result.map(|()| t)
     }
 
     /// Node count this transport was built for.
@@ -1401,7 +1288,7 @@ impl ShardedTransport {
                 let replayed = self.recover_shard(k, frame, recv)?;
                 if replayed {
                     self.links[k].recv(recv)?;
-                    self.validate_inbox_header(k, recv)?;
+                    self.check_inbox(k, recv)?;
                 }
                 encode_frame(FrameKind::Save, &[], frame);
                 self.links[k].send(frame)?;
@@ -1442,14 +1329,11 @@ impl ShardedTransport {
         Ok(true)
     }
 
-    /// Decodes `recv` as this round's `INBOX` from shard `k`, verifying the
-    /// round number and the fingerprint mirror chain. Returns the entry
-    /// payload positioned after the header.
-    fn validate_inbox_header<'f>(
-        &self,
-        k: usize,
-        recv: &'f [u8],
-    ) -> Result<(WireCursor<'f>, u32), ShardError> {
+    /// Checks `recv` as this round's `INBOX` from shard `k`: the round
+    /// number, the fingerprint mirror chain, and the echo, which must equal
+    /// the retained `ROUND` payload after its round number byte for byte.
+    /// Returns the echo.
+    fn check_inbox<'f>(&self, k: usize, recv: &'f [u8]) -> Result<&'f [u8], ShardError> {
         let (kind, payload, _) = decode_frame(recv)?;
         if kind != FrameKind::Inbox {
             return Err(ShardError::Protocol("expected INBOX"));
@@ -1467,53 +1351,65 @@ impl ShardedTransport {
                 found,
             });
         }
-        let count = c.u32().ok_or(ShardError::Truncated)?;
-        if count != self.sent_counts[k] {
-            return Err(ShardError::Protocol(
-                "inbox entry count differs from the round frame",
-            ));
+        let echo = &payload[c.pos()..];
+        if echo != &self.round_frames[k][COUNT_AT..] {
+            return Err(ShardError::Protocol("inbox differs from its round frame"));
         }
-        Ok((c, count))
+        Ok(echo)
     }
 
-    /// Starts the next round: opens every shard's request frame in its
-    /// retained slot (kept for recovery replay) with `[round][count]`, the
-    /// count patched when the frame is sealed.
+    /// Starts the next round: opens every shard's `ROUND` in its retained
+    /// slot (kept for recovery replay) with `[round][count]`, the count
+    /// written when its runs are finished.
     fn open_round(&mut self) {
         self.round += 1;
-        for (round_frame, count) in self.round_frames.iter_mut().zip(&mut self.sent_counts) {
+        for round_frame in &mut self.round_frames {
             open_frame(round_frame);
             push_u64(round_frame, self.round);
             push_u32(round_frame, 0);
-            *count = 0;
         }
     }
 
-    /// Delivers one round through the frame boundary: partitions `outbox`
-    /// into per-shard `ROUND` frames, applies each shard's `INBOX` into
-    /// `arena` via `cursors` (byte-identical to the direct scatter), and
+    /// Delivers one round through the frame boundary: frames `arena`, which
+    /// holds the round's messages after the direct counting scatter, writes
+    /// the messages the shards return back into it at `cursors`, and
     /// refreshes every shard's checkpoint. `offsets` are the arena's
-    /// per-destination start offsets (`n + 1` entries); no inbox entry may
-    /// be written at or past its destination's next offset.
-    pub(crate) fn deliver<M: Wire>(
+    /// per-destination start offsets (`n + 1` entries).
+    ///
+    /// Shard `k`'s table is its destinations' slice of the arena, each
+    /// message `Wire`-encoded once, so a destination's run is its slots,
+    /// as consecutive table indices, and its messages keep their send
+    /// order.
+    pub(crate) fn deliver<M: Wire + Clone + Send + 'static>(
         &mut self,
-        outbox: &[(NodeId, NodeId, M)],
         arena: &mut [(NodeId, M)],
         cursors: &mut [u32],
         offsets: &[u32],
         buffers: &mut RoundBuffers,
     ) -> Result<(), ShardError> {
         self.open_round();
-        // One pass over the outbox Wire-encodes each message exactly once,
-        // straight into its shard's frame.
-        let upper_cuts = &self.dst_cuts[1..];
-        for (src, dst, m) in outbox {
-            let k = upper_cuts.partition_point(|&cut| cut <= dst.raw());
-            push_entry(&mut self.round_frames[k], src.raw(), dst.raw(), m);
-            self.sent_counts[k] += 1;
+        for (k, frame) in self.round_frames.iter_mut().enumerate() {
+            let dsts = self.dst_cuts[k]..self.dst_cuts[k + 1];
+            let base = offsets[dsts.start as usize];
+            let slots = &arena[base as usize..offsets[dsts.end as usize] as usize];
+            push_u32(frame, idx_u32(slots.len()));
+            for (src, m) in slots {
+                push_u32(frame, src.raw());
+                push_payload(frame, m);
+            }
+            let mut runs = Runs::new(frame);
+            for d in dsts {
+                for slot in offsets[d as usize]..offsets[d as usize + 1] {
+                    runs.push(NodeId::new(d), (slot - base) as usize);
+                }
+            }
+            runs.finish();
         }
-        self.ship(FrameKind::Round, buffers, |t, k, inbox| {
-            t.apply_inbox(k, inbox, arena, cursors, offsets)
+        cursors.copy_from_slice(&offsets[..cursors.len()]);
+        self.ship(buffers, |dst, src, m: &M| {
+            let slot = &mut cursors[dst.index()];
+            arena[*slot as usize] = (src, m.clone());
+            *slot += 1;
         })
     }
 
@@ -1521,91 +1417,62 @@ impl ShardedTransport {
     /// and folds every message into `receive(receiver, sender, &message)`
     /// as the returned runs are read, with no arena in between.
     ///
-    /// Every shard's `EXCHANGE` frame carries the senders' table, `sent`
-    /// `Wire`-encoded once and copied into each frame. `fill(dsts, framed,
-    /// runs)` then pushes into `runs` the messages of shard `k`'s
-    /// destinations `dsts`, dst-major, each destination's senders
-    /// ascending, records in `framed[dst]` how many it pushed for each, and
-    /// returns how many it pushed in all. The `INBOX` must come back with
-    /// exactly that shape (see [`ShardedTransport::fold_exchange`]), so
-    /// `receive` sees the messages in the order they were framed.
+    /// Every shard's table lists the senders, `sent` `Wire`-encoded once
+    /// and copied into each frame. `fill(dsts, runs)` then pushes into
+    /// `runs` the messages of shard `k`'s destinations `dsts`, dst-major,
+    /// each destination's senders ascending, so `receive` sees the
+    /// messages in the order they were framed.
     pub(crate) fn exchange<M: Wire + Send + 'static>(
         &mut self,
         sent: &[(NodeId, u64, M)],
-        framed: &mut [u32],
-        mut fill: impl FnMut(ops::Range<usize>, &mut [u32], &mut ExchangeRuns<'_>) -> u32,
-        mut receive: impl FnMut(NodeId, NodeId, &M),
+        mut fill: impl FnMut(ops::Range<usize>, &mut Runs<'_>),
+        receive: impl FnMut(NodeId, NodeId, &M),
         buffers: &mut RoundBuffers,
     ) -> Result<(), ShardError> {
         self.open_round();
-        let senders = idx_u32(sent.len());
+        let messages = idx_u32(sent.len());
         if let Some((first, rest)) = self.round_frames.split_first_mut() {
-            push_u32(first, senders);
+            push_u32(first, messages);
             let table_at = first.len();
             for (src, _, m) in sent {
                 push_u32(first, src.raw());
                 push_payload(first, m);
             }
             for frame in rest {
-                push_u32(frame, senders);
+                push_u32(frame, messages);
                 frame.extend_from_slice(&first[table_at..]);
             }
         }
         for k in 0..self.links.len() {
             let dsts = self.dst_cuts[k] as usize..self.dst_cuts[k + 1] as usize;
-            let mut runs = ExchangeRuns {
-                frame: &mut self.round_frames[k],
-                dst: 0,
-                at: 0,
-            };
-            self.sent_counts[k] = fill(dsts, framed, &mut runs);
-            runs.close();
+            let mut runs = Runs::new(&mut self.round_frames[k]);
+            fill(dsts, &mut runs);
+            runs.finish();
         }
-        let mut table = buffers.take_table::<M>();
-        let result = self.ship(FrameKind::Exchange, buffers, |t, k, inbox| {
-            t.fold_exchange(k, inbox, senders, framed, &mut table, &mut receive)
-        });
-        buffers.retire_table(table);
-        result
+        self.ship(buffers, receive)
     }
 
-    /// Ships the open round as `kind` frames and hands each shard's `INBOX`
-    /// to `apply(self, shard, inbox)`, with recovery and checkpoints: the
-    /// one routine behind [`ShardedTransport::deliver`] and
+    /// Ships the open round and folds each shard's `INBOX` into
+    /// `visit(receiver, sender, &message)`, with recovery and checkpoints:
+    /// the one routine behind [`ShardedTransport::deliver`] and
     /// [`ShardedTransport::exchange`]. Injects the armed [`FaultPlan`] when
     /// this round matches, and transparently recovers any shard whose link
-    /// died.
-    fn ship(
+    /// died. Its pooled buffers go back to `buffers` unless it fails, which
+    /// ends the run.
+    fn ship<M: Wire + Send + 'static>(
         &mut self,
-        kind: FrameKind,
         buffers: &mut RoundBuffers,
-        apply: impl FnMut(&Self, usize, &[u8]) -> Result<(), ShardError>,
+        mut visit: impl FnMut(NodeId, NodeId, &M),
     ) -> Result<(), ShardError> {
-        let mut frame = buffers.take_frame();
-        let mut recv = buffers.take_frame();
-        let result = self.ship_inner(kind, &mut frame, &mut recv, apply);
-        buffers.retire_frame(frame);
-        buffers.retire_frame(recv);
-        result
-    }
-
-    fn ship_inner(
-        &mut self,
-        kind: FrameKind,
-        frame: &mut Vec<u8>,
-        recv: &mut Vec<u8>,
-        mut apply: impl FnMut(&Self, usize, &[u8]) -> Result<(), ShardError>,
-    ) -> Result<(), ShardError> {
+        let (mut frame, mut recv) = (buffers.take_frame(), buffers.take_frame());
+        let mut table = buffers.take_table::<M>();
         let fault = fault_due(self.round);
         let shards = self.links.len();
-        // Send phase: seal each shard's frame with its message count. Each
-        // sealed frame's checksum extends the mirror chain before any
-        // worker sees it.
+        // Send phase: seal each shard's frame. Each sealed frame's checksum
+        // extends the mirror chain before any worker sees it.
         for k in 0..shards {
             let round_frame = &mut self.round_frames[k];
-            let count_at = FRAME_HEADER + 8;
-            round_frame[count_at..count_at + 4].copy_from_slice(&self.sent_counts[k].to_le_bytes());
-            let checksum = seal_frame(kind, round_frame);
+            let checksum = seal_frame(FrameKind::Round, round_frame);
             self.mirrors[k] = mix3(self.mirrors[k], checksum, self.round);
             if self.links[k].send(round_frame).is_err() {
                 self.links[k].kill();
@@ -1616,138 +1483,59 @@ impl ShardedTransport {
                 disarm_fault();
             }
         }
-        // Receive phase: apply each shard's inbox; a dead link is recovered
+        // Receive phase: fold each shard's inbox; a dead link is recovered
         // (respawn + restore + replay) and then must produce the identical
         // inbox, enforced by the fingerprint chain.
         for k in 0..shards {
-            match self.links[k].recv(recv) {
+            match self.links[k].recv(&mut recv) {
                 Ok(()) => {}
                 Err(e) if link_lost(&e) => {
-                    self.recover_shard(k, frame, recv)?;
-                    self.links[k].recv(recv)?;
+                    self.recover_shard(k, &mut frame, &mut recv)?;
+                    self.links[k].recv(&mut recv)?;
                 }
                 Err(e) => return Err(e),
             }
-            apply(self, k, recv)?;
+            self.fold(k, &recv, &mut table, &mut visit)?;
         }
         // Checkpoint phase: refresh every shard's recovery point to the end
         // of this round.
         for k in 0..shards {
-            self.checkpoint_shard(k, frame, recv)?;
+            self.checkpoint_shard(k, &mut frame, &mut recv)?;
         }
+        buffers.retire_frame(frame);
+        buffers.retire_frame(recv);
+        buffers.retire_table(table);
         Ok(())
     }
 
-    /// Applies shard `k`'s `INBOX` entries into the arena. Entries arrive
-    /// dst-major in send order, so writing each at its destination cursor
-    /// reproduces the direct counting scatter exactly. Together with the
-    /// entry count checked against the `ROUND` frame, the per-destination
-    /// bound on `offsets` rejects an inbox that moves, repeats or drops an
-    /// entry instead of writing it into the wrong slot.
-    fn apply_inbox<M: Wire>(
+    /// Folds shard `k`'s `INBOX` into `visit`, run by run. Once
+    /// [`ShardedTransport::check_inbox`] has matched the echo against the
+    /// `ROUND` sent, its table is decoded into `table`, each payload to
+    /// exactly one `M`, and every run index is looked up there.
+    fn fold<M: Wire>(
         &self,
         k: usize,
         recv: &[u8],
-        arena: &mut [(NodeId, M)],
-        cursors: &mut [u32],
-        offsets: &[u32],
-    ) -> Result<(), ShardError> {
-        let (mut c, count) = self.validate_inbox_header(k, recv)?;
-        for _ in 0..count {
-            let (src, dst, m) = self.next_entry::<M>(k, &mut c)?;
-            let d = dst as usize;
-            let at = cursors[d];
-            if at >= offsets[d + 1] {
-                return Err(ShardError::Protocol(
-                    "inbox entry overruns its destination's slots",
-                ));
-            }
-            arena[at as usize] = (NodeId::new(src), m);
-            cursors[d] = at + 1;
-        }
-        if !c.done() {
-            return Err(ShardError::Protocol("trailing bytes in inbox frame"));
-        }
-        Ok(())
-    }
-
-    /// Folds shard `k`'s `INBOX` of a pulled exchange into `receive`, run by
-    /// run. The reply must carry the `senders` table entries that were
-    /// framed, each decoding to exactly one `M` (into `table`, once), and
-    /// every destination's run must hold exactly the `framed[dst]`
-    /// messages framed for it. [`walk_runs`] checks the rest of the shape:
-    /// destinations ascending, indices ascending within a run (so senders
-    /// ascend, one message per ordered pair), the message count equal to
-    /// the `EXCHANGE` frame's. Together this rejects an inbox that moves,
-    /// repeats, drops or reorders a message.
-    fn fold_exchange<M: Wire>(
-        &self,
-        k: usize,
-        recv: &[u8],
-        senders: u32,
-        framed: &[u32],
         table: &mut Vec<(NodeId, M)>,
-        receive: &mut impl FnMut(NodeId, NodeId, &M),
+        visit: &mut impl FnMut(NodeId, NodeId, &M),
     ) -> Result<(), ShardError> {
-        let (mut c, count) = self.validate_inbox_header(k, recv)?;
-        if c.u32() != Some(senders) {
-            return Err(ShardError::Protocol(
-                "inbox sender table differs from the exchange frame",
-            ));
-        }
+        let mut c = WireCursor::new(self.check_inbox(k, recv)?);
+        let count = c.u32().ok_or(ShardError::Truncated)?;
+        let messages = c.u32().ok_or(ShardError::Truncated)?;
         table.clear();
-        walk_table(&mut c, senders, |src, bytes| {
-            table.push((NodeId::new(src), decode_exact(bytes)?));
+        walk_table(&mut c, messages, |src, bytes| {
+            let mut m = WireCursor::new(bytes);
+            let decoded = M::decode(&mut m).filter(|_| m.done());
+            let error = ShardError::Protocol("message payload is not exactly one message");
+            table.push((NodeId::new(src), decoded.ok_or(error)?));
             Ok(())
         })?;
         let dsts = self.dst_cuts[k]..self.dst_cuts[k + 1];
-        walk_runs(
-            &mut c,
-            senders,
-            count,
-            dsts,
-            |dst, len| {
-                if framed[dst as usize] == len {
-                    Ok(())
-                } else {
-                    Err(ShardError::Protocol(
-                        "inbox run differs from the messages framed for its destination",
-                    ))
-                }
-            },
-            |dst, index| {
-                let (src, m) = &table[index];
-                receive(NodeId::new(dst), *src, m);
-            },
-        )
+        walk_runs(&mut c, messages, count, dsts, |dst, index| {
+            let (src, m) = &table[index];
+            visit(NodeId::new(dst), *src, m);
+        })
     }
-
-    /// Reads the next `[src][dst][len][payload]` entry of shard `k`'s
-    /// `INBOX`: its destination must be the shard's and its payload must
-    /// decode to exactly one `M`.
-    fn next_entry<M: Wire>(
-        &self,
-        k: usize,
-        c: &mut WireCursor<'_>,
-    ) -> Result<(u32, u32, M), ShardError> {
-        let head = c.take(ENTRY_HEAD).ok_or(ShardError::Truncated)?;
-        let (src, dst, len) = (le_u32_at(head, 0), le_u32_at(head, 4), le_u32_at(head, 8));
-        let bytes = c.take(len as usize).ok_or(ShardError::Truncated)?;
-        if dst < self.dst_cuts[k] || dst >= self.dst_cuts[k + 1] {
-            return Err(ShardError::Protocol("inbox entry outside shard range"));
-        }
-        Ok((src, dst, decode_exact(bytes)?))
-    }
-}
-
-/// Decodes `bytes` as exactly one `M`.
-fn decode_exact<M: Wire>(bytes: &[u8]) -> Result<M, ShardError> {
-    let mut c = WireCursor::new(bytes);
-    let m = M::decode(&mut c).ok_or(ShardError::Protocol("message payload failed to decode"))?;
-    if !c.done() {
-        return Err(ShardError::Protocol("trailing bytes after message payload"));
-    }
-    Ok(m)
 }
 
 /// A `RoundCore`'s sharding mode, latched at its first delivery so the
@@ -1765,27 +1553,35 @@ pub(crate) enum ShardSlot {
 }
 
 /// Resolves `slot` for an `n`-node delivery, constructing the transport on
-/// first use when sharding is configured. Returns whether delivery is
-/// framed.
-pub(crate) fn probe(
-    slot: &mut ShardSlot,
+/// first use when sharding is configured. Returns the transport when
+/// delivery is framed.
+pub(crate) fn probe<'s>(
+    slot: &'s mut ShardSlot,
     n: usize,
     buffers: &mut RoundBuffers,
-) -> Result<bool, ShardError> {
-    match slot {
-        ShardSlot::Direct => Ok(false),
-        ShardSlot::Framed(t) if t.node_count() == n => Ok(true),
-        _ => {
-            let shards = shard_count();
-            if shards == 0 {
-                *slot = ShardSlot::Direct;
-                return Ok(false);
-            }
-            let t = ShardedTransport::new(n, shards, effective_backend(), buffers)?;
-            *slot = ShardSlot::Framed(t);
-            Ok(true)
-        }
+) -> Result<Option<&'s mut ShardedTransport>, ShardError> {
+    let latched = match slot {
+        ShardSlot::Unprobed => false,
+        ShardSlot::Direct => true,
+        ShardSlot::Framed(t) => t.node_count() == n,
+    };
+    if !latched {
+        let shards = shard_count();
+        *slot = if shards == 0 {
+            ShardSlot::Direct
+        } else {
+            ShardSlot::Framed(ShardedTransport::new(
+                n,
+                shards,
+                effective_backend(),
+                buffers,
+            )?)
+        };
     }
+    Ok(match slot {
+        ShardSlot::Framed(t) => Some(t),
+        _ => None,
+    })
 }
 
 /// Kill shard `kill_shard` the moment round `at_round` (1-based, counted
@@ -1945,37 +1741,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_codec_round_trips_and_detects_corruption() {
-        let payload = b"framed bytes".as_slice();
-        let mut frame = Vec::new();
-        let checksum = encode_frame(FrameKind::Round, payload, &mut frame);
-        let (kind, decoded, found) = decode_frame(&frame).expect("clean frame decodes");
-        assert_eq!(kind, FrameKind::Round);
-        assert_eq!(decoded, payload);
-        assert_eq!(found, checksum);
-        // A flipped payload bit is caught by the checksum...
-        let mut corrupt = frame.clone();
-        let last = corrupt.len() - 1;
-        corrupt[last] ^= 0x40;
-        assert!(matches!(
-            decode_frame(&corrupt),
-            Err(ShardError::BadChecksum { .. })
-        ));
-        // ...truncation by the length prefix...
-        assert!(matches!(
-            decode_frame(&frame[..frame.len() - 1]),
-            Err(ShardError::Truncated)
-        ));
-        // ...and an unknown kind byte by name.
-        let mut bad_kind = frame.clone();
-        bad_kind[4] = 99;
-        assert!(matches!(
-            decode_frame(&bad_kind),
-            Err(ShardError::BadKind(99))
-        ));
-    }
-
-    #[test]
     fn worker_checkpoint_round_trips_and_verifies_identity() {
         let mut w = WorkerState::fresh(2);
         w.n = 16;
@@ -2055,24 +1820,50 @@ mod tests {
         outbox
     }
 
-    fn framed_scatter<M: Wire + Clone + Default>(
+    /// `M`, marked by whether it was decoded: it encodes as `M`, and
+    /// decoding sets the mark.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct Decoded<M>(M, bool);
+
+    impl<M: Wire> Wire for Decoded<M> {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.0.encode(out);
+        }
+        fn decode(r: &mut WireCursor<'_>) -> Option<Self> {
+            M::decode(r).map(|m| Decoded(m, true))
+        }
+    }
+
+    /// `outbox` delivered as `Round::deliver` does under framed delivery:
+    /// the direct scatter, then the arena's round trip through `t`, which
+    /// must write every slot back from the shards' frames.
+    fn framed_scatter<M: Wire + Clone + Default + Send + 'static>(
         t: &mut ShardedTransport,
         n: usize,
         outbox: &[(NodeId, NodeId, M)],
         buffers: &mut RoundBuffers,
     ) -> Vec<(NodeId, M)> {
         let offsets = start_offsets(n, outbox);
-        let mut cursors = offsets[..n].to_vec();
-        let mut arena = vec![(NodeId::new(0), M::default()); outbox.len()];
-        t.deliver(outbox, &mut arena, &mut cursors, &offsets, buffers)
+        let marked: Vec<_> = outbox
+            .iter()
+            .map(|(src, dst, m)| (*src, *dst, Decoded(m.clone(), false)))
+            .collect();
+        let mut arena = direct_scatter(n, &marked);
+        t.deliver(&mut arena, &mut vec![0; n], &offsets, buffers)
             .expect("framed delivery succeeds");
-        arena
+        let slots = arena.into_iter().map(|(src, Decoded(m, decoded))| {
+            assert!(decoded, "a slot was left from the scatter");
+            (src, m)
+        });
+        slots.collect()
     }
 
     /// Framed delivery equals the direct scatter at S ∈ {1, 2, 3, 4} for
     /// messages built by `make(src, dst, round)`. One destination receives
     /// nothing, and round 2 is empty.
-    fn assert_framed_matches_direct<M: Wire + Clone + Default + PartialEq + fmt::Debug>(
+    fn assert_framed_matches_direct<
+        M: Wire + Clone + Default + PartialEq + fmt::Debug + Send + 'static,
+    >(
         make: impl Fn(u32, u32, u64) -> M,
     ) {
         let n = 11usize;
@@ -2103,7 +1894,7 @@ mod tests {
     }
 
     /// Fixed-width payloads, then variable-length ones through the
-    /// in-place frame builder and the byte-offset worker scatter: `String`s
+    /// in-place table builder and the coordinator's fold: `String`s
     /// of every length 0..=40 (across the 8-byte word and 32-byte checksum
     /// block edges) and `Option<u64>` (1 or 9 bytes).
     #[test]
@@ -2182,92 +1973,7 @@ mod tests {
         assert_eq!(frame, sent);
     }
 
-    /// An `INBOX` with a valid checksum and fingerprint that moves an entry
-    /// into a neighbouring destination, repeats one, or drops one is
-    /// rejected before anything lands in the wrong arena slot.
-    #[test]
-    fn coordinator_rejects_a_misshapen_inbox() {
-        let _guard = FAULT_LOCK.lock().expect("fault lock is never poisoned");
-        let n = 4usize;
-        let mut buffers = RoundBuffers::default();
-        let mut t = ShardedTransport::new(n, 1, ShardBackend::Channel, &mut buffers)
-            .expect("channel transport builds");
-        // One real round: dsts 0, 1 and 2 get one message each, dst 3 none.
-        let outbox = [
-            (NodeId::new(2), NodeId::new(0), 7u32),
-            (NodeId::new(0), NodeId::new(1), 9u32),
-            (NodeId::new(1), NodeId::new(2), 5u32),
-        ];
-        framed_scatter(&mut t, n, &outbox, &mut buffers);
-        let offsets = start_offsets(n, &outbox);
-        let apply = |t: &mut ShardedTransport, entries: &[(u32, u32, u32)]| {
-            let mut payload = Vec::new();
-            push_u64(&mut payload, t.round);
-            push_u64(&mut payload, t.mirrors[0]);
-            push_u32(&mut payload, idx_u32(entries.len()));
-            for &(src, dst, m) in entries {
-                push_u32(&mut payload, src);
-                push_u32(&mut payload, dst);
-                push_u32(&mut payload, 4);
-                push_u32(&mut payload, m);
-            }
-            let mut frame = Vec::new();
-            encode_frame(FrameKind::Inbox, &payload, &mut frame);
-            let mut cursors = offsets[..n].to_vec();
-            let mut arena = vec![(NodeId::new(0), 0u32); outbox.len()];
-            t.apply_inbox(0, &frame, &mut arena, &mut cursors, &offsets)
-                .map(|()| arena)
-        };
-        assert_eq!(
-            apply(&mut t, &[(2, 0, 7), (0, 1, 9), (1, 2, 5)]),
-            Ok(direct_scatter(n, &outbox))
-        );
-        // An arena-bounds check alone would let the moved and dropped ones
-        // through.
-        for (what, entries) in [
-            ("moved", &[(2, 1, 7), (0, 1, 9), (1, 2, 5)][..]),
-            (
-                "repeated",
-                &[(2, 0, 7), (0, 1, 9), (0, 1, 9), (1, 2, 5)][..],
-            ),
-            ("dropped", &[(2, 0, 7), (1, 2, 5)][..]),
-        ] {
-            assert!(
-                matches!(apply(&mut t, entries), Err(ShardError::Protocol(_))),
-                "{what} entry must be rejected"
-            );
-        }
-    }
-
-    /// The worker returns a `ROUND` dst-major, each destination's entries
-    /// in arrival order: a src-major frame comes back scattered.
-    #[test]
-    fn worker_scatters_round_entries_dst_major() {
-        let entries = |entries: &[(u32, u32, u32)]| {
-            let mut payload = Vec::new();
-            for &(src, dst, m) in entries {
-                push_entry(&mut payload, src, dst, &m);
-            }
-            payload
-        };
-        let src_major = [(0, 2, 1), (0, 3, 2), (1, 0, 3), (2, 3, 4), (3, 2, 5)];
-        let dst_major = [(1, 0, 3), (0, 2, 1), (3, 2, 5), (0, 3, 2), (2, 3, 4)];
-        let mut w = WorkerState::fresh(0);
-        (w.n, w.dst_lo, w.dst_hi) = (4, 0, 4);
-        let mut payload = Vec::new();
-        push_u64(&mut payload, 1);
-        push_u32(&mut payload, idx_u32(src_major.len()));
-        payload.extend(entries(&src_major));
-        let mut reply = Vec::new();
-        w.apply_round(FrameKind::Round, &payload, 0, &mut reply)
-            .expect("a well-formed round applies");
-        let (kind, inbox, _) = decode_frame(&reply).expect("the reply decodes");
-        assert_eq!(kind, FrameKind::Inbox);
-        // Skip `[round][fingerprint][count]`; the entries follow.
-        assert_eq!(inbox[20..], entries(&dst_major));
-    }
-
-    /// A run of an `EXCHANGE` body: `(dst, run length, indices)`.
+    /// A run of a `ROUND` body: `(dst, run length, indices)`.
     type Run<'r> = (u32, u32, &'r [u32]);
 
     /// The run `dst` with `indices`, its length their count.
@@ -2275,12 +1981,12 @@ mod tests {
         (dst, idx_u32(indices.len()), indices)
     }
 
-    /// An `EXCHANGE` body after `[round][count]`: `senders`, the table's
+    /// A `ROUND` body after `[round][count]`: `messages`, the table's
     /// `(src, payload)` entries, then the runs, every field as given (so a
     /// test can inflate one).
-    fn exchange_body(senders: u32, table: &[(u32, &[u8])], runs: &[Run<'_>]) -> Vec<u8> {
+    fn round_body(messages: u32, table: &[(u32, &[u8])], runs: &[Run<'_>]) -> Vec<u8> {
         let mut body = Vec::new();
-        push_u32(&mut body, senders);
+        push_u32(&mut body, messages);
         for &(src, payload) in table {
             push_u32(&mut body, src);
             push_u32(&mut body, idx_u32(payload.len()));
@@ -2296,26 +2002,22 @@ mod tests {
         body
     }
 
-    /// A hostile exchange: what it breaks, its `count` and its body.
+    /// A hostile round: what it breaks, its `count` and its body.
     type Hostile = (&'static str, u32, Vec<u8>);
 
-    /// The hostile exchanges both ends must reject, each a `(what, count,
-    /// body)` against the well-formed one of [`hostile_exchanges`]' table:
+    /// The hostile rounds both ends must reject, each a `(what, count,
+    /// body)` against the well-formed one of [`hostile_rounds`]' table:
     /// senders 1, 3 and 6 with `u32` payloads 10, 30 and 60, and runs
     /// dst 4 ← {1, 6}, dst 5 ← {3}, dst 7 ← {1, 3, 6}.
-    fn hostile_exchanges() -> (Vec<u8>, Vec<Hostile>) {
-        let (p1, p3, p6) = (
-            10u32.to_le_bytes(),
-            30u32.to_le_bytes(),
-            60u32.to_le_bytes(),
-        );
+    fn hostile_rounds() -> (Vec<u8>, Vec<Hostile>) {
+        let [p1, p3, p6] = [10u32, 30, 60].map(u32::to_le_bytes);
         let table: [(u32, &[u8]); 3] = [(1, &p1), (3, &p3), (6, &p6)];
-        let good = exchange_body(
+        let good = round_body(
             3,
             &table,
             &[run(4, &[0, 2]), run(5, &[1]), run(7, &[0, 1, 2])],
         );
-        let with_runs = |runs: &[Run<'_>]| exchange_body(3, &table, runs);
+        let with_runs = |runs: &[Run<'_>]| round_body(3, &table, runs);
         let tail = [run(5, &[1]), run(7, &[0, 1, 2])];
         let cases = vec![
             (
@@ -2359,18 +2061,9 @@ mod tests {
                 with_runs(&[run(4, &[2, 0]), tail[0], tail[1]]),
             ),
             (
-                "a reordered sender table",
-                6,
-                exchange_body(
-                    3,
-                    &[(3, &p3), (1, &p1), (6, &p6)],
-                    &[run(4, &[0, 2]), tail[0], tail[1]],
-                ),
-            ),
-            (
                 "a table payload past the frame's end",
                 6,
-                exchange_body(3, &table, &[])
+                round_body(3, &table, &[])
                     .into_iter()
                     .take(4 + 8 + 4 + 4)
                     .chain(u32::MAX.to_le_bytes())
@@ -2379,7 +2072,7 @@ mod tests {
             ("more runs than the count", 5, good.clone()),
             ("fewer runs than the count", 7, good.clone()),
             ("trailing bytes", 6, [&good[..], &[0]].concat()),
-            ("senders inflated", 6, {
+            ("messages inflated", 6, {
                 let mut body = good.clone();
                 body[..4].copy_from_slice(&u32::MAX.to_le_bytes());
                 body
@@ -2394,37 +2087,50 @@ mod tests {
         (good, cases)
     }
 
-    /// The worker checks an `EXCHANGE`'s shape before it echoes it: each
+    /// Applies a `ROUND` of `count` and `body` (sealed with a valid
+    /// checksum) as round 1 of a fresh worker owning dsts 4..8 of 8:
+    /// the reply or the error, the rounds applied, and the reply's
+    /// capacity.
+    fn apply_round_body(count: u32, body: &[u8]) -> (Result<Vec<u8>, ShardError>, u64, usize) {
+        let mut w = WorkerState::fresh(0);
+        (w.n, w.dst_lo, w.dst_hi) = (8, 4, 8);
+        let mut payload = Vec::new();
+        push_u64(&mut payload, 1);
+        push_u32(&mut payload, count);
+        payload.extend_from_slice(body);
+        let mut frame = Vec::new();
+        encode_frame(FrameKind::Round, &payload, &mut frame);
+        let (kind, payload, checksum) = decode_frame(&frame).expect("the frame decodes");
+        let mut reply = Vec::new();
+        let result = handle_frame(&mut w, kind, payload, checksum, &mut reply);
+        (result.map(|()| reply.clone()), w.applied, reply.capacity())
+    }
+
+    /// The worker checks a `ROUND`'s shape before it echoes it: each
     /// hostile case, sealed with a valid checksum, gives a typed error
     /// without a panic and without allocating by a claimed count, and
     /// leaves the worker's round unapplied. Message payloads are opaque to
-    /// the worker, so their decoding is the coordinator's to check.
+    /// the worker, so their decoding is the coordinator's to check, and so
+    /// is the table's order: `deliver` lists a source once per message.
     #[test]
-    fn worker_rejects_a_misshapen_exchange() {
-        let apply = |count: u32, body: &[u8]| {
-            let mut w = WorkerState::fresh(0);
-            (w.n, w.dst_lo, w.dst_hi) = (8, 4, 8);
-            let mut payload = Vec::new();
-            push_u64(&mut payload, 1);
-            push_u32(&mut payload, count);
-            payload.extend_from_slice(body);
-            let mut frame = Vec::new();
-            encode_frame(FrameKind::Exchange, &payload, &mut frame);
-            let (kind, payload, checksum) = decode_frame(&frame).expect("the frame decodes");
-            let mut reply = Vec::new();
-            let result = handle_frame(&mut w, kind, payload, checksum, &mut reply);
-            (result.map(|()| reply.clone()), w.applied, reply.capacity())
-        };
-        let (good, cases) = hostile_exchanges();
-        let (reply, applied, _) = apply(6, &good);
-        let reply = reply.expect("a well-formed exchange applies");
+    fn worker_rejects_a_misshapen_round() {
+        let (good, cases) = hostile_rounds();
+        let (reply, applied, _) = apply_round_body(6, &good);
+        let reply = reply.expect("a well-formed round applies");
         let (kind, inbox, _) = decode_frame(&reply).expect("the reply decodes");
         assert_eq!((kind, applied), (FrameKind::Inbox, 1));
-        // `[round][fingerprint][count]`, then the body echoed whole.
+        // `[round][fingerprint]`, then the body echoed whole.
         assert_eq!(inbox[16..20], 6u32.to_le_bytes());
         assert_eq!(inbox[20..], good);
+        let repeated_sources = round_body(
+            3,
+            &[(3, &[1]), (1, &[2]), (3, &[3])],
+            &[run(4, &[0, 2]), run(6, &[1])],
+        );
+        let (reply, applied, _) = apply_round_body(3, &repeated_sources);
+        assert!(reply.is_ok() && applied == 1, "{reply:?}");
         for (what, count, body) in cases {
-            let (result, applied, capacity) = apply(count, &body);
+            let (result, applied, capacity) = apply_round_body(count, &body);
             assert!(
                 matches!(result, Err(ShardError::Protocol(_) | ShardError::Truncated)),
                 "{what}: {result:?}"
@@ -2433,10 +2139,41 @@ mod tests {
         }
     }
 
-    /// An exchange `INBOX` with a valid checksum and fingerprint that
-    /// moves, repeats, drops or reorders a message, or whose sender table
-    /// fails to decode or was altered, is rejected with a typed error and
-    /// without allocating by a claimed count.
+    /// The `(receiver, sender, message)` visits of a fold, in order.
+    type Visits = Vec<(u32, u32, u32)>;
+
+    /// Folds a hand-built `INBOX` of `t`'s current round from shard `k`,
+    /// with `count` and `body` as given: the `(receiver, sender, message)`
+    /// visits or the error, and the capacity the decoded table reached.
+    fn fold_inbox(
+        t: &ShardedTransport,
+        k: usize,
+        count: u32,
+        body: &[u8],
+    ) -> (Result<Visits, ShardError>, usize) {
+        let mut payload = Vec::new();
+        push_u64(&mut payload, t.round);
+        push_u64(&mut payload, t.mirrors[k]);
+        push_u32(&mut payload, count);
+        payload.extend_from_slice(body);
+        let mut frame = Vec::new();
+        encode_frame(FrameKind::Inbox, &payload, &mut frame);
+        let mut table = Vec::new();
+        let mut folded = Vec::new();
+        let result = t.fold(
+            k,
+            &frame,
+            &mut table,
+            &mut |u: NodeId, v: NodeId, &m: &u32| folded.push((u.raw(), v.raw(), m)),
+        );
+        (result.map(|()| folded), table.capacity())
+    }
+
+    /// An `INBOX` with a valid checksum and fingerprint that moves,
+    /// repeats, drops or reorders a message, or whose table fails to
+    /// decode or was altered, is rejected with a typed error before
+    /// anything is decoded or folded — after a pulled exchange and after
+    /// a `deliver` of a non-monotone outbox alike.
     #[test]
     fn coordinator_rejects_a_misshapen_exchange_inbox() {
         let _guard = FAULT_LOCK.lock().expect("fault lock is never poisoned");
@@ -2453,21 +2190,15 @@ mod tests {
         // dst 0 ← {1}; then shard 1's dst 4 ← {1, 6}, dst 5 ← {3},
         // dst 7 ← {1, 3, 6}, and dst 6 (silent) from nobody.
         let pulls: [(u32, usize); 7] = [(0, 0), (4, 0), (4, 2), (5, 1), (7, 0), (7, 1), (7, 2)];
-        let mut framed = vec![0u32; n];
         let mut got = Vec::new();
         t.exchange(
             &sent,
-            &mut framed,
-            |dsts, framed, runs| {
-                let mut pushed = 0;
+            |dsts, runs| {
                 for &(dst, index) in &pulls {
                     if dsts.contains(&(dst as usize)) {
                         runs.push(NodeId::new(dst), index);
-                        framed[dst as usize] += 1;
-                        pushed += 1;
                     }
                 }
-                pushed
             },
             |u: NodeId, v: NodeId, &m: &u32| got.push((u.raw(), v.raw(), m)),
             &mut buffers,
@@ -2478,53 +2209,38 @@ mod tests {
             .map(|&(dst, index)| (dst, sent[index].0.raw(), sent[index].2))
             .collect();
         assert_eq!(got, want);
-        let fold = |count: u32, body: &[u8]| {
-            let mut payload = Vec::new();
-            push_u64(&mut payload, t.round);
-            push_u64(&mut payload, t.mirrors[1]);
-            push_u32(&mut payload, count);
-            payload.extend_from_slice(body);
-            let mut frame = Vec::new();
-            encode_frame(FrameKind::Inbox, &payload, &mut frame);
-            let mut table = Vec::new();
-            let mut folded = Vec::new();
-            let result = t.fold_exchange(
-                1,
-                &frame,
-                3,
-                &framed,
-                &mut table,
-                &mut |u: NodeId, v: NodeId, &m: &u32| folded.push((u.raw(), v.raw(), m)),
-            );
-            (result.map(|()| folded), table.capacity())
-        };
-        let (good, cases) = hostile_exchanges();
-        assert_eq!(fold(6, &good).0, Ok(want[1..].to_vec()));
-        let (p1, p3, p6) = (
-            10u32.to_le_bytes(),
-            30u32.to_le_bytes(),
-            60u32.to_le_bytes(),
-        );
+        let (good, cases) = hostile_rounds();
+        assert_eq!(fold_inbox(&t, 1, 6, &good).0, Ok(want[1..].to_vec()));
+        let [p1, p3, p6] = [10u32, 30, 60].map(u32::to_le_bytes);
         let runs = [run(4, &[0, 2]), run(5, &[1]), run(7, &[0, 1, 2])];
         let coordinator_cases = [
             (
                 "a payload that fails to decode",
                 6,
-                exchange_body(3, &[(1, &p1), (3, &p3[..3]), (6, &p6)], &runs),
+                round_body(3, &[(1, &p1), (3, &p3[..3]), (6, &p6)], &runs),
             ),
             (
                 "a payload with trailing bytes",
                 6,
-                exchange_body(
+                round_body(
                     3,
                     &[(1, &p1), (3, &[&p3[..], &[0]].concat()), (6, &p6)],
                     &runs,
                 ),
             ),
             (
+                "a reordered sender table",
+                6,
+                round_body(
+                    3,
+                    &[(3, &p3), (1, &p1), (6, &p6)],
+                    &[run(4, &[1, 2]), run(5, &[0]), run(7, &[0, 1, 2])],
+                ),
+            ),
+            (
                 "a dropped sender",
                 6,
-                exchange_body(
+                round_body(
                     2,
                     &[(1, &p1), (6, &p6)],
                     &[run(4, &[0, 1]), run(5, &[0]), run(7, &[0, 1])],
@@ -2533,7 +2249,7 @@ mod tests {
             (
                 "a message moved to a silent dst",
                 6,
-                exchange_body(
+                round_body(
                     3,
                     &[(1, &p1), (3, &p3), (6, &p6)],
                     &[runs[0], run(6, &[1]), runs[2]],
@@ -2542,7 +2258,7 @@ mod tests {
             (
                 "a message moved to a later dst",
                 6,
-                exchange_body(
+                round_body(
                     3,
                     &[(1, &p1), (3, &p3), (6, &p6)],
                     &[run(4, &[0]), run(5, &[1, 2]), runs[2]],
@@ -2551,7 +2267,7 @@ mod tests {
             (
                 "a dropped message",
                 5,
-                exchange_body(
+                round_body(
                     3,
                     &[(1, &p1), (3, &p3), (6, &p6)],
                     &[runs[0], run(7, &[0, 1, 2])],
@@ -2559,13 +2275,195 @@ mod tests {
             ),
         ];
         for (what, count, body) in cases.into_iter().chain(coordinator_cases) {
-            let (result, capacity) = fold(count, &body);
+            let (result, capacity) = fold_inbox(&t, 1, count, &body);
             assert!(
                 matches!(result, Err(ShardError::Protocol(_) | ShardError::Truncated)),
                 "{what}: {result:?}"
             );
-            assert!(capacity <= 4, "{what}: the table grew to {capacity}");
+            assert_eq!(capacity, 0, "{what}: the table grew to {capacity}");
         }
+
+        // A `deliver` whose sources come out of order: shard 0's table is
+        // 2 → 0 (7), 0 → 1 (9), 1 → 2 (5), in arena order, and dst 3 gets
+        // nothing.
+        let outbox = [
+            (NodeId::new(2), NodeId::new(0), 7u32),
+            (NodeId::new(0), NodeId::new(1), 9u32),
+            (NodeId::new(5), NodeId::new(6), 4u32),
+            (NodeId::new(1), NodeId::new(2), 5u32),
+        ];
+        assert_eq!(
+            framed_scatter(&mut t, n, &outbox, &mut buffers),
+            direct_scatter(n, &outbox)
+        );
+        let [p7, p9, p5] = [7u32, 9, 5].map(u32::to_le_bytes);
+        let table: [(u32, &[u8]); 3] = [(2, &p7), (0, &p9), (1, &p5)];
+        let good = round_body(3, &table, &[run(0, &[0]), run(1, &[1]), run(2, &[2])]);
+        assert_eq!(
+            fold_inbox(&t, 0, 3, &good).0,
+            Ok(vec![(0, 2, 7), (1, 0, 9), (2, 1, 5)])
+        );
+        // Arena bounds alone would let the moved and dropped ones through.
+        for (what, count, body) in [
+            (
+                "moved",
+                3,
+                round_body(3, &table, &[run(1, &[0, 1]), run(2, &[2])]),
+            ),
+            (
+                "repeated",
+                4,
+                round_body(
+                    4,
+                    &[(2, &p7), (0, &p9), (0, &p9), (1, &p5)],
+                    &[run(0, &[0]), run(1, &[1, 2]), run(2, &[3])],
+                ),
+            ),
+            (
+                "dropped",
+                2,
+                round_body(2, &[(2, &p7), (1, &p5)], &[run(0, &[0]), run(2, &[1])]),
+            ),
+        ] {
+            let (result, capacity) = fold_inbox(&t, 0, count, &body);
+            assert!(
+                matches!(result, Err(ShardError::Protocol(_))),
+                "{what} message must be rejected: {result:?}"
+            );
+            assert_eq!(capacity, 0, "{what}");
+        }
+    }
+
+    /// Offsets in a well-formed `ROUND` payload of its table entries'
+    /// `len` fields and of its runs' `run` fields.
+    fn length_fields(payload: &[u8]) -> (Vec<usize>, Vec<usize>) {
+        let mut at = 16;
+        let mut lens = Vec::new();
+        for _ in 0..le_u32_at(payload, 12) {
+            lens.push(at + 4);
+            at += 8 + le_u32_at(payload, at + 4) as usize;
+        }
+        let mut runs = Vec::new();
+        while at < payload.len() {
+            runs.push(at + 4);
+            at += 8 + 4 * le_u32_at(payload, at + 4) as usize;
+        }
+        (lens, runs)
+    }
+
+    /// Fixed-seed mutations of real `ROUND` frames, from a framed `deliver`
+    /// and from a pulled exchange, each re-sealed so its checksum passes:
+    /// bit flips, truncations, and inflated `count`, `messages`, run and
+    /// payload-length fields. Every mutant gives `Ok` or a typed error,
+    /// never a panic. A rejected one leaves the round unapplied and the
+    /// reply unallocated; an accepted one allocates exactly its reply, the
+    /// input plus the 8-byte fingerprint.
+    #[test]
+    fn worker_survives_mutated_round_frames() {
+        use crate::rng::{SharedRandomness, Stream};
+        const MUTANTS: u32 = 600;
+        let _guard = FAULT_LOCK.lock().expect("fault lock is never poisoned");
+        let n = 16usize;
+        let mut buffers = RoundBuffers::default();
+        let record = |t: &ShardedTransport| -> Vec<_> {
+            (0..2)
+                .map(|k| (t.round_frames[k].clone(), t.dst_cuts[k]..t.dst_cuts[k + 1]))
+                .collect()
+        };
+        let mut t = ShardedTransport::new(n, 2, ShardBackend::Channel, &mut buffers)
+            .expect("channel transport builds");
+        let outbox: Vec<(NodeId, NodeId, String)> = test_outbox(n as u32, 3)
+            .into_iter()
+            .rev()
+            .map(|(src, dst, m)| (src, dst, "x".repeat(m as usize % 7)))
+            .collect();
+        framed_scatter(&mut t, n, &outbox, &mut buffers);
+        let mut recorded = record(&t);
+        let mut t = ShardedTransport::new(n, 2, ShardBackend::Channel, &mut buffers)
+            .expect("channel transport builds");
+        let sent: Vec<(NodeId, u64, u32)> = (0..idx_u32(n))
+            .step_by(3)
+            .map(|v| (NodeId::new(v), 32, v * 10))
+            .collect();
+        t.exchange(
+            &sent,
+            |dsts, runs| {
+                for dst in dsts {
+                    for index in 0..sent.len() {
+                        if mix3(9, dst as u64, index as u64).is_multiple_of(2) {
+                            runs.push(NodeId::new(idx_u32(dst)), index);
+                        }
+                    }
+                }
+            },
+            |_, _, _| {},
+            &mut buffers,
+        )
+        .expect("framed exchange succeeds");
+        recorded.extend(record(&t));
+
+        let rng = SharedRandomness::new(0x5EED);
+        let mut accepted = 0;
+        for (which, (frame, dsts)) in recorded.iter().enumerate() {
+            let (_, payload, _) = decode_frame(frame).expect("a recorded frame decodes");
+            let (lens, runs) = length_fields(payload);
+            assert!(
+                !lens.is_empty() && !runs.is_empty(),
+                "frame {which} is not empty"
+            );
+            for case in 0..MUTANTS {
+                let mut draw = (0..).map(|i| rng.bits(Stream::Aux, NodeId::new(case), i));
+                let mut next = || draw.next().expect("the draws never end");
+                let mut mutant = payload.to_vec();
+                let field = match next() % 6 {
+                    0 => {
+                        for _ in 0..=next() % 3 {
+                            let bit = next() as usize % (8 * mutant.len());
+                            mutant[bit / 8] ^= 1 << (bit % 8);
+                        }
+                        None
+                    }
+                    1 => {
+                        mutant.truncate(next() as usize % mutant.len());
+                        None
+                    }
+                    2 => Some(8),
+                    3 => Some(12),
+                    4 => Some(runs[next() as usize % runs.len()]),
+                    _ => Some(lens[next() as usize % lens.len()]),
+                };
+                if let Some(at) = field {
+                    let bump = u32::try_from(next() >> 32).expect("32 bits") >> (next() % 32);
+                    let inflated = le_u32_at(&mutant, at).saturating_add(bump.max(1));
+                    mutant[at..at + 4].copy_from_slice(&inflated.to_le_bytes());
+                }
+                let mut sealed = Vec::new();
+                encode_frame(FrameKind::Round, &mutant, &mut sealed);
+                let (kind, body, checksum) =
+                    decode_frame(&sealed).expect("a re-sealed mutant decodes");
+                let mut w = WorkerState::fresh(0);
+                (w.n, w.dst_lo, w.dst_hi) = (idx_u32(n), dsts.start, dsts.end);
+                let mut reply = Vec::new();
+                let result = handle_frame(&mut w, kind, body, checksum, &mut reply);
+                let what = format!("frame {which} mutant {case}: {result:?}");
+                if result.is_ok() {
+                    accepted += 1;
+                    assert_eq!((w.applied, reply.len()), (1, sealed.len() + 8), "{what}");
+                    assert!(reply.capacity() <= reply.len(), "{what}");
+                } else {
+                    assert!(
+                        matches!(result, Err(ShardError::Protocol(_) | ShardError::Truncated)),
+                        "{what}"
+                    );
+                    assert_eq!((w.applied, reply.capacity()), (0, 0), "{what}");
+                }
+            }
+        }
+        let mutants = recorded.len() * MUTANTS as usize;
+        assert!(
+            accepted > 0 && accepted < mutants,
+            "{accepted} of {mutants} accepted"
+        );
     }
 
     #[test]

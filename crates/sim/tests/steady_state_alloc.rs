@@ -15,8 +15,9 @@
 //! it carries need, not storage for all `n²` ordered pairs.
 //!
 //! All shapes run at one worker thread with no observer attached, and all
-//! message-passing shapes but one with direct delivery; the framed shape
-//! goes through two in-process channel shards. The tail shape (3 senders,
+//! message-passing shapes but two with direct delivery; the framed shapes
+//! (a pulled exchange and an addressed clique round) go through two
+//! in-process channel shards. The tail shape (3 senders,
 //! about 10 receivers on a 2^16-node R-MAT graph) pins that a round which
 //! walks only its frontiers needs no `n`-sized buffer either. The beeping shapes write
 //! each round's `heard` vector into one buffer the caller keeps. The
@@ -254,14 +255,19 @@ fn warmed_rounds_make_zero_heap_allocations() {
         assert!(exchange_round(engine.begin_round(), &rmat, &tail_senders, &tail_receivers) > 0);
     });
 
-    // The pulled exchange through two in-process shards: the senders'
-    // frame entries, both frames of every shard and each worker's
-    // per-round checkpoint all reuse their storage once warmed.
+    // The pulled exchange and an addressed clique round through two
+    // in-process shards: the frames of every shard, each shard's decoded
+    // table and each worker's per-round checkpoint all reuse their storage
+    // once warmed.
     set_backend_override(Some(ShardBackend::Channel));
     set_shards_override(Some(2));
     let mut engine = CliqueEngine::strict(graph.node_count(), standard_bandwidth(256));
     let framed_pull = allocations_per_round(|| {
         assert!(exchange_round(engine.begin_round(), &graph, &every, &alive) > 0);
+    });
+    let mut engine = CliqueEngine::strict(64, standard_bandwidth(64));
+    let framed_deliver = allocations_per_round(|| {
+        assert!(clique_round(&mut engine, 8) > 0);
     });
     set_shards_override(None);
     set_backend_override(None);
@@ -306,9 +312,10 @@ fn warmed_rounds_make_zero_heap_allocations() {
 
     par_nodes::set_thread_override(None);
     assert_eq!(
-        (clique, congest, large),
-        (0, 0, 0),
-        "heap allocations per warmed round (clique, CONGEST, clique ≥ 8,192 messages)"
+        (clique, congest, large, framed_deliver),
+        (0, 0, 0, 0),
+        "heap allocations per warmed round (clique, CONGEST, clique ≥ 8,192 messages, \
+         clique through 2 channel shards)"
     );
     assert_eq!(
         (

@@ -26,10 +26,13 @@ elif [ "$conform_status" != "0" ]; then
   exit "$conform_status"
 fi
 
-# Opt-in perf gate: BENCH_CHECK=1 reruns the engines bench and fails if any
-# clique_all_to_all_round median regresses >25% vs the pinned
-# results/bench_engines.json (kept opt-in: wall-clock gates are too noisy
-# for shared CI runners, but useful before re-pinning).
+# Opt-in perf gate: BENCH_CHECK=1 runs `scripts/bench.sh --check`, which
+# reruns the engines and batch_throughput benches and fails if any
+# clique_all_to_all_round, sharded_round_frames or sharded_exchange_frames
+# median regresses >25% vs the pinned results/bench_engines.json, or the
+# batch_throughput median vs results/bench_batch_throughput.json (kept
+# opt-in: wall-clock gates are too noisy for shared CI runners, but useful
+# before re-pinning).
 if [ "${BENCH_CHECK:-0}" = "1" ]; then
   scripts/bench.sh --check
 fi
