@@ -7,10 +7,11 @@
 //! to every node *inside* that ball; since the ball holds all nodes within
 //! distance `2^i`, the union of received balls covers radius `2^{i+1}`.
 //! After `⌈log₂ r⌉` steps each node knows its `r`-hop neighborhood. Each
-//! step's packet exchange is scheduled with Lenzen routing
-//! ([`cc_mis_sim::routing::charge_route`]), whose measured rounds are
-//! charged to the engine — `O(1)` per step whenever the Lemma 2.14
-//! capacity precondition (ball size `≪ n^{δ}`) holds.
+//! step is a fan-out (one ball-sized packet from every node to each other
+//! node of its span), charged in closed form by
+//! [`cc_mis_sim::routing::charge_fanout`] exactly as Lenzen routing would
+//! schedule it — `O(1)` rounds per step whenever the Lemma 2.14 capacity
+//! precondition (ball size `≪ n^{δ}`) holds.
 //!
 //! Knowledge travels as *edge records*. A record's declared size
 //! (`record_bits`) includes whatever decorations ride along — the caller
@@ -31,20 +32,20 @@
 //! by reference from the sender's slot (the declared bits are charged as
 //! if it were copied). A receiver's inbox is its own span: spans are
 //! symmetric (two participants are in each other's span exactly when they
-//! are within the current radius of each other), so the routed packets are
-//! only charged, never delivered or sorted. Unions run against a
-//! membership bitmap (no hashing anywhere), stop early once a ball holds
-//! every participant edge, and emit the new ball in order by scanning the
-//! bitmap when it is no longer than the ball, else by sorting only the
-//! newly learned ids. The set-up
-//! walks the participants' adjacency, and every step pays for
-//! participants, packets and ball sizes, never for `n` or `m`. The
-//! round/bit accounting is unchanged: payload bits (`ball edges ×
-//! record_bits`) and packet targets are computed exactly as before.
+//! are within the current radius of each other), so no packet is built:
+//! a step charges one `(span size, ball bits)` pair per sender. Unions run
+//! against a membership bitmap (no hashing anywhere), stop early once a
+//! ball holds every participant edge, and emit the new ball in order by
+//! scanning the bitmap when it is no longer than the ball, else by sorting
+//! only the newly learned ids. The set-up walks the participants'
+//! adjacency, and every step pays for participants and ball sizes, never
+//! for `n` or `m`. The round/bit accounting is what Lenzen routing charges
+//! for the materialised packets: payload bits `ball edges × record_bits`,
+//! one packet to each other node of the sender's span.
 
 use cc_mis_graph::{Graph, NodeId};
 use cc_mis_sim::clique::CliqueEngine;
-use cc_mis_sim::routing::{charge_route, Packet};
+use cc_mis_sim::routing::charge_fanout;
 use cc_mis_sim::Frontier;
 
 /// Packs an edge `(a, b)` into a single `u64` key (`a` in the high bits).
@@ -256,8 +257,8 @@ impl SortedUnion {
 ///
 /// # Panics
 ///
-/// Panics if `radius == 0` or `participants` is not drawn from `g`'s
-/// nodes.
+/// Panics if `radius == 0`, `participants` is not drawn from `g`'s
+/// nodes, or `g` has more nodes than the engine.
 ///
 /// # Example
 ///
@@ -288,6 +289,12 @@ pub fn gather_balls(
         participants.universe(),
         g.node_count(),
         "participant set mismatch"
+    );
+    assert!(
+        g.node_count() <= engine.node_count(),
+        "a graph on {} nodes does not fit a {}-node engine",
+        g.node_count(),
+        engine.node_count()
     );
 
     // Participant slots are the frontier's positions.
@@ -336,21 +343,18 @@ pub fn gather_balls(
     let mut total_rounds = 0u64;
     let mut steps_run = 0u64;
     for _ in 0..steps {
-        let mut packets: Vec<Packet<()>> = Vec::new();
-        for x in 0..k {
-            let bits = balls[x].len() as u64 * record_bits;
-            for &t in &spans[x] {
-                if t as usize != x {
-                    packets.push(Packet {
-                        src: NodeId::new(members[x]),
-                        dst: NodeId::new(members[t as usize]),
-                        bits,
-                        payload: (),
-                    });
-                }
-            }
-        }
-        let outcome = charge_route(engine, &packets).expect("gather packets are well-formed");
+        // Participant `x` sends its ball to every other node of its span:
+        // a fan-out, charged from one (targets, bits) pair per sender.
+        let outcome = charge_fanout(
+            engine,
+            (0..k).map(|x| {
+                let own = spans[x].binary_search(&(x as u32)).is_ok();
+                (
+                    spans[x].len() - usize::from(own),
+                    balls[x].len() as u64 * record_bits,
+                )
+            }),
+        );
         total_rounds += outcome.rounds;
         steps_run += 1;
         // Spans are symmetric (`t ∈ spans[x]` iff `x ∈ spans[t]`: both say
@@ -416,6 +420,7 @@ mod tests {
     use super::*;
     use cc_mis_graph::generators;
     use cc_mis_sim::bits::standard_bandwidth;
+    use cc_mis_sim::routing::Packet;
     use std::collections::{BTreeSet, VecDeque};
 
     fn engine_for(n: usize) -> CliqueEngine {

@@ -38,9 +38,15 @@
 //! the schedule and charges it; [`route`] is that call followed by the
 //! `(dst, src)` sort that builds the [`Delivery`]. A caller that never
 //! reads the delivered payloads calls [`charge_route`] and skips the sort;
-//! the ledger is the same either way. Graph exponentiation is one: a
-//! gather's receiver already knows its senders (its own span) and reads
-//! their balls by reference.
+//! the ledger is the same either way.
+//!
+//! A request where each sender sends one packet size to distinct other
+//! nodes (a *fan-out*) needs no packets at all: [`charge_fanout`] charges
+//! it in closed form from one `(targets, bits)` pair per sender, because
+//! such a request is always one batch and always takes the direct
+//! schedule. Graph exponentiation's gathers are fan-outs: a sender ships
+//! its ball to every other node of its span, and a receiver already knows
+//! its senders (its own span) and reads their balls by reference.
 
 // Accounting is integer-exact (DESIGN.md §8): float arithmetic is
 // rounding-order dependent, and a cast between integers and floats can
@@ -256,6 +262,70 @@ pub(crate) fn charge_with<M>(
         batches: batches.len() as u64,
         used_relay,
     })
+}
+
+/// Charges a *fan-out* in closed form: each item is one distinct sender,
+/// given as `(targets, bits)`, that sends one `bits`-bit packet to each of
+/// `targets` distinct nodes other than itself. The ledger and the outcome
+/// are exactly what [`charge_route`] gives for those packets, and no
+/// packet is built.
+///
+/// A fan-out always fits one Lenzen batch (a node sends at most `n − 1`
+/// packets and receives at most one per sender), and the direct schedule
+/// always wins it: every ordered pair carries one packet, so direct rounds
+/// are the largest per-packet fragment count `⌈bits/B⌉`, while the rotor
+/// relay charges each packet's fragments to relay hop 1 (rank ≥ 1) or to
+/// a hop-2 relay load (rank 0, relay = source ≠ destination), so relay
+/// rounds are at least that, and ties go to direct. Nothing is charged
+/// when no sender has a target.
+///
+/// # Panics
+///
+/// Panics if a sender has `n` or more targets, or there are more than `n`
+/// senders.
+///
+/// # Example
+///
+/// ```
+/// use cc_mis_sim::clique::CliqueEngine;
+/// use cc_mis_sim::routing::charge_fanout;
+///
+/// let mut engine = CliqueEngine::strict(4, 32);
+/// // One sender with 3 targets of 40 bits (2 fragments each), one idle.
+/// let outcome = charge_fanout(&mut engine, [(3, 40), (0, 8)]);
+/// assert_eq!(outcome.rounds, 2);
+/// assert_eq!(engine.ledger().messages, 6);
+/// assert_eq!(engine.ledger().bits, 120);
+/// ```
+pub fn charge_fanout(
+    engine: &mut CliqueEngine,
+    senders: impl IntoIterator<Item = (usize, u64)>,
+) -> RoutingOutcome {
+    let n = engine.node_count();
+    let bandwidth = engine.bandwidth().max(1);
+    let (mut rounds, mut msgs, mut bits, mut count) = (0u64, 0u64, 0u64, 0usize);
+    for (targets, sender_bits) in senders {
+        assert!(
+            targets < n,
+            "a sender has {targets} targets among {n} nodes"
+        );
+        count += 1;
+        if targets > 0 {
+            let k = sender_bits.div_ceil(bandwidth).max(1);
+            rounds = rounds.max(k);
+            msgs += targets as u64 * k;
+            bits += targets as u64 * sender_bits;
+        }
+    }
+    assert!(count <= n, "{count} senders among {n} nodes");
+    if rounds > 0 {
+        engine.routing_parts().0.record_schedule(rounds, msgs, bits);
+    }
+    RoutingOutcome {
+        rounds,
+        batches: 1,
+        used_relay: false,
+    }
 }
 
 fn check_endpoints<M>(n: usize, packets: &[Packet<M>]) -> Result<(), RoutingError> {

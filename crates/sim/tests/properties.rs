@@ -10,7 +10,7 @@ use cc_mis_graph::{generators, Graph, NodeId};
 use cc_mis_sim::clique::CliqueEngine;
 use cc_mis_sim::congest::CongestEngine;
 use cc_mis_sim::rng::{SharedRandomness, Stream};
-use cc_mis_sim::routing::{charge_route, route, route_executed, Packet};
+use cc_mis_sim::routing::{charge_fanout, charge_route, route, route_executed, Packet};
 use cc_mis_sim::runtime::{Enforcement, Inboxes, Round, RoundEvent, RoundObserver, Transport};
 use cc_mis_sim::{BandwidthError, Frontier, RoundLedger};
 use std::cell::RefCell;
@@ -152,6 +152,62 @@ fn charging_without_delivery_matches_route() {
     let (n, packets) = hotspot_case(4);
     let outcome = charge_route(&mut CliqueEngine::strict(n, 32), &packets).unwrap();
     assert!(outcome.batches >= 2 && outcome.used_relay, "{outcome:?}");
+}
+
+/// Random fan-out for a case over `n ∈ [2, 33]` nodes: per sender, a
+/// target count in `0..n` (every sender a full `n − 1` in every seventh
+/// case, none in every eleventh) and a packet size in `0..200` bits,
+/// around a 32-bit bandwidth. Returns the `(targets, bits)` pairs and the
+/// packets they stand for, each sender's distinct targets in random order.
+fn fanout_case(r: &mut SplitMix64, case: u64, n: usize) -> (Vec<(usize, u64)>, Vec<Packet<()>>) {
+    let mut senders = Vec::with_capacity(n);
+    let mut packets = Vec::new();
+    let mut others: Vec<u32> = Vec::with_capacity(n);
+    for s in 0..n as u32 {
+        let targets = match (case % 7, case % 11) {
+            (0, _) => n - 1,
+            (_, 0) => 0,
+            _ => r.next_below(n as u64) as usize,
+        };
+        let bits = r.next_below(200);
+        others.clear();
+        others.extend((0..n as u32).filter(|&d| d != s));
+        for i in 0..targets {
+            let j = i + r.next_below((others.len() - i) as u64) as usize;
+            others.swap(i, j);
+            packets.push(Packet {
+                src: NodeId::new(s),
+                dst: NodeId::new(others[i]),
+                bits,
+                payload: (),
+            });
+        }
+        senders.push((targets, bits));
+    }
+    (senders, packets)
+}
+
+#[test]
+fn charge_fanout_matches_charge_route() {
+    for case in 0..CASES * 2 {
+        let mut r = SplitMix64::new(0xFA11_0000 + case);
+        let n = 2 + r.next_below(32) as usize;
+        // Two fan-outs in two phases, so the phase records are compared as
+        // well as the totals.
+        let mut routed = CliqueEngine::strict(n, 32);
+        let mut charged = CliqueEngine::strict(n, 32);
+        for phase in ["first", "second"] {
+            let (senders, packets) = fanout_case(&mut r, case, n);
+            for engine in [&mut routed, &mut charged] {
+                engine.ledger_mut().begin_phase(phase);
+            }
+            let want = charge_route(&mut routed, &packets).unwrap();
+            assert_eq!(charge_fanout(&mut charged, senders), want, "case {case}");
+            assert!(want.batches == 1 && !want.used_relay, "case {case}");
+        }
+        assert_eq!(charged.ledger(), routed.ledger(), "case {case}");
+        assert_eq!(charged.ledger().phases.len(), 2, "case {case}");
+    }
 }
 
 #[test]

@@ -43,7 +43,7 @@ use clique_mis::graph::{checks, Graph};
 use clique_mis::sim::par_nodes::set_thread_override;
 use clique_mis::sim::{BatchScheduler, BoxedExecution, JobSpec, MapOutcome};
 
-use crate::{build_family, result_json, Options};
+use crate::{build_family, check_node_count, result_json, Options};
 
 /// What a batch job resolves to: the solo `run` label plus its outcome, or
 /// a per-job error (e.g. a beeping run that left residual nodes).
@@ -424,6 +424,7 @@ fn job_from_value(value: &JsonValue) -> Result<JobLine, String> {
         None => return Err("missing 'family'".into()),
     };
     let n = as_u64(get("n").ok_or("missing 'n'")?, "n")? as usize;
+    check_node_count(n)?;
     let avg_deg = match get("avg_deg") {
         None => 8.0,
         Some(JsonValue::Num(x)) => *x,

@@ -155,10 +155,24 @@ fn load_graph(opts: &Options) -> Result<Graph, String> {
     build_family(family, n, avg, seed)
 }
 
+/// Refuses a generated vertex count above [`graph_io::MAX_NODES`], the
+/// bound the graph readers hold files to, before anything is allocated.
+fn check_node_count(n: usize) -> Result<(), String> {
+    if n > graph_io::MAX_NODES {
+        return Err(format!(
+            "graph too large: {n} vertices (at most {} are built)",
+            graph_io::MAX_NODES
+        ));
+    }
+    Ok(())
+}
+
 /// Builds a named generator family, shared by `--family` graph sources and
 /// the batch job file. `n` is a target size: `grid` rounds to a square,
-/// `cliques` to whole blocks, `kronecker` up to the next power of two.
+/// `cliques` to whole blocks, `kronecker` up to the next power of two
+/// (none of which passes [`graph_io::MAX_NODES`], a power of two).
 fn build_family(family: &str, n: usize, avg: f64, seed: u64) -> Result<Graph, String> {
+    check_node_count(n)?;
     let g = match family {
         "gnp" => generators::erdos_renyi_gnp(n, (avg / (n.max(2) - 1) as f64).min(1.0), seed),
         "regular" => {

@@ -92,6 +92,49 @@ fn huge_declared_vertex_counts_fail_cleanly() {
 }
 
 #[test]
+fn huge_generated_vertex_counts_fail_cleanly() {
+    let out = cli()
+        .args(["run", "--family", "gnp", "--n", "4000000000000"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "run: {stderr}");
+    assert!(
+        stderr.contains("graph too large: 4000000000000 vertices"),
+        "run: {stderr}"
+    );
+
+    // An oversized job after a valid one: the file is refused at parse
+    // time, before any job runs.
+    let dir = std::env::temp_dir().join(format!("clique-mis-cli-huge-jobs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let jobs_path = dir.join("jobs.jsonl");
+    std::fs::write(
+        &jobs_path,
+        "{\"algorithm\":\"luby\",\"family\":\"cycle\",\"n\":48,\"seed\":3}\n\
+         {\"algorithm\":\"luby\",\"family\":\"gnp\",\"n\":4000000000000,\"seed\":3}\n",
+    )
+    .unwrap();
+    let out = cli()
+        .args([
+            "batch",
+            "--jobs",
+            jobs_path.to_str().unwrap(),
+            "--out",
+            dir.join("out").to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "batch: {stderr}");
+    assert!(
+        stderr.contains("jobs line 2: graph too large: 4000000000000 vertices"),
+        "batch: {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn gen_then_run_roundtrips_through_a_file() {
     let dir = std::env::temp_dir().join(format!("clique-mis-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -127,8 +127,9 @@ fn kill_matrix(algorithm: &str, gname: &str, shards: usize, stride: u64) -> usiz
 /// Channel backend, exhaustive: every shard killed at every checkpoint
 /// boundary, for S ∈ {1, 2, 4}, on CONGEST algorithms (Luby, Ghaffari'16,
 /// the §2.3 sparsified beeping MIS) and a clique one (Theorem 1.1). Their
-/// neighbour exchanges are pulled through `EXCHANGE` frames, so kills land
-/// in framed pulls on both transports.
+/// neighbour exchanges are pulled through `ROUND` frames (one sender table
+/// shared by all receivers), so kills land in framed pulls on both
+/// transports.
 #[test]
 fn every_shard_killed_at_every_round_recovers_identically() {
     let _guard = lock();
